@@ -29,17 +29,16 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from importlib import resources
-from itertools import repeat
 from pathlib import Path
 
 from numpy.random import SeedSequence, default_rng
 
-from .data import (ArmSummary, TrialSummary, make_dataset, subject_records,
+from .data import (ArmSummary, TrialSummary, dataset_from_arms, make_dataset,
                    write_summaries)
 from .errors import ConfigError, DataError
 from .estimate import fit_ols, fit_weighted_regression
 from .meta import build_design, fit_dl
-from .reconstruct import ReconstructionConfig, reconstruct_arm
+from .reconstruct import ReconstructionConfig, reconstruct_all
 from .weights import compute_weights, fit_membership
 
 DEFAULT_SEED = 40
@@ -133,13 +132,13 @@ def simulate_target(n1, n0, rng):
     reported baseline mean/SD, treated arm first.
     """
     t = derive_arm_summaries(TARGET_TRIAL)
-    subs = []
+    arms = []
     for arm_val, nj in ((1, n1), (0, n0)):
         a = t.arm(arm_val)
         xs = rng.normal(a.x_mean[0], a.x_var[0] ** 0.5, nj)
         ys = rng.normal(a.y_mean, a.y_var ** 0.5, nj)
-        subs.extend(subject_records(t.trial_id, repeat(arm_val), ys, (xs,), "target"))
-    return make_dataset(subs, target_id=t.trial_id)
+        arms.append((t.trial_id, arm_val, xs[:, None], ys))
+    return dataset_from_arms(arms, is_target=True, target_id=t.trial_id)
 
 
 # scenario -> (n1, n0, borrow); borrow None means no external data.
@@ -216,19 +215,21 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4", level=0.95):
 
     meta, _ = fit_meta()
     rcfg = ReconstructionConfig(rng_seed=0, borrow=borrow)
-    records = list(target.subjects)
+    parts = [target]
     clamped = []
     for row in COMPLETED_TRIALS:
         trial = derive_reconstruction_summaries(row)
         for arm_val in (1, 0):
             if borrow == "control_only" and arm_val == 1:
                 continue
+            # one arm per call, so that each clamp warning names its arm
+            one_arm = TrialSummary(trial.trial_id, (trial.arm(arm_val),))
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                records.extend(reconstruct_arm(trial.arm(arm_val), meta, rcfg, rng=rng))
+                parts.append(reconstruct_all([one_arm], meta, rcfg, rng=rng))
             if caught:
                 clamped.append(f"{trial.trial_id}/arm{arm_val}")
-    pooled = make_dataset(records, target_id=target.target_id)
+    pooled = make_dataset(parts, target_id=target.target_id)
     weighted = compute_weights(pooled, fit_membership(pooled))
     fit = fit_weighted_regression(weighted, include_covariates=True,
                                   include_interaction=False, meat=meat)

@@ -17,7 +17,7 @@ from pathlib import Path
 import click
 
 from . import casestudy, pipeline as pl
-from .data import make_dataset, read_subjects, read_summaries, write_subjects
+from .data import read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
 from .estimate import (MEAT_KINDS, estimate_univariate, fit_weighted_regression)
 from .meta import build_design, fit_dl
@@ -116,7 +116,7 @@ def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
         fit = fit_dl(build_design(trials, include_interaction=interaction))
     rcfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
     recon = reconstruct_all(trials, fit, rcfg)
-    write_subjects(make_dataset(recon), out_path, include_weight=False)
+    write_subjects(recon, out_path, include_weight=False)
     click.echo(f"reconstructed {len(recon)} subjects from "
                f"{len(trials)} trials -> {out_path}")
 
@@ -139,12 +139,11 @@ def weights(ctx, subjects, target_id, features, pin_target, out_path):
     fmap = parse_feature_spec(features, d.p) if features else default_feature_map(d.p)
     fit = fit_membership(d, fmap)
     weighted = compute_weights(d, fit, fmap, pin_target_weights=pin_target)
-    w = [s.weight for s in weighted.subjects]
-    wt = [s.weight for s in weighted.subjects if s.source == "target"]
+    w = weighted.w
     click.echo(f"membership fit: converged={fit.converged} iterations={fit.iterations} "
                f"ridge={fit.ridge_lambda:g}")
-    click.echo(f"weights: mean {sum(w) / len(w):.6f} over {len(w)} subjects "
-               f"(target rows mean {sum(wt) / len(wt):.4f})")
+    click.echo(f"weights: mean {w.mean():.6f} over {len(w)} subjects "
+               f"(target rows mean {w[weighted.is_target].mean():.4f})")
     out_path = _fallback(ctx, out_path, "out")
     if out_path:
         write_subjects(weighted, out_path)

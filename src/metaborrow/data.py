@@ -1,11 +1,17 @@
 """Core domain types, validation, and file I/O.
 
-Two kinds of records move through the pipeline:
+Arm-level aggregate summaries (one ArmSummary per trial arm: sample
+size, outcome mean/variance, covariate means/variances) are grouped into
+TrialSummary records; the meta-regression and reconstruction read them.
 
-* arm-level aggregate summaries (one record per trial arm: sample size,
-  outcome mean/variance, covariate means/variances), grouped into trials;
-* subject-level rows (outcome, covariates, arm indicator, weight slot),
-  either observed in the target trial or reconstructed from summaries.
+Subject-level data, observed in the target trial or reconstructed from
+summaries, is a Dataset held column by column: arm indicators ``z``,
+outcomes ``y``, the N x p covariate matrix ``X``, weights ``w``, a
+target-membership flag ``is_target``, and each row's index into a tuple
+of trial ids.  Every stage from reconstruction on works on these arrays.
+SubjectRecord, one named tuple per row, lives only at the edges: data
+built by hand (``make_dataset``), rows read back (``Dataset.subjects``)
+and ``reconstruct_arm``.
 
 Variances in input files are variances of individual observations.  A
 summary file may instead carry the standard error of the arm mean in a
@@ -13,10 +19,10 @@ summary file may instead carry the standard error of the arm mean in a
 Covariate dispersion is diagonal: one variance per covariate, no
 covariances.
 
-All types are immutable value objects.  Floats are written with
-``repr``, so means, outcomes, and weights round-trip bit-for-bit;
-variances pass through their SD column (sqrt on write, square on read)
-and may move by an ulp.
+All types are immutable values; a Dataset's arrays are read-only.
+Floats are written with ``repr``, so means, outcomes, and weights
+round-trip bit-for-bit; variances pass through their SD column (sqrt on
+write, square on read) and may move by an ulp.
 """
 
 from __future__ import annotations
@@ -25,10 +31,12 @@ import csv
 import gc
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DataError
 
@@ -120,9 +128,11 @@ class SubjectRecord(NamedTuple):
 
     An immutable ``typing.NamedTuple``: fields are read by name, records
     with equal fields compare equal, and ``_replace`` returns a changed
-    copy.  A tuple rather than a frozen dataclass, because reconstruction
-    builds hundreds of thousands of rows and a named tuple is about three
-    times cheaper to construct.
+    copy.  Records are the row form used at the edges (hand-built data,
+    ``Dataset.subjects``, ``reconstruct_arm``); a tuple rather than a
+    frozen dataclass, because those build up to hundreds of thousands of
+    rows at once and a named tuple is about three times cheaper to
+    construct.
     """
 
     trial_id: str
@@ -133,39 +143,115 @@ class SubjectRecord(NamedTuple):
     source: str = "target"  # "target" | "reconstructed"
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Ordered collection of SubjectRecord with fixed covariate dimension."""
+_SOURCES = ("reconstructed", "target")  # a row's source tag, indexed by its is_target flag
 
-    subjects: tuple
-    p: int
+_COLUMNS = (("trial", int), ("z", int), ("y", float), ("X", float), ("w", float),
+            ("is_target", bool))
+
+
+def _read_only(value, dtype):
+    if isinstance(value, np.ndarray) and value.dtype == dtype and not value.flags.writeable:
+        return value
+    # a copy: an array the caller still holds must not change under the dataset
+    a = np.array(value, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Subject rows held as columns, with a fixed covariate dimension.
+
+    Attributes
+    ----------
+    trial_ids : tuple of str
+        Distinct trial ids; ``trial`` indexes into it.
+    trial : ndarray of int, shape (N,)
+        Each row's position in ``trial_ids``.
+    z : ndarray of int, shape (N,)
+        Arm indicator, 1 = treatment, 0 = control.
+    y : ndarray of float, shape (N,)
+        Outcomes.
+    X : ndarray of float, shape (N, p)
+        Covariates, one row per subject.
+    w : ndarray of float, shape (N,)
+        Weights: 1 until :func:`metaborrow.weights.compute_weights` sets them.
+    is_target : ndarray of bool, shape (N,)
+        True for rows observed in the target trial, False for
+        reconstructed rows (source tags ``target`` / ``reconstructed``).
+    target_id : str
+
+    Every array is read-only.  An input array that is already read-only
+    is held as it is, so datasets derived from one another share their
+    unchanged columns; any other input is copied first.  Datasets compare
+    by identity; compare :attr:`subjects` to compare rows.
+    """
+
+    trial_ids: tuple
+    trial: np.ndarray
+    z: np.ndarray
+    y: np.ndarray
+    X: np.ndarray
+    w: np.ndarray
+    is_target: np.ndarray
     target_id: str = ""
 
+    def __post_init__(self):
+        for name, dtype in _COLUMNS:
+            object.__setattr__(self, name, _read_only(getattr(self, name), dtype))
+        n = len(self.y)
+        vectors = ("trial", "z", "y", "w", "is_target")
+        if self.X.ndim != 2 or len(self.X) != n or any(
+                getattr(self, name).shape != (n,) for name in vectors):
+            raise DataError("dataset columns differ in length")
+
+    @property
+    def p(self):
+        return self.X.shape[1]
+
     def __len__(self):
-        return len(self.subjects)
+        return len(self.y)
 
     def with_weights(self, weights):
-        if len(weights) != len(self.subjects):
+        """Copy with the weight column replaced; the other columns are shared."""
+        if len(weights) != len(self):
             raise DataError("weight vector length does not match dataset")
-        # positional, not s._replace: _replace builds each tuple from an
-        # iterator, which allocates about 17% more per row
-        subs = tuple(SubjectRecord(s.trial_id, s.z, s.y, s.x, float(w), s.source)
-                     for s, w in zip(self.subjects, weights))
-        return Dataset(subs, self.p, self.target_id)
+        return replace(self, w=weights)
 
     def n_target(self):
-        return sum(1 for s in self.subjects if s.source == "target")
+        return int(np.count_nonzero(self.is_target))
+
+    @property
+    def subjects(self):
+        """The rows as a tuple of SubjectRecord, built anew on each access.
+
+        For the edges: hand-built data, tests and record-level callers.
+        The estimation chain reads the columns.
+        """
+        return tuple(_boxed(self._trial_id_column(), self.z.tolist(), self.y, self.X.T,
+                            self.w.tolist(), self._source_column()))
+
+    def _trial_id_column(self):
+        return list(map(self.trial_ids.__getitem__, self.trial.tolist()))
+
+    def _source_column(self):
+        return list(map(_SOURCES.__getitem__, self.is_target.tolist()))
 
 
-def subject_records(trial_id, z, y, x_cols, source):
-    """Box NumPy draws into a list of SubjectRecord, one per entry of ``y``.
+def _owned(trial_ids, trial, z, y, X, w, is_target, target_id=""):
+    """A Dataset over freshly built arrays: made read-only in place, not copied."""
+    arrays = (trial, z, y, X, w, is_target)
+    for a in arrays:
+        a.flags.writeable = False
+    return Dataset(trial_ids, *arrays, target_id)
 
-    ``z`` is an iterable of int arm indicators (``itertools.repeat(arm)``
-    for a single arm), ``y`` a 1-D outcome array, and ``x_cols`` the
-    covariate columns, each a 1-D array as long as ``y`` (none when the
-    dimension is 0, giving ``x == ()``).  Each array is converted with
-    one ``tolist()``, so records hold plain Python floats with the drawn
-    values, and no per-row list of covariates is built on the way.
+
+def _boxed(trial_ids, z, y, x_cols, weights, sources):
+    """Box per-row iterables and NumPy columns into a list of SubjectRecord.
+
+    ``y`` and each of ``x_cols`` (none when the dimension is 0, giving
+    ``x == ()``) are converted with one ``tolist()``, so records hold plain
+    Python floats, and covariate rows are zipped column-wise.
     """
     cols = [c.tolist() for c in x_cols]
     xs = zip(*cols) if cols else repeat(())
@@ -177,43 +263,155 @@ def subject_records(trial_id, z, y, x_cols, source):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return list(map(SubjectRecord, repeat(trial_id), z, y.tolist(), xs,
-                        repeat(1.0), repeat(source)))
+        return list(map(SubjectRecord, trial_ids, z, y.tolist(), xs, weights, sources))
     finally:
         if enabled:
             gc.enable()
 
 
-def make_dataset(subjects, target_id=""):
-    """Build a Dataset, inferring the covariate dimension from the first record."""
-    subjects = tuple(subjects)
-    if not subjects:
-        return Dataset((), 0, target_id)
-    return Dataset(subjects, len(subjects[0].x), target_id)
+def subject_records(trial_id, z, y, x_cols, source):
+    """Box one trial's NumPy draws into a list of SubjectRecord with unit weights.
+
+    ``z`` is an iterable of int arm indicators (``itertools.repeat(arm)``
+    for a single arm), ``y`` a 1-D outcome array, and ``x_cols`` the
+    covariate columns, each a 1-D array as long as ``y``.
+    """
+    return _boxed(repeat(trial_id), z, y, x_cols, repeat(1.0), repeat(source))
+
+
+def dataset_from_arms(arms, is_target, target_id=""):
+    """Build a Dataset from per-arm draws, with unit weights.
+
+    ``arms`` is a sequence of ``(trial_id, arm, X, y)``: ``arm`` is the
+    arm indicator of all its rows, ``X`` the (n, p) covariate matrix and
+    ``y`` the n outcomes.  Rows keep the order of ``arms``, and
+    ``is_target`` tags them all.
+    """
+    arms = tuple(arms)
+    if not arms:
+        return make_dataset((), target_id)
+    sizes = [len(y) for _, _, _, y in arms]
+    index = {}
+    trial = np.repeat([index.setdefault(tid, len(index)) for tid, *_ in arms], sizes)
+    z = np.repeat([arm for _, arm, _, _ in arms], sizes)
+    X = np.concatenate([X for _, _, X, _ in arms])
+    y = np.concatenate([y for *_, y in arms])
+    n = len(y)
+    return _owned(tuple(index), trial, z, y, X, np.ones(n), np.full(n, bool(is_target)),
+                  target_id)
+
+
+def _row_columns(tids, z, y, xs, w, sources):
+    """Dataset columns from per-row field sequences, plus each row's covariate count.
+
+    The dimension p is the first row's covariate count.  A row with
+    another count is put into ``X`` as zeros: callers report it from the
+    counts.  Unknown source tags become ``is_target`` False; callers
+    check the tags.
+    """
+    n = len(tids)
+    p = len(xs[0]) if n else 0
+    dims = np.fromiter(map(len, xs), dtype=int, count=n)
+    if np.any(dims != p):
+        xs = [x if len(x) == p else (0.0,) * p for x in xs]
+    try:
+        z = np.array(z, dtype=int).reshape(n)
+    except OverflowError as exc:
+        raise DataError(f"arm indicator {max(z, key=abs)} out of range; must be 0 or 1") from exc
+    trial_ids = tuple(dict.fromkeys(tids))
+    index = {t: i for i, t in enumerate(trial_ids)}
+    cols = {
+        "trial_ids": trial_ids,
+        "trial": np.fromiter(map(index.__getitem__, tids), dtype=int, count=n),
+        "z": z,
+        "y": np.array(y, dtype=float).reshape(n),
+        "X": np.array(xs, dtype=float).reshape(n, p),
+        "w": np.array(w, dtype=float).reshape(n),
+        "is_target": np.fromiter(map("target".__eq__, sources), dtype=bool, count=n),
+    }
+    return cols, dims
+
+
+def _record_fields(records):
+    """Transpose SubjectRecords into six per-field tuples."""
+    return tuple(zip(*records)) or ((),) * len(SubjectRecord._fields)
+
+
+def _pool(parts, target_id):
+    filled = [d for d in parts if len(d)] or list(parts[:1])
+    dims = {d.p for d in filled}
+    if len(dims) > 1:
+        raise DataError(f"covariate dimension differs across pooled datasets: {sorted(dims)}")
+    index = {}
+    trial = [np.array([index.setdefault(t, len(index)) for t in d.trial_ids], dtype=int)[d.trial]
+             for d in filled]
+    cat = [np.concatenate([getattr(d, name) for d in filled])
+           for name in ("z", "y", "X", "w", "is_target")]
+    return _owned(tuple(index), np.concatenate(trial), *cat, target_id)
+
+
+def make_dataset(parts, target_id=""):
+    """Build a Dataset from SubjectRecords, or pool Datasets.
+
+    ``parts`` is a sequence of SubjectRecord, converted to columns once
+    (the covariate dimension is the first record's), or a sequence of
+    Dataset, whose columns are concatenated in order with one
+    ``np.concatenate`` per column.  Field values are not checked (see
+    :func:`validate_dataset`); DataError is raised only for what columns
+    cannot hold: records of differing covariate dimension, an unknown
+    source tag, or pooled datasets of differing dimension.
+    """
+    parts = tuple(parts)
+    if parts and all(isinstance(d, Dataset) for d in parts):
+        return _pool(parts, target_id)
+    fields = _record_fields(parts)
+    cols, dims = _row_columns(*fields)
+    if np.any(dims != dims[:1]):
+        raise DataError(f"records differ in covariate dimension: {sorted(set(dims.tolist()))}")
+    unknown = set(fields[-1]) - set(_SOURCES)
+    if unknown:
+        raise DataError(f"unknown source tags {sorted(unknown)}")
+    return _owned(**cols, target_id=target_id)
+
+
+def _violations(trial_of, z, y, X, w, dims=None, sources=None):
+    """Vectorised invariant checks over columns; violation strings in row order.
+
+    ``trial_of(i)`` gives row i's trial id.  ``dims`` (per-row covariate
+    counts) and ``sources`` (per-row tags) are checked when given; a
+    Dataset's columns can hold neither a ragged row nor an unknown tag.
+    """
+    p = X.shape[1]
+    checks = [((z != 0) & (z != 1), lambda i: f"arm indicator must be 0 or 1, got {z[i]}"),
+              (~np.isfinite(y), lambda i: "outcome not finite")]
+    if dims is not None:
+        checks.append((dims != p,
+                       lambda i: f"covariate dimension {dims[i]} != dataset dimension {p}"))
+    checks += [(~np.isfinite(X).all(axis=1), lambda i: "covariate not finite"),
+               (~(np.isfinite(w) & (w >= 0)),
+                lambda i: "weight must be finite and nonnegative (bounded-weight condition)")]
+    if sources is not None:
+        known = np.fromiter((s in _SOURCES for s in sources), dtype=bool, count=len(sources))
+        checks.append((~known, lambda i: f"unknown source tag {sources[i]!r}"))
+    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
+    return [f"subject {i} (trial {trial_of(i)!r}): {message(i)}"
+            for i in bad.tolist() for mask, message in checks if mask[i]]
 
 
 def validate_dataset(d):
     """Check every dataset invariant; return a list of violation strings.
 
-    Pure diagnostic: an empty list means the dataset is valid.  Each entry
-    names the offending record and the invariant it breaks.
+    ``d`` is a Dataset or a sequence of SubjectRecord; records are checked
+    against the covariate dimension of the first record.  Pure
+    diagnostic: an empty list means the data are valid.  Each entry
+    names the offending row and the invariant it breaks.
     """
-    violations = []
-    for i, s in enumerate(d.subjects):
-        where = f"subject {i} (trial {s.trial_id!r})"
-        if s.z not in (0, 1):
-            violations.append(f"{where}: arm indicator must be 0 or 1, got {s.z}")
-        if not math.isfinite(s.y):
-            violations.append(f"{where}: outcome not finite")
-        if len(s.x) != d.p:
-            violations.append(f"{where}: covariate dimension {len(s.x)} != dataset dimension {d.p}")
-        if any(not math.isfinite(v) for v in s.x):
-            violations.append(f"{where}: covariate not finite")
-        if not math.isfinite(s.weight) or s.weight < 0:
-            violations.append(f"{where}: weight must be finite and nonnegative (bounded-weight condition)")
-        if s.source not in ("target", "reconstructed"):
-            violations.append(f"{where}: unknown source tag {s.source!r}")
-    return violations
+    if isinstance(d, Dataset):
+        return _violations(lambda i: d.trial_ids[d.trial[i]], d.z, d.y, d.X, d.w)
+    fields = _record_fields(d)
+    cols, dims = _row_columns(*fields)
+    return _violations(fields[0].__getitem__, cols["z"], cols["y"], cols["X"], cols["w"],
+                       dims, fields[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +559,17 @@ def write_summaries(trials, path, fmt=None):
 # subject (IPD) files
 
 
+_MAX_REPORTED = 10  # violations spelled out in a read error; the rest are counted
+
+
 def read_subjects(path, fmt=None, target_id=None):
     """Read subject-level rows; return a Dataset.
 
     Schema: ``trial_id,z,y,x1,...,xp`` with optional ``weight`` and
     ``source`` columns.  When no ``source`` column is present, rows are
     tagged target/reconstructed by comparing ``trial_id`` to ``target_id``
-    (all rows are target when ``target_id`` is None).
+    (all rows are target when ``target_id`` is None).  Every invariant of
+    :func:`validate_dataset` is checked; DataError lists the violations.
     """
     path = Path(path)
     if not path.exists():
@@ -387,13 +589,13 @@ def read_subjects(path, fmt=None, target_id=None):
     if not raw:
         raise DataError(f"{path}: no subjects")
 
-    subjects = []
+    tids, zs, ys, xs, ws, sources = [], [], [], [], [], []
     for line, row in enumerate(raw, start=2):
         try:
-            xs = []
+            x = []
             j = 1
             while f"x{j}" in row and row[f"x{j}"] not in (None, ""):
-                xs.append(float(row[f"x{j}"]))
+                x.append(float(row[f"x{j}"]))
                 j += 1
             if "source" in row and row.get("source") not in (None, ""):
                 source = row["source"]
@@ -402,61 +604,47 @@ def read_subjects(path, fmt=None, target_id=None):
             else:
                 source = "target"
             weight = float(row["weight"]) if row.get("weight") not in (None, "") else 1.0
-            subjects.append(
-                SubjectRecord(
-                    trial_id=row["trial_id"],
-                    z=int(row["z"]),
-                    y=float(row["y"]),
-                    x=tuple(xs),
-                    weight=weight,
-                    source=source,
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            fields = (row["trial_id"], int(row["z"]), float(row["y"]), tuple(x), weight, source)
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"line {line}: cannot parse subject row ({exc})") from exc
-    d = make_dataset(subjects, target_id or "")
-    bad = [v for v in validate_dataset(d) if "dimension" in v]
+        for column, value in zip((tids, zs, ys, xs, ws, sources), fields):
+            column.append(value)
+    cols, dims = _row_columns(tids, zs, ys, xs, ws, sources)
+    bad = _violations(tids.__getitem__, cols["z"], cols["y"], cols["X"], cols["w"], dims, sources)
     if bad:
-        raise DataError("; ".join(bad))
-    return d
+        more = len(bad) - _MAX_REPORTED
+        raise DataError(f"{path}: invalid subject rows: " + "; ".join(bad[:_MAX_REPORTED])
+                        + (f"; and {more} more" if more > 0 else ""))
+    return _owned(**cols, target_id=target_id or "")
 
 
 def write_subjects(d, path, fmt=None, include_weight=True, include_source=True, stamp=None):
     """Write a Dataset to CSV or JSON, optionally with weight/source columns.
 
-    ``stamp`` (a mapping) is written as leading ``# key=value`` comment
-    lines in CSV output; the readers skip such lines.
+    Rows are streamed from the columns.  ``stamp`` (a mapping) is written
+    as leading ``# key=value`` comment lines in CSV output; the readers
+    skip such lines.
     """
     path = Path(path)
     fmt = _detect_format(path, fmt)
-    cols = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
+    names = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
+    # tolist() gives Python ints and floats: z is written as 1, not 1.0,
+    # and floats with repr, so they round-trip exactly
+    columns = [d._trial_id_column(), d.z.tolist(), d.y.tolist(), *d.X.T.tolist()]
     if include_weight:
-        cols.append("weight")
+        names.append("weight")
+        columns.append(d.w.tolist())
     if include_source:
-        cols.append("source")
+        names.append("source")
+        columns.append(d._source_column())
     if fmt == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             _write_stamp(fh, stamp)
             writer = csv.writer(fh)
-            writer.writerow(cols)
-            for s in d.subjects:
-                row = [s.trial_id, s.z, repr(s.y)] + [repr(v) for v in s.x]
-                if include_weight:
-                    row.append(repr(s.weight))
-                if include_source:
-                    row.append(s.source)
-                writer.writerow(row)
+            writer.writerow(names)
+            writer.writerows(zip(*columns))
     elif fmt == "json":
-        payload = []
-        for s in d.subjects:
-            row = {"trial_id": s.trial_id, "z": s.z, "y": s.y}
-            for j, v in enumerate(s.x, start=1):
-                row[f"x{j}"] = v
-            if include_weight:
-                row["weight"] = s.weight
-            if include_source:
-                row["source"] = s.source
-            payload.append(row)
+        payload = [dict(zip(names, row)) for row in zip(*columns)]
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")

@@ -29,6 +29,18 @@ from .errors import DataError, NumericalError
 MEAT_KINDS = ("w4", "w3", "hc0")
 
 
+def _statistic(est, se):
+    """est / se; with se == 0, +-inf for a nonzero estimate and 0 for a zero one.
+
+    A NaN estimate or SE gives NaN.  The survival functions map an
+    infinite statistic to p = 0 and a NaN one to p = NaN, so an
+    undefined contrast never reports a significant p-value.
+    """
+    if se == 0:
+        return np.inf * np.sign(est) if est else 0.0
+    return est / se
+
+
 @dataclass(frozen=True)
 class UnivariateEstimate:
     """Weighted difference in arm means with a normal-approximation CI."""
@@ -56,9 +68,7 @@ def estimate_univariate(d, level=0.95):
     i.e. squared weights in the numerator, matching the influence of a
     weighted mean of independent observations.
     """
-    w = np.array([s.weight for s in d.subjects])
-    y = np.array([s.y for s in d.subjects])
-    z = np.array([s.z for s in d.subjects])
+    w, y, z = d.w, d.y, d.z
     out = {}
     for arm in (0, 1):
         m = z == arm
@@ -74,8 +84,8 @@ def estimate_univariate(d, level=0.95):
     var = s1 / n1 + s0 / n0
     se = float(np.sqrt(var))
     zq = stats.norm.ppf(0.5 + level / 2)
-    zs = delta / se if se > 0 else np.inf * np.sign(delta) if delta else 0.0
-    p = float(2 * stats.norm.sf(abs(zs))) if np.isfinite(zs) else 0.0
+    zs = _statistic(delta, se)
+    p = float(2 * stats.norm.sf(abs(zs)))
     return UnivariateEstimate(
         delta=float(delta), variance=float(var), se=se,
         n_eff_treated=n1, n_eff_control=n0,
@@ -112,8 +122,8 @@ class WeightedFit:
         """Estimate, SE, CI, t and p for one coefficient."""
         est, se = self.coef(name)
         tq = stats.t.ppf(0.5 + level / 2, self.df)
-        t = est / se if se > 0 else np.inf * np.sign(est) if est else 0.0
-        p = float(2 * stats.t.sf(abs(t), self.df)) if np.isfinite(t) else 0.0
+        t = _statistic(est, se)
+        p = float(2 * stats.t.sf(abs(t), self.df))
         return {
             "estimate": est, "se": se,
             "ci_low": est - tq * se, "ci_high": est + tq * se,
@@ -127,12 +137,12 @@ def build_outcome_design(d, include_covariates=True, include_interaction=False):
     ``include_covariates=False`` gives the deliberately coarse model
     (intercept and arm only).  ``include_interaction`` adds z*x columns.
     """
-    n = len(d.subjects)
-    z = np.array([s.z for s in d.subjects], dtype=float)
+    n = len(d)
+    z = d.z.astype(float)
     cols = [np.ones(n), z]
     names = ["intercept", "z"]
     if include_covariates:
-        x = np.array([s.x for s in d.subjects], dtype=float).reshape(n, d.p)
+        x = d.X
         for j in range(d.p):
             cols.append(x[:, j])
             names.append(f"x{j + 1}")
@@ -168,9 +178,7 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
     if meat not in MEAT_KINDS:
         raise DataError(f"unknown meat {meat!r}; choose from {MEAT_KINDS}")
     X, names = build_outcome_design(d, include_covariates, include_interaction)
-    w = np.array([s.weight for s in d.subjects])
-    y = np.array([s.y for s in d.subjects])
-    z = np.array([s.z for s in d.subjects])
+    w, y, z = d.w, d.y, d.z
     n, q = X.shape
     if n <= q:
         raise DataError(f"need more than {q} subjects to fit {q} coefficients, got {n}")
@@ -200,8 +208,7 @@ def fit_ols(d, include_covariates=True, include_interaction=False):
     single randomized trial and the comparator for the weighted fits.
     """
     X, names = build_outcome_design(d, include_covariates, include_interaction)
-    y = np.array([s.y for s in d.subjects])
-    z = np.array([s.z for s in d.subjects])
+    y, z = d.y, d.z
     n, q = X.shape
     if n <= q:
         raise DataError(f"need more than {q} subjects to fit {q} coefficients, got {n}")

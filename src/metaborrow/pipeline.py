@@ -200,12 +200,10 @@ def run_pipeline(cfg):
             raise ConfigError(
                 f"target covariate dimension {target.p} differs from summaries {trials[0].p}"
             )
-        write_subjects(make_dataset(recon), outdir / "reconstructed.csv",
-                       include_weight=False, stamp=stamp)
+        write_subjects(recon, outdir / "reconstructed.csv", include_weight=False, stamp=stamp)
 
     with _Stage("weights"):
-        pooled = make_dataset(tuple(target.subjects) + tuple(recon),
-                              target_id=target.target_id)
+        pooled = make_dataset((target, recon), target_id=target.target_id)
         fmap = (parse_feature_spec(cfg.features, pooled.p)
                 if cfg.features else default_feature_map(pooled.p))
         mfit = fit_membership(pooled, fmap)
@@ -236,8 +234,8 @@ def run_pipeline(cfg):
 
 def _render_summary(cfg, stamp, trials, meta, weighted, fit):
     ct = fit.contrast("z", cfg.level)
-    n_rec = sum(1 for s in weighted.subjects if s.source == "reconstructed")
-    w = [s.weight for s in weighted.subjects]
+    n_rec = len(weighted) - weighted.n_target()
+    w = weighted.w
     lines = [
         "treatment-effect estimate via aggregate-data borrowing",
         f"config {stamp['config_hash']}  seed {stamp['seed']}",

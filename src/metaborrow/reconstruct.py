@@ -27,7 +27,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .data import subject_records
+from .data import dataset_from_arms, subject_records
 from .errors import DataError
 
 BORROW_MODES = ("both_arms", "control_only")
@@ -137,6 +137,12 @@ def reconstruct_arm(arm, meta, cfg, rng=None, n_override=None):
     n = int(n_override) if n_override is not None else arm.n
     if rng is None:
         rng = _arm_stream(cfg.rng_seed, arm.trial_id, arm.arm)
+    X, y = _draw_arm(arm, meta, cfg, rng, n)
+    return subject_records(arm.trial_id, repeat(arm.arm), y, X.T, "reconstructed")
+
+
+def _draw_arm(arm, meta, cfg, rng, n):
+    """Draw n pseudo-subjects of one arm: returns (X, y), covariates drawn first."""
     slope_idx, inter_idx = _slope_layout(meta, arm.p)
     xs = sample_covariates(arm, n, cfg, rng)
 
@@ -156,28 +162,29 @@ def reconstruct_arm(arm, meta, cfg, rng=None, n_override=None):
             f"trial {arm.trial_id!r} arm {arm.arm}: residual variance "
             f"{s2_raw:.6g} below floor; clamped to {floor:.6g} "
             "(covariate slopes explain more variance than the arm reports)",
-            stacklevel=2,
+            stacklevel=3,
         )
         s2 = floor
     else:
         s2 = s2_raw
-    y = mean + rng.normal(0.0, np.sqrt(s2), n)
-    return subject_records(arm.trial_id, repeat(arm.arm), y, xs.T, "reconstructed")
+    return xs, mean + rng.normal(0.0, np.sqrt(s2), n)
 
 
-def reconstruct_all(trials, meta, cfg):
-    """Reconstruct every borrowed arm across trials; returns a list of SubjectRecord.
+def reconstruct_all(trials, meta, cfg, rng=None):
+    """Reconstruct every borrowed arm across trials; returns a Dataset.
 
-    Treatment arms are skipped when ``cfg.borrow == "control_only"``.
-    Output order follows (trial, arm) input order, but the values drawn
-    for any arm depend only on (seed, trial_id, arm).
+    The rows are tagged reconstructed and carry unit weights.  Treatment
+    arms are skipped when ``cfg.borrow == "control_only"``, and empty
+    arms always.  Rows follow (trial, arm) input order.  Each arm draws
+    from its own substream keyed by (seed, trial_id, arm), so its values
+    do not depend on trial order; when ``rng`` is given, every arm draws
+    from that one stream instead, in input order.
     """
-    records = []
+    arms = []
     for t in trials:
         for a in t.arms:
-            if cfg.borrow == "control_only" and a.arm == 1:
+            if (cfg.borrow == "control_only" and a.arm == 1) or a.n == 0:
                 continue
-            if a.n == 0:
-                continue
-            records.extend(reconstruct_arm(a, meta, cfg))
-    return records
+            arm_rng = rng if rng is not None else _arm_stream(cfg.rng_seed, a.trial_id, a.arm)
+            arms.append((a.trial_id, a.arm, *_draw_arm(a, meta, cfg, arm_rng, a.n)))
+    return dataset_from_arms(arms, is_target=False)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .data import ArmSummary, TrialSummary, make_dataset, subject_records
+from .data import ArmSummary, TrialSummary, dataset_from_arms, make_dataset
 from .errors import ConfigError, DataError, MetaborrowError
 from .estimate import (MEAT_KINDS, choose_model, estimate_univariate,
                        fit_weighted_regression)
@@ -166,7 +166,7 @@ def generate_meta_trial(k, K, n, dist, rng):
 
 
 def generate_target_trial(n, allocation, dist, rng, trial_id="target"):
-    """Generate the target trial as a Dataset of subject records.
+    """Generate the target trial as a Dataset.
 
     Covariate mean 0; arm split per allocation: (n/2, n/2), (3n/4, n/4),
     or (n, 0) treated/control.
@@ -179,9 +179,10 @@ def generate_target_trial(n, allocation, dist, rng, trial_id="target"):
         n1, n0 = n, 0
     else:
         raise ConfigError(f"allocation must be one of {ALLOCATIONS}, got {allocation!r}")
-    z, x, y = _draw_trial(rng, 0.0, n1, n0, dist)
-    subs = subject_records(trial_id, z.astype(int).tolist(), y, (x,), "target")
-    return make_dataset(subs, target_id=trial_id)
+    _, x, y = _draw_trial(rng, 0.0, n1, n0, dist)  # treated rows first
+    x = x[:, None]
+    return dataset_from_arms([(trial_id, 1, x[:n1], y[:n1]), (trial_id, 0, x[n1:], y[n1:])],
+                             is_target=True, target_id=trial_id)
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,7 @@ def run_replication(cfg, r):
             warnings.simplefilter("always")
             recon = reconstruct_all(trials, meta, rcfg)
         n_clamped = len(caught)
-        pooled = make_dataset(tuple(target.subjects) + tuple(recon),
-                              target_id=target.target_id)
+        pooled = make_dataset((target, recon), target_id=target.target_id)
         fit = fit_membership(pooled)
         weighted = compute_weights(pooled, fit)
 

@@ -58,9 +58,8 @@ class FeatureMap:
 
     def matrix(self, d):
         """Evaluate the feature matrix over a Dataset."""
-        n = len(d.subjects)
-        x = np.array([s.x for s in d.subjects], dtype=float).reshape(n, d.p)
-        z = np.array([s.z for s in d.subjects], dtype=float)
+        n, x = len(d), d.X
+        z = d.z.astype(float)
         cols = []
         for t in self.terms:
             if t.kind == "intercept":
@@ -193,7 +192,7 @@ def fit_membership(d, fmap=None, tol=1e-8, max_iter=100):
     """
     if fmap is None:
         fmap = default_feature_map(d.p)
-    t = np.array([1.0 if s.source == "target" else 0.0 for s in d.subjects])
+    t = d.is_target.astype(float)
     if t.sum() == 0 or t.sum() == len(t):
         raise DataError("membership fit needs both target and non-target subjects")
     F = fmap.matrix(d)
@@ -243,13 +242,12 @@ def compute_weights(d, fit, fmap=None, pin_target_weights=False):
     n_t = d.n_target()
     if n_t == 0:
         raise DataError("dataset has no target subjects")
-    w = (len(d.subjects) / n_t) * pi
+    w = (len(d) / n_t) * pi
     if not np.all(np.isfinite(w)):
         raise NumericalError(
             "non-finite importance weight: target and pooled covariate "
             "distributions are too far apart; analyze the target rows alone"
         )
     if pin_target_weights:
-        is_t = np.array([s.source == "target" for s in d.subjects])
-        w = np.where(is_t, 1.0, w)
+        w = np.where(d.is_target, 1.0, w)
     return d.with_weights(w)

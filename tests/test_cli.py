@@ -103,6 +103,32 @@ def test_data_error_exits_3(tmp_path, capsys):
     assert "duplicate" in err
 
 
+@pytest.mark.parametrize("column, value, needle", [
+    ("z", "2", "arm indicator must be 0 or 1, got 2"),
+    ("y", "nan", "outcome not finite"),
+    ("x1", "inf", "covariate not finite"),
+    ("weight", "-1.0", "weight must be finite and nonnegative"),
+    ("source", "bogus", "unknown source tag 'bogus'"),
+])
+def test_pipeline_rejects_invalid_target_rows(tmp_path, capsys, column, value, needle):
+    spath = summaries_csv(tmp_path)
+    tpath = target_csv(tmp_path)
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "target.csv").read_text().splitlines()]
+    if column not in header:
+        header.append(column)
+        for row in rows:
+            row.append("1.0")
+    rows[3][header.index(column)] = value
+    (tmp_path / "target.csv").write_text(
+        "".join(",".join(line) + "\n" for line in [header, *rows]))
+    code, err = run_fail(capsys, ["pipeline", "--summaries", spath, "--target", tpath,
+                                  "--seed", "3", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert f"subject 3 (trial 'tgt'): {needle}" in err
+    assert "Traceback" not in err
+
+
 def test_numerical_error_exits_4(tmp_path, capsys):
     # one covariate mean shared by every arm: collinear with the intercept
     spath = summaries_csv(tmp_path, x_means=(0.5, 0.5, 0.5))

@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaborrow.data import (ArmSummary, Dataset, SubjectRecord, TrialSummary,
-                             make_dataset, read_subjects, read_summaries,
-                             validate_dataset, write_subjects, write_summaries)
+                             dataset_from_arms, make_dataset, read_subjects,
+                             read_summaries, validate_dataset, write_subjects,
+                             write_summaries)
 from metaborrow.errors import DataError
 
 
@@ -94,6 +98,74 @@ def test_subject_record_is_an_immutable_value():
     assert (w.trial_id, w.z, w.y, w.x, w.source) == (s.trial_id, s.z, s.y, s.x, s.source)
 
 
+COLUMNS = ("trial", "z", "y", "X", "w", "is_target")
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def record_lists(draw):
+    p = draw(st.sampled_from((0, 1, 3)))
+    record = st.builds(
+        SubjectRecord, trial_id=st.sampled_from(("tgt", "s1", "s2")) | st.text(max_size=4),
+        z=st.integers(0, 1), y=finite, x=st.tuples(*[finite] * p), weight=finite,
+        source=st.sampled_from(("target", "reconstructed")))
+    return draw(st.lists(record, max_size=25))
+
+
+@settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
+@given(record_lists())
+def test_records_round_trip_through_columns(records):
+    d = make_dataset(records, target_id="tgt")
+    assert d.subjects == tuple(records)
+    assert all(type(s.z) is int and type(s.y) is float for s in d.subjects)
+    assert d.n_target() == sum(s.source == "target" for s in records)
+
+
+def test_dataset_columns_are_read_only(tmp_path):
+    d = subjects()
+    write_subjects(d, tmp_path / "subj.csv")
+    built = (d, d.with_weights([2.0] * 4), make_dataset((d, d)),
+             read_subjects(tmp_path / "subj.csv", target_id="tgt"),
+             dataset_from_arms([("a", 1, np.zeros((3, 2)), np.ones(3))], is_target=False))
+    for ds in built:
+        for name in COLUMNS:
+            col = getattr(ds, name)
+            assert not col.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                col[:1] = col[:1]
+    # an array handed to the constructor is copied, so its owner cannot change the dataset
+    y = np.arange(4.0)
+    own = Dataset(d.trial_ids, d.trial, d.z, y, d.X, d.w, d.is_target)
+    y[0] = 9.0
+    assert own.y[0] == 0.0 and y.flags.writeable
+
+
+def test_with_weights_swaps_only_the_weight_column():
+    d = subjects()
+    before = d.w.copy()
+    w = np.array([0.5, 1.5, 2.5, 3.5])
+    d2 = d.with_weights(w)
+    w[0] = 99.0
+    assert np.array_equal(d.w, before)
+    assert d2.w.tolist() == [0.5, 1.5, 2.5, 3.5]
+    for name in ("trial", "z", "y", "X", "is_target"):
+        assert getattr(d2, name) is getattr(d, name)
+
+
+def test_pooling_concatenates_rows_in_order():
+    d = subjects()
+    src = make_dataset([SubjectRecord("src", 0, 7.0, (1.0, 2.0), 1.0, "reconstructed"),
+                        SubjectRecord("new", 1, 8.0, (3.0, 4.0), 1.0, "reconstructed")])
+    pooled = make_dataset((d, make_dataset(()), src), target_id="tgt")
+    assert pooled.subjects == d.subjects + src.subjects
+    assert pooled.trial_ids == ("tgt", "src", "new")
+    assert pooled.target_id == "tgt" and pooled.n_target() == 2
+    with pytest.raises(DataError, match="dimension differs"):
+        make_dataset((d, make_dataset([SubjectRecord("s", 0, 1.0, (1.0,))])))
+    with pytest.raises(DataError, match="differ in covariate dimension"):
+        make_dataset([SubjectRecord("s", 0, 1.0, (1.0,)), SubjectRecord("s", 0, 1.0, ())])
+
+
 def test_validate_dataset_reports_each_violation():
     subs = (
         SubjectRecord("t", 2, 0.0, (0.1, 0.2)),               # bad arm
@@ -103,7 +175,7 @@ def test_validate_dataset_reports_each_violation():
         SubjectRecord("t", 0, 0.0, (0.1, 0.2), weight=-1.0),  # negative weight
         SubjectRecord("t", 0, 0.0, (0.1, 0.2), source="bogus"),
     )
-    violations = validate_dataset(Dataset(subs, p=2))
+    violations = validate_dataset(subs)
     assert len(violations) == 6
     for needle in ("arm indicator", "outcome not finite", "dimension",
                    "covariate not finite", "weight", "source"):
@@ -261,3 +333,28 @@ def test_subjects_errors(tmp_path):
     ragged.write_text("trial_id,z,y,x1,x2\nt,1,1.0,0.1,0.2\nt,0,1.0,0.3,\n")
     with pytest.raises(DataError, match="dimension"):
         read_subjects(ragged)
+
+
+def test_read_subjects_reports_every_invalid_row(tmp_path):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("trial_id,z,y,x1,weight,source\n"
+                   "t,2,1.0,0.1,1.0,target\n"
+                   "t,1,nan,0.1,1.0,target\n"
+                   "t,0,1.0,inf,1.0,target\n"
+                   "t,0,1.0,0.1,-1.0,target\n"
+                   "t,1,1.0,0.1,1.0,bogus\n"
+                   "t,0,1.0,0.1,1.0,target\n")
+    with pytest.raises(DataError) as exc_info:
+        read_subjects(bad)
+    message = str(exc_info.value)
+    for needle in ("subject 0 (trial 't'): arm indicator must be 0 or 1, got 2",
+                   "subject 1 (trial 't'): outcome not finite",
+                   "subject 2 (trial 't'): covariate not finite",
+                   "subject 3 (trial 't'): weight must be finite",
+                   "subject 4 (trial 't'): unknown source tag 'bogus'"):
+        assert needle in message
+    assert "subject 5" not in message
+    huge = tmp_path / "huge.csv"
+    huge.write_text("trial_id,z,y,x1\nt,99999999999999999999,1.0,0.1\n")
+    with pytest.raises(DataError, match="arm indicator 99999999999999999999 out of range"):
+        read_subjects(huge)

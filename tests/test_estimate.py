@@ -6,8 +6,9 @@ from scipy import stats
 
 from metaborrow.data import SubjectRecord, make_dataset
 from metaborrow.errors import DataError, NumericalError
-from metaborrow.estimate import (UnivariateEstimate, build_outcome_design,
-                                 choose_model, estimate_univariate, fit_ols,
+from metaborrow.estimate import (UnivariateEstimate, WeightedFit,
+                                 build_outcome_design, choose_model,
+                                 estimate_univariate, fit_ols,
                                  fit_weighted_regression)
 
 
@@ -70,6 +71,19 @@ def test_univariate_degenerate_outcomes():
     assert const.z_stat == np.inf and const.p_value == 0.0
     null = estimate_univariate(dataset([1, 1, 0, 0], [3.0, 3.0, 3.0, 3.0]))
     assert null.z_stat == 0.0 and null.p_value == pytest.approx(1.0)
+
+
+def test_undefined_statistic_has_no_p_value():
+    # sums of +-1e308 overflow: every moment is infinite and z = inf / inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        huge = estimate_univariate(dataset([1, 1, 0, 0], [1e308, 1e308, -1e308, -1e308]))
+    assert np.isnan(huge.z_stat) and np.isnan(huge.p_value)
+    # a NaN standard error leaves t undefined even for a finite estimate
+    fit = WeightedFit(beta=np.array([0.0, 2.0]), cov_beta=np.diag([1.0, np.nan]),
+                      columns=("intercept", "z"), n=10, df=8, meat="w4",
+                      n_eff_treated=5.0, n_eff_control=5.0)
+    ct = fit.contrast("z")
+    assert np.isnan(ct["t_stat"]) and np.isnan(ct["p_value"])
 
 
 def test_univariate_zero_weight_arm_rejected():

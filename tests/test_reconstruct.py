@@ -73,14 +73,14 @@ def test_records_carry_covariate_rows(p):
 def test_substreams_are_deterministic_and_order_free():
     trials = [TrialSummary("t1", (arm("t1", 1), arm("t1", 0, y_mean=0.0))),
               TrialSummary("t2", (arm("t2", 1, n=30), arm("t2", 0, n=20)))]
-    r1 = reconstruct_all(trials, FIT, CFG)
-    r2 = reconstruct_all(trials[::-1], FIT, CFG)
+    r1 = reconstruct_all(trials, FIT, CFG).subjects
+    r2 = reconstruct_all(trials[::-1], FIT, CFG).subjects
     by_key = lambda recs: {k: [r for r in recs if (r.trial_id, r.z) == k]
                            for k in {(r.trial_id, r.z) for r in recs}}
     assert by_key(r1) == by_key(r2)
-    assert reconstruct_all(trials, FIT, CFG) == r1  # same seed, same draws
+    assert reconstruct_all(trials, FIT, CFG).subjects == r1  # same seed, same draws
     other = ReconstructionConfig(rng_seed=12)
-    assert reconstruct_all(trials, FIT, other) != r1
+    assert reconstruct_all(trials, FIT, other).subjects != r1
 
 
 def test_arms_use_distinct_substreams():
@@ -102,7 +102,7 @@ def test_explicit_rng_overrides_substream():
 def test_control_only_borrow_skips_treated_arms():
     trials = [TrialSummary("t1", (arm("t1", 1), arm("t1", 0)))]
     cfg = ReconstructionConfig(rng_seed=11, borrow="control_only")
-    recs = reconstruct_all(trials, FIT, cfg)
+    recs = reconstruct_all(trials, FIT, cfg).subjects
     assert {r.z for r in recs} == {0}
     assert len(recs) == 50
 
@@ -110,7 +110,7 @@ def test_control_only_borrow_skips_treated_arms():
 def test_empty_arm_skipped_by_reconstruct_all():
     empty = ArmSummary("t1", 0, 0, 0.0, 1.0, (1.0,), (2.0,), ("continuous",))
     trials = [TrialSummary("t1", (arm("t1", 1), empty))]
-    recs = reconstruct_all(trials, FIT, CFG)
+    recs = reconstruct_all(trials, FIT, CFG).subjects
     assert {r.z for r in recs} == {1}
     with pytest.raises(DataError, match="cannot sample"):
         reconstruct_arm(empty, FIT, CFG)
