@@ -29,10 +29,11 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import dropwhile, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,6 +61,8 @@ class ArmSummary:
         Per-covariate means and variances (diagonal dispersion).
     x_family : tuple of str
         Per-covariate family tag, ``continuous`` or ``binary``.
+
+    Every mean and variance must be finite; DataError otherwise.
     """
 
     trial_id: str
@@ -72,6 +75,10 @@ class ArmSummary:
     x_family: tuple
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.y_mean, self.y_var, *self.x_mean, *self.x_var))):
+            raise DataError(
+                f"trial {self.trial_id!r} arm {self.arm}: summary not finite (y_mean {self.y_mean}, "
+                f"y_var {self.y_var}, x_mean {self.x_mean}, x_var {self.x_var})")
         if self.arm not in (0, 1):
             raise DataError(f"trial {self.trial_id!r}: arm must be 0 or 1, got {self.arm}")
         if self.n < 0:
@@ -228,14 +235,9 @@ class Dataset:
         For the edges: hand-built data, tests and record-level callers.
         The estimation chain reads the columns.
         """
-        return tuple(_boxed(self._trial_id_column(), self.z.tolist(), self.y, self.X.T,
-                            self.w.tolist(), self._source_column()))
-
-    def _trial_id_column(self):
-        return list(map(self.trial_ids.__getitem__, self.trial.tolist()))
-
-    def _source_column(self):
-        return list(map(_SOURCES.__getitem__, self.is_target.tolist()))
+        return tuple(_boxed(list(map(self.trial_ids.__getitem__, self.trial.tolist())),
+                            self.z.tolist(), self.y, self.X.T, self.w.tolist(),
+                            list(map(_SOURCES.__getitem__, self.is_target.tolist()))))
 
 
 def _owned(trial_ids, trial, z, y, X, w, is_target, target_id=""):
@@ -419,8 +421,13 @@ def validate_dataset(d):
 
 
 def _comment_free(fh):
-    """Skip ``#`` comment lines (artifact stamps) ahead of CSV parsing."""
-    return (ln for ln in fh if not ln.lstrip().startswith("#"))
+    """Skip the leading ``#`` comment lines (artifact stamps) ahead of CSV parsing.
+
+    Only lines ahead of the header are comments: a later line starting
+    with ``#`` is data, such as a row whose trial id starts with ``#`` or
+    the continuation of a quoted multi-line id.
+    """
+    return dropwhile(lambda ln: ln.lstrip().startswith("#"), fh)
 
 
 def _write_stamp(fh, stamp):
@@ -468,7 +475,11 @@ def _row_to_arm(row, line):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"line {line}: cannot parse summary row ({exc})") from exc
-    return ArmSummary(trial_id, arm, n, y_mean, y_var, tuple(x_mean), tuple(x_var), tuple(x_family))
+    try:
+        return ArmSummary(trial_id, arm, n, y_mean, y_var, tuple(x_mean), tuple(x_var),
+                          tuple(x_family))
+    except DataError as exc:
+        raise DataError(f"line {line}: {exc}") from None
 
 
 def read_summaries(path, fmt=None):
@@ -618,31 +629,63 @@ def read_subjects(path, fmt=None, target_id=None):
     return _owned(**cols, target_id=target_id or "")
 
 
+def _csv_fields(values):
+    """Each value as the default csv writer writes it inside a row of several fields.
+
+    The csv module applies its own quoting rule; a single-field row would
+    quote an empty string, so each value is written with an empty second
+    field whose ``,`` and line terminator are then cut off.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    fields = []
+    for value in values:
+        buf.seek(0)
+        buf.truncate()
+        writer.writerow((value, ""))
+        fields.append(buf.getvalue()[:-len(",\r\n")])
+    return fields
+
+
 def write_subjects(d, path, fmt=None, include_weight=True, include_source=True, stamp=None):
     """Write a Dataset to CSV or JSON, optionally with weight/source columns.
 
-    Rows are streamed from the columns.  ``stamp`` (a mapping) is written
-    as leading ``# key=value`` comment lines in CSV output; the readers
-    skip such lines.
+    ``stamp`` (a mapping) is written as leading ``# key=value`` comment
+    lines in CSV output; the readers skip such lines.
+
+    CSV rows are streamed through one line template rather than
+    ``csv.writer.writerows``, which scans every field of every row for
+    characters that need quoting.  Only trial ids can need quoting: the
+    source tags are fixed, and ``str`` of a Python int or float never
+    holds a delimiter, quote or line break.  So each distinct id and tag
+    is quoted once, by the csv module's own rules, and rows index into
+    those fields.  The bytes are the ones ``writerows`` writes, ending
+    each line with its ``\\r\\n``.  Each line goes to the file as it is
+    formatted; no list of lines or whole-file string is built, which
+    would hold the file in memory.
     """
     path = Path(path)
     fmt = _detect_format(path, fmt)
+    trial_ids, sources = d.trial_ids, _SOURCES
+    if fmt == "csv":
+        trial_ids, sources = _csv_fields(trial_ids), _csv_fields(sources)
     names = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
     # tolist() gives Python ints and floats: z is written as 1, not 1.0,
     # and floats with repr, so they round-trip exactly
-    columns = [d._trial_id_column(), d.z.tolist(), d.y.tolist(), *d.X.T.tolist()]
+    columns = [list(map(trial_ids.__getitem__, d.trial.tolist())), d.z.tolist(), d.y.tolist(),
+               *d.X.T.tolist()]
     if include_weight:
         names.append("weight")
         columns.append(d.w.tolist())
     if include_source:
         names.append("source")
-        columns.append(d._source_column())
+        columns.append(list(map(sources.__getitem__, d.is_target.tolist())))
     if fmt == "csv":
+        template = ",".join(["{}"] * len(columns)) + "\r\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             _write_stamp(fh, stamp)
-            writer = csv.writer(fh)
-            writer.writerow(names)
-            writer.writerows(zip(*columns))
+            csv.writer(fh).writerow(names)
+            fh.writelines(map(template.format, *columns))
     elif fmt == "json":
         payload = [dict(zip(names, row)) for row in zip(*columns)]
         with open(path, "w", encoding="utf-8") as fh:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DataError, NumericalError
 
@@ -83,9 +83,9 @@ def estimate_univariate(d, level=0.95):
     delta = m1 - m0
     var = s1 / n1 + s0 / n0
     se = float(np.sqrt(var))
-    zq = stats.norm.ppf(0.5 + level / 2)
+    zq = special.ndtri(0.5 + level / 2)
     zs = _statistic(delta, se)
-    p = float(2 * stats.norm.sf(abs(zs)))
+    p = float(2 * special.ndtr(-abs(zs)))
     return UnivariateEstimate(
         delta=float(delta), variance=float(var), se=se,
         n_eff_treated=n1, n_eff_control=n0,
@@ -121,9 +121,9 @@ class WeightedFit:
     def contrast(self, name="z", level=0.95):
         """Estimate, SE, CI, t and p for one coefficient."""
         est, se = self.coef(name)
-        tq = stats.t.ppf(0.5 + level / 2, self.df)
+        tq = special.stdtrit(self.df, 0.5 + level / 2)
         t = _statistic(est, se)
-        p = float(2 * stats.t.sf(abs(t), self.df))
+        p = float(2 * special.stdtr(self.df, -abs(t)))
         return {
             "estimate": est, "se": se,
             "ci_low": est - tq * se, "ci_high": est + tq * se,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DataError, NumericalError
 
@@ -138,7 +138,8 @@ def fit_dl(design):
     Raises
     ------
     NumericalError
-        If the design matrix is collinear (names the offending columns).
+        If the design matrix is collinear (names the offending columns),
+        or Q or tau2 is not finite.
     """
     y, v, X = design.y, design.v, design.X
     R, q = X.shape
@@ -153,7 +154,10 @@ def fit_dl(design):
     c = float(np.sum(w1) - np.trace(Ainv @ ((X.T * w1**2) @ X)))
     if c <= 0:
         raise NumericalError("nonpositive moment denominator in heterogeneity estimate")
-    tau2 = max(0.0, (q_stat - (R - q)) / c)
+    tau2 = (q_stat - (R - q)) / c
+    if not (np.isfinite(q_stat) and np.isfinite(tau2)):
+        raise NumericalError(f"heterogeneity estimate not finite: Q = {q_stat}, tau2 = {tau2}")
+    tau2 = max(0.0, tau2)
     w2 = 1.0 / (v + tau2)
     beta, cov = _wls(X, y, w2)
     if beta is None:
@@ -172,5 +176,5 @@ def meta_se(fit, level=0.95):
     (se, ci_low, ci_high) : three np.ndarray aligned with ``fit.beta``.
     """
     se = np.sqrt(np.diag(fit.cov_beta))
-    zq = stats.norm.ppf(0.5 + level / 2.0)
+    zq = special.ndtri(0.5 + level / 2.0)
     return se, fit.beta - zq * se, fit.beta + zq * se

@@ -138,6 +138,18 @@ def covariate_location(k, K):
     return 4.0 * (k - 1) / (K - 1) - 1.0 if K > 1 else 0.0
 
 
+def _mean_var(a):
+    """``a.mean()`` and ``a.var(ddof=1)`` as floats, bit for bit.
+
+    The same reductions in the same order as NumPy's own, without the
+    per-call cost of its generic wrappers.
+    """
+    n = len(a)
+    m = np.add.reduce(a) / n
+    d = a - m
+    return float(m), float(np.add.reduce(d * d) / (n - 1))
+
+
 def generate_meta_trial(k, K, n, dist, rng):
     """Generate completed trial k and return (z, x, y, TrialSummary).
 
@@ -154,13 +166,12 @@ def generate_meta_trial(k, K, n, dist, rng):
     z, x, y = _draw_trial(rng, mu, n1, n0, dist)
     tid = f"sim{k:02d}"
     arms = []
-    for j in (1, 0):
-        m = z == j
+    for j, ys, xs in ((1, y[:n1], x[:n1]), (0, y[n1:], x[n1:])):  # treated rows come first
+        y_mean, y_var = _mean_var(ys)
+        x_mean, x_var = _mean_var(xs)
         arms.append(ArmSummary(
-            trial_id=tid, arm=j, n=int(m.sum()),
-            y_mean=float(y[m].mean()), y_var=float(y[m].var(ddof=1)),
-            x_mean=(float(x[m].mean()),), x_var=(float(x[m].var(ddof=1)),),
-            x_family=("continuous",),
+            trial_id=tid, arm=j, n=len(ys), y_mean=y_mean, y_var=y_var,
+            x_mean=(x_mean,), x_var=(x_var,), x_family=("continuous",),
         ))
     return z, x, y, TrialSummary(tid, tuple(arms))
 

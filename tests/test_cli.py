@@ -129,6 +129,23 @@ def test_pipeline_rejects_invalid_target_rows(tmp_path, capsys, column, value, n
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", ["y_mean", "y_sd", "x1_mean", "x1_sd"])
+def test_pipeline_rejects_non_finite_summaries(tmp_path, capsys, column, value):
+    spath = summaries_csv(tmp_path)
+    header, *rows = [line.split(",") for line in
+                     (tmp_path / "summaries.csv").read_text().splitlines()]
+    rows[1][header.index(column)] = value  # file line 3: trial1, control arm
+    (tmp_path / "summaries.csv").write_text(
+        "".join(",".join(line) + "\n" for line in [header, *rows]))
+    code, err = run_fail(capsys, ["pipeline", "--summaries", spath,
+                                  "--target", target_csv(tmp_path),
+                                  "--seed", "3", "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "line 3: trial 'trial1' arm 0: summary not finite" in err
+    assert "Traceback" not in err
+
+
 def test_numerical_error_exits_4(tmp_path, capsys):
     # one covariate mean shared by every arm: collinear with the intercept
     spath = summaries_csv(tmp_path, x_means=(0.5, 0.5, 0.5))

@@ -1,5 +1,6 @@
 """Schema, validation, and file round-trips for the data layer."""
 
+import csv
 import math
 
 import numpy as np
@@ -40,6 +41,14 @@ def test_arm_summary_rejects_negative_fields():
         arm(y_var=-0.5)
     with pytest.raises(DataError, match="x1 variance negative"):
         arm(x_var=(-1.0,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["y_mean", "y_var", "x_mean", "x_var"])
+def test_arm_summary_rejects_non_finite_statistics(field, bad):
+    value = (bad,) if field.startswith("x") else bad
+    with pytest.raises(DataError, match="summary not finite"):
+        arm(**{field: value})
 
 
 def test_arm_summary_rejects_mismatched_covariate_lengths():
@@ -358,3 +367,62 @@ def test_read_subjects_reports_every_invalid_row(tmp_path):
     huge.write_text("trial_id,z,y,x1\nt,99999999999999999999,1.0,0.1\n")
     with pytest.raises(DataError, match="arm indicator 99999999999999999999 out of range"):
         read_subjects(huge)
+
+
+# ---------------------------------------------------------------- CSV writer bytes
+
+def writerows_csv(d, path, include_weight, include_source, stamp):
+    """The reference writer: one ``csv.writer.writerows`` call over the columns."""
+    names = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
+    columns = [[d.trial_ids[i] for i in d.trial.tolist()], d.z.tolist(), d.y.tolist(),
+               *d.X.T.tolist()]
+    if include_weight:
+        names.append("weight")
+        columns.append(d.w.tolist())
+    if include_source:
+        names.append("source")
+        columns.append(["target" if t else "reconstructed" for t in d.is_target.tolist()])
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for k, v in (stamp or {}).items():
+            fh.write(f"# {k}={v}\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(zip(*columns))
+
+
+# ids the csv module must quote or keep as they are: delimiter, quote, line
+# breaks, surrounding spaces, non-ASCII text, the empty string, comment marks
+awkward_ids = st.sampled_from(("tgt", "a,b", 'say "hi"', "two\nlines", "cr\r", "crlf\r\n",
+                               " padded ", "Müller 2004", "", "#1", "a\n#b", '"')) | st.text()
+edge_floats = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
+                               -1e300, 0.1, 1 / 3)) | st.floats()
+
+
+@st.composite
+def awkward_datasets(draw, values):
+    p = draw(st.sampled_from((0, 1, 3)))
+    record = st.builds(SubjectRecord, trial_id=awkward_ids, z=st.integers(0, 1), y=values,
+                       x=st.tuples(*[values] * p), weight=values,
+                       source=st.sampled_from(("target", "reconstructed")))
+    return make_dataset(draw(st.lists(record, max_size=12)), target_id="tgt")
+
+
+@settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
+@given(awkward_datasets(edge_floats), st.booleans(), st.booleans(),
+       st.sampled_from((None, {}, {"config_hash": "deadbeef", "seed": 7})))
+def test_csv_writer_matches_writerows_bytes(tmp_path_factory, d, include_weight,
+                                            include_source, stamp):
+    out = tmp_path_factory.mktemp("csv")
+    write_subjects(d, out / "fast.csv", include_weight=include_weight,
+                   include_source=include_source, stamp=stamp)
+    writerows_csv(d, out / "ref.csv", include_weight, include_source, stamp)
+    assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(deadline=None)
+@given(awkward_datasets(finite).filter(len))
+def test_csv_round_trips_finite_rows(tmp_path_factory, d):
+    d = d.with_weights(np.abs(d.w))  # read_subjects accepts only nonnegative weights
+    path = tmp_path_factory.mktemp("csv") / "subj.csv"
+    write_subjects(d, path, stamp={"seed": 1})
+    assert read_subjects(path, target_id="tgt").subjects == d.subjects

@@ -96,6 +96,14 @@ def test_collinear_design_names_offending_columns():
         fit_dl(design)
 
 
+def test_non_finite_heterogeneity_is_an_error():
+    # a NaN response gives Q = NaN, which must not be truncated to tau2 = 0
+    design = MetaDesign(y=np.array([0.0, np.nan, 4.0]), v=np.ones(3),
+                        X=np.ones((3, 1)), columns=("intercept",))
+    with pytest.raises(NumericalError, match="heterogeneity estimate not finite"):
+        fit_dl(design)
+
+
 def test_meta_se_matches_covariance_diagonal():
     trials = [trial("a", 3.0, 1.0), trial("b", 7.0, 1.0)]
     fit = fit_dl(build_design(trials, covariate_selector=[]))
