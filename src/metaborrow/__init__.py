@@ -17,8 +17,8 @@ from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit,
                        fit_ols, fit_weighted_regression)
 from .meta import MetaDesign, MetaFit, build_design, fit_dl, meta_se
 from .pipeline import PipelineConfig, run_pipeline
-from .reconstruct import (BORROW_MODES, ReconstructionConfig, reconstruct_all,
-                          reconstruct_arm, sample_covariates)
+from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
+                          reconstruct_all, reconstruct_arm, sample_covariates)
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        EstimatorSummary, ReplicationResult, ScenarioConfig,
                        aggregate, generate_meta_trial, generate_target_trial,
@@ -38,7 +38,7 @@ __all__ = [
     "choose_model", "estimate_univariate", "fit_ols", "fit_weighted_regression",
     "MetaDesign", "MetaFit", "build_design", "fit_dl", "meta_se",
     "PipelineConfig", "run_pipeline",
-    "BORROW_MODES", "ReconstructionConfig", "reconstruct_all",
+    "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "reconstruct_all",
     "reconstruct_arm", "sample_covariates",
     "ALLOCATIONS", "COVARIATE_DISTS", "MODEL_SPECS", "CellResult",
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",

@@ -38,7 +38,7 @@ from .data import (ArmSummary, TrialSummary, dataset_from_arms, make_dataset,
 from .errors import ConfigError, DataError
 from .estimate import fit_ols, fit_weighted_regression
 from .meta import build_design, fit_dl
-from .reconstruct import ReconstructionConfig, reconstruct_all
+from .reconstruct import ClampWarning, ReconstructionConfig, reconstruct_all
 from .weights import compute_weights, fit_membership
 
 DEFAULT_SEED = 40
@@ -215,21 +215,13 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4", level=0.95):
 
     meta, _ = fit_meta()
     rcfg = ReconstructionConfig(rng_seed=0, borrow=borrow)
-    parts = [target]
-    clamped = []
-    for row in COMPLETED_TRIALS:
-        trial = derive_reconstruction_summaries(row)
-        for arm_val in (1, 0):
-            if borrow == "control_only" and arm_val == 1:
-                continue
-            # one arm per call, so that each clamp warning names its arm
-            one_arm = TrialSummary(trial.trial_id, (trial.arm(arm_val),))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                parts.append(reconstruct_all([one_arm], meta, rcfg, rng=rng))
-            if caught:
-                clamped.append(f"{trial.trial_id}/arm{arm_val}")
-    pooled = make_dataset(parts, target_id=target.target_id)
+    trials = [derive_reconstruction_summaries(row) for row in COMPLETED_TRIALS]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ClampWarning)
+        recon = reconstruct_all(trials, meta, rcfg, rng=rng)
+    clamped = [f"{w.message.trial_id}/arm{w.message.arm}" for w in caught
+               if issubclass(w.category, ClampWarning)]
+    pooled = make_dataset((target, recon), target_id=target.target_id)
     weighted = compute_weights(pooled, fit_membership(pooled))
     fit = fit_weighted_regression(weighted, include_covariates=True,
                                   include_interaction=False, meat=meat)

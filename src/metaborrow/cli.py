@@ -24,7 +24,7 @@ from .meta import build_design, fit_dl
 from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS,
                        EST_POOLED, ScenarioConfig, run_cell, write_cell_csv)
-from .weights import compute_weights, default_feature_map, fit_membership, parse_feature_spec
+from .weights import compute_weights, fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
 
@@ -136,9 +136,8 @@ def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
 def weights(ctx, subjects, target_id, features, pin_target, out_path):
     """Estimate importance weights from the target-membership model."""
     d = read_subjects(subjects, target_id=target_id)
-    fmap = parse_feature_spec(features, d.p) if features else default_feature_map(d.p)
-    fit = fit_membership(d, fmap)
-    weighted = compute_weights(d, fit, fmap, pin_target_weights=pin_target)
+    fit = fit_membership(d, parse_feature_spec(features, d.p) if features else None)
+    weighted = compute_weights(d, fit, pin_target_weights=pin_target)
     w = weighted.w
     click.echo(f"membership fit: converged={fit.converged} iterations={fit.iterations} "
                f"ridge={fit.ridge_lambda:g}")

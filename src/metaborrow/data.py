@@ -33,7 +33,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import dropwhile, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -420,14 +420,45 @@ def validate_dataset(d):
 # summary files
 
 
-def _comment_free(fh):
-    """Skip the leading ``#`` comment lines (artifact stamps) ahead of CSV parsing.
+def _read_rows(path, fmt, kind):
+    """Read a summary or subject file into a list of ``(label, row)`` pairs.
 
-    Only lines ahead of the header are comments: a later line starting
-    with ``#`` is data, such as a row whose trial id starts with ``#`` or
-    the continuation of a quoted multi-line id.
+    A CSV row is a dict keyed by the header and labelled ``line N``, N
+    being the file line the row ends on, the leading ``#`` comment lines
+    (artifact stamps) counted.  Only lines ahead of the header are
+    comments: a later line starting with ``#`` is data, such as a row
+    whose trial id starts with ``#`` or the continuation of a quoted
+    multi-line id.  A JSON file holds a list of objects, the Nth
+    labelled ``object N``.  ``kind`` names the file in errors.
+
+    Raises DataError for a missing file, an unknown format, a CSV file
+    without a header, invalid JSON or JSON that is not a list, and bytes
+    that are not UTF-8.
     """
-    return dropwhile(lambda ln: ln.lstrip().startswith("#"), fh)
+    if not path.exists():
+        raise DataError(f"{kind} file not found: {path}")
+    fmt = _detect_format(path, fmt)
+    if fmt not in ("csv", "json"):
+        raise DataError(f"unknown {kind} format {fmt!r}")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            if fmt == "json":
+                payload = json.load(fh)
+                if not isinstance(payload, list):
+                    raise DataError(f"{path}: a JSON {kind} file holds a list of objects, "
+                                    f"not {type(payload).__name__}")
+                return [(f"object {i}", row) for i, row in enumerate(payload, start=1)]
+            comments = 0
+            for header in fh:
+                if not header.lstrip().startswith("#"):
+                    break
+                comments += 1
+            else:
+                raise DataError(f"{path}: empty file, no header")
+            reader = csv.DictReader(chain([header], fh))
+            return [(f"line {comments + reader.line_num}", row) for row in reader]
+    except (UnicodeDecodeError, json.JSONDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read {fmt} {kind} file ({exc})") from exc
 
 
 def _write_stamp(fh, stamp):
@@ -449,9 +480,11 @@ def _summary_header(p, use_se_mean=False):
     return cols
 
 
-def _row_to_arm(row, line):
+def _row_to_arm(row, label):
     try:
         trial_id = row["trial_id"]
+        if not isinstance(trial_id, str):
+            raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
         arm = int(row["arm"])
         n = int(row["n"])
         y_mean = float(row["y_mean"])
@@ -460,7 +493,7 @@ def _row_to_arm(row, line):
         elif "y_se_mean" in row and row.get("y_se_mean") not in (None, ""):
             y_var = n * float(row["y_se_mean"]) ** 2
         else:
-            raise DataError(f"line {line}: need one of y_sd or y_se_mean")
+            raise DataError(f"{label}: need one of y_sd or y_se_mean")
         x_mean, x_var, x_family = [], [], []
         j = 1
         while f"x{j}_mean" in row:
@@ -473,13 +506,13 @@ def _row_to_arm(row, line):
             j += 1
     except DataError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"line {line}: cannot parse summary row ({exc})") from exc
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"{label}: cannot parse summary row ({exc})") from exc
     try:
         return ArmSummary(trial_id, arm, n, y_mean, y_var, tuple(x_mean), tuple(x_var),
                           tuple(x_family))
     except DataError as exc:
-        raise DataError(f"line {line}: {exc}") from None
+        raise DataError(f"{label}: {exc}") from None
 
 
 def read_summaries(path, fmt=None):
@@ -489,26 +522,10 @@ def read_summaries(path, fmt=None):
     x1_mean,x1_sd,x1_family,...`` or its JSON mirror (a list of objects
     with the same field names).  Arm rows sharing a ``trial_id`` are
     merged into one trial; duplicated (trial_id, arm) pairs are an error.
+    Errors name the row by file line (CSV) or object number (JSON).
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"summary file not found: {path}")
-    fmt = _detect_format(path, fmt)
-    rows = []
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(_comment_free(fh))
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file, no trials")
-            for line, row in enumerate(reader, start=2):
-                rows.append(_row_to_arm(row, line))
-    elif fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        for i, row in enumerate(payload, start=1):
-            rows.append(_row_to_arm(row, i))
-    else:
-        raise DataError(f"unknown summary format {fmt!r}")
+    rows = [_row_to_arm(row, label) for label, row in _read_rows(path, fmt, "summary")]
     if not rows:
         raise DataError(f"{path}: no trials")
 
@@ -583,26 +600,15 @@ def read_subjects(path, fmt=None, target_id=None):
     :func:`validate_dataset` is checked; DataError lists the violations.
     """
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"subject file not found: {path}")
-    fmt = _detect_format(path, fmt)
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(_comment_free(fh))
-            if reader.fieldnames is None:
-                raise DataError(f"{path}: empty file, no subjects")
-            raw = list(reader)
-    elif fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    else:
-        raise DataError(f"unknown subject format {fmt!r}")
+    raw = _read_rows(path, fmt, "subject")
     if not raw:
         raise DataError(f"{path}: no subjects")
 
     tids, zs, ys, xs, ws, sources = [], [], [], [], [], []
-    for line, row in enumerate(raw, start=2):
+    for label, row in raw:
         try:
+            if not isinstance(row["trial_id"], str):
+                raise DataError(f"{label}: trial_id must be text, got {row['trial_id']!r}")
             x = []
             j = 1
             while f"x{j}" in row and row[f"x{j}"] not in (None, ""):
@@ -616,8 +622,8 @@ def read_subjects(path, fmt=None, target_id=None):
                 source = "target"
             weight = float(row["weight"]) if row.get("weight") not in (None, "") else 1.0
             fields = (row["trial_id"], int(row["z"]), float(row["y"]), tuple(x), weight, source)
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"line {line}: cannot parse subject row ({exc})") from exc
+        except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
+            raise DataError(f"{label}: cannot parse subject row ({exc})") from exc
         for column, value in zip((tids, zs, ys, xs, ws, sources), fields):
             column.append(value)
     cols, dims = _row_columns(tids, zs, ys, xs, ws, sources)

@@ -153,16 +153,28 @@ def build_outcome_design(d, include_covariates=True, include_interaction=False):
     return np.column_stack(cols), tuple(names)
 
 
-def _rank_check(X, w, names):
+def _wls(X, w, y, names):
+    """Weighted least squares: returns (beta, bread) with bread = (X'WX)^{-1}.
+
+    A design that is rank deficient under the weights, or whose normal
+    equations are numerically singular, raises NumericalError naming the
+    dependent columns, found from the QR diagonal of sqrt(w) X; the QR
+    runs only on that path.
+    """
     Xw = X * np.sqrt(w)[:, None]
-    r = np.linalg.matrix_rank(Xw)
-    if r < X.shape[1]:
-        _, R = np.linalg.qr(Xw)
-        diag = np.abs(np.diag(R))
-        bad = [names[i] for i in np.where(diag <= diag.max() * 1e-10)[0]]
+    XtW = X.T * w
+    try:
+        if np.linalg.matrix_rank(Xw) < X.shape[1]:
+            raise np.linalg.LinAlgError
+        # X'WX squares the condition number: inv can fail on a design of full rank
+        bread = np.linalg.inv(XtW @ X)
+    except np.linalg.LinAlgError:
+        diag = np.abs(np.diag(np.linalg.qr(Xw)[1]))
+        bad = [names[i] for i in np.flatnonzero(diag <= diag.max() * 1e-10)]
         raise NumericalError(
             "weighted design is rank deficient; dependent columns: " + ", ".join(bad or names)
-        )
+        ) from None
+    return bread @ (XtW @ y), bread
 
 
 def fit_weighted_regression(d, include_covariates=True, include_interaction=False,
@@ -185,11 +197,7 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
     for arm in (0, 1):
         if w[z == arm].sum() <= 0:
             raise DataError(f"arm {arm} has zero total weight; arm unestimable")
-    _rank_check(X, w, names)
-
-    XtW = X.T * w
-    bread = np.linalg.inv(XtW @ X)
-    beta = bread @ (XtW @ y)
+    beta, bread = _wls(X, w, y, names)
     e = y - X @ beta
     power = {"w4": 4, "w3": 3, "hc0": 2}[meat]
     M = (X.T * (w ** power * e ** 2)) @ X
@@ -215,10 +223,7 @@ def fit_ols(d, include_covariates=True, include_interaction=False):
     for arm in (0, 1):
         if not np.any(z == arm):
             raise DataError(f"arm {arm} has no subjects; arm unestimable")
-    ones = np.ones(n)
-    _rank_check(X, ones, names)
-    bread = np.linalg.inv(X.T @ X)
-    beta = bread @ (X.T @ y)
+    beta, bread = _wls(X, np.ones(n), y, names)
     e = y - X @ beta
     sigma2 = float(e @ e) / (n - q)
     return WeightedFit(

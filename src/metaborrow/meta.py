@@ -18,6 +18,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericalError
+from .estimate import _wls
 
 
 @dataclass(frozen=True)
@@ -109,23 +110,6 @@ def build_design(trials, covariate_selector=None, include_interaction=False):
     return MetaDesign(np.asarray(rows_y), np.asarray(rows_v), X, tuple(columns))
 
 
-def _wls(X, y, w):
-    A = (X.T * w) @ X
-    try:
-        Ainv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        return None, None
-    return Ainv @ ((X.T * w) @ y), Ainv
-
-
-def _singular_columns(X):
-    # report which columns participate in the rank deficiency
-    _, r = np.linalg.qr(X)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * 1e-10 if diag.size else 0.0
-    return [j for j, d in enumerate(diag) if d <= tol]
-
-
 def fit_dl(design):
     """Fit the meta-regression with a moment estimate of heterogeneity.
 
@@ -138,17 +122,13 @@ def fit_dl(design):
     Raises
     ------
     NumericalError
-        If the design matrix is collinear (names the offending columns),
-        or Q or tau2 is not finite.
+        If the weighted design is rank deficient in either stage (names
+        the dependent columns), or Q or tau2 is not finite.
     """
     y, v, X = design.y, design.v, design.X
     R, q = X.shape
     w1 = 1.0 / v
-    beta_fe, Ainv = _wls(X, y, w1)
-    if beta_fe is None:
-        bad = _singular_columns(np.sqrt(w1)[:, None] * X)
-        names = [design.columns[j] for j in bad] or list(design.columns)
-        raise NumericalError(f"singular meta design; collinear columns: {', '.join(names)}")
+    beta_fe, Ainv = _wls(X, w1, y, design.columns)
     resid = y - X @ beta_fe
     q_stat = float(np.sum(resid**2 * w1))
     c = float(np.sum(w1) - np.trace(Ainv @ ((X.T * w1**2) @ X)))
@@ -159,11 +139,7 @@ def fit_dl(design):
         raise NumericalError(f"heterogeneity estimate not finite: Q = {q_stat}, tau2 = {tau2}")
     tau2 = max(0.0, tau2)
     w2 = 1.0 / (v + tau2)
-    beta, cov = _wls(X, y, w2)
-    if beta is None:
-        bad = _singular_columns(np.sqrt(w2)[:, None] * X)
-        names = [design.columns[j] for j in bad] or list(design.columns)
-        raise NumericalError(f"singular meta design; collinear columns: {', '.join(names)}")
+    beta, cov = _wls(X, w2, y, design.columns)
     return MetaFit(beta=beta, cov_beta=cov, tau2=float(tau2), q_stat=q_stat,
                    df=R - q, columns=design.columns)
 

@@ -31,7 +31,7 @@ from .errors import ConfigError, MetaborrowError
 from .estimate import MEAT_KINDS, fit_weighted_regression
 from .meta import MetaFit, build_design, fit_dl, meta_se
 from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
-from .weights import compute_weights, default_feature_map, fit_membership, parse_feature_spec
+from .weights import compute_weights, fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
 
@@ -204,10 +204,9 @@ def run_pipeline(cfg):
 
     with _Stage("weights"):
         pooled = make_dataset((target, recon), target_id=target.target_id)
-        fmap = (parse_feature_spec(cfg.features, pooled.p)
-                if cfg.features else default_feature_map(pooled.p))
-        mfit = fit_membership(pooled, fmap)
-        weighted = compute_weights(pooled, mfit, fmap)
+        mfit = fit_membership(
+            pooled, parse_feature_spec(cfg.features, pooled.p) if cfg.features else None)
+        weighted = compute_weights(pooled, mfit)
         write_subjects(weighted, outdir / "weighted.csv", stamp=stamp)
 
     with _Stage("estimate"):

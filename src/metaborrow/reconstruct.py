@@ -11,7 +11,8 @@ variance:
 where ``load_j`` is the total slope on covariate j for this arm
 (main-effect coefficient plus, for treated arms, the arm-interaction
 coefficient when the meta design carries one).  A negative ``s2`` is
-clamped to ``error_floor * y_var`` with a warning, never silently.
+clamped to ``error_floor * y_var`` with a :class:`ClampWarning` naming
+the arm, never silently.
 
 Randomness is drawn from per-arm substreams keyed by (seed, crc32 of
 trial id, arm), so results do not depend on trial order and arms can be
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import warnings
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
@@ -31,6 +32,19 @@ from .data import dataset_from_arms, subject_records
 from .errors import DataError
 
 BORROW_MODES = ("both_arms", "control_only")
+
+
+class ClampWarning(UserWarning):
+    """An arm's residual variance fell below its floor and was clamped.
+
+    ``trial_id`` and ``arm`` name the arm, so callers can report it
+    without parsing the message.
+    """
+
+    def __init__(self, message, trial_id, arm):
+        super().__init__(message)
+        self.trial_id = trial_id
+        self.arm = arm
 
 
 @dataclass(frozen=True)
@@ -46,14 +60,11 @@ class ReconstructionConfig:
     borrow : str
         ``both_arms`` reconstructs every arm; ``control_only`` skips
         treatment arms.
-    family_overrides : dict
-        Optional per-covariate family overrides, index -> family.
     """
 
     rng_seed: int
     error_floor: float = 1e-8
     borrow: str = "both_arms"
-    family_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.error_floor < 0:
@@ -71,21 +82,18 @@ def sample_covariates(arm, n, cfg, rng):
     """Draw an (n, p) covariate matrix matching the arm's reported moments.
 
     Continuous covariates are Normal(x_mean, x_var); binary covariates
-    are Bernoulli(x_mean).  Distinct covariates are independent.
+    are Bernoulli(x_mean).  Distinct covariates are independent.  No
+    setting of ``cfg`` changes the draw: the families and moments are
+    the arm's own.
     """
     if n < 1:
         raise DataError(f"trial {arm.trial_id!r} arm {arm.arm}: cannot sample {n} subjects")
     cols = []
-    for j, (m, v, fam) in enumerate(zip(arm.x_mean, arm.x_var, arm.x_family)):
-        fam = cfg.family_overrides.get(j, fam)
+    for m, v, fam in zip(arm.x_mean, arm.x_var, arm.x_family):
         if fam == "continuous":
             cols.append(rng.normal(m, np.sqrt(v), n))
-        elif fam == "binary":
-            if not 0.0 <= m <= 1.0:
-                raise DataError(f"trial {arm.trial_id!r}: binary x{j + 1} mean {m} outside [0, 1]")
+        else:  # binary; ArmSummary admits no other family and checks the mean is in [0, 1]
             cols.append((rng.random(n) < m).astype(float))
-        else:
-            raise DataError(f"unknown covariate family {fam!r}")
     if not cols:
         return np.empty((n, 0))
     return np.column_stack(cols)
@@ -158,12 +166,12 @@ def _draw_arm(arm, meta, cfg, rng, n):
     s2_raw = arm.y_var - explained
     floor = cfg.error_floor * arm.y_var
     if s2_raw < floor:
-        warnings.warn(
+        warnings.warn(ClampWarning(
             f"trial {arm.trial_id!r} arm {arm.arm}: residual variance "
             f"{s2_raw:.6g} below floor; clamped to {floor:.6g} "
             "(covariate slopes explain more variance than the arm reports)",
-            stacklevel=3,
-        )
+            arm.trial_id, arm.arm,
+        ), stacklevel=3)
         s2 = floor
     else:
         s2 = s2_raw

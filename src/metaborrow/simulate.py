@@ -28,7 +28,7 @@ from .errors import ConfigError, DataError, MetaborrowError
 from .estimate import (MEAT_KINDS, choose_model, estimate_univariate,
                        fit_weighted_regression)
 from .meta import build_design, fit_dl
-from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
+from .reconstruct import BORROW_MODES, ClampWarning, ReconstructionConfig, reconstruct_all
 from .weights import compute_weights, fit_membership
 
 TRUE_DELTA = 2.0
@@ -244,9 +244,9 @@ def run_replication(cfg, r):
         # sampled arm variances routinely dip below the explained part in
         # small trials; the clamp is counted rather than warned rep by rep
         with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            warnings.simplefilter("always", ClampWarning)
             recon = reconstruct_all(trials, meta, rcfg)
-        n_clamped = len(caught)
+        n_clamped = sum(issubclass(w.category, ClampWarning) for w in caught)
         pooled = make_dataset((target, recon), target_id=target.target_id)
         fit = fit_membership(pooled)
         weighted = compute_weights(pooled, fit)

@@ -147,6 +147,8 @@ class LogisticFit:
 
     ``ridge_lambda`` is zero for a plain maximum-likelihood fit and
     records the penalty actually used when the ridge path was engaged.
+    ``fmap`` is the feature map the fit was made with; the fitted
+    probabilities evaluate ``alpha`` on that map.
     """
 
     alpha: np.ndarray
@@ -154,6 +156,7 @@ class LogisticFit:
     iterations: int
     deviance: float
     ridge_lambda: float
+    fmap: FeatureMap
 
 
 def _irls(F, t, tol, max_iter, lam):
@@ -177,6 +180,9 @@ def _irls(F, t, tol, max_iter, lam):
 
 def fit_membership(d, fmap=None, tol=1e-8, max_iter=100):
     """Fit the target-membership logistic model over all N subjects.
+
+    ``fmap`` defaults to :func:`default_feature_map`; the returned fit
+    keeps it, so weights are computed on the same features.
 
     Convergence is declared when the largest absolute score-equation
     entry falls below ``tol``.  A singular Hessian, or non-convergence
@@ -214,18 +220,16 @@ def fit_membership(d, fmap=None, tol=1e-8, max_iter=100):
     eps = np.finfo(float).tiny
     deviance = float(-2.0 * np.sum(t * np.log(pi + eps) + (1 - t) * np.log(1 - pi + eps)))
     return LogisticFit(alpha=alpha, converged=ok, iterations=iters,
-                       deviance=deviance, ridge_lambda=float(lam))
+                       deviance=deviance, ridge_lambda=float(lam), fmap=fmap)
 
 
-def membership_probabilities(d, fit, fmap=None):
-    """Fitted pi(x) for every subject."""
-    if fmap is None:
-        fmap = default_feature_map(d.p)
-    F = fmap.matrix(d)
+def membership_probabilities(d, fit):
+    """Fitted pi(x) for every subject, on the feature map of ``fit``."""
+    F = fit.fmap.matrix(d)
     return 1.0 / (1.0 + np.exp(-np.clip(F @ fit.alpha, -500, 500)))
 
 
-def compute_weights(d, fit, fmap=None, pin_target_weights=False):
+def compute_weights(d, fit, pin_target_weights=False):
     """Attach importance weights w = (N / n_T) * pi(x) to every subject.
 
     ``pin_target_weights`` is a diagnostic mode that forces weight 1 on
@@ -238,7 +242,7 @@ def compute_weights(d, fit, fmap=None, pin_target_weights=False):
         distributions make the ratio unstable; in that regime the
         analysis should fall back to the target rows alone.
     """
-    pi = membership_probabilities(d, fit, fmap)
+    pi = membership_probabilities(d, fit)
     n_t = d.n_target()
     if n_t == 0:
         raise DataError("dataset has no target subjects")

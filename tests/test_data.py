@@ -1,6 +1,7 @@
 """Schema, validation, and file round-trips for the data layer."""
 
 import csv
+import json
 import math
 
 import numpy as np
@@ -266,6 +267,55 @@ def test_summaries_errors_on_missing_empty_or_malformed(tmp_path):
     bad.write_text("trial_id,arm,n,y_mean,y_sd\nt1,one,25,2.0,1.0\n")
     with pytest.raises(DataError, match="line 2"):
         read_summaries(bad)
+
+
+def test_csv_errors_name_the_file_line(tmp_path):
+    # the stamp lines and a blank line count: the bad row is line 5
+    stamped = tmp_path / "stamped.csv"
+    stamped.write_text("# config_hash=abc123\n# seed=7\n"
+                       "trial_id,arm,n,y_mean,y_sd\n"
+                       "\n"
+                       "t1,1,25,nan,1.0\n")
+    with pytest.raises(DataError, match="^line 5: trial 't1' arm 1: summary not finite"):
+        read_summaries(stamped)
+    subjects_csv = tmp_path / "subjects.csv"
+    subjects_csv.write_text("# seed=7\ntrial_id,z,y\nt,1,1.0\nt,0,abc\n")
+    with pytest.raises(DataError, match="^line 4: cannot parse subject row"):
+        read_subjects(subjects_csv)
+
+
+def test_json_errors_name_the_object(tmp_path):
+    summaries = tmp_path / "s.json"
+    summaries.write_text(json.dumps(
+        [{"trial_id": "t1", "arm": 1, "n": 25, "y_mean": 2.0, "y_sd": 1.0},
+         {"trial_id": "t1", "arm": 0, "n": 25, "y_mean": math.nan, "y_sd": 1.0}], indent=2))
+    with pytest.raises(DataError, match="^object 2: trial 't1' arm 0: summary not finite"):
+        read_summaries(summaries)
+    subjects_json = tmp_path / "subj.json"
+    subjects_json.write_text(json.dumps([{"trial_id": "t", "z": 1, "y": 1.0},
+                                         {"trial_id": "t", "z": 0, "y": "abc"}]))
+    with pytest.raises(DataError, match="^object 2: cannot parse subject row"):
+        read_subjects(subjects_json)
+
+
+MALFORMED_FILES = {
+    "invalid.json": b"[{",
+    "number.json": b"5",
+    "object.json": b'{"trial_id": "t1"}',
+    "listed_id.json": b'[{"trial_id": ["t1"], "arm": 1, "n": 5, "y_mean": 1, "y_sd": 1, '
+                      b'"z": 1, "y": 1}]',
+    "latin1.csv": b"trial_id,arm,n,y_mean,y_sd\nM\xfcller,1,5,1.0,1.0\n",
+    "latin1.json": b'[{"trial_id": "M\xfcller"}]',
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_FILES)
+@pytest.mark.parametrize("reader", [read_summaries, read_subjects])
+def test_malformed_files_are_data_errors(tmp_path, reader, name):
+    path = tmp_path / name
+    path.write_bytes(MALFORMED_FILES[name])
+    with pytest.raises(DataError):
+        reader(path)
 
 
 def test_summaries_reject_mixed_dimension_across_trials(tmp_path):

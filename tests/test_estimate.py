@@ -164,6 +164,20 @@ def test_rank_deficient_design_names_columns():
         fit_weighted_regression(d)
 
 
+def test_singular_normal_equations_are_a_numerical_error(monkeypatch):
+    # a design of full rank whose normal equations the solver still finds
+    # singular (condition number squared) fails as NumericalError, not LinAlgError
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    d = random_dataset(np.random.default_rng(8))
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(NumericalError, match="rank deficient"):
+        fit_weighted_regression(d)
+    with pytest.raises(NumericalError, match="rank deficient"):
+        fit_ols(d)
+
+
 def test_unestimable_configurations_rejected():
     rng = np.random.default_rng(7)
     single_arm = dataset([1, 1, 1, 1, 1, 1], rng.normal(size=6))

@@ -96,6 +96,19 @@ def test_collinear_design_names_offending_columns():
         fit_dl(design)
 
 
+def test_singular_normal_equations_are_a_numerical_error(monkeypatch):
+    # a design of full rank whose normal equations the solver still finds
+    # singular (condition number squared) fails as NumericalError, not LinAlgError
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    design = build_design([trial("a", 3.0, 1.0, x_mean=-1.0), trial("b", 7.0, 2.0, x_mean=2.0),
+                           trial("c", 5.0, 1.5, x_mean=0.5)])
+    monkeypatch.setattr(np.linalg, "inv", singular)
+    with pytest.raises(NumericalError, match="rank deficient"):
+        fit_dl(design)
+
+
 def test_non_finite_heterogeneity_is_an_error():
     # a NaN response gives Q = NaN, which must not be truncated to tau2 = 0
     design = MetaDesign(y=np.array([0.0, np.nan, 4.0]), v=np.ones(3),

@@ -146,16 +146,6 @@ def test_binary_covariate_sampling():
     assert xs.mean() == pytest.approx(0.3, abs=0.01)
 
 
-def test_family_override_and_unknown_family():
-    a = arm(x_mean=(0.3,), x_var=(0.21,), fam=("continuous",))
-    cfg = ReconstructionConfig(rng_seed=1, family_overrides={0: "binary"})
-    xs = sample_covariates(a, 1000, cfg, np.random.default_rng(0))
-    assert set(np.unique(xs)) <= {0.0, 1.0}
-    bad = ReconstructionConfig(rng_seed=1, family_overrides={0: "gamma"})
-    with pytest.raises(DataError, match="unknown covariate family"):
-        sample_covariates(a, 10, bad, np.random.default_rng(0))
-
-
 def test_meta_layout_mismatches_rejected():
     wrong_order = meta_fit([1.0, 2.0], ("arm", "intercept"))
     with pytest.raises(DataError, match="intercept, arm"):

@@ -50,7 +50,7 @@ def test_shift_direction_downweights_source_region():
     fit = fit_membership(d, fmap)
     assert fit.alpha[1] < 0
     x = np.array([s.x[0] for s in d.subjects])
-    w = weights_of(compute_weights(d, fit, fmap))
+    w = weights_of(compute_weights(d, fit))
     order = np.argsort(x)
     assert np.all(np.diff(w[order]) <= 1e-12)  # monotone in x under linear map
 
@@ -181,6 +181,6 @@ def test_arm_feature_separates_allocation_shift():
     d = make_dataset(subs, target_id="tgt")
     fmap = parse_feature_spec("x1,z", p=1)
     fit = fit_membership(d, fmap)
-    w = weights_of(compute_weights(d, fit, fmap))
+    w = weights_of(compute_weights(d, fit))
     z = np.array([s.z for s in d.subjects])
     assert w[z == 1].sum() == pytest.approx(w[z == 0].sum(), rel=0.02)
