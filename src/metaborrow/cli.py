@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from pathlib import Path
 
 import click
 
@@ -110,8 +109,7 @@ def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
         raise ConfigError("an output path is required: pass --out")
     trials = read_summaries(summaries)
     if meta_path:
-        with open(meta_path, encoding="utf-8") as fh:
-            fit = pl.meta_from_dict(json.load(fh))
+        fit = pl.read_meta(meta_path)
     else:
         fit = fit_dl(build_design(trials, include_interaction=interaction))
     rcfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
@@ -303,11 +301,7 @@ def case_study(ctx, scenario, seed, meat, out_path):
 def pipeline(ctx, config_path, summaries, target, borrow, features, meat,
              meta_interaction, outcome_interaction, level, seed, out_path):
     """Run meta -> reconstruct -> weights -> estimate, writing artifacts."""
-    base = {}
-    if config_path:
-        base = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        if not isinstance(base, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
+    base = pl.read_config(config_path) if config_path else {}
     overrides = {
         "summaries": summaries, "target": target, "borrow": borrow,
         "features": features, "meat": meat, "meta_interaction": meta_interaction,

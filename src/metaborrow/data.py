@@ -130,6 +130,17 @@ class TrialSummary:
         return self.arms[0].p
 
 
+def trial_dimension(trials):
+    """The covariate dimension shared by ``trials`` (0 when there are none).
+
+    Raises DataError naming the dimensions when the trials differ.
+    """
+    dims = {t.p for t in trials}
+    if len(dims) > 1:
+        raise DataError(f"covariate dimension differs across trials: {sorted(dims)}")
+    return dims.pop() if dims else 0
+
+
 class SubjectRecord(NamedTuple):
     """One subject row: outcome, covariates, arm, weight slot, and origin tag.
 
@@ -269,16 +280,6 @@ def _boxed(trial_ids, z, y, x_cols, weights, sources):
     finally:
         if enabled:
             gc.enable()
-
-
-def subject_records(trial_id, z, y, x_cols, source):
-    """Box one trial's NumPy draws into a list of SubjectRecord with unit weights.
-
-    ``z`` is an iterable of int arm indicators (``itertools.repeat(arm)``
-    for a single arm), ``y`` a 1-D outcome array, and ``x_cols`` the
-    covariate columns, each a 1-D array as long as ``y``.
-    """
-    return _boxed(repeat(trial_id), z, y, x_cols, repeat(1.0), repeat(source))
 
 
 def dataset_from_arms(arms, is_target, target_id=""):
@@ -539,9 +540,7 @@ def read_summaries(path, fmt=None):
             raise DataError(f"duplicate (trial_id, arm) pair: ({a.trial_id!r}, {a.arm})")
         by_trial[a.trial_id].append(a)
     trials = [TrialSummary(tid, tuple(by_trial[tid])) for tid in order]
-    dims = {t.p for t in trials}
-    if len(dims) > 1:
-        raise DataError(f"covariate dimension differs across trials: {sorted(dims)}")
+    trial_dimension(trials)
     return trials
 
 

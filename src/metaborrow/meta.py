@@ -77,14 +77,18 @@ def build_design(trials, covariate_selector=None, include_interaction=False):
     Raises
     ------
     DataError
-        If fewer rows than ``q + 1`` remain or all rows share one arm
-        value (treatment coefficient unidentifiable).
+        If the trials differ in covariate dimension, fewer rows than
+        ``q + 1`` remain, or all rows share one arm value (treatment
+        coefficient unidentifiable).
     """
     rows_y, rows_v, rows_x = [], [], []
     arms_seen = set()
     p = trials[0].p if trials else 0
     sel = list(range(p)) if covariate_selector is None else list(covariate_selector)
     for t in trials:
+        if t.p != p:
+            raise DataError(f"trial {t.trial_id!r}: covariate dimension {t.p} differs from "
+                            f"dimension {p} of trial {trials[0].trial_id!r}")
         for a in t.arms:
             if a.n < 1:
                 raise DataError(f"trial {a.trial_id!r} arm {a.arm}: empty arm in meta design")

@@ -82,17 +82,7 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path):
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{path}: config must be a JSON object")
-        return cls.from_mapping(payload)
+        return cls.from_mapping(read_config(path))
 
     def config_hash(self):
         """Hash of the analysis-relevant fields (output location excluded)."""
@@ -100,6 +90,31 @@ class PipelineConfig:
         payload.pop("out")
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:12]
+
+
+def _read_json(path, kind):
+    """The JSON value in ``path``; ConfigError for a missing file or invalid JSON."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{kind} file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def read_config(path):
+    """The JSON object in a pipeline config file; ConfigError when it is not one."""
+    payload = _read_json(path, "config")
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{path}: config must be a JSON object")
+    return payload
+
+
+def read_meta(path):
+    """Rebuild a MetaFit from a meta-fit JSON file; ConfigError when malformed."""
+    return meta_from_dict(_read_json(path, "meta-fit"))
 
 
 def meta_to_dict(fit, level=0.95):
@@ -120,7 +135,7 @@ def meta_to_dict(fit, level=0.95):
 def meta_from_dict(d):
     """Rebuild a MetaFit from its JSON form (for composing CLI stages)."""
     try:
-        return MetaFit(
+        fit = MetaFit(
             beta=np.array(d["beta"], dtype=float),
             cov_beta=np.array(d["cov_beta"], dtype=float),
             tau2=float(d["tau2"]),
@@ -128,8 +143,17 @@ def meta_from_dict(d):
             df=int(d["df"]),
             columns=tuple(d["columns"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed meta-fit JSON: {exc}") from exc
+    q = len(fit.columns)
+    if (fit.beta.shape != (q,) or fit.cov_beta.shape != (q, q)
+            or not all(isinstance(c, str) for c in fit.columns)):
+        raise ConfigError(f"malformed meta-fit JSON: beta of shape {fit.beta.shape} and "
+                          f"cov_beta of shape {fit.cov_beta.shape} for columns {fit.columns}")
+    if not np.isfinite([*fit.beta, *fit.cov_beta.ravel(), fit.tau2, fit.q_stat]).all():
+        raise ConfigError("malformed meta-fit JSON: beta, cov_beta, tau2 and q_stat "
+                          "must be finite")
+    return fit
 
 
 def weighted_fit_to_dict(fit, level=0.95):

@@ -19,7 +19,7 @@ predictors), the fit is retried with an escalating ridge penalty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -148,7 +148,11 @@ class LogisticFit:
     ``ridge_lambda`` is zero for a plain maximum-likelihood fit and
     records the penalty actually used when the ridge path was engaged.
     ``fmap`` is the feature map the fit was made with; the fitted
-    probabilities evaluate ``alpha`` on that map.
+    probabilities evaluate ``alpha`` on that map.  ``fitted_on`` is the
+    Dataset the model was fitted on and ``weights`` (read-only) its
+    importance weights from the fit's final probabilities, which
+    :func:`compute_weights` attaches to that dataset instead of
+    evaluating the map again.
     """
 
     alpha: np.ndarray
@@ -157,6 +161,8 @@ class LogisticFit:
     deviance: float
     ridge_lambda: float
     fmap: FeatureMap
+    fitted_on: object = field(default=None, repr=False, compare=False)
+    weights: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def _irls(F, t, tol, max_iter, lam):
@@ -216,17 +222,27 @@ def fit_membership(d, fmap=None, tol=1e-8, max_iter=100):
         if not ok:
             reason = "separation persisted" if separated else "IRLS failed to converge"
             raise NumericalError(f"membership model did not converge ({reason}, ridge up to 1e-2)")
-    pi = 1.0 / (1.0 + np.exp(-np.clip(F @ alpha, -500, 500)))
+    pi = _probabilities(F, alpha)
     eps = np.finfo(float).tiny
     deviance = float(-2.0 * np.sum(t * np.log(pi + eps) + (1 - t) * np.log(1 - pi + eps)))
+    weights = _importance_weights(d, pi)
+    weights.flags.writeable = False
     return LogisticFit(alpha=alpha, converged=ok, iterations=iters,
-                       deviance=deviance, ridge_lambda=float(lam), fmap=fmap)
+                       deviance=deviance, ridge_lambda=float(lam), fmap=fmap,
+                       fitted_on=d, weights=weights)
+
+
+def _probabilities(F, alpha):
+    return 1.0 / (1.0 + np.exp(-np.clip(F @ alpha, -500, 500)))
+
+
+def _importance_weights(d, pi):
+    return (len(d) / d.n_target()) * pi
 
 
 def membership_probabilities(d, fit):
     """Fitted pi(x) for every subject, on the feature map of ``fit``."""
-    F = fit.fmap.matrix(d)
-    return 1.0 / (1.0 + np.exp(-np.clip(F @ fit.alpha, -500, 500)))
+    return _probabilities(fit.fmap.matrix(d), fit.alpha)
 
 
 def compute_weights(d, fit, pin_target_weights=False):
@@ -242,11 +258,11 @@ def compute_weights(d, fit, pin_target_weights=False):
         distributions make the ratio unstable; in that regime the
         analysis should fall back to the target rows alone.
     """
-    pi = membership_probabilities(d, fit)
-    n_t = d.n_target()
-    if n_t == 0:
+    if d.n_target() == 0:
         raise DataError("dataset has no target subjects")
-    w = (len(d) / n_t) * pi
+    # on the rows the model was fitted on, the fit's read-only weights become the column
+    w = fit.weights if d is fit.fitted_on else _importance_weights(
+        d, membership_probabilities(d, fit))
     if not np.all(np.isfinite(w)):
         raise NumericalError(
             "non-finite importance weight: target and pooled covariate "

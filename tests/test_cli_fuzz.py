@@ -1,11 +1,14 @@
-"""CLI fuzz: malformed summary and target files exit 2, 3 or 4, never with a traceback.
+"""CLI fuzz: malformed input files exit 2, 3 or 4, never with a traceback.
 
 Each example starts from a valid pair of files (the bundled eGFR
 summaries and a simulated target trial, as CSV or JSON) and breaks one
 of them in a way that no reading of the schema accepts: a truncated row,
 a non-numeric or non-finite cell, a missing column, an empty file, a
 stray text row, invalid JSON, a JSON value of the wrong type, or bytes
-that are not UTF-8.
+that are not UTF-8.  The JSON inputs of ``pipeline --config`` and
+``reconstruct --meta-fit`` are broken too: cut short, a top level of
+another type, a required key dropped, a meta-fit value of the wrong
+type, or bytes that are not UTF-8.
 """
 
 import contextlib
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import SeedSequence, default_rng
 
-from metaborrow import casestudy
+from metaborrow import casestudy, pipeline
 from metaborrow.cli import main
 
 
@@ -123,23 +126,30 @@ def broken_file(draw, table):
     return ".csv", draw(broken_table(table)).encode("utf-8")
 
 
-def assert_pipeline_fails_cleanly(summaries, target):
-    """Run ``pipeline`` on the two (suffix, bytes) files: exit 2, 3 or 4, no traceback.
+def assert_fails_cleanly(argv, files):
+    """Run the CLI on ``files`` ({name: (suffix, bytes)}): exit 2, 3 or 4, no traceback.
 
-    An exception escaping ``main`` fails the test too.
+    ``argv`` is formatted with each file's path by name and ``out``, an
+    output path.  An exception escaping ``main`` fails the test too.
     """
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        paths = []
-        for name, (suffix, data) in (("summaries", summaries), ("target", target)):
-            paths.append(Path(tmp) / (name + suffix))
-            paths[-1].write_bytes(data)
+        paths = {"out": str(Path(tmp) / "out")}
+        for name, (suffix, data) in files.items():
+            paths[name] = str(Path(tmp) / (name + suffix))
+            Path(paths[name]).write_bytes(data)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             with pytest.raises(SystemExit) as exc_info:
-                main(["pipeline", "--summaries", str(paths[0]), "--target", str(paths[1]),
-                      "--seed", "1", "--out", str(Path(tmp) / "out")])
+                main([arg.format(**paths) for arg in argv])
     assert exc_info.value.code in (2, 3, 4), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+def assert_pipeline_fails_cleanly(summaries, target):
+    """Run ``pipeline`` on the two (suffix, bytes) files: exit 2, 3 or 4, no traceback."""
+    assert_fails_cleanly(["pipeline", "--summaries", "{summaries}", "--target", "{target}",
+                          "--seed", "1", "--out", "{out}"],
+                         {"summaries": summaries, "target": target})
 
 
 VALID_SUMMARIES = ".csv", _csv(*SUMMARY_TABLE).encode("utf-8")
@@ -160,3 +170,53 @@ def test_malformed_summaries_exit_with_a_documented_code(summaries):
 @given(broken_file(TARGET_TABLE))
 def test_malformed_targets_exit_with_a_documented_code(target):
     assert_pipeline_fails_cleanly(VALID_SUMMARIES, target)
+
+
+@st.composite
+def broken_object(draw, valid, required, typed=()):
+    """JSON bytes of the object ``valid`` with one defect.
+
+    Cut short, a top level of another type, a ``required`` key dropped,
+    a ``typed`` key given a value of the wrong type, or bytes that are
+    not UTF-8.
+    """
+    defect = draw(st.sampled_from(("cut", "top_level", "drop_key", "bytes")
+                                  + (("value",) if typed else ())))
+    if defect == "top_level":
+        return draw(st.sampled_from(("5", '"rows"', "[]", "null", "true"))).encode("utf-8")
+    obj = dict(valid)
+    if defect == "drop_key":
+        del obj[draw(st.sampled_from(required))]
+    elif defect == "value":
+        obj[draw(st.sampled_from(typed))] = draw(st.sampled_from(BAD_JSON_VALUES))
+    text = json.dumps(obj).encode("utf-8")
+    if defect == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if defect == "bytes":
+        at = draw(st.integers(0, len(text)))
+        return text[:at] + b"\xff\xfe" + text[at:]
+    return text
+
+
+# the input files and the output directory come from flags, which override the config
+CONFIG = {"seed": 1, "borrow": "control_only", "meat": "w3"}
+META_FIT = pipeline.meta_to_dict(casestudy.fit_meta()[0])
+META_KEYS = ("beta", "cov_beta", "tau2", "q_stat", "df", "columns")
+
+
+@pytest.mark.filterwarnings("ignore::metaborrow.reconstruct.ClampWarning")
+@settings(deadline=None, max_examples=30)
+@given(broken_object(CONFIG, ("seed",)))
+def test_malformed_config_exits_with_a_documented_code(config):
+    assert_fails_cleanly(["pipeline", "--config", "{config}", "--summaries", "{summaries}",
+                          "--target", "{target}", "--out", "{out}"],
+                         {"config": (".json", config), "summaries": VALID_SUMMARIES,
+                          "target": VALID_TARGET})
+
+
+@settings(deadline=None, max_examples=30)
+@given(broken_object(META_FIT, META_KEYS, META_KEYS))
+def test_malformed_meta_fit_exits_with_a_documented_code(meta_fit):
+    assert_fails_cleanly(["reconstruct", "--summaries", "{summaries}", "--meta-fit", "{meta_fit}",
+                          "--seed", "1", "--out", "{out}.csv"],
+                         {"meta_fit": (".json", meta_fit), "summaries": VALID_SUMMARIES})

@@ -88,6 +88,15 @@ def test_build_design_rejects_degenerate_inputs():
         build_design([zero_var, trial("a", 3.0, 1.0)])
 
 
+
+def test_trials_of_differing_dimension_are_rejected():
+    wide = TrialSummary("w", tuple(ArmSummary("w", armv, 4, 1.0, 4.0, (0.0, 1.0), (1.0, 1.0),
+                                              ("continuous", "binary")) for armv in (1, 0)))
+    narrow = [trial(f"t{k}", 3.0 + k, 1.0, x_mean=0.5 * k) for k in range(4)]
+    for trials in ([wide, *narrow], [*narrow, wide]):
+        with pytest.raises(DataError, match="covariate dimension [12] differs from dimension [12]"):
+            build_design(trials)
+
 def test_collinear_design_names_offending_columns():
     trials = [trial("a", 3.0, 1.0, x_mean=-1.0), trial("b", 7.0, 2.0, x_mean=2.0),
               trial("c", 5.0, 1.5, x_mean=0.5)]

@@ -2,20 +2,25 @@
 
 * trial order does not change the meta-regression or any arm's
   reconstructed rows;
+* reconstructing all borrowed arms in one pass gives, bit for bit, the
+  rows and clamp warnings of reconstructing them one arm at a time;
 * zero-weight reconstructed rows drop out of both estimators exactly;
 * a converged unpenalized membership fit gives a mean weight of one,
   whatever the feature map.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metaborrow.data import dataset_from_arms, make_dataset
+from metaborrow.data import FAMILIES, ArmSummary, TrialSummary, dataset_from_arms, make_dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
-from metaborrow.meta import build_design, fit_dl
-from metaborrow.reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
+from metaborrow.meta import MetaFit, build_design, fit_dl
+from metaborrow.reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
+                                    reconstruct_all, reconstruct_arm)
 from metaborrow.simulate import generate_meta_trial, generate_target_trial
 from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
 
@@ -65,6 +70,70 @@ def test_trial_order_does_not_change_any_arms_rows(trials, seed, borrow):
     for key, (y, X) in a.items():
         assert np.array_equal(b[key][0], y) and np.array_equal(b[key][1], X), key
 
+
+
+@st.composite
+def borrowed_trials(draw):
+    """(trials, meta fit, error floor) over p in {0, 1, 3} covariates of mixed families.
+
+    Trials may be single-arm and arms empty.  The control arm of trial
+    ``tight`` is always clamped: when p > 0 its outcome variance is zero
+    and its covariate variances one; at p = 0 nothing is explained, so
+    the floor is raised above every arm's outcome variance instead.
+    """
+    p = draw(st.sampled_from((0, 1, 3)))
+    slopes = st.floats(0.1, 2.0) | st.floats(-2.0, -0.1)
+    beta = [draw(st.floats(-3.0, 3.0)) for _ in range(2)] + [draw(slopes) for _ in range(2 * p)]
+    columns = (("intercept", "arm") + tuple(f"x{j}_mean" for j in range(1, p + 1))
+               + tuple(f"arm:x{j}_mean" for j in range(1, p + 1)))
+    meta = MetaFit(beta=np.array(beta), cov_beta=np.eye(len(beta)), tau2=0.0, q_stat=0.0,
+                   df=1, columns=columns)
+
+    def summary(tid, armv, n, y_var, x_var):
+        families = tuple(draw(st.sampled_from(FAMILIES)) for _ in range(p))
+        x_mean = tuple(draw(st.floats(0.0, 1.0) if f == "binary" else st.floats(-3.0, 3.0))
+                       for f in families)
+        return ArmSummary(tid, armv, n, draw(st.floats(-5.0, 5.0)), y_var, x_mean, x_var,
+                          families)
+
+    trials = []
+    for k in range(draw(st.integers(1, 5))):
+        arms = tuple(summary(f"t{k}", armv, draw(st.sampled_from((0, 1, 2, 9, 30))),
+                             draw(st.floats(0.0, 6.0)),
+                             tuple(draw(st.floats(0.0, 4.0)) for _ in range(p)))
+                     for armv in draw(st.sampled_from(((0,), (1,), (0, 1), (1, 0)))))
+        trials.append(TrialSummary(f"t{k}", arms))
+    tight = summary("tight", 0, draw(st.integers(1, 5)), 0.0 if p else 1.0, (1.0,) * p)
+    trials.insert(draw(st.integers(0, len(trials))), TrialSummary("tight", (tight,)))
+    return trials, meta, 2.0 if p == 0 else draw(st.sampled_from((0.0, 1e-8, 2.0)))
+
+
+def row_bits(records):
+    return [(r.trial_id, r.z, r.y.hex(), tuple(v.hex() for v in r.x), r.weight, r.source)
+            for r in records]
+
+
+@settings(deadline=None, max_examples=40)
+@given(borrowed_trials(), seeds, st.sampled_from(BORROW_MODES), st.booleans())
+def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow, shared):
+    trials, meta, floor = case
+    cfg = ReconstructionConfig(rng_seed=seed, error_floor=floor, borrow=borrow)
+    borrowed = [a for t in trials for a in t.arms
+                if a.n and not (borrow == "control_only" and a.arm == 1)]
+
+    def run(reconstruct):
+        rng = np.random.default_rng(seed) if shared else None
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ClampWarning)
+            rows = reconstruct(rng)
+        return row_bits(rows), [(w.message.trial_id, w.message.arm) for w in caught]
+
+    rows, clamps = run(lambda rng: reconstruct_all(trials, meta, cfg, rng=rng).subjects)
+    arm_rows, arm_clamps = run(lambda rng: [r for a in borrowed
+                                            for r in reconstruct_arm(a, meta, cfg, rng=rng)])
+    assert rows == arm_rows
+    assert ("tight", 0) in clamps
+    assert clamps == arm_clamps
 
 @settings(deadline=None, max_examples=25)
 @given(seeds, st.integers(12, 60), st.integers(1, 80), st.sampled_from(("w4", "w3", "hc0")),

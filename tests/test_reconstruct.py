@@ -158,6 +158,13 @@ def test_meta_layout_mismatches_rejected():
         reconstruct_arm(arm(), out_of_range, CFG)
 
 
+
+def test_trials_of_differing_dimension_are_rejected():
+    trials = [TrialSummary(f"t{k}", (arm(f"t{k}", 1), arm(f"t{k}", 0))) for k in range(4)]
+    wide = arm("t4", x_mean=(1.0, 0.5), x_var=(2.0, 0.25), fam=("continuous", "binary"))
+    with pytest.raises(DataError, match=r"covariate dimension differs across trials: \[1, 2\]"):
+        reconstruct_all([*trials, TrialSummary("t4", (wide,))], FIT, CFG)
+
 def test_config_validation():
     with pytest.raises(DataError, match="error_floor"):
         ReconstructionConfig(rng_seed=1, error_floor=-1.0)

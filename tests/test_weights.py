@@ -74,6 +74,21 @@ def test_probabilities_match_weights():
     assert w == pytest.approx(len(d.subjects) / d.n_target() * pi)
 
 
+
+def test_weights_of_the_fitted_rows_reuse_the_fit(monkeypatch):
+    d = pooled(seed=7)
+    fit = fit_membership(d)
+    evaluated = []
+    matrix = FeatureMap.matrix
+    monkeypatch.setattr(FeatureMap, "matrix",
+                        lambda fmap, data: evaluated.append(data) or matrix(fmap, data))
+    w = compute_weights(d, fit).w
+    assert evaluated == []
+    # any other dataset evaluates the map, and the same rows give the same bits
+    same_rows = d.with_weights(d.w)
+    assert compute_weights(same_rows, fit).w.tobytes() == w.tobytes()
+    assert len(evaluated) == 1 and evaluated[0] is same_rows
+
 def test_pin_target_weights():
     d = pooled(seed=8)
     fit = fit_membership(d)
