@@ -188,8 +188,8 @@ class CaseStudyResult:
         }
 
 
-def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4", level=0.95):
-    """Run one borrowing scenario end to end.
+def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
+    """Run one borrowing scenario end to end; intervals are 95%.
 
     All randomness (target IPD, reconstruction draws) flows from one
     stream keyed by ``seed``.  Borrowing scenarios use the quadratic
@@ -204,8 +204,8 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4", level=0.95):
     if borrow is None:
         if n0 == 0:
             return CaseStudyResult(scenario, n1, n0, estimable=False, seed=seed)
-        fit = fit_ols(target, include_covariates=True)
-        ct = fit.contrast("z", level=level)
+        fit = fit_ols(target)
+        ct = fit.contrast("z")
         return CaseStudyResult(
             scenario, n1, n0, estimable=True, seed=seed,
             estimate=ct["estimate"], se=ct["se"], ci_low=ct["ci_low"],
@@ -223,19 +223,14 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4", level=0.95):
                if issubclass(w.category, ClampWarning)]
     pooled = make_dataset((target, recon), target_id=target.target_id)
     weighted = compute_weights(pooled, fit_membership(pooled))
-    fit = fit_weighted_regression(weighted, include_covariates=True,
-                                  include_interaction=False, meat=meat)
-    ct = fit.contrast("z", level=level)
+    fit = fit_weighted_regression(weighted, meat=meat)
+    ct = fit.contrast("z")
     return CaseStudyResult(
         scenario, n1, n0, estimable=True, seed=seed,
         estimate=ct["estimate"], se=ct["se"], ci_low=ct["ci_low"],
         ci_high=ct["ci_high"], t_stat=ct["t_stat"], p_value=ct["p_value"],
         df=fit.df, tau2=meta.tau2, clamped_arms=tuple(clamped),
     )
-
-
-def run_all_scenarios(seed=DEFAULT_SEED, meat="w4"):
-    return [run_case_study(name, seed=seed, meat=meat) for name in SCENARIOS]
 
 
 def bundled_data_path():
@@ -245,5 +240,5 @@ def bundled_data_path():
 
 def write_bundled_csv(path):
     """Regenerate the bundled CSV from the trial constants."""
-    write_summaries(completed_summaries(), Path(path), fmt="csv")
+    write_summaries(completed_summaries(), Path(path))
     return Path(path)

@@ -19,6 +19,9 @@ summary file may instead carry the standard error of the arm mean in a
 Covariate dispersion is diagonal: one variance per covariate, no
 covariances.
 
+Files are CSV, or JSON (a list of objects keyed like the CSV columns)
+when the path ends in ``.json``: the suffix alone picks the format.
+
 All types are immutable values; a Dataset's arrays are read-only.
 Floats are written with ``repr``, so means, outcomes, and weights
 round-trip bit-for-bit; variances pass through their SD column (sqrt on
@@ -421,7 +424,7 @@ def validate_dataset(d):
 # summary files
 
 
-def _read_rows(path, fmt, kind):
+def _read_rows(path, kind):
     """Read a summary or subject file into a list of ``(label, row)`` pairs.
 
     A CSV row is a dict keyed by the header and labelled ``line N``, N
@@ -432,15 +435,13 @@ def _read_rows(path, fmt, kind):
     multi-line id.  A JSON file holds a list of objects, the Nth
     labelled ``object N``.  ``kind`` names the file in errors.
 
-    Raises DataError for a missing file, an unknown format, a CSV file
-    without a header, invalid JSON or JSON that is not a list, and bytes
-    that are not UTF-8.
+    Raises DataError for a missing file, a CSV file without a header,
+    invalid JSON or JSON that is not a list, and bytes that are not
+    UTF-8.
     """
     if not path.exists():
         raise DataError(f"{kind} file not found: {path}")
-    fmt = _detect_format(path, fmt)
-    if fmt not in ("csv", "json"):
-        raise DataError(f"unknown {kind} format {fmt!r}")
+    fmt = _detect_format(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             if fmt == "json":
@@ -468,17 +469,9 @@ def _write_stamp(fh, stamp):
             fh.write(f"# {k}={v}\n")
 
 
-def _detect_format(path, fmt):
-    if fmt is not None:
-        return fmt
+def _detect_format(path):
+    """``json`` for a path ending in ``.json``, otherwise ``csv``."""
     return "json" if str(path).endswith(".json") else "csv"
-
-
-def _summary_header(p, use_se_mean=False):
-    cols = ["trial_id", "arm", "n", "y_mean", "y_se_mean" if use_se_mean else "y_sd"]
-    for j in range(1, p + 1):
-        cols += [f"x{j}_mean", f"x{j}_sd", f"x{j}_family"]
-    return cols
 
 
 def _row_to_arm(row, label):
@@ -516,17 +509,18 @@ def _row_to_arm(row, label):
         raise DataError(f"{label}: {exc}") from None
 
 
-def read_summaries(path, fmt=None):
+def read_summaries(path):
     """Read arm-level summaries; return a list of TrialSummary.
 
     Accepts the CSV schema ``trial_id,arm,n,y_mean,y_sd|y_se_mean,
-    x1_mean,x1_sd,x1_family,...`` or its JSON mirror (a list of objects
-    with the same field names).  Arm rows sharing a ``trial_id`` are
-    merged into one trial; duplicated (trial_id, arm) pairs are an error.
+    x1_mean,x1_sd,x1_family,...`` or, for a path ending in ``.json``,
+    its JSON mirror (a list of objects with the same field names).  Arm
+    rows sharing a ``trial_id`` are merged into one trial; duplicated
+    (trial_id, arm) pairs are an error.
     Errors name the row by file line (CSV) or object number (JSON).
     """
     path = Path(path)
-    rows = [_row_to_arm(row, label) for label, row in _read_rows(path, fmt, "summary")]
+    rows = [_row_to_arm(row, label) for label, row in _read_rows(path, "summary")]
     if not rows:
         raise DataError(f"{path}: no trials")
 
@@ -544,42 +538,37 @@ def read_summaries(path, fmt=None):
     return trials
 
 
-def write_summaries(trials, path, fmt=None):
-    """Write TrialSummary records back to CSV or JSON (y_sd convention)."""
+def write_summaries(trials, path):
+    """Write TrialSummary records back to CSV or JSON (y_sd convention).
+
+    One row dict per arm, in the summary schema's column order, feeds
+    both formats; a path ending in ``.json`` gets JSON, any other CSV.
+    The csv module writes a float with ``repr``, as JSON does, so both
+    round-trip every mean exactly.
+    """
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    rows = []
+    for a in chain.from_iterable(t.arms for t in trials):
+        row = {"trial_id": a.trial_id, "arm": a.arm, "n": a.n, "y_mean": a.y_mean,
+               "y_sd": math.sqrt(a.y_var)}
+        for j, (m, v, fam) in enumerate(zip(a.x_mean, a.x_var, a.x_family), start=1):
+            row.update({f"x{j}_mean": m, f"x{j}_sd": math.sqrt(v), f"x{j}_family": fam})
+        rows.append(row)
+    if _detect_format(path) == "json":
+        _write_json(rows, path)
+        return
     p = trials[0].p if trials else 0
-    if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_summary_header(p))
-            for t in trials:
-                for a in t.arms:
-                    row = [a.trial_id, a.arm, a.n, repr(a.y_mean), repr(math.sqrt(a.y_var))]
-                    for m, v, fam in zip(a.x_mean, a.x_var, a.x_family):
-                        row += [repr(m), repr(math.sqrt(v)), fam]
-                    writer.writerow(row)
-    elif fmt == "json":
-        payload = []
-        for t in trials:
-            for a in t.arms:
-                row = {
-                    "trial_id": a.trial_id,
-                    "arm": a.arm,
-                    "n": a.n,
-                    "y_mean": a.y_mean,
-                    "y_sd": math.sqrt(a.y_var),
-                }
-                for j, (m, v, fam) in enumerate(zip(a.x_mean, a.x_var, a.x_family), start=1):
-                    row[f"x{j}_mean"] = m
-                    row[f"x{j}_sd"] = math.sqrt(v)
-                    row[f"x{j}_family"] = fam
-                payload.append(row)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-    else:
-        raise DataError(f"unknown summary format {fmt!r}")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial_id", "arm", "n", "y_mean", "y_sd"]
+                        + [f"x{j}_{s}" for j in range(1, p + 1) for s in ("mean", "sd", "family")])
+        writer.writerows(map(dict.values, rows))
+
+
+def _write_json(rows, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(rows, fh, indent=2)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +578,18 @@ def write_summaries(trials, path, fmt=None):
 _MAX_REPORTED = 10  # violations spelled out in a read error; the rest are counted
 
 
-def read_subjects(path, fmt=None, target_id=None):
+def read_subjects(path, target_id=None):
     """Read subject-level rows; return a Dataset.
 
     Schema: ``trial_id,z,y,x1,...,xp`` with optional ``weight`` and
-    ``source`` columns.  When no ``source`` column is present, rows are
+    ``source`` columns, as CSV or, for a path ending in ``.json``, as a
+    JSON list of objects.  When no ``source`` column is present, rows are
     tagged target/reconstructed by comparing ``trial_id`` to ``target_id``
     (all rows are target when ``target_id`` is None).  Every invariant of
     :func:`validate_dataset` is checked; DataError lists the violations.
     """
     path = Path(path)
-    raw = _read_rows(path, fmt, "subject")
+    raw = _read_rows(path, "subject")
     if not raw:
         raise DataError(f"{path}: no subjects")
 
@@ -652,9 +642,10 @@ def _csv_fields(values):
     return fields
 
 
-def write_subjects(d, path, fmt=None, include_weight=True, include_source=True, stamp=None):
+def write_subjects(d, path, include_weight=True, include_source=True, stamp=None):
     """Write a Dataset to CSV or JSON, optionally with weight/source columns.
 
+    A path ending in ``.json`` gets JSON, any other CSV.
     ``stamp`` (a mapping) is written as leading ``# key=value`` comment
     lines in CSV output; the readers skip such lines.
 
@@ -670,9 +661,9 @@ def write_subjects(d, path, fmt=None, include_weight=True, include_source=True, 
     would hold the file in memory.
     """
     path = Path(path)
-    fmt = _detect_format(path, fmt)
+    as_csv = _detect_format(path) == "csv"
     trial_ids, sources = d.trial_ids, _SOURCES
-    if fmt == "csv":
+    if as_csv:
         trial_ids, sources = _csv_fields(trial_ids), _csv_fields(sources)
     names = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
     # tolist() gives Python ints and floats: z is written as 1, not 1.0,
@@ -685,16 +676,11 @@ def write_subjects(d, path, fmt=None, include_weight=True, include_source=True, 
     if include_source:
         names.append("source")
         columns.append(list(map(sources.__getitem__, d.is_target.tolist())))
-    if fmt == "csv":
+    if as_csv:
         template = ",".join(["{}"] * len(columns)) + "\r\n"
         with open(path, "w", newline="", encoding="utf-8") as fh:
             _write_stamp(fh, stamp)
             csv.writer(fh).writerow(names)
             fh.writelines(map(template.format, *columns))
-    elif fmt == "json":
-        payload = [dict(zip(names, row)) for row in zip(*columns)]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
     else:
-        raise DataError(f"unknown subject format {fmt!r}")
+        _write_json([dict(zip(names, row)) for row in zip(*columns)], path)

@@ -208,14 +208,14 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
     )
 
 
-def fit_ols(d, include_covariates=True, include_interaction=False):
-    """Ordinary least squares with the classical homoskedastic covariance.
+def fit_ols(d):
+    """Ordinary least squares of y on (1, z, x) with the homoskedastic covariance.
 
     Ignores weights entirely: cov = sigma2_hat (X'X)^{-1} with
     sigma2_hat = SSR / (N - q).  This is the natural analysis of a
     single randomized trial and the comparator for the weighted fits.
     """
-    X, names = build_outcome_design(d, include_covariates, include_interaction)
+    X, names = build_outcome_design(d)
     y, z = d.y, d.z
     n, q = X.shape
     if n <= q:

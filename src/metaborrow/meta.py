@@ -4,7 +4,9 @@ The regression is defined at the arm level: each trial contributes one
 row per arm, with response equal to the arm's outcome mean, variance
 equal to the variance of that mean (``y_var / n``), and design vector
 ``(1, arm, covariate means...)``, optionally extended with arm-by-mean
-interaction columns.  Between-trial heterogeneity is estimated with the
+interaction columns.  So for p covariates there are exactly two layouts,
+and :func:`design_columns` names them; reconstruction checks a fit
+against them.  Between-trial heterogeneity is estimated with the
 moment (DerSimonian-Laird) estimator generalized to regression via the
 trace formula, then folded back into the row variances for the final
 weighted least-squares fit.
@@ -63,16 +65,24 @@ class MetaFit:
     columns: tuple
 
 
-def build_design(trials, covariate_selector=None, include_interaction=False):
+def design_columns(p, include_interaction=False):
+    """The meta design's column names for ``p`` covariates.
+
+    ``(intercept, arm, x1_mean, ..., xp_mean)``, followed by
+    ``(arm:x1_mean, ..., arm:xp_mean)`` when ``include_interaction``.
+    :func:`build_design` names its columns with it, and reconstruction
+    accepts a fit only when its columns are one of these two layouts.
+    """
+    means = tuple(f"x{j}_mean" for j in range(1, p + 1))
+    return ("intercept", "arm") + means + (
+        tuple(f"arm:{m}" for m in means) if include_interaction else ())
+
+
+def build_design(trials, include_interaction=False):
     """Assemble the arm-level MetaDesign from trial summaries.
 
-    Parameters
-    ----------
-    trials : list of TrialSummary
-    covariate_selector : sequence of int or None
-        Zero-based covariate indices to include; None means all.
-    include_interaction : bool
-        Also add ``arm * x_mean`` columns for the selected covariates.
+    Every covariate mean enters; ``include_interaction`` also adds the
+    ``arm * x_mean`` columns.  The columns are :func:`design_columns`.
 
     Raises
     ------
@@ -84,7 +94,6 @@ def build_design(trials, covariate_selector=None, include_interaction=False):
     rows_y, rows_v, rows_x = [], [], []
     arms_seen = set()
     p = trials[0].p if trials else 0
-    sel = list(range(p)) if covariate_selector is None else list(covariate_selector)
     for t in trials:
         if t.p != p:
             raise DataError(f"trial {t.trial_id!r}: covariate dimension {t.p} differs from "
@@ -95,23 +104,21 @@ def build_design(trials, covariate_selector=None, include_interaction=False):
             v = a.y_var / a.n
             if not v > 0:
                 raise DataError(f"trial {a.trial_id!r} arm {a.arm}: zero-variance arm rejected")
-            x = [1.0, float(a.arm)] + [a.x_mean[j] for j in sel]
+            x = [1.0, float(a.arm), *a.x_mean]
             if include_interaction:
-                x += [a.arm * a.x_mean[j] for j in sel]
+                x += [a.arm * m for m in a.x_mean]
             rows_y.append(a.y_mean)
             rows_v.append(v)
             rows_x.append(x)
             arms_seen.add(a.arm)
-    columns = ["intercept", "arm"] + [f"x{j + 1}_mean" for j in sel]
-    if include_interaction:
-        columns += [f"arm:x{j + 1}_mean" for j in sel]
     X = np.asarray(rows_x, dtype=float)
     q = X.shape[1]
     if len(rows_y) < q + 1:
         raise DataError(f"meta design needs at least {q + 1} arm rows, got {len(rows_y)}")
     if len(arms_seen) < 2:
         raise DataError("all arm rows share one arm value: treatment coefficient unidentifiable")
-    return MetaDesign(np.asarray(rows_y), np.asarray(rows_v), X, tuple(columns))
+    return MetaDesign(np.asarray(rows_y), np.asarray(rows_v), X,
+                      design_columns(p, include_interaction))
 
 
 def fit_dl(design):

@@ -22,6 +22,7 @@ import hashlib
 import json
 import logging
 from dataclasses import asdict, dataclass, fields
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +46,11 @@ class PipelineConfig:
     default quadratic map.  ``meta_interaction`` adds arm-by-mean
     columns to the meta design; ``outcome_interaction`` adds z*x columns
     to the final regression.
+
+    Every field is checked on construction, its type included, so a
+    config file's wrong-typed value is a ConfigError (exit 2): paths are
+    strings, ``seed`` an int (not a bool), the switches bools, and
+    ``level`` a real number in (0, 1).
     """
 
     summaries: str
@@ -60,14 +66,23 @@ class PipelineConfig:
     level: float = 0.95
 
     def __post_init__(self):
-        if self.borrow not in BORROW_MODES:
-            raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
-        if self.meat not in MEAT_KINDS:
-            raise ConfigError(f"meat must be one of {MEAT_KINDS}, got {self.meat!r}")
-        if not 0 < self.level < 1:
-            raise ConfigError(f"level must be in (0, 1), got {self.level}")
+        for name, kind in (("summaries", str), ("target", str), ("out", str),
+                           ("meta_interaction", bool), ("outcome_covariates", bool),
+                           ("outcome_interaction", bool)):
+            if not isinstance(getattr(self, name), kind):
+                raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.seed is None:
             raise ConfigError("seed is required (reconstruction is stochastic)")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.borrow not in BORROW_MODES:
+            raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
+        if not (self.features is None or isinstance(self.features, str)):
+            raise ConfigError(f"features must be a feature spec string, got {self.features!r}")
+        if self.meat not in MEAT_KINDS:
+            raise ConfigError(f"meat must be one of {MEAT_KINDS}, got {self.meat!r}")
+        if not (isinstance(self.level, Real) and 0 < self.level < 1):
+            raise ConfigError(f"level must be a number in (0, 1), got {self.level!r}")
 
     @classmethod
     def from_mapping(cls, d):
@@ -79,10 +94,6 @@ class PipelineConfig:
         if missing:
             raise ConfigError(f"pipeline config missing required keys: {sorted(missing)}")
         return cls(**d)
-
-    @classmethod
-    def from_file(cls, path):
-        return cls.from_mapping(read_config(path))
 
     def config_hash(self):
         """Hash of the analysis-relevant fields (output location excluded)."""

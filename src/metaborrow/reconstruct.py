@@ -14,13 +14,19 @@ coefficient when the meta design carries one).  A negative ``s2`` is
 clamped to ``error_floor * y_var`` with a :class:`ClampWarning` naming
 the arm, never silently.
 
+The meta fit must have one of the two column layouts that
+:func:`metaborrow.meta.design_columns` gives for the trials' covariate
+count p; any other fit is a DataError, so a fit made on fewer
+covariates is never read as a zero slope on the rest.
+
 Randomness is drawn from per-arm substreams keyed by (seed, crc32 of
 trial id, arm), so results do not depend on trial order and arms can be
 reconstructed in parallel.
 
 All borrowed arms are reconstructed in one pass over arrays.  The meta
-design's slope layout is parsed once, giving one load vector for control
-arms and one for treated arms; the residual variances and clamp tests
+fit's layout is checked once, and two slices of its coefficients give
+one load vector for control arms and one for treated arms (main slopes
+plus arm-interaction slopes); the residual variances and clamp tests
 of all arms are one array operation.  A single loop over the arms then
 only draws: from each arm's substream (the key above, unchanged), or
 from one shared generator in (trial, arm) order, each covariate's
@@ -46,6 +52,7 @@ import numpy as np
 
 from .data import _owned, trial_dimension
 from .errors import DataError
+from .meta import design_columns
 
 BORROW_MODES = ("both_arms", "control_only")
 
@@ -131,13 +138,11 @@ def _covariates(raw, arms, sizes):
     return np.ascontiguousarray(x.T)
 
 
-def sample_covariates(arm, n, cfg, rng):
+def sample_covariates(arm, n, rng):
     """Draw an (n, p) covariate matrix matching the arm's reported moments.
 
     Continuous covariates are Normal(x_mean, x_var); binary covariates
-    are Bernoulli(x_mean).  Distinct covariates are independent.  No
-    setting of ``cfg`` changes the draw: the families and moments are
-    the arm's own.
+    are Bernoulli(x_mean).  Distinct covariates are independent.
     """
     _require_subjects(arm, n)
     raw = np.empty((arm.p, n))
@@ -145,38 +150,19 @@ def sample_covariates(arm, n, cfg, rng):
     return _covariates(raw, [arm], [n])
 
 
-def _slope_layout(meta, p):
-    """Map meta design columns onto (intercept, arm, slopes, interaction slopes).
-
-    Returns (slope index per covariate or None, interaction index per
-    covariate or None).  Raises DataError when the design does not
-    follow the ``(intercept, arm, x*_mean...)`` layout or references
-    covariates outside dimension ``p``.
-    """
-    cols = list(meta.columns)
-    if cols[:2] != ["intercept", "arm"]:
-        raise DataError(f"meta design {cols} does not start with (intercept, arm)")
-    slope_idx = [None] * p
-    inter_idx = [None] * p
-    for i, name in enumerate(cols[2:], start=2):
-        inter = name.startswith("arm:")
-        base = name[4:] if inter else name
-        if not (base.startswith("x") and base.endswith("_mean")):
-            raise DataError(f"unrecognized meta design column {name!r}")
-        j = int(base[1:-5]) - 1
-        if not 0 <= j < p:
-            raise DataError(f"meta design column {name!r} references covariate outside dimension {p}")
-        (inter_idx if inter else slope_idx)[j] = i
-    return slope_idx, inter_idx
-
-
 def _loads(meta, p):
-    """Total slope per covariate: (control arm, treated arm) vectors of length p."""
-    slope_idx, inter_idx = _slope_layout(meta, p)
-    beta = meta.beta
-    control = np.array([beta[i] if i is not None else 0.0 for i in slope_idx], dtype=float)
-    treated = np.array([b + beta[i] if i is not None else b
-                        for b, i in zip(control, inter_idx)], dtype=float)
+    """Total slope per covariate: (control arm, treated arm) vectors of length p.
+
+    Raises DataError unless the fit's columns are one of the two layouts
+    :func:`metaborrow.meta.design_columns` gives for ``p`` covariates.
+    """
+    layouts = dict.fromkeys((design_columns(p), design_columns(p, True)))
+    if tuple(meta.columns) not in layouts:
+        raise DataError(f"meta fit columns ({', '.join(meta.columns)}) do not match the meta "
+                        f"design for p = {p}: "
+                        + " or ".join(f"({', '.join(cols)})" for cols in layouts))
+    control = meta.beta[2:2 + p]
+    treated = control + meta.beta[2 + p:] if len(meta.columns) > 2 + p else control
     return control, treated
 
 
@@ -236,9 +222,8 @@ def reconstruct_arm(arm, meta, cfg, rng=None, n_override=None):
     ----------
     arm : ArmSummary
     meta : MetaFit
-        Must have been fit on a design laid out as (intercept, arm,
-        covariate means, optional arm-interactions) over the same
-        covariates.
+        Its columns must be :func:`metaborrow.meta.design_columns` for
+        ``arm.p`` covariates, with or without the interaction columns.
     cfg : ReconstructionConfig
     rng : numpy Generator or None
         When None, the per-arm substream derived from ``cfg.rng_seed``
@@ -263,7 +248,8 @@ def reconstruct_all(trials, meta, cfg, rng=None):
     from that one stream instead, in input order.
 
     Raises DataError when the trials differ in covariate dimension or
-    the meta design does not fit their covariates.
+    the meta fit's columns are not a layout for their covariate count
+    (see :func:`metaborrow.meta.design_columns`).
     """
     p = trial_dimension(trials)
     arms = [a for t in trials for a in t.arms

@@ -17,7 +17,9 @@ from __future__ import annotations
 import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -176,8 +178,8 @@ def generate_meta_trial(k, K, n, dist, rng):
     return z, x, y, TrialSummary(tid, tuple(arms))
 
 
-def generate_target_trial(n, allocation, dist, rng, trial_id="target"):
-    """Generate the target trial as a Dataset.
+def generate_target_trial(n, allocation, dist, rng):
+    """Generate the target trial, id ``target``, as a Dataset.
 
     Covariate mean 0; arm split per allocation: (n/2, n/2), (3n/4, n/4),
     or (n, 0) treated/control.
@@ -192,8 +194,8 @@ def generate_target_trial(n, allocation, dist, rng, trial_id="target"):
         raise ConfigError(f"allocation must be one of {ALLOCATIONS}, got {allocation!r}")
     _, x, y = _draw_trial(rng, 0.0, n1, n0, dist)  # treated rows first
     x = x[:, None]
-    return dataset_from_arms([(trial_id, 1, x[:n1], y[:n1]), (trial_id, 0, x[n1:], y[n1:])],
-                             is_target=True, target_id=trial_id)
+    return dataset_from_arms([("target", 1, x[:n1], y[:n1]), ("target", 0, x[n1:], y[n1:])],
+                             is_target=True, target_id="target")
 
 
 @dataclass(frozen=True)
@@ -350,11 +352,6 @@ def aggregate(cfg, results):
                       summaries=summaries)
 
 
-def _replicate_star(args):
-    cfg, r = args
-    return run_replication(cfg, r)
-
-
 def run_cell(cfg, jobs=1, progress=None):
     """Run every replication of a cell and aggregate.
 
@@ -364,20 +361,16 @@ def run_cell(cfg, jobs=1, progress=None):
     of completed replications) is invoked occasionally when given.
     """
     reps = range(cfg.replications)
-    results = []
-    if jobs and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunk = max(1, cfg.replications // (jobs * 8))
-            for i, out in enumerate(pool.map(_replicate_star, [(cfg, r) for r in reps],
-                                             chunksize=chunk)):
-                results.append(out)
-                if progress and (i + 1) % 50 == 0:
-                    progress(i + 1)
-    else:
-        for i, r in enumerate(reps):
-            results.append(run_replication(cfg, r))
-            if progress and (i + 1) % 50 == 0:
-                progress(i + 1)
+    parallel = jobs and jobs > 1
+    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+        outs = (pool.map(run_replication, repeat(cfg), reps,
+                         chunksize=max(1, cfg.replications // (jobs * 8)))
+                if parallel else map(run_replication, repeat(cfg), reps))
+        results = []
+        for i, out in enumerate(outs, start=1):
+            results.append(out)
+            if progress and i % 50 == 0:
+                progress(i)
     return aggregate(cfg, results)
 
 

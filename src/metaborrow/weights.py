@@ -27,6 +27,9 @@ from .errors import DataError, NumericalError
 
 _TERM_KINDS = ("intercept", "linear", "square", "interaction", "arm", "arm_linear")
 
+IRLS_TOL = 1e-8  # convergence: largest absolute score-equation entry
+IRLS_MAX_ITER = 100  # Newton steps per fit, each ridge retry included
+
 
 @dataclass(frozen=True)
 class FeatureTerm:
@@ -165,14 +168,13 @@ class LogisticFit:
     weights: np.ndarray = field(default=None, repr=False, compare=False)
 
 
-def _irls(F, t, tol, max_iter, lam):
+def _irls(F, t, lam):
     alpha = np.zeros(F.shape[1])
-    it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, IRLS_MAX_ITER + 1):
         eta = F @ alpha
         pi = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
         score = F.T @ (t - pi) - lam * alpha
-        if np.max(np.abs(score)) <= tol:
+        if np.max(np.abs(score)) <= IRLS_TOL:
             return alpha, True, it, eta
         h = pi * (1.0 - pi)
         H = (F.T * h) @ F + lam * np.eye(F.shape[1])
@@ -184,16 +186,17 @@ def _irls(F, t, tol, max_iter, lam):
     return alpha, False, it, F @ alpha
 
 
-def fit_membership(d, fmap=None, tol=1e-8, max_iter=100):
+def fit_membership(d, fmap=None):
     """Fit the target-membership logistic model over all N subjects.
 
     ``fmap`` defaults to :func:`default_feature_map`; the returned fit
     keeps it, so weights are computed on the same features.
 
     Convergence is declared when the largest absolute score-equation
-    entry falls below ``tol``.  A singular Hessian, or non-convergence
-    with any |linear predictor| > 30 (separation signature), triggers a
-    ridge retry with lambda = 1e-6 escalating tenfold up to 1e-2.
+    entry falls below ``IRLS_TOL`` within ``IRLS_MAX_ITER`` steps.  A
+    singular Hessian, or non-convergence with any |linear predictor| > 30
+    (separation signature), triggers a ridge retry with lambda = 1e-6
+    escalating tenfold up to 1e-2.
 
     Raises
     ------
@@ -209,13 +212,13 @@ def fit_membership(d, fmap=None, tol=1e-8, max_iter=100):
         raise DataError("membership fit needs both target and non-target subjects")
     F = fmap.matrix(d)
 
-    alpha, ok, iters, eta = _irls(F, t, tol, max_iter, 0.0)
+    alpha, ok, iters, eta = _irls(F, t, 0.0)
     lam = 0.0
     if not ok:
         separated = bool(np.max(np.abs(eta)) > 30)
         lam = 1e-6
         while lam <= 1e-2:
-            alpha, ok, iters, eta = _irls(F, t, tol, max_iter, lam)
+            alpha, ok, iters, eta = _irls(F, t, lam)
             if ok:
                 break
             lam *= 10

@@ -10,7 +10,7 @@ from metaborrow.casestudy import (COMPLETED_TRIALS, DEFAULT_SEED, SCENARIOS,
                                   bundled_data_path, completed_summaries,
                                   derive_arm_summaries,
                                   derive_reconstruction_summaries, fit_meta,
-                                  run_all_scenarios, run_case_study,
+                                  run_case_study,
                                   simulate_target, write_bundled_csv)
 from metaborrow.data import read_summaries
 from metaborrow.errors import ConfigError, DataError
@@ -149,7 +149,7 @@ def test_scenarios_are_deterministic_in_seed():
 
 
 def test_run_all_scenarios_order_and_rows():
-    results = run_all_scenarios()
+    results = [run_case_study(name) for name in SCENARIOS]
     assert [r.scenario for r in results] == list(SCENARIOS)
     for r in results:
         n1, n0, _ = SCENARIOS[r.scenario]

@@ -103,6 +103,26 @@ def test_data_error_exits_3(tmp_path, capsys):
     assert "duplicate" in err
 
 
+def test_meta_fit_on_other_covariates_exits_3(tmp_path, capsys):
+    # a fit made on p = 1 summaries, used with p = 2 summaries
+    spath = summaries_csv(tmp_path)
+    fit_path = str(tmp_path / "fit.json")
+    run_ok(capsys, ["meta", "--summaries", spath, "--out", fit_path])
+    wide = [TrialSummary(f"w{k}", tuple(ArmSummary(
+        f"w{k}", arm_val, 30, 1.0 + arm_val + k, 2.0, x_mean=(0.5 * k, 0.3 * k),
+        x_var=(1.0, 1.0), x_family=("continuous",) * 2) for arm_val in (1, 0)))
+        for k in range(3)]
+    wide_path = tmp_path / "wide.csv"
+    write_summaries(wide, wide_path)
+    code, err = run_fail(capsys, ["reconstruct", "--summaries", str(wide_path), "--meta-fit",
+                                  fit_path, "--seed", "1", "--out", str(tmp_path / "r.csv")])
+    assert code == 3
+    assert ("meta fit columns (intercept, arm, x1_mean) do not match the meta design for "
+            "p = 2: (intercept, arm, x1_mean, x2_mean) or "
+            "(intercept, arm, x1_mean, x2_mean, arm:x1_mean, arm:x2_mean)") in err
+    assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.mark.parametrize("column, value, needle", [
     ("z", "2", "arm indicator must be 0 or 1, got 2"),
     ("y", "nan", "outcome not finite"),

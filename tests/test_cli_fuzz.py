@@ -7,8 +7,8 @@ a non-numeric or non-finite cell, a missing column, an empty file, a
 stray text row, invalid JSON, a JSON value of the wrong type, or bytes
 that are not UTF-8.  The JSON inputs of ``pipeline --config`` and
 ``reconstruct --meta-fit`` are broken too: cut short, a top level of
-another type, a required key dropped, a meta-fit value of the wrong
-type, or bytes that are not UTF-8.
+another type, a required key dropped, a config or meta-fit value of the
+wrong type, or bytes that are not UTF-8.
 """
 
 import contextlib
@@ -199,14 +199,15 @@ def broken_object(draw, valid, required, typed=()):
 
 
 # the input files and the output directory come from flags, which override the config
-CONFIG = {"seed": 1, "borrow": "control_only", "meat": "w3"}
+CONFIG = {"seed": 1, "borrow": "control_only", "meat": "w3", "level": 0.95,
+          "outcome_interaction": False}
 META_FIT = pipeline.meta_to_dict(casestudy.fit_meta()[0])
 META_KEYS = ("beta", "cov_beta", "tau2", "q_stat", "df", "columns")
 
 
 @pytest.mark.filterwarnings("ignore::metaborrow.reconstruct.ClampWarning")
 @settings(deadline=None, max_examples=30)
-@given(broken_object(CONFIG, ("seed",)))
+@given(broken_object(CONFIG, ("seed",), tuple(CONFIG)))
 def test_malformed_config_exits_with_a_documented_code(config):
     assert_fails_cleanly(["pipeline", "--config", "{config}", "--summaries", "{summaries}",
                           "--target", "{target}", "--out", "{out}"],

@@ -184,7 +184,7 @@ def test_unestimable_configurations_rejected():
     with pytest.raises(DataError, match="zero total weight"):
         fit_weighted_regression(single_arm, include_covariates=False)
     with pytest.raises(DataError, match="no subjects"):
-        fit_ols(single_arm, include_covariates=False)
+        fit_ols(single_arm)
     tiny = dataset([1, 0], [1.0, 2.0])
     with pytest.raises(DataError, match="need more than"):
         fit_weighted_regression(tiny)

@@ -8,10 +8,11 @@ from metaborrow.errors import DataError, NumericalError
 from metaborrow.meta import MetaDesign, build_design, fit_dl, meta_se
 
 
-def trial(tid, y_treat, y_ctrl, n=4, y_var=4.0, x_mean=0.0):
-    # y_var = n so each arm row enters with mean-variance y_var / n = 1
-    mk = lambda armv, ym: ArmSummary(tid, armv, n, ym, y_var, (x_mean,), (1.0,),
-                                     ("continuous",))
+def trial(tid, y_treat, y_ctrl, n=4, y_var=4.0, x_mean=0.0, p=1):
+    # y_var = n so each arm row enters with mean-variance y_var / n = 1;
+    # the p covariates all have mean x_mean
+    mk = lambda armv, ym: ArmSummary(tid, armv, n, ym, y_var, (x_mean,) * p, (1.0,) * p,
+                                     ("continuous",) * p)
     return TrialSummary(tid, (mk(1, y_treat), mk(0, y_ctrl)))
 
 
@@ -31,8 +32,8 @@ def test_intercept_only_moment_oracle():
 def test_arm_design_moment_oracle():
     # treat means (3, 7), control means (1, 1), all row variances 1:
     # beta = (1, 4), Q = 8, tau2 = 3, cov = [[2, -2], [-2, 4]].
-    trials = [trial("a", 3.0, 1.0), trial("b", 7.0, 1.0)]
-    design = build_design(trials, covariate_selector=[])
+    trials = [trial("a", 3.0, 1.0, p=0), trial("b", 7.0, 1.0, p=0)]
+    design = build_design(trials)
     assert design.columns == ("intercept", "arm")
     assert np.allclose(design.v, 1.0)
     fit = fit_dl(design)
@@ -98,10 +99,11 @@ def test_trials_of_differing_dimension_are_rejected():
             build_design(trials)
 
 def test_collinear_design_names_offending_columns():
-    trials = [trial("a", 3.0, 1.0, x_mean=-1.0), trial("b", 7.0, 2.0, x_mean=2.0),
-              trial("c", 5.0, 1.5, x_mean=0.5)]
-    design = build_design(trials, covariate_selector=[0, 0])  # x1 twice
-    with pytest.raises(NumericalError, match="x1_mean"):
+    # two covariates with equal means in every arm: x2_mean repeats x1_mean
+    trials = [trial("a", 3.0, 1.0, x_mean=-1.0, p=2), trial("b", 7.0, 2.0, x_mean=2.0, p=2),
+              trial("c", 5.0, 1.5, x_mean=0.5, p=2)]
+    design = build_design(trials)
+    with pytest.raises(NumericalError, match="dependent columns: x2_mean$"):
         fit_dl(design)
 
 
@@ -127,8 +129,8 @@ def test_non_finite_heterogeneity_is_an_error():
 
 
 def test_meta_se_matches_covariance_diagonal():
-    trials = [trial("a", 3.0, 1.0), trial("b", 7.0, 1.0)]
-    fit = fit_dl(build_design(trials, covariate_selector=[]))
+    trials = [trial("a", 3.0, 1.0, p=0), trial("b", 7.0, 1.0, p=0)]
+    fit = fit_dl(build_design(trials))
     se, lo, hi = meta_se(fit, level=0.95)
     assert se == pytest.approx(np.sqrt(np.diag(fit.cov_beta)))
     assert lo == pytest.approx(fit.beta - 1.959963984540054 * se)

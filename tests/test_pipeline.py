@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from metaborrow.data import ArmSummary, SubjectRecord, TrialSummary, make_datase
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
-                                 run_pipeline)
+                                 read_config, run_pipeline)
 
 ARTIFACTS = ("meta_fit.json", "reconstructed.csv", "weighted.csv",
              "estimate.json", "summary.txt")
@@ -136,7 +137,7 @@ def test_config_mapping_and_file(tmp_path):
                "out": str(tmp_path / "run"), "seed": 3, "meat": "w3"}
     cpath = tmp_path / "cfg.json"
     cpath.write_text(json.dumps(payload))
-    cfg = PipelineConfig.from_file(cpath)
+    cfg = PipelineConfig.from_mapping(read_config(cpath))
     assert cfg.meat == "w3" and cfg.seed == 3
 
     with pytest.raises(ConfigError, match="unknown pipeline config keys"):
@@ -144,15 +145,15 @@ def test_config_mapping_and_file(tmp_path):
     with pytest.raises(ConfigError, match="missing required"):
         PipelineConfig.from_mapping({"summaries": spath})
     with pytest.raises(ConfigError, match="not found"):
-        PipelineConfig.from_file(tmp_path / "absent.json")
+        read_config(tmp_path / "absent.json")
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
-        PipelineConfig.from_file(bad)
+        read_config(bad)
     broken = tmp_path / "broken.json"
     broken.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
-        PipelineConfig.from_file(broken)
+        read_config(broken)
 
 
 def test_config_validation(tmp_path):
@@ -166,6 +167,19 @@ def test_config_validation(tmp_path):
         PipelineConfig(**{**base, "level": 1.5})
     with pytest.raises(ConfigError, match="seed is required"):
         PipelineConfig(**{**base, "seed": None})
+    # values of the wrong type, as a JSON config file can hold them
+    for key, value in [("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", math.nan),
+                       ("seed", []), ("seed", {}), ("summaries", tmp_path / "s.csv"),
+                       ("out", None), ("meta_interaction", "yes"), ("outcome_covariates", 1),
+                       ("outcome_interaction", None), ("features", ["x1"]), ("level", "0.9"),
+                       ("level", math.nan), ("level", math.inf), ("level", [])]:
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig(**{**base, key: value})
+    # valid configs keep their hash
+    fixed = dict(summaries="s.csv", target="t.csv", out="o", seed=7)
+    assert PipelineConfig(**fixed).config_hash() == "9c897b8ad8ac"
+    assert PipelineConfig(**fixed, features="x1,z", level=0.9,
+                          meta_interaction=True).config_hash() == "d3aa6fc65a5b"
 
 
 def test_meta_fit_json_roundtrip():

@@ -64,7 +64,7 @@ def test_records_carry_covariate_rows(p):
     fit = meta_fit([0.5, 1.5, -0.8, 0.2][:2 + p],
                    ("intercept", "arm", "x1_mean", "x2_mean")[:2 + p])
     recs = reconstruct_arm(a, fit, CFG, rng=np.random.default_rng(5))
-    xs = sample_covariates(a, 25, CFG, np.random.default_rng(5))
+    xs = sample_covariates(a, 25, np.random.default_rng(5))
     assert len(recs) == 25
     assert [r.x for r in recs] == [tuple(row) for row in xs.tolist()]
     assert all(type(r.y) is float and type(r.z) is int for r in recs)
@@ -141,21 +141,37 @@ def test_degenerate_zero_covariate_variance():
 def test_binary_covariate_sampling():
     a = arm(x_mean=(0.3,), x_var=(0.21,), fam=("binary",))
     rng = np.random.default_rng(0)
-    xs = sample_covariates(a, 100_000, CFG, rng)
+    xs = sample_covariates(a, 100_000, rng)
     assert set(np.unique(xs)) == {0.0, 1.0}
     assert xs.mean() == pytest.approx(0.3, abs=0.01)
 
 
 def test_meta_layout_mismatches_rejected():
+    layouts = (r"for p = 1: \(intercept, arm, x1_mean\) or "
+               r"\(intercept, arm, x1_mean, arm:x1_mean\)$")
     wrong_order = meta_fit([1.0, 2.0], ("arm", "intercept"))
-    with pytest.raises(DataError, match="intercept, arm"):
+    with pytest.raises(DataError, match=r"columns \(arm, intercept\) do not match .*" + layouts):
         reconstruct_arm(arm(), wrong_order, CFG)
     stray = meta_fit([1.0, 2.0, 3.0], ("intercept", "arm", "follow_up"))
-    with pytest.raises(DataError, match="unrecognized"):
+    with pytest.raises(DataError, match=r"\(intercept, arm, follow_up\) do not match"):
         reconstruct_arm(arm(), stray, CFG)
     out_of_range = meta_fit([1.0, 2.0, 3.0], ("intercept", "arm", "x2_mean"))
-    with pytest.raises(DataError, match="outside dimension"):
+    with pytest.raises(DataError, match=r"\(intercept, arm, x2_mean\) do not match"):
         reconstruct_arm(arm(), out_of_range, CFG)
+
+
+def test_fit_on_fewer_covariates_is_rejected():
+    # a fit made on one covariate has no slope for x2: reading it for two
+    # covariates is an error naming both layouts, not a zero slope
+    wide = [TrialSummary(f"t{k}", tuple(arm(f"t{k}", armv, x_mean=(1.0, 0.5 * k),
+                                            x_var=(2.0, 1.0), fam=("continuous",) * 2)
+                                        for armv in (1, 0))) for k in range(3)]
+    for fit in (FIT, meta_fit([0.5, 1.5, -0.8, 0.3], ("intercept", "arm", "x1_mean",
+                                                       "arm:x1_mean"))):
+        with pytest.raises(DataError, match=r"\(intercept, arm, x1_mean.*\) do not match the "
+                                            r"meta design for p = 2: "
+                                            r"\(intercept, arm, x1_mean, x2_mean\) or"):
+            reconstruct_all(wide, fit, CFG)
 
 
 

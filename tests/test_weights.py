@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from metaborrow import weights
 from metaborrow.data import SubjectRecord, make_dataset
 from metaborrow.errors import DataError, NumericalError
 from metaborrow.weights import (FeatureMap, FeatureTerm, compute_weights,
@@ -116,10 +117,11 @@ def test_separated_groups_saturate_but_stay_calibrated():
     assert w[20:] == pytest.approx(0.0, abs=1e-6)
 
 
-def test_nonconvergence_raises_after_ridge_escalation():
+def test_nonconvergence_raises_after_ridge_escalation(monkeypatch):
     d = pooled(seed=10)
+    monkeypatch.setattr(weights, "IRLS_MAX_ITER", 1)
     with pytest.raises(NumericalError, match="did not converge"):
-        fit_membership(d, max_iter=1)
+        fit_membership(d)
 
 
 def test_single_class_datasets_rejected():
