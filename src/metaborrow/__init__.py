@@ -21,8 +21,9 @@ from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
                           reconstruct_all, reconstruct_arm, sample_covariates)
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        EstimatorSummary, ReplicationResult, ScenarioConfig,
-                       aggregate, generate_meta_trial, generate_target_trial,
-                       run_cell, run_replication, write_cell_csv)
+                       aggregate, generate_meta_trial, generate_meta_trials,
+                       generate_target_trial, run_cell, run_replication,
+                       write_cell_csv)
 from .weights import (FeatureMap, FeatureTerm, LogisticFit, compute_weights,
                       default_feature_map, fit_membership,
                       membership_probabilities, parse_feature_spec)
@@ -42,7 +43,7 @@ __all__ = [
     "reconstruct_arm", "sample_covariates",
     "ALLOCATIONS", "COVARIATE_DISTS", "MODEL_SPECS", "CellResult",
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",
-    "generate_meta_trial", "generate_target_trial", "run_cell",
+    "generate_meta_trial", "generate_meta_trials", "generate_target_trial", "run_cell",
     "run_replication", "write_cell_csv",
     "FeatureMap", "FeatureTerm", "LogisticFit", "compute_weights",
     "default_feature_map", "fit_membership", "membership_probabilities",

@@ -73,6 +73,7 @@ def _write_json(payload, path):
 @click.pass_context
 def meta(ctx, summaries, interaction, level, out_path):
     """Fit the random-effects meta-regression on arm-level rows."""
+    pl.check_level(level)
     trials = read_summaries(summaries)
     design = build_design(trials, include_interaction=interaction)
     fit = fit_dl(design)
@@ -161,6 +162,7 @@ def weights(ctx, subjects, target_id, features, pin_target, out_path):
 @click.pass_context
 def estimate(ctx, subjects, estimator, covariates, interaction, meat, level, out_path):
     """Estimate the treatment contrast on weighted subject rows."""
+    pl.check_level(level)
     d = read_subjects(subjects)
     payload = {}
     if estimator in ("regression", "both"):

@@ -153,6 +153,20 @@ def build_outcome_design(d, include_covariates=True, include_interaction=False):
     return np.column_stack(cols), tuple(names)
 
 
+def weighted_transpose(A, v):
+    """``A.T * v`` for an (N, q) matrix ``A``: the same values with the same strides.
+
+    NumPy broadcasts ``A.T * v`` in ``A``'s memory order, as N inner
+    loops of length q.  This fills a result of the same layout one column
+    of ``A`` at a time, as q loops of length N.  The layout matters: BLAS
+    can round a product with a C-ordered left factor differently.
+    """
+    out = np.empty_like(A.T)
+    for j, col in enumerate(A.T):
+        np.multiply(col, v, out=out[j])
+    return out
+
+
 def _wls(X, w, y, names):
     """Weighted least squares: returns (beta, bread) with bread = (X'WX)^{-1}.
 
@@ -161,8 +175,8 @@ def _wls(X, w, y, names):
     dependent columns, found from the QR diagonal of sqrt(w) X; the QR
     runs only on that path.
     """
-    Xw = X * np.sqrt(w)[:, None]
-    XtW = X.T * w
+    Xw = weighted_transpose(X, np.sqrt(w)).T
+    XtW = weighted_transpose(X, w)
     try:
         if np.linalg.matrix_rank(Xw) < X.shape[1]:
             raise np.linalg.LinAlgError
@@ -200,7 +214,7 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
     beta, bread = _wls(X, w, y, names)
     e = y - X @ beta
     power = {"w4": 4, "w3": 3, "hc0": 2}[meat]
-    M = (X.T * (w ** power * e ** 2)) @ X
+    M = weighted_transpose(X, w ** power * e ** 2) @ X
     cov = bread @ M @ bread
     return WeightedFit(
         beta=beta, cov_beta=cov, columns=names, n=n, df=n - q, meat=meat,

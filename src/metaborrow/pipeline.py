@@ -37,6 +37,12 @@ from .weights import compute_weights, fit_membership, parse_feature_spec
 log = logging.getLogger("metaborrow")
 
 
+def check_level(level):
+    """Raise ConfigError (exit 2) unless ``level`` is a real number in (0, 1); NaN is not."""
+    if not (isinstance(level, Real) and 0 < level < 1):
+        raise ConfigError(f"level must be a number in (0, 1), got {level!r}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Declarative pipeline run: inputs, modelling switches, seed, outputs.
@@ -81,8 +87,7 @@ class PipelineConfig:
             raise ConfigError(f"features must be a feature spec string, got {self.features!r}")
         if self.meat not in MEAT_KINDS:
             raise ConfigError(f"meat must be one of {MEAT_KINDS}, got {self.meat!r}")
-        if not (isinstance(self.level, Real) and 0 < self.level < 1):
-            raise ConfigError(f"level must be a number in (0, 1), got {self.level!r}")
+        check_level(self.level)
 
     @classmethod
     def from_mapping(cls, d):

@@ -21,7 +21,11 @@ covariates is never read as a zero slope on the rest.
 
 Randomness is drawn from per-arm substreams keyed by (seed, crc32 of
 trial id, arm), so results do not depend on trial order and arms can be
-reconstructed in parallel.
+reconstructed in parallel.  The keys of all arms are built once per call
+as one uint32 matrix, a row per arm holding the words of the seed, the
+tag and the arm; ``SeedSequence(row)`` hashes exactly the words that
+``SeedSequence((seed, tag, arm))`` converts its tuple to, so each arm's
+stream is the one the tuple keys.
 
 All borrowed arms are reconstructed in one pass over arrays.  The meta
 fit's layout is checked once, and two slices of its coefficients give
@@ -49,9 +53,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .data import _owned, trial_dimension
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .meta import design_columns
 
 BORROW_MODES = ("both_arms", "control_only")
@@ -77,6 +82,7 @@ class ReconstructionConfig:
     Attributes
     ----------
     rng_seed : int
+        Nonnegative; keys the per-arm substreams (ConfigError when negative).
     error_floor : float
         Lower bound on the residual variance, relative to the arm's
         outcome variance (default 1e-8).
@@ -96,9 +102,34 @@ class ReconstructionConfig:
             raise DataError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
 
 
-def _arm_stream(seed, trial_id, arm):
-    tag = zlib.crc32(str(trial_id).encode("utf-8"))
-    return np.random.default_rng(np.random.SeedSequence((int(seed), tag, int(arm))))
+def _seed_words(seed):
+    """``seed`` as the uint32 words, least significant first, that SeedSequence hashes."""
+    seed = int(seed)
+    if seed < 0:
+        raise ConfigError(f"rng_seed must be nonnegative, got {seed}")
+    words = [seed & 0xFFFFFFFF]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    return words
+
+
+def _arm_keys(seed, arms):
+    """One uint32 row per arm: the words of (seed, crc32 of trial id, arm).
+
+    ``SeedSequence(row)`` hashes exactly the words ``SeedSequence((seed,
+    tag, arm))`` converts its tuple to, so each arm's substream is the
+    one that tuple keys; building all rows at once skips that per-arm
+    conversion.
+    """
+    words = _seed_words(seed)
+    keys = np.empty((len(arms), len(words) + 2), dtype=np.uint32)
+    keys[:, :-2] = words
+    tags = {}
+    keys[:, -2] = [tags.setdefault(a.trial_id, zlib.crc32(str(a.trial_id).encode("utf-8")))
+                   for a in arms]
+    keys[:, -1] = [a.arm for a in arms]
+    return keys
 
 
 def _require_subjects(arm, n):
@@ -192,8 +223,9 @@ def _reconstruct(arms, sizes, p, meta, cfg, rng):
 
     bounds = list(accumulate(sizes, initial=0))
     raw = np.empty((p + 1, bounds[-1]))
-    for a, lo, hi in zip(arms, bounds, bounds[1:]):
-        arm_rng = rng if rng is not None else _arm_stream(cfg.rng_seed, a.trial_id, a.arm)
+    keys = _arm_keys(cfg.rng_seed, arms) if rng is None else [None] * len(arms)
+    for a, key, lo, hi in zip(arms, keys, bounds, bounds[1:]):
+        arm_rng = rng if key is None else Generator(PCG64(SeedSequence(key)))
         _draw_covariates(arm_rng, a, raw[:p, lo:hi])
         arm_rng.standard_normal(out=raw[p, lo:hi])
 

@@ -10,6 +10,16 @@ result at any parallelism level.
 
 Truth used everywhere: Y = 1 + 2 z - x + 0.5 z x + Normal(0, 1), so the
 target-population average treatment effect is exactly 2.
+
+A replication generates its K completed trials in one pass
+(:func:`generate_meta_trials`).  Each trial still draws, in turn, its
+size, its covariates and its noise, so the draws are those of K
+:func:`generate_meta_trial` calls and the target trial drawn next is
+unchanged.  The draws go into shared buffers, ``y`` is computed over all
+rows at once, and the 2K arm means and variances are segmented sums
+(``np.add.reduceat``) over the stacked ``(y, x)`` rows.  Those sums add
+in sequence where ``ndarray.mean`` adds pairwise, so a summary can
+differ from ``np.mean``/``np.var(ddof=1)`` in the last bits.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -119,20 +129,27 @@ class ScenarioConfig:
             raise ConfigError(f"cannot parse scenario label {label!r}: {exc}") from exc
 
 
-def _draw_covariates(rng, mu, size, dist):
+def _draw_rows(rng, mu, dist, x, e):
+    """Draw one trial's covariates into ``x``, then its outcome noise into ``e``.
+
+    ``mu + z`` is what ``rng.normal(mu, 1.0)`` computes, and a
+    ``chisquare(2)`` draw is ``2 E`` for a standard exponential E, so
+    every value is the one those calls draw.
+    """
     if dist == "normal":
-        return rng.normal(mu, 1.0, size)
-    # chi-square(2)/2 has mean 1 and variance 1; shift to mean mu.
-    return rng.chisquare(2, size) / 2.0 + mu - 1.0
+        rng.standard_normal(out=x)
+        x += mu
+    else:
+        # chi-square(2)/2 = E has mean 1 and variance 1; shift to mean mu
+        rng.standard_exponential(out=x)
+        x += mu
+        x -= 1.0
+    rng.standard_normal(out=e)
 
 
-def _draw_trial(rng, mu, n1, n0, dist):
-    n = n1 + n0
-    z = np.concatenate([np.ones(n1), np.zeros(n0)])
-    x = _draw_covariates(rng, mu, n, dist)
-    y = (TRUE_BETA0 + TRUE_DELTA * z + TRUE_BETA1 * x + TRUE_BETA2 * z * x
-         + rng.normal(0.0, 1.0, n))
-    return z, x, y
+def _outcome(z, x, e, out=None):
+    """Y = 1 + 2 z - x + 0.5 z x + e, row by row."""
+    return np.add(TRUE_BETA0 + TRUE_DELTA * z + TRUE_BETA1 * x + TRUE_BETA2 * z * x, e, out=out)
 
 
 def covariate_location(k, K):
@@ -140,16 +157,56 @@ def covariate_location(k, K):
     return 4.0 * (k - 1) / (K - 1) - 1.0 if K > 1 else 0.0
 
 
-def _mean_var(a):
-    """``a.mean()`` and ``a.var(ddof=1)`` as floats, bit for bit.
+def _meta_trials(ks, K, n, dist, rng):
+    """Generate completed trials ``ks`` of K in one pass; returns (z, x, y, summaries).
 
-    The same reductions in the same order as NumPy's own, without the
-    per-call cost of its generic wrappers.
+    Each trial draws, in order, its size floor(Uniform(n, 4n)) as
+    ``n + 3n u``, its covariates and its noise, into shared buffers;
+    ``y`` is then computed over all rows at once, and the 2 * len(ks)
+    arms' means and variances of ``y`` and ``x`` are two segmented sums
+    over the stacked ``(y, x)`` rows.
     """
-    n = len(a)
-    m = np.add.reduce(a) / n
-    d = a - m
-    return float(m), float(np.add.reduce(d * d) / (n - 1))
+    for k in ks:
+        if not 1 <= k <= K:
+            raise DataError(f"trial index {k} outside 1..{K}")
+    yx = np.empty((2, 4 * n * len(ks)))  # a trial has at most 4n subjects
+    e = np.empty(yx.shape[1])
+    sizes = []
+    lo = 0
+    for k in ks:
+        nk = int(n + 3 * n * rng.random())
+        _draw_rows(rng, covariate_location(k, K), dist, yx[1, lo:lo + nk], e[lo:lo + nk])
+        sizes += (nk // 2, nk - nk // 2)  # treated rows come first
+        lo += nk
+    yx = yx[:, :lo]
+    z = np.repeat(np.tile([1.0, 0.0], len(ks)), sizes)
+    y, x = yx
+    _outcome(z, x, e[:lo], out=y)
+
+    starts = list(accumulate(sizes[:-1], initial=0))
+    counts = np.array(sizes)
+    mean = np.add.reduceat(yx, starts, axis=1) / counts
+    d = yx - np.repeat(mean, sizes, axis=1)
+    var = np.add.reduceat(np.multiply(d, d, out=d), starts, axis=1) / (counts - 1)
+    (y_mean, x_mean), (y_var, x_var) = mean.tolist(), var.tolist()
+
+    trials = []
+    for i, k in enumerate(ks):
+        tid = f"sim{k:02d}"
+        trials.append(TrialSummary(tid, tuple(
+            ArmSummary(trial_id=tid, arm=arm, n=sizes[j], y_mean=y_mean[j], y_var=y_var[j],
+                       x_mean=(x_mean[j],), x_var=(x_var[j],), x_family=("continuous",))
+            for arm, j in ((1, 2 * i), (0, 2 * i + 1)))))
+    return z, x, y, tuple(trials)
+
+
+def generate_meta_trials(K, n, dist, rng):
+    """Generate completed trials 1..K in one pass; returns (z, x, y, summaries).
+
+    The draws are those of :func:`generate_meta_trial` called for k = 1..K
+    in turn, and the rows are those trials' rows one after another.
+    """
+    return _meta_trials(range(1, K + 1), K, n, dist, rng)
 
 
 def generate_meta_trial(k, K, n, dist, rng):
@@ -159,23 +216,8 @@ def generate_meta_trial(k, K, n, dist, rng):
     the TrialSummary is available to the downstream pipeline, the
     subject-level draws exist for diagnostics.
     """
-    if not 1 <= k <= K:
-        raise DataError(f"trial index {k} outside 1..{K}")
-    mu = covariate_location(k, K)
-    nk = int(rng.uniform(n, 4 * n))
-    n1 = nk // 2
-    n0 = nk - n1
-    z, x, y = _draw_trial(rng, mu, n1, n0, dist)
-    tid = f"sim{k:02d}"
-    arms = []
-    for j, ys, xs in ((1, y[:n1], x[:n1]), (0, y[n1:], x[n1:])):  # treated rows come first
-        y_mean, y_var = _mean_var(ys)
-        x_mean, x_var = _mean_var(xs)
-        arms.append(ArmSummary(
-            trial_id=tid, arm=j, n=len(ys), y_mean=y_mean, y_var=y_var,
-            x_mean=(x_mean,), x_var=(x_var,), x_family=("continuous",),
-        ))
-    return z, x, y, TrialSummary(tid, tuple(arms))
+    z, x, y, (summary,) = _meta_trials((k,), K, n, dist, rng)
+    return z, x, y, summary
 
 
 def generate_target_trial(n, allocation, dist, rng):
@@ -192,8 +234,9 @@ def generate_target_trial(n, allocation, dist, rng):
         n1, n0 = n, 0
     else:
         raise ConfigError(f"allocation must be one of {ALLOCATIONS}, got {allocation!r}")
-    _, x, y = _draw_trial(rng, 0.0, n1, n0, dist)  # treated rows first
-    x = x[:, None]
+    x, e = np.empty((n, 1)), np.empty(n)
+    _draw_rows(rng, 0.0, dist, x[:, 0], e)
+    y = _outcome(np.repeat([1.0, 0.0], (n1, n0)), x[:, 0], e)  # treated rows first
     return dataset_from_arms([("target", 1, x[:n1], y[:n1]), ("target", 0, x[n1:], y[n1:])],
                              is_target=True, target_id="target")
 
@@ -232,10 +275,7 @@ def run_replication(cfg, r):
     replication depends only on (cfg, r).
     """
     rng = default_rng(SeedSequence((cfg.base_seed, r, 0)))
-    trials = []
-    for k in range(1, cfg.K + 1):
-        *_, summary = generate_meta_trial(k, cfg.K, cfg.n, cfg.covariate_dist, rng)
-        trials.append(summary)
+    trials = generate_meta_trials(cfg.K, cfg.n, cfg.covariate_dist, rng)[-1]
     target = generate_target_trial(cfg.n, cfg.allocation, cfg.covariate_dist, rng)
 
     try:

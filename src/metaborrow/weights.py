@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError
+from .estimate import weighted_transpose
 
 _TERM_KINDS = ("intercept", "linear", "square", "interaction", "arm", "arm_linear")
 
@@ -172,12 +173,12 @@ def _irls(F, t, lam):
     alpha = np.zeros(F.shape[1])
     for it in range(1, IRLS_MAX_ITER + 1):
         eta = F @ alpha
-        pi = 1.0 / (1.0 + np.exp(-np.clip(eta, -500, 500)))
+        pi = _sigmoid(eta)
         score = F.T @ (t - pi) - lam * alpha
         if np.max(np.abs(score)) <= IRLS_TOL:
             return alpha, True, it, eta
         h = pi * (1.0 - pi)
-        H = (F.T * h) @ F + lam * np.eye(F.shape[1])
+        H = weighted_transpose(F, h) @ F + lam * np.eye(F.shape[1])
         try:
             step = np.linalg.solve(H, score)
         except np.linalg.LinAlgError:
@@ -235,8 +236,17 @@ def fit_membership(d, fmap=None):
                        fitted_on=d, weights=weights)
 
 
+def _sigmoid(eta):
+    """``1 / (1 + exp(-clip(eta, -500, 500)))``, computed in one new array."""
+    pi = np.clip(eta, -500, 500)
+    np.negative(pi, out=pi)
+    np.exp(pi, out=pi)
+    pi += 1.0
+    return np.divide(1.0, pi, out=pi)
+
+
 def _probabilities(F, alpha):
-    return 1.0 / (1.0 + np.exp(-np.clip(F @ alpha, -500, 500)))
+    return _sigmoid(F @ alpha)
 
 
 def _importance_weights(d, pi):

@@ -93,6 +93,20 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2  # click Choice rejects it before the command runs
 
 
+@pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan"])
+def test_level_outside_unit_interval_exits_2(tmp_path, capsys, level):
+    for argv in (["meta", "--summaries", summaries_csv(tmp_path)],
+                 ["estimate", "--subjects", target_csv(tmp_path)]):
+        code, err = run_fail(capsys, argv + ["--level", level])
+        assert code == 2 and "level must be a number in (0, 1)" in err
+
+
+def test_negative_reconstruction_seed_exits_2(tmp_path, capsys):
+    code, err = run_fail(capsys, ["reconstruct", "--summaries", summaries_csv(tmp_path),
+                                  "--seed", "-1", "--out", str(tmp_path / "r.csv")])
+    assert code == 2 and "rng_seed must be nonnegative" in err
+
+
 def test_data_error_exits_3(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     lines = (tmp_path / "summaries.csv").read_text().splitlines()

@@ -9,7 +9,7 @@ from metaborrow.errors import DataError, NumericalError
 from metaborrow.estimate import (UnivariateEstimate, WeightedFit,
                                  build_outcome_design, choose_model,
                                  estimate_univariate, fit_ols,
-                                 fit_weighted_regression)
+                                 fit_weighted_regression, weighted_transpose)
 
 
 def dataset(z, y, x=None, w=None, tid="t"):
@@ -230,3 +230,15 @@ def test_estimators_agree_on_saturated_two_group_problem():
     uni = estimate_univariate(d)
     reg = fit_weighted_regression(d, include_covariates=False, meat="hc0")
     assert reg.coef("z")[0] == pytest.approx(uni.delta, rel=1e-12)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_weighted_transpose_is_broadcast_product_bit_for_bit(layout):
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((301, 4))
+    A = {"C": A, "F": np.asfortranarray(A), "strided": A[::2]}[layout]
+    v = rng.random(len(A)) * 3.0
+    got, want = weighted_transpose(A, v), A.T * v
+    assert got.strides == want.strides
+    assert np.array_equal(got, want)
+    assert np.array_equal(got @ A, want @ A)

@@ -1,7 +1,10 @@
 """Reconstruction: moment restoration, substream determinism, clamping."""
 
+import zlib
+
 import numpy as np
 import pytest
+from numpy.random import SeedSequence, default_rng
 
 from metaborrow.data import ArmSummary, TrialSummary
 from metaborrow.errors import DataError
@@ -81,6 +84,19 @@ def test_substreams_are_deterministic_and_order_free():
     assert reconstruct_all(trials, FIT, CFG).subjects == r1  # same seed, same draws
     other = ReconstructionConfig(rng_seed=12)
     assert reconstruct_all(trials, FIT, other).subjects != r1
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 3**50])
+def test_substream_is_the_one_the_key_tuple_seeds(seed):
+    # each arm draws what default_rng(SeedSequence((seed, crc32(id), arm))) draws
+    trials = [TrialSummary(tid, (arm(tid, 1, n=7), arm(tid, 0, n=5)))
+              for tid in ("", "t1", "Prüfung-試験")]
+    cfg = ReconstructionConfig(rng_seed=seed)
+    got = list(reconstruct_all(trials, FIT, cfg).subjects)
+    want = [rec for t in trials for a in t.arms for rec in reconstruct_arm(
+        a, FIT, cfg, rng=default_rng(SeedSequence((seed, zlib.crc32(a.trial_id.encode()),
+                                                    a.arm))))]
+    assert got == want
 
 
 def test_arms_use_distinct_substreams():

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metaborrow.errors import ConfigError, DataError
-from metaborrow.simulate import (EST_POOLED, EST_POOLED_UNI, EST_TARGET,
+from metaborrow.simulate import (COVARIATE_DISTS, EST_POOLED, EST_POOLED_UNI, EST_TARGET,
                                  CellResult, EstimateRecord, ReplicationResult,
                                  ScenarioConfig, aggregate, covariate_location,
-                                 generate_meta_trial, generate_target_trial,
-                                 read_cell_csv, run_cell, run_replication,
-                                 write_cell_csv)
+                                 generate_meta_trial, generate_meta_trials,
+                                 generate_target_trial, read_cell_csv, run_cell,
+                                 run_replication, write_cell_csv)
 
 TINY = ScenarioConfig(K=5, n=20, replications=6, base_seed=123)
 
@@ -63,6 +65,41 @@ def test_generate_meta_trial_summaries_match_draws():
         assert a.x_mean[0] == pytest.approx(x[m].mean())
     with pytest.raises(DataError, match="outside"):
         generate_meta_trial(6, 5, 40, "normal", rng)
+
+
+def reference_trial(k, K, n, dist, rng):
+    """Trial k drawn with the Generator calls the outcome model names: (z, x, y)."""
+    nk = int(rng.uniform(n, 4 * n))
+    mu = covariate_location(k, K)
+    x = rng.normal(mu, 1.0, nk) if dist == "normal" else rng.chisquare(2, nk) / 2.0 + mu - 1.0
+    z = np.concatenate([np.ones(nk // 2), np.zeros(nk - nk // 2)])
+    return z, x, 1.0 + 2.0 * z - x + 0.5 * z * x + rng.normal(0.0, 1.0, nk)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(1, 30), st.integers(4, 60), st.sampled_from(COVARIATE_DISTS),
+       st.integers(0, 2**32 - 1))
+def test_one_pass_generation_is_k_sequential_trials(K, n, dist, seed):
+    batch_rng, one_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+    z, x, y, trials = generate_meta_trials(K, n, dist, batch_rng)
+    singles = [generate_meta_trial(k, K, n, dist, one_rng) for k in range(1, K + 1)]
+    refs = [reference_trial(k, K, n, dist, ref_rng) for k in range(1, K + 1)]
+    for got, i in ((z, 0), (x, 1), (y, 2)):
+        assert np.array_equal(got, np.concatenate([s[i] for s in singles]))
+        assert np.array_equal(got, np.concatenate([r[i] for r in refs]))
+    assert trials == tuple(s[3] for s in singles)
+    # the stream is left where K sequential draws leave it: the target trial is unchanged
+    assert batch_rng.random() == one_rng.random() == ref_rng.random()
+
+    for trial, (rz, rx, ry) in zip(trials, refs):
+        assert [a.arm for a in trial.arms] == [1, 0]
+        for a in trial.arms:
+            m = rz == a.arm
+            assert a.n == m.sum()
+            assert a.y_mean == pytest.approx(np.mean(ry[m]), rel=1e-13, abs=1e-13)
+            assert a.y_var == pytest.approx(np.var(ry[m], ddof=1), rel=1e-13)
+            assert a.x_mean[0] == pytest.approx(np.mean(rx[m]), rel=1e-13, abs=1e-13)
+            assert a.x_var[0] == pytest.approx(np.var(rx[m], ddof=1), rel=1e-13)
 
 
 def test_chisq2_covariates_have_unit_variance():
