@@ -8,7 +8,7 @@ treatment contrast with sandwich standard errors.  A Monte-Carlo harness
 and a bundled renal-trial example exercise the whole chain.
 """
 
-from .data import (ArmSummary, Dataset, SubjectRecord, TrialSummary,
+from .data import (ArmSummary, Dataset, TrialSummary, dataset_from_arms,
                    make_dataset, read_subjects, read_summaries,
                    validate_dataset, write_subjects, write_summaries)
 from .errors import ConfigError, DataError, MetaborrowError, NumericalError
@@ -31,7 +31,7 @@ from .weights import (FeatureMap, FeatureTerm, LogisticFit, compute_weights,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmSummary", "Dataset", "SubjectRecord", "TrialSummary",
+    "ArmSummary", "Dataset", "TrialSummary", "dataset_from_arms",
     "make_dataset", "read_subjects", "read_summaries", "validate_dataset",
     "write_subjects", "write_summaries",
     "ConfigError", "DataError", "MetaborrowError", "NumericalError",

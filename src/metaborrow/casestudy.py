@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .data import (ArmSummary, TrialSummary, dataset_from_arms, make_dataset,
@@ -132,13 +133,14 @@ def simulate_target(n1, n0, rng):
     reported baseline mean/SD, treated arm first.
     """
     t = derive_arm_summaries(TARGET_TRIAL)
-    arms = []
-    for arm_val, nj in ((1, n1), (0, n0)):
+    arms = ((t.trial_id, 1, n1), (t.trial_id, 0, n0))
+    xs, ys = [], []
+    for _, arm_val, nj in arms:
         a = t.arm(arm_val)
-        xs = rng.normal(a.x_mean[0], a.x_var[0] ** 0.5, nj)
-        ys = rng.normal(a.y_mean, a.y_var ** 0.5, nj)
-        arms.append((t.trial_id, arm_val, xs[:, None], ys))
-    return dataset_from_arms(arms, is_target=True, target_id=t.trial_id)
+        xs.append(rng.normal(a.x_mean[0], a.x_var[0] ** 0.5, nj))
+        ys.append(rng.normal(a.y_mean, a.y_var ** 0.5, nj))
+    return dataset_from_arms(arms, np.concatenate(xs)[:, None], np.concatenate(ys),
+                             is_target=True, target_id=t.trial_id)
 
 
 # scenario -> (n1, n0, borrow); borrow None means no external data.
@@ -194,9 +196,12 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
     All randomness (target IPD, reconstruction draws) flows from one
     stream keyed by ``seed``.  Borrowing scenarios use the quadratic
     weight feature map and, by default, the conservative ``w4`` sandwich.
+    A negative ``seed`` is a ConfigError.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     n1, n0, borrow = SCENARIOS[scenario]
     rng = default_rng(SeedSequence((int(seed), 99)))
     target = simulate_target(n1, n0, rng)
@@ -205,13 +210,8 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
         if n0 == 0:
             return CaseStudyResult(scenario, n1, n0, estimable=False, seed=seed)
         fit = fit_ols(target)
-        ct = fit.contrast("z")
-        return CaseStudyResult(
-            scenario, n1, n0, estimable=True, seed=seed,
-            estimate=ct["estimate"], se=ct["se"], ci_low=ct["ci_low"],
-            ci_high=ct["ci_high"], t_stat=ct["t_stat"], p_value=ct["p_value"],
-            df=fit.df,
-        )
+        return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=fit.df,
+                               **fit.contrast("z"))
 
     meta, _ = fit_meta()
     rcfg = ReconstructionConfig(rng_seed=0, borrow=borrow)
@@ -224,13 +224,8 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
     pooled = make_dataset((target, recon), target_id=target.target_id)
     weighted = compute_weights(pooled, fit_membership(pooled))
     fit = fit_weighted_regression(weighted, meat=meat)
-    ct = fit.contrast("z")
-    return CaseStudyResult(
-        scenario, n1, n0, estimable=True, seed=seed,
-        estimate=ct["estimate"], se=ct["se"], ci_low=ct["ci_low"],
-        ci_high=ct["ci_high"], t_stat=ct["t_stat"], p_value=ct["p_value"],
-        df=fit.df, tau2=meta.tau2, clamped_arms=tuple(clamped),
-    )
+    return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=fit.df,
+                           tau2=meta.tau2, clamped_arms=tuple(clamped), **fit.contrast("z"))
 
 
 def bundled_data_path():

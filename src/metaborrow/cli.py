@@ -9,7 +9,6 @@ bundled ``case-study``.  Exit codes: 0 success, 2 configuration error,
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 
@@ -56,12 +55,6 @@ def _need_seed(ctx, value):
     return int(seed)
 
 
-def _write_json(payload, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @cli.command()
 @click.option("--summaries", required=True, type=click.Path(exists=True),
               help="Arm-level summary CSV/JSON.")
@@ -86,7 +79,7 @@ def meta(ctx, summaries, interaction, level, out_path):
                    f"[{lo:+.4f}, {hi:+.4f}]")
     out_path = _fallback(ctx, out_path, "out")
     if out_path:
-        _write_json(payload, out_path)
+        pl.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
 
 
@@ -168,8 +161,8 @@ def estimate(ctx, subjects, estimator, covariates, interaction, meat, level, out
     if estimator in ("regression", "both"):
         fit = fit_weighted_regression(d, include_covariates=covariates,
                                       include_interaction=interaction, meat=meat)
-        ct = fit.contrast("z", level)
         payload["regression"] = pl.weighted_fit_to_dict(fit, level)
+        ct = payload["regression"]["contrast_z"]
         click.echo(f"regression ({meat}): z = {ct['estimate']:+.4f}  se {ct['se']:.4f}  "
                    f"CI [{ct['ci_low']:+.4f}, {ct['ci_high']:+.4f}]  "
                    f"t {ct['t_stat']:.3f}  p {ct['p_value']:.4g}")
@@ -184,7 +177,7 @@ def estimate(ctx, subjects, estimator, covariates, interaction, meat, level, out
                    f"CI [{uni.ci_low:+.4f}, {uni.ci_high:+.4f}]  p {uni.p_value:.4g}")
     out_path = _fallback(ctx, out_path, "out")
     if out_path:
-        _write_json(payload, out_path)
+        pl.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
 
 
@@ -280,7 +273,7 @@ def case_study(ctx, scenario, seed, meat, out_path):
         payload["seed"] = seed
     out_path = _fallback(ctx, out_path, "out")
     if out_path:
-        _write_json(payload, out_path)
+        pl.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
 
 

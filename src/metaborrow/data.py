@@ -8,10 +8,11 @@ Subject-level data, observed in the target trial or reconstructed from
 summaries, is a Dataset held column by column: arm indicators ``z``,
 outcomes ``y``, the N x p covariate matrix ``X``, weights ``w``, a
 target-membership flag ``is_target``, and each row's index into a tuple
-of trial ids.  Every stage from reconstruction on works on these arrays.
-SubjectRecord, one named tuple per row, lives only at the edges: data
-built by hand (``make_dataset``), rows read back (``Dataset.subjects``)
-and ``reconstruct_arm``.
+of trial ids.  Every stage from reconstruction on works on these arrays,
+and this module assembles them: ``Dataset`` from columns,
+:func:`dataset_from_arms` from rows stacked arm by arm (the target trial
+and reconstructed arms), :func:`read_subjects` from a file, and
+:func:`make_dataset` by pooling Datasets.
 
 Variances in input files are variances of individual observations.  A
 summary file may instead carry the standard error of the arm mean in a
@@ -31,14 +32,12 @@ write, square on read) and may move by an ulp.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -144,26 +143,6 @@ def trial_dimension(trials):
     return dims.pop() if dims else 0
 
 
-class SubjectRecord(NamedTuple):
-    """One subject row: outcome, covariates, arm, weight slot, and origin tag.
-
-    An immutable ``typing.NamedTuple``: fields are read by name, records
-    with equal fields compare equal, and ``_replace`` returns a changed
-    copy.  Records are the row form used at the edges (hand-built data,
-    ``Dataset.subjects``, ``reconstruct_arm``); a tuple rather than a
-    frozen dataclass, because those build up to hundreds of thousands of
-    rows at once and a named tuple is about three times cheaper to
-    construct.
-    """
-
-    trial_id: str
-    z: int
-    y: float
-    x: tuple
-    weight: float = 1.0
-    source: str = "target"  # "target" | "reconstructed"
-
-
 _SOURCES = ("reconstructed", "target")  # a row's source tag, indexed by its is_target flag
 
 _COLUMNS = (("trial", int), ("z", int), ("y", float), ("X", float), ("w", float),
@@ -205,7 +184,7 @@ class Dataset:
     Every array is read-only.  An input array that is already read-only
     is held as it is, so datasets derived from one another share their
     unchanged columns; any other input is copied first.  Datasets compare
-    by identity; compare :attr:`subjects` to compare rows.
+    by identity; compare their columns to compare rows.
     """
 
     trial_ids: tuple
@@ -242,17 +221,6 @@ class Dataset:
     def n_target(self):
         return int(np.count_nonzero(self.is_target))
 
-    @property
-    def subjects(self):
-        """The rows as a tuple of SubjectRecord, built anew on each access.
-
-        For the edges: hand-built data, tests and record-level callers.
-        The estimation chain reads the columns.
-        """
-        return tuple(_boxed(list(map(self.trial_ids.__getitem__, self.trial.tolist())),
-                            self.z.tolist(), self.y, self.X.T, self.w.tolist(),
-                            list(map(_SOURCES.__getitem__, self.is_target.tolist()))))
-
 
 def _owned(trial_ids, trial, z, y, X, w, is_target, target_id=""):
     """A Dataset over freshly built arrays: made read-only in place, not copied."""
@@ -262,46 +230,20 @@ def _owned(trial_ids, trial, z, y, X, w, is_target, target_id=""):
     return Dataset(trial_ids, *arrays, target_id)
 
 
-def _boxed(trial_ids, z, y, x_cols, weights, sources):
-    """Box per-row iterables and NumPy columns into a list of SubjectRecord.
+def dataset_from_arms(arms, X, y, is_target, target_id=""):
+    """Build a Dataset from rows stacked arm by arm, with unit weights.
 
-    ``y`` and each of ``x_cols`` (none when the dimension is 0, giving
-    ``x == ()``) are converted with one ``tolist()``, so records hold plain
-    Python floats, and covariate rows are zipped column-wise.
+    ``arms`` is a sequence of ``(trial_id, arm, n)``: the next ``n`` rows
+    of the (N, p) covariate matrix ``X`` and of the N outcomes ``y`` belong
+    to that arm, whose indicator ``arm`` they all carry.  ``is_target``
+    tags every row.  ``X`` and ``y`` are taken over, not copied: they are
+    made read-only in place, so the caller must not write to them after.
     """
-    cols = [c.tolist() for c in x_cols]
-    xs = zip(*cols) if cols else repeat(())
-    # Records hold only numbers, strings and tuples of floats, so they form
-    # no reference cycles and a collection pass during the build frees
-    # nothing; at 10^5 rows those passes cost more than the build itself.
-    # The collector's prior state is restored, and cyclic garbage made
-    # meanwhile elsewhere is collected at its next pass.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(map(SubjectRecord, trial_ids, z, y.tolist(), xs, weights, sources))
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def dataset_from_arms(arms, is_target, target_id=""):
-    """Build a Dataset from per-arm draws, with unit weights.
-
-    ``arms`` is a sequence of ``(trial_id, arm, X, y)``: ``arm`` is the
-    arm indicator of all its rows, ``X`` the (n, p) covariate matrix and
-    ``y`` the n outcomes.  Rows keep the order of ``arms``, and
-    ``is_target`` tags them all.
-    """
-    arms = tuple(arms)
-    if not arms:
-        return make_dataset((), target_id)
-    sizes = [len(y) for _, _, _, y in arms]
+    sizes = np.array([n for *_, n in arms], dtype=int)
     index = {}
-    trial = np.repeat([index.setdefault(tid, len(index)) for tid, *_ in arms], sizes)
-    z = np.repeat([arm for _, arm, _, _ in arms], sizes)
-    X = np.concatenate([X for _, _, X, _ in arms])
-    y = np.concatenate([y for *_, y in arms])
+    trial = np.repeat(np.array([index.setdefault(tid, len(index)) for tid, *_ in arms],
+                               dtype=int), sizes)
+    z = np.repeat(np.array([arm for _, arm, _ in arms], dtype=int), sizes)
     n = len(y)
     return _owned(tuple(index), trial, z, y, X, np.ones(n), np.full(n, bool(is_target)),
                   target_id)
@@ -338,12 +280,16 @@ def _row_columns(tids, z, y, xs, w, sources):
     return cols, dims
 
 
-def _record_fields(records):
-    """Transpose SubjectRecords into six per-field tuples."""
-    return tuple(zip(*records)) or ((),) * len(SubjectRecord._fields)
+def make_dataset(parts, target_id=""):
+    """Pool Datasets into one, their rows in order.
 
-
-def _pool(parts, target_id):
+    Each column is one ``np.concatenate`` over the non-empty ``parts``,
+    and trial ids are renumbered in order of first appearance.  Pooling
+    no parts gives an empty Dataset of dimension 0, and only empty parts
+    an empty Dataset of the first one's dimension.  Raises DataError when
+    the non-empty parts differ in covariate dimension.
+    """
+    parts = tuple(parts) or (Dataset((), [], [], [], np.empty((0, 0)), [], []),)
     filled = [d for d in parts if len(d)] or list(parts[:1])
     dims = {d.p for d in filled}
     if len(dims) > 1:
@@ -354,30 +300,6 @@ def _pool(parts, target_id):
     cat = [np.concatenate([getattr(d, name) for d in filled])
            for name in ("z", "y", "X", "w", "is_target")]
     return _owned(tuple(index), np.concatenate(trial), *cat, target_id)
-
-
-def make_dataset(parts, target_id=""):
-    """Build a Dataset from SubjectRecords, or pool Datasets.
-
-    ``parts`` is a sequence of SubjectRecord, converted to columns once
-    (the covariate dimension is the first record's), or a sequence of
-    Dataset, whose columns are concatenated in order with one
-    ``np.concatenate`` per column.  Field values are not checked (see
-    :func:`validate_dataset`); DataError is raised only for what columns
-    cannot hold: records of differing covariate dimension, an unknown
-    source tag, or pooled datasets of differing dimension.
-    """
-    parts = tuple(parts)
-    if parts and all(isinstance(d, Dataset) for d in parts):
-        return _pool(parts, target_id)
-    fields = _record_fields(parts)
-    cols, dims = _row_columns(*fields)
-    if np.any(dims != dims[:1]):
-        raise DataError(f"records differ in covariate dimension: {sorted(set(dims.tolist()))}")
-    unknown = set(fields[-1]) - set(_SOURCES)
-    if unknown:
-        raise DataError(f"unknown source tags {sorted(unknown)}")
-    return _owned(**cols, target_id=target_id)
 
 
 def _violations(trial_of, z, y, X, w, dims=None, sources=None):
@@ -405,19 +327,12 @@ def _violations(trial_of, z, y, X, w, dims=None, sources=None):
 
 
 def validate_dataset(d):
-    """Check every dataset invariant; return a list of violation strings.
+    """Check every invariant of Dataset ``d``; return a list of violation strings.
 
-    ``d`` is a Dataset or a sequence of SubjectRecord; records are checked
-    against the covariate dimension of the first record.  Pure
-    diagnostic: an empty list means the data are valid.  Each entry
+    Pure diagnostic: an empty list means the data are valid.  Each entry
     names the offending row and the invariant it breaks.
     """
-    if isinstance(d, Dataset):
-        return _violations(lambda i: d.trial_ids[d.trial[i]], d.z, d.y, d.X, d.w)
-    fields = _record_fields(d)
-    cols, dims = _row_columns(*fields)
-    return _violations(fields[0].__getitem__, cols["z"], cols["y"], cols["X"], cols["w"],
-                       dims, fields[-1])
+    return _violations(lambda i: d.trial_ids[d.trial[i]], d.z, d.y, d.X, d.w)
 
 
 # ---------------------------------------------------------------------------

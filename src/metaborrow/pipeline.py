@@ -188,8 +188,8 @@ def weighted_fit_to_dict(fit, level=0.95):
     }
 
 
-def _dump_json(payload, path, stamp):
-    payload = {"stamp": stamp, **payload}
+def write_json(payload, path):
+    """Write ``payload`` as JSON: keys sorted, indented by 2, ending in a newline."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -216,6 +216,9 @@ class _Stage:
 def run_pipeline(cfg):
     """Run all four stages; returns a result dict mirroring summary.txt.
 
+    ``meta`` and ``estimate`` are the payloads written to meta_fit.json
+    and estimate.json, without their stamp.
+
     Raises ConfigError before any computation if an input path is
     missing.  Artifacts are written as each stage completes.
     """
@@ -230,7 +233,8 @@ def run_pipeline(cfg):
         trials = read_summaries(cfg.summaries)
         design = build_design(trials, include_interaction=cfg.meta_interaction)
         meta = fit_dl(design)
-        _dump_json(meta_to_dict(meta, cfg.level), outdir / "meta_fit.json", stamp)
+        meta_payload = meta_to_dict(meta, cfg.level)
+        write_json({"stamp": stamp, **meta_payload}, outdir / "meta_fit.json")
 
     with _Stage("reconstruct"):
         target = read_subjects(cfg.target)
@@ -259,20 +263,20 @@ def run_pipeline(cfg):
             "ridge_lambda": mfit.ridge_lambda, "deviance": mfit.deviance,
         }
         payload["tau2"] = float(meta.tau2)
-        _dump_json(payload, outdir / "estimate.json", stamp)
+        write_json({"stamp": stamp, **payload}, outdir / "estimate.json")
 
-    summary = _render_summary(cfg, stamp, trials, meta, weighted, fit)
+    summary = _render_summary(cfg, stamp, trials, meta, weighted, payload)
     (outdir / "summary.txt").write_text(summary, encoding="utf-8")
     log.info("pipeline complete: %s", outdir)
-    return {"stamp": stamp, "meta": meta_to_dict(meta, cfg.level),
-            "estimate": weighted_fit_to_dict(fit, cfg.level),
+    return {"stamp": stamp, "meta": meta_payload, "estimate": payload,
             "artifacts": [str(outdir / name) for name in
                           ("meta_fit.json", "reconstructed.csv", "weighted.csv",
                            "estimate.json", "summary.txt")]}
 
 
-def _render_summary(cfg, stamp, trials, meta, weighted, fit):
-    ct = fit.contrast("z", cfg.level)
+def _render_summary(cfg, stamp, trials, meta, weighted, estimate):
+    """summary.txt's text; ``estimate`` is the payload written to estimate.json."""
+    ct = estimate["contrast_z"]
     n_rec = len(weighted) - weighted.n_target()
     w = weighted.w
     lines = [
@@ -287,10 +291,10 @@ def _render_summary(cfg, stamp, trials, meta, weighted, fit):
         f"pooled subjects: {len(weighted)} ({weighted.n_target()} target, {n_rec} reconstructed)",
         f"weights: mean {np.mean(w):.6f}, max {np.max(w):.4f}",
         "",
-        f"weighted regression ({', '.join(fit.columns)}), meat {fit.meat}:",
+        f"weighted regression ({', '.join(estimate['columns'])}), meat {estimate['meat']}:",
         f"  z contrast: {ct['estimate']:+.4f}  se {ct['se']:.4f}  "
         f"{int(cfg.level * 100)}% CI [{ct['ci_low']:+.4f}, {ct['ci_high']:+.4f}]",
-        f"  t = {ct['t_stat']:.3f} on {fit.df} df, p = {ct['p_value']:.4g}",
+        f"  t = {ct['t_stat']:.3f} on {estimate['df']} df, p = {ct['p_value']:.4g}",
         "",
     ]
     return "\n".join(lines)

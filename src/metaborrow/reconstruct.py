@@ -40,9 +40,11 @@ The location and scale are applied to whole columns afterwards:
 ``x_mean + sqrt(x_var) * z`` and ``mean + sd * z`` are what
 ``Generator.normal`` computes element by element, so every value is the
 one a per-arm ``normal`` call draws.  Only the covariate term of the
-mean, ``X @ load``, is one product per arm.  ``reconstruct_arm`` and
-``sample_covariates`` run the same pass on one arm, so an arm drawn from
-its substream has the same rows alone as among others.
+mean, ``X @ load``, is one product per arm.  The stacked ``X`` and ``y``
+become a Dataset through :func:`metaborrow.data.dataset_from_arms`,
+without a copy.  ``reconstruct_arm`` and ``sample_covariates`` run the
+same pass on one arm, so an arm drawn from its substream has the same
+rows alone as among others.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .data import _owned, trial_dimension
+from .data import dataset_from_arms, trial_dimension
 from .errors import ConfigError, DataError
 from .meta import design_columns
 
@@ -239,16 +241,17 @@ def _reconstruct(arms, sizes, p, meta, cfg, rng):
     mean = np.repeat(meta.beta[0] + meta.beta[1] * arm_of, sizes) + xl
     y = mean + np.repeat(sd, sizes) * raw[p]
 
-    index = {}
-    trial = np.repeat(np.array([index.setdefault(a.trial_id, len(index)) for a in arms],
-                               dtype=int), sizes)
-    n = len(y)
-    return _owned(tuple(index), trial, np.repeat(arm_of, sizes), y, X, np.ones(n),
-                  np.zeros(n, dtype=bool))
+    return dataset_from_arms([(a.trial_id, a.arm, n) for a, n in zip(arms, sizes)], X, y,
+                             is_target=False)
 
 
 def reconstruct_arm(arm, meta, cfg, rng=None, n_override=None):
-    """Reconstruct one arm; returns a list of SubjectRecord.
+    """Reconstruct one arm; returns a Dataset of its rows, tagged reconstructed.
+
+    The pass of :func:`reconstruct_all` on this arm alone: at ``arm.n``
+    rows from the arm's substream, the rows are the ones
+    ``reconstruct_all`` gives it, with unit weights, and a clamped
+    residual variance warns the same ClampWarning.
 
     Parameters
     ----------
@@ -266,7 +269,7 @@ def reconstruct_arm(arm, meta, cfg, rng=None, n_override=None):
     """
     n = int(n_override) if n_override is not None else arm.n
     _require_subjects(arm, n)
-    return list(_reconstruct([arm], [n], arm.p, meta, cfg, rng).subjects)
+    return _reconstruct([arm], [n], arm.p, meta, cfg, rng)
 
 
 def reconstruct_all(trials, meta, cfg, rng=None):

@@ -85,6 +85,8 @@ class ScenarioConfig:
             raise ConfigError(f"n must be >= 4, got {self.n}")
         if self.replications < 1:
             raise ConfigError(f"replications must be >= 1, got {self.replications}")
+        if self.base_seed < 0:
+            raise ConfigError(f"base_seed must be nonnegative, got {self.base_seed}")
         if self.covariate_dist not in COVARIATE_DISTS:
             raise ConfigError(f"covariate_dist must be one of {COVARIATE_DISTS}")
         if self.allocation not in ALLOCATIONS:
@@ -237,7 +239,7 @@ def generate_target_trial(n, allocation, dist, rng):
     x, e = np.empty((n, 1)), np.empty(n)
     _draw_rows(rng, 0.0, dist, x[:, 0], e)
     y = _outcome(np.repeat([1.0, 0.0], (n1, n0)), x[:, 0], e)  # treated rows first
-    return dataset_from_arms([("target", 1, x[:n1], y[:n1]), ("target", 0, x[n1:], y[n1:])],
+    return dataset_from_arms([("target", 1, n1), ("target", 0, n0)], x, y,
                              is_target=True, target_id="target")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from metaborrow import casestudy
-from metaborrow.data import SubjectRecord, make_dataset
+from metaborrow.data import Dataset, make_dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.reconstruct import ReconstructionConfig, reconstruct_arm
 from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, EST_POOLED,
@@ -34,6 +34,13 @@ def report(capfd):
             print(line, flush=True)
         return line
     return _report
+
+
+def trial_rows(trial_id, z, y, x, is_target):
+    """One trial's rows with unit weights; ``x`` holds one covariate row per subject."""
+    n = len(y)
+    return Dataset((trial_id,), np.zeros(n, int), z, y, np.reshape(x, (n, -1)), np.ones(n),
+                   np.full(n, is_target), trial_id if is_target else "")
 
 
 @pytest.fixture(scope="module")
@@ -89,8 +96,7 @@ def test_criterion_02_reconstruction_moments(report):
         for arm in trial.arms:
             with warnings.catch_warnings(record=True) as wrec:
                 warnings.simplefilter("always")
-                recs = reconstruct_arm(arm, fit, cfg, n_override=n)
-            y = np.array([s.y for s in recs])
+                y = reconstruct_arm(arm, fit, cfg, n_override=n).y
             fitted_mean = np.array([1.0, arm.arm, *arm.x_mean]) @ fit.beta
             worst_mean = max(worst_mean,
                              abs(y.mean() - fitted_mean) / np.sqrt(arm.y_var / n))
@@ -112,15 +118,13 @@ def test_criterion_02_reconstruction_moments(report):
 
 def test_criterion_03_zero_weight_sources_erase_exactly(report):
     rng = np.random.default_rng(5)
-    target = [SubjectRecord("t", i % 2, float(rng.normal(2.0 * (i % 2), 1.5)),
-                            (float(rng.normal()),), 1.0, "target")
-              for i in range(60)]
-    junk = [SubjectRecord(f"s{i % 4}", i % 2, float(rng.normal(5.0, 3.0)),
-                          (float(rng.normal(1.0, 2.0)),), 1.0, "reconstructed")
-            for i in range(200)]
-    pooled = make_dataset([*junk, *target], target_id="t")
+    ty, tx = zip(*[(rng.normal(2.0 * (i % 2), 1.5), rng.normal()) for i in range(60)])
+    jy, jx = zip(*[(rng.normal(5.0, 3.0), rng.normal(1.0, 2.0)) for _ in range(200)])
+    tonly = trial_rows("t", np.arange(60) % 2, ty, tx, is_target=True)
+    junk = Dataset(("s0", "s1", "s2", "s3"), np.arange(200) % 4, np.arange(200) % 2, jy,
+                   np.reshape(jx, (200, 1)), np.ones(200), np.zeros(200, bool))
+    pooled = make_dataset((junk, tonly), target_id="t")
     pooled = pooled.with_weights([0.0] * 200 + [1.0] * 60)
-    tonly = make_dataset(target, target_id="t")
 
     up, ut = estimate_univariate(pooled), estimate_univariate(tonly)
     rp = fit_weighted_regression(pooled, meat="w4")
@@ -140,16 +144,14 @@ def test_criterion_04_mean_weight_identity(report):
     worst = 0.0
     for seed in (11, 12, 13):
         rng = np.random.default_rng(seed)
-        target = [SubjectRecord("t", i % 2, float(rng.normal()),
-                                (float(rng.normal()),), 1.0, "target")
-                  for i in range(150)]
-        source = [SubjectRecord("s", i % 2, float(rng.normal()),
-                                (float(rng.normal(0.5, 1.2)),), 1.0, "reconstructed")
-                  for i in range(350)]
-        d = make_dataset([*source, *target], target_id="t")
+        ty, tx = zip(*[(rng.normal(), rng.normal()) for _ in range(150)])
+        sy, sx = zip(*[(rng.normal(), rng.normal(0.5, 1.2)) for _ in range(350)])
+        d = make_dataset((trial_rows("s", np.arange(350) % 2, sy, sx, is_target=False),
+                          trial_rows("t", np.arange(150) % 2, ty, tx, is_target=True)),
+                         target_id="t")
         fit = fit_membership(d)
         assert fit.converged and fit.ridge_lambda == 0.0
-        w = np.array([s.weight for s in compute_weights(d, fit).subjects])
+        w = compute_weights(d, fit).w
         worst = max(worst, abs(float(w.mean()) - 1.0))
     ok = worst <= 1e-6
     line = report(4, ok, f"three converged unpenalized fits: "
@@ -238,26 +240,25 @@ def test_criterion_10_estimator_oracles(report):
     for t in range(20):
         rng = np.random.default_rng(100 + t)
         n, p = int(rng.integers(25, 41)), int(rng.integers(1, 4))
-        subs = []
+        zs, xs, ys = [], [], []
         for _ in range(n):
             z = int(rng.integers(0, 2))
             x = rng.normal(size=p)
-            y = float(1.0 + 2.0 * z + x.sum() + rng.normal())
-            subs.append(SubjectRecord("t", z, y, tuple(float(v) for v in x),
-                                      1.0, "target"))
-        d = make_dataset(subs, target_id="t")
+            zs.append(z)
+            xs.append(x)
+            ys.append(float(1.0 + 2.0 * z + x.sum() + rng.normal()))
+        d = trial_rows("t", zs, ys, xs, is_target=True)
         fit = fit_weighted_regression(d, meat="hc0")
-        X = np.column_stack([np.ones(n), [s.z for s in subs]] +
-                            [[s.x[j] for s in subs] for j in range(p)])
-        ols = np.linalg.lstsq(X, np.array([s.y for s in subs]), rcond=None)[0]
+        X = np.column_stack([np.ones(n), d.z, d.X])
+        ols = np.linalg.lstsq(X, d.y, rcond=None)[0]
         worst_beta = max(worst_beta, float(np.max(np.abs(fit.beta - ols))))
 
     rng = np.random.default_rng(2024)
-    target = [SubjectRecord("t", 0, 0.0, (float(v),), 1.0, "target")
-              for v in rng.normal(0.0, 1.0, 4000)]
-    source = [SubjectRecord("s", 0, 0.0, (float(v),), 1.0, "reconstructed")
-              for v in rng.normal(1.0, 1.0, 4000)]
-    d = make_dataset([*source, *target], target_id="t")
+    target = trial_rows("t", np.zeros(4000), np.zeros(4000), rng.normal(0.0, 1.0, 4000),
+                        is_target=True)
+    source = trial_rows("s", np.zeros(4000), np.zeros(4000), rng.normal(1.0, 1.0, 4000),
+                        is_target=False)
+    d = make_dataset((source, target), target_id="t")
     fit = fit_membership(d, linear_feature_map(1))
     grid = np.linspace(-2.0, 2.0, 81)
     w_hat = 2.0 / (1.0 + np.exp(-(fit.alpha[0] + fit.alpha[1] * grid)))

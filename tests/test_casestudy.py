@@ -91,8 +91,7 @@ def test_simulated_target_moments():
     rng = np.random.default_rng(0)
     d = simulate_target(40_000, 30_000, rng)
     t = derive_arm_summaries(TARGET_TRIAL)
-    y1 = np.array([s.y for s in d.subjects if s.z == 1])
-    x0 = np.array([s.x[0] for s in d.subjects if s.z == 0])
+    y1, x0 = d.y[d.z == 1], d.X[d.z == 0, 0]
     assert len(y1) == 40_000
     assert y1.mean() == pytest.approx(t.arm(1).y_mean, abs=4 * np.sqrt(t.arm(1).y_var / 4e4))
     assert y1.var() == pytest.approx(t.arm(1).y_var, rel=0.03)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from metaborrow.cli import main
-from metaborrow.data import (ArmSummary, SubjectRecord, TrialSummary,
-                             make_dataset, read_subjects, write_subjects,
-                             write_summaries)
+from metaborrow.data import (ArmSummary, Dataset, TrialSummary, make_dataset,
+                             read_subjects, write_subjects, write_summaries)
 
 SUBCOMMANDS = ("meta", "reconstruct", "weights", "estimate", "simulate",
                "case-study", "pipeline")
@@ -33,14 +32,15 @@ def summaries_csv(tmp_path, x_means=(-1.0, 0.0, 1.0)):
 
 def target_csv(tmp_path):
     rng = np.random.default_rng(99)
-    subs = []
+    z, xs, ys = np.arange(40) % 2, [], []
     for i in range(40):
-        z = i % 2
         x = float(rng.normal())
-        y = 1.0 + 2.0 * z - x + float(rng.normal())
-        subs.append(SubjectRecord("tgt", z, y, (x,), 1.0, "target"))
+        xs.append((x,))
+        ys.append(1.0 + 2.0 * (i % 2) - x + float(rng.normal()))
     path = tmp_path / "target.csv"
-    write_subjects(make_dataset(subs, target_id="tgt"), path, include_weight=False)
+    target = Dataset(("tgt",), np.zeros(40, int), z, ys, xs, np.ones(40), np.ones(40, bool),
+                     "tgt")
+    write_subjects(target, path, include_weight=False)
     return str(path)
 
 
@@ -101,10 +101,17 @@ def test_level_outside_unit_interval_exits_2(tmp_path, capsys, level):
         assert code == 2 and "level must be a number in (0, 1)" in err
 
 
-def test_negative_reconstruction_seed_exits_2(tmp_path, capsys):
-    code, err = run_fail(capsys, ["reconstruct", "--summaries", summaries_csv(tmp_path),
-                                  "--seed", "-1", "--out", str(tmp_path / "r.csv")])
-    assert code == 2 and "rng_seed must be nonnegative" in err
+@pytest.mark.parametrize("command", ["reconstruct", "simulate", "case-study"])
+def test_negative_reconstruction_seed_exits_2(tmp_path, capsys, command):
+    argv, seed_name = {
+        "reconstruct": (["--summaries", summaries_csv(tmp_path),
+                         "--out", str(tmp_path / "r.csv")], "rng_seed"),
+        "simulate": (["--K", "5", "--reps", "2"], "base_seed"),
+        "case-study": (["--scenario", "target"], "seed"),
+    }[command]
+    code, err = run_fail(capsys, [command, *argv, "--seed", "-1"])
+    assert code == 2 and f"error: {seed_name} must be nonnegative, got -1" in err
+    assert "Traceback" not in err
 
 
 def test_data_error_exits_3(tmp_path, capsys):
@@ -209,8 +216,8 @@ def test_stage_composition(tmp_path, capsys):
 
     recon = read_subjects(recon_csv)
     target = read_subjects(tpath)
-    assert {s.source for s in recon.subjects} == {"reconstructed"}
-    write_subjects(make_dataset(recon.subjects + target.subjects), pooled_csv)
+    assert not recon.is_target.any() and target.is_target.all()
+    write_subjects(make_dataset((recon, target)), pooled_csv)
 
     out = run_ok(capsys, ["weights", "--subjects", pooled_csv,
                           "--out", weighted_csv])

@@ -9,16 +9,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaborrow.data import (ArmSummary, Dataset, SubjectRecord, TrialSummary,
-                             dataset_from_arms, make_dataset, read_subjects,
-                             read_summaries, validate_dataset, write_subjects,
-                             write_summaries)
+from metaborrow.data import (ArmSummary, Dataset, TrialSummary, dataset_from_arms,
+                             make_dataset, read_subjects, read_summaries,
+                             validate_dataset, write_subjects, write_summaries)
 from metaborrow.errors import DataError
 
 
 def arm(trial_id="t1", arm_val=1, n=40, y_mean=1.5, y_var=2.0,
         x_mean=(0.3,), x_var=(1.1,), x_family=("continuous",)):
     return ArmSummary(trial_id, arm_val, n, y_mean, y_var, x_mean, x_var, x_family)
+
+
+def one_row(trial_id="t", z=1, y=0.5, x=(0.1,)):
+    """A Dataset of one target row with unit weight."""
+    return Dataset((trial_id,), [0], [z], [y], [x], [1.0], [True])
+
+
+def assert_same_rows(a, b):
+    """Datasets ``a`` and ``b`` hold the same rows: per-row trial ids, then every column."""
+    assert [a.trial_ids[i] for i in a.trial] == [b.trial_ids[i] for i in b.trial]
+    for name in ("z", "y", "X", "w", "is_target"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def two_arm_trial(tid="t1", p=1):
@@ -89,46 +100,16 @@ def test_trial_arm_accessor():
 
 
 def test_dataset_with_weights_checks_length():
-    d = make_dataset([SubjectRecord("t", 1, 0.5, (0.1,))])
+    d = one_row()
     with pytest.raises(DataError, match="length"):
         d.with_weights([1.0, 2.0])
     d2 = d.with_weights([3.0])
-    assert d2.subjects[0].weight == 3.0
-    assert d.subjects[0].weight == 1.0  # original untouched
-
-
-def test_subject_record_is_an_immutable_value():
-    s = SubjectRecord("t", 1, 0.5, (0.1, 0.2), 1.0, "reconstructed")
-    with pytest.raises(AttributeError):
-        s.weight = 2.0
-    assert s == SubjectRecord("t", 1, 0.5, (0.1, 0.2), source="reconstructed")
-    assert s != SubjectRecord("t", 0, 0.5, (0.1, 0.2), source="reconstructed")
-    (w,) = make_dataset([s]).with_weights([2.5]).subjects
-    assert w.weight == 2.5
-    assert (w.trial_id, w.z, w.y, w.x, w.source) == (s.trial_id, s.z, s.y, s.x, s.source)
+    assert d2.w.tolist() == [3.0]
+    assert d.w.tolist() == [1.0]  # original untouched
 
 
 COLUMNS = ("trial", "z", "y", "X", "w", "is_target")
 finite = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@st.composite
-def record_lists(draw):
-    p = draw(st.sampled_from((0, 1, 3)))
-    record = st.builds(
-        SubjectRecord, trial_id=st.sampled_from(("tgt", "s1", "s2")) | st.text(max_size=4),
-        z=st.integers(0, 1), y=finite, x=st.tuples(*[finite] * p), weight=finite,
-        source=st.sampled_from(("target", "reconstructed")))
-    return draw(st.lists(record, max_size=25))
-
-
-@settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
-@given(record_lists())
-def test_records_round_trip_through_columns(records):
-    d = make_dataset(records, target_id="tgt")
-    assert d.subjects == tuple(records)
-    assert all(type(s.z) is int and type(s.y) is float for s in d.subjects)
-    assert d.n_target() == sum(s.source == "target" for s in records)
 
 
 def test_dataset_columns_are_read_only(tmp_path):
@@ -136,7 +117,7 @@ def test_dataset_columns_are_read_only(tmp_path):
     write_subjects(d, tmp_path / "subj.csv")
     built = (d, d.with_weights([2.0] * 4), make_dataset((d, d)),
              read_subjects(tmp_path / "subj.csv", target_id="tgt"),
-             dataset_from_arms([("a", 1, np.zeros((3, 2)), np.ones(3))], is_target=False))
+             dataset_from_arms([("a", 1, 3)], np.zeros((3, 2)), np.ones(3), is_target=False))
     for ds in built:
         for name in COLUMNS:
             col = getattr(ds, name)
@@ -148,6 +129,12 @@ def test_dataset_columns_are_read_only(tmp_path):
     own = Dataset(d.trial_ids, d.trial, d.z, y, d.X, d.w, d.is_target)
     y[0] = 9.0
     assert own.y[0] == 0.0 and y.flags.writeable
+    # the arm assembler takes the stacked arrays over: read-only in place, not copied
+    X, y = np.zeros((3, 2)), np.ones(3)
+    taken = dataset_from_arms([("a", 1, 2), ("b", 0, 1)], X, y, is_target=True, target_id="a")
+    assert taken.X is X and taken.y is y and not y.flags.writeable
+    assert taken.trial.tolist() == [0, 0, 1] and taken.z.tolist() == [1, 1, 0]
+    assert taken.w.tolist() == [1.0] * 3 and taken.n_target() == 3
 
 
 def test_with_weights_swaps_only_the_weight_column():
@@ -164,33 +151,36 @@ def test_with_weights_swaps_only_the_weight_column():
 
 def test_pooling_concatenates_rows_in_order():
     d = subjects()
-    src = make_dataset([SubjectRecord("src", 0, 7.0, (1.0, 2.0), 1.0, "reconstructed"),
-                        SubjectRecord("new", 1, 8.0, (3.0, 4.0), 1.0, "reconstructed")])
+    src = Dataset(("src", "new"), [0, 1], [0, 1], [7.0, 8.0], [(1.0, 2.0), (3.0, 4.0)],
+                  [1.0, 1.0], [False, False])
     pooled = make_dataset((d, make_dataset(()), src), target_id="tgt")
-    assert pooled.subjects == d.subjects + src.subjects
+    row_trials = [pooled.trial_ids[i] for i in pooled.trial]
+    assert row_trials == ["tgt", "tgt", "src", "src", "src", "new"]
+    for name in ("z", "y", "X", "w", "is_target"):
+        assert np.array_equal(getattr(pooled, name),
+                              np.concatenate([getattr(d, name), getattr(src, name)]))
     assert pooled.trial_ids == ("tgt", "src", "new")
     assert pooled.target_id == "tgt" and pooled.n_target() == 2
     with pytest.raises(DataError, match="dimension differs"):
-        make_dataset((d, make_dataset([SubjectRecord("s", 0, 1.0, (1.0,))])))
-    with pytest.raises(DataError, match="differ in covariate dimension"):
-        make_dataset([SubjectRecord("s", 0, 1.0, (1.0,)), SubjectRecord("s", 0, 1.0, ())])
+        make_dataset((d, one_row("s", 0, 1.0, (1.0,))))
+    # no parts, or only empty ones, pool to an empty Dataset
+    empty = make_dataset(())
+    assert (len(empty), empty.p, empty.trial_ids) == (0, 0, ())
+    no_rows = make_dataset((dataset_from_arms([], np.empty((0, 2)), np.empty(0), False),))
+    assert (len(no_rows), no_rows.p) == (0, 2)
 
 
 def test_validate_dataset_reports_each_violation():
-    subs = (
-        SubjectRecord("t", 2, 0.0, (0.1, 0.2)),               # bad arm
-        SubjectRecord("t", 1, math.nan, (0.1, 0.2)),          # non-finite y
-        SubjectRecord("t", 0, 0.0, (0.1,)),                   # wrong dimension
-        SubjectRecord("t", 0, 0.0, (math.inf, 0.2)),          # non-finite x
-        SubjectRecord("t", 0, 0.0, (0.1, 0.2), weight=-1.0),  # negative weight
-        SubjectRecord("t", 0, 0.0, (0.1, 0.2), source="bogus"),
-    )
-    violations = validate_dataset(subs)
-    assert len(violations) == 6
-    for needle in ("arm indicator", "outcome not finite", "dimension",
-                   "covariate not finite", "weight", "source"):
-        assert any(needle in v for v in violations)
-    assert validate_dataset(make_dataset([SubjectRecord("t", 1, 0.5, (0.1,))])) == []
+    # one violation per row: bad arm, non-finite y, non-finite x, negative weight
+    d = Dataset(("t",), [0] * 4, [2, 1, 0, 0], [0.0, math.nan, 0.0, 0.0],
+                [(0.1, 0.2), (0.1, 0.2), (math.inf, 0.2), (0.1, 0.2)],
+                [1.0, 1.0, 1.0, -1.0], [True] * 4)
+    violations = validate_dataset(d)
+    assert len(violations) == 4
+    for i, needle in enumerate(("arm indicator", "outcome not finite", "covariate not finite",
+                                "weight must be finite")):
+        assert violations[i].startswith(f"subject {i} (trial 't'): {needle}")
+    assert validate_dataset(one_row()) == []
 
 
 # ------------------------------------------------------------- summary files
@@ -334,12 +324,9 @@ def test_summaries_reject_mixed_dimension_across_trials(tmp_path):
 # ------------------------------------------------------------- subject files
 
 def subjects():
-    return make_dataset([
-        SubjectRecord("tgt", 1, 2.5, (0.1, -0.4), 1.0, "target"),
-        SubjectRecord("tgt", 0, 1.0, (0.7, 0.2), 1.0, "target"),
-        SubjectRecord("src", 1, 3.5, (1.1, 0.0), 2.5, "reconstructed"),
-        SubjectRecord("src", 0, -0.5, (0.9, -1.2), 0.5, "reconstructed"),
-    ], target_id="tgt")
+    return Dataset(("tgt", "src"), [0, 0, 1, 1], [1, 0, 1, 0], [2.5, 1.0, 3.5, -0.5],
+                   [(0.1, -0.4), (0.7, 0.2), (1.1, 0.0), (0.9, -1.2)], [1.0, 1.0, 2.5, 0.5],
+                   [True, True, False, False], "tgt")
 
 
 def test_subjects_roundtrip_csv_and_json(tmp_path):
@@ -348,7 +335,7 @@ def test_subjects_roundtrip_csv_and_json(tmp_path):
         path = tmp_path / name
         write_subjects(d, path)
         back = read_subjects(path, target_id="tgt")
-        assert back.subjects == d.subjects
+        assert_same_rows(back, d)
         assert back.p == 2
 
 
@@ -357,11 +344,10 @@ def test_subjects_source_inferred_from_target_id(tmp_path):
     path = tmp_path / "subj.csv"
     write_subjects(d, path, include_source=False)
     back = read_subjects(path, target_id="tgt")
-    assert [s.source for s in back.subjects] == \
-        ["target", "target", "reconstructed", "reconstructed"]
+    assert back.is_target.tolist() == [True, True, False, False]
     # without a target id, everything is target
     all_target = read_subjects(path)
-    assert {s.source for s in all_target.subjects} == {"target"}
+    assert all_target.is_target.all()
 
 
 def test_subjects_weight_column_optional(tmp_path):
@@ -369,7 +355,7 @@ def test_subjects_weight_column_optional(tmp_path):
     path = tmp_path / "subj.csv"
     write_subjects(d, path, include_weight=False)
     back = read_subjects(path, target_id="tgt")
-    assert all(s.weight == 1.0 for s in back.subjects)
+    assert np.all(back.w == 1.0)
 
 
 def test_subjects_stamp_comment_roundtrip(tmp_path):
@@ -378,7 +364,7 @@ def test_subjects_stamp_comment_roundtrip(tmp_path):
     write_subjects(d, path, stamp={"config_hash": "deadbeef", "seed": 7})
     text = path.read_text()
     assert text.startswith("# config_hash=deadbeef\n# seed=7\n")
-    assert read_subjects(path, target_id="tgt").subjects == d.subjects
+    assert_same_rows(read_subjects(path, target_id="tgt"), d)
 
 
 def test_subjects_errors(tmp_path):
@@ -402,7 +388,8 @@ def test_read_subjects_reports_every_invalid_row(tmp_path):
                    "t,0,1.0,inf,1.0,target\n"
                    "t,0,1.0,0.1,-1.0,target\n"
                    "t,1,1.0,0.1,1.0,bogus\n"
-                   "t,0,1.0,0.1,1.0,target\n")
+                   "t,0,1.0,0.1,1.0,target\n"
+                   "t,0,1.0,,1.0,target\n")
     with pytest.raises(DataError) as exc_info:
         read_subjects(bad)
     message = str(exc_info.value)
@@ -410,9 +397,17 @@ def test_read_subjects_reports_every_invalid_row(tmp_path):
                    "subject 1 (trial 't'): outcome not finite",
                    "subject 2 (trial 't'): covariate not finite",
                    "subject 3 (trial 't'): weight must be finite",
-                   "subject 4 (trial 't'): unknown source tag 'bogus'"):
+                   "subject 4 (trial 't'): unknown source tag 'bogus'",
+                   "subject 6 (trial 't'): covariate dimension 0 != dataset dimension 1"):
         assert needle in message
     assert "subject 5" not in message
+    ragged = tmp_path / "ragged.json"
+    ragged.write_text(json.dumps([
+        {"trial_id": "t", "z": 1, "y": 1.0, "x1": 0.1, "weight": 1.0, "source": "target"},
+        {"trial_id": "t", "z": 0, "y": 1.0, "x1": "", "weight": 1.0, "source": "target"}]))
+    with pytest.raises(DataError, match=r"subject 1 \(trial 't'\): covariate dimension 0 != "
+                                        r"dataset dimension 1$"):
+        read_subjects(ragged)
     huge = tmp_path / "huge.csv"
     huge.write_text("trial_id,z,y,x1\nt,99999999999999999999,1.0,0.1\n")
     with pytest.raises(DataError, match="arm indicator 99999999999999999999 out of range"):
@@ -451,10 +446,16 @@ edge_floats = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
 @st.composite
 def awkward_datasets(draw, values):
     p = draw(st.sampled_from((0, 1, 3)))
-    record = st.builds(SubjectRecord, trial_id=awkward_ids, z=st.integers(0, 1), y=values,
-                       x=st.tuples(*[values] * p), weight=values,
-                       source=st.sampled_from(("target", "reconstructed")))
-    return make_dataset(draw(st.lists(record, max_size=12)), target_id="tgt")
+    n = draw(st.integers(0, 12))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    ids = column(awkward_ids)
+    trial_ids = tuple(dict.fromkeys(ids))
+    return Dataset(trial_ids, [trial_ids.index(t) for t in ids], column(st.integers(0, 1)),
+                   column(values), np.reshape(column(st.tuples(*[values] * p)), (n, p)),
+                   column(values), column(st.booleans()), "tgt")
 
 
 @settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
@@ -475,4 +476,4 @@ def test_csv_round_trips_finite_rows(tmp_path_factory, d):
     d = d.with_weights(np.abs(d.w))  # read_subjects accepts only nonnegative weights
     path = tmp_path_factory.mktemp("csv") / "subj.csv"
     write_subjects(d, path, stamp={"seed": 1})
-    assert read_subjects(path, target_id="tgt").subjects == d.subjects
+    assert_same_rows(read_subjects(path, target_id="tgt"), d)

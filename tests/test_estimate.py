@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from metaborrow.data import SubjectRecord, make_dataset
+from metaborrow.data import Dataset, make_dataset
 from metaborrow.errors import DataError, NumericalError
 from metaborrow.estimate import (UnivariateEstimate, WeightedFit,
                                  build_outcome_design, choose_model,
@@ -13,13 +13,11 @@ from metaborrow.estimate import (UnivariateEstimate, WeightedFit,
 
 
 def dataset(z, y, x=None, w=None, tid="t"):
+    """Target rows of one trial; ``x`` holds one covariate per row, or rows of several."""
     n = len(y)
-    x = [(0.0,)] * n if x is None else [(float(v),) if np.isscalar(v) else tuple(v)
-                                        for v in x]
-    w = [1.0] * n if w is None else w
-    subs = [SubjectRecord(tid, int(z[i]), float(y[i]), x[i], float(w[i]), "target")
-            for i in range(n)]
-    return make_dataset(subs, target_id=tid)
+    X = np.zeros((n, 1)) if x is None else np.asarray(x, dtype=float).reshape(n, -1)
+    w = np.ones(n) if w is None else w
+    return Dataset((tid,), np.zeros(n, int), z, y, X, w, np.ones(n, bool), tid)
 
 
 def random_dataset(rng, n=60, p=2):
@@ -28,7 +26,7 @@ def random_dataset(rng, n=60, p=2):
     x = rng.normal(size=(n, p))
     y = rng.normal(size=n) + z + x[:, 0]
     w = rng.uniform(0.5, 2.0, n)
-    return dataset(z, y, [tuple(r) for r in x], w)
+    return dataset(z, y, x, w)
 
 
 # ---------------------------------------------------------------- univariate
@@ -59,8 +57,7 @@ def test_univariate_invariant_to_weight_scale():
     rng = np.random.default_rng(0)
     d = random_dataset(rng)
     base = estimate_univariate(d)
-    scaled = estimate_univariate(d.with_weights(
-        [10.0 * s.weight for s in d.subjects]))
+    scaled = estimate_univariate(d.with_weights(10.0 * d.w))
     assert scaled.delta == pytest.approx(base.delta, rel=1e-12)
     assert scaled.variance == pytest.approx(base.variance, rel=1e-12)
 
@@ -98,8 +95,7 @@ def test_weighted_regression_matches_normal_equations():
     d = random_dataset(rng)
     fit = fit_weighted_regression(d, include_interaction=True, meat="hc0")
     X, names = build_outcome_design(d, True, True)
-    w = np.array([s.weight for s in d.subjects])
-    y = np.array([s.y for s in d.subjects])
+    w, y = d.w, d.y
     beta = np.linalg.solve((X.T * w) @ X, (X.T * w) @ y)
     assert fit.beta == pytest.approx(beta, rel=1e-12)
     assert fit.columns == names == ("intercept", "z", "x1", "x2", "z:x1", "z:x2")
@@ -111,7 +107,7 @@ def test_sandwich_meat_conventions():
     # pinning the w^4 / w^3 / w^2 middle-matrix conventions
     rng = np.random.default_rng(2)
     d = random_dataset(rng)
-    scaled = d.with_weights([10.0 * s.weight for s in d.subjects])
+    scaled = d.with_weights(10.0 * d.w)
     for meat, factor in (("hc0", 1.0), ("w3", 10.0), ("w4", 100.0)):
         base = fit_weighted_regression(d, meat=meat)
         up = fit_weighted_regression(scaled, meat=meat)
@@ -144,10 +140,10 @@ def test_contrast_uses_t_reference():
 def test_zero_weight_rows_drop_out_exactly():
     rng = np.random.default_rng(5)
     target = random_dataset(rng, n=40)
-    padding = [SubjectRecord("pad", i % 2, float(rng.normal()),
-                             tuple(rng.normal(size=2)), 0.0, "reconstructed")
-               for i in range(30)]
-    padded = make_dataset(tuple(target.subjects) + tuple(padding), target_id="t")
+    y, x = zip(*[(rng.normal(), rng.normal(size=2)) for _ in range(30)])
+    padding = Dataset(("pad",), np.zeros(30, int), np.arange(30) % 2, y, x, np.zeros(30),
+                      np.zeros(30, bool))
+    padded = make_dataset((target, padding), target_id="t")
     base = fit_weighted_regression(target, meat="hc0")
     wide = fit_weighted_regression(padded, meat="hc0")
     assert wide.beta == pytest.approx(base.beta, rel=1e-12)
@@ -197,7 +193,7 @@ def test_ols_matches_closed_form():
     d = random_dataset(rng, n=50)
     fit = fit_ols(d)
     X, _ = build_outcome_design(d, True, False)
-    y = np.array([s.y for s in d.subjects])
+    y = d.y
     beta, *_ = np.linalg.lstsq(X, y, rcond=None)
     assert fit.beta == pytest.approx(beta, rel=1e-10)
     e = y - X @ beta

@@ -7,8 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from metaborrow.data import ArmSummary, SubjectRecord, TrialSummary, make_dataset, \
-    write_subjects, write_summaries
+from metaborrow.data import ArmSummary, Dataset, TrialSummary, write_subjects, write_summaries
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
@@ -36,15 +35,15 @@ def write_inputs(tmp_path, p=1):
     spath = tmp_path / "summaries.csv"
     write_summaries(trials, spath)
 
-    subs = []
+    z, xs, ys = np.arange(40) % 2, [], []
     for i in range(40):
-        z = i % 2
         x = rng.normal(0.0, 1.0, p)
-        y = 1.0 + 2.0 * z - x[0] + rng.normal()
-        subs.append(SubjectRecord("tgt", z, float(y), tuple(float(v) for v in x),
-                                  1.0, "target"))
+        xs.append(x)
+        ys.append(1.0 + 2.0 * (i % 2) - x[0] + rng.normal())
     tpath = tmp_path / "target.csv"
-    write_subjects(make_dataset(subs, target_id="tgt"), tpath)
+    target = Dataset(("tgt",), np.zeros(40, int), z, ys, xs, np.ones(40), np.ones(40, bool),
+                     "tgt")
+    write_subjects(target, tpath)
     return str(spath), str(tpath)
 
 

@@ -108,9 +108,10 @@ def borrowed_trials(draw):
     return trials, meta, 2.0 if p == 0 else draw(st.sampled_from((0.0, 1e-8, 2.0)))
 
 
-def row_bits(records):
-    return [(r.trial_id, r.z, r.y.hex(), tuple(v.hex() for v in r.x), r.weight, r.source)
-            for r in records]
+def row_bits(d):
+    """Per-row trial ids and every column's bytes: equal exactly when the rows are."""
+    return ([d.trial_ids[i] for i in d.trial],
+            *(getattr(d, name).tobytes() for name in ("z", "y", "X", "w", "is_target")))
 
 
 @settings(deadline=None, max_examples=40)
@@ -128,9 +129,9 @@ def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow, shared):
             rows = reconstruct(rng)
         return row_bits(rows), [(w.message.trial_id, w.message.arm) for w in caught]
 
-    rows, clamps = run(lambda rng: reconstruct_all(trials, meta, cfg, rng=rng).subjects)
-    arm_rows, arm_clamps = run(lambda rng: [r for a in borrowed
-                                            for r in reconstruct_arm(a, meta, cfg, rng=rng)])
+    rows, clamps = run(lambda rng: reconstruct_all(trials, meta, cfg, rng=rng))
+    arm_rows, arm_clamps = run(lambda rng: make_dataset([reconstruct_arm(a, meta, cfg, rng=rng)
+                                                         for a in borrowed]))
     assert rows == arm_rows
     assert ("tight", 0) in clamps
     assert clamps == arm_clamps
@@ -142,9 +143,10 @@ def test_zero_weight_rows_drop_out(seed, n_target, n_zero, meat, interaction):
     rng = np.random.default_rng(seed)
     target = generate_target_trial(n_target, "one_to_one", "normal", rng)
     target = target.with_weights(rng.uniform(0.2, 3.0, n_target))
-    arms = [(f"s{k}", k % 2, rng.normal(1.0, 2.0, (m, 1)), rng.normal(5.0, 3.0, m))
+    arms = [(f"s{k}", k % 2, m)
             for k, m in enumerate(np.bincount(rng.integers(0, 4, n_zero), minlength=4)) if m]
-    junk = dataset_from_arms(arms, is_target=False)
+    x, y = zip(*[(rng.normal(1.0, 2.0, (m, 1)), rng.normal(5.0, 3.0, m)) for *_, m in arms])
+    junk = dataset_from_arms(arms, np.concatenate(x), np.concatenate(y), is_target=False)
     pooled = make_dataset((target, junk.with_weights(np.zeros(n_zero))),
                           target_id=target.target_id)
 
@@ -166,12 +168,12 @@ FEATURE_ATOMS = ("x1", "x2", "x1^2", "x2^2", "x1*x2", "z", "z*x1", "z*x2")
 def test_mean_weight_is_one_for_any_feature_map(seed, atoms, shift, scale):
     rng = np.random.default_rng(seed)
     n_t, n_s = rng.integers(40, 120), rng.integers(80, 240)
-    target = dataset_from_arms(
-        [("t", z, rng.normal(0.0, 1.0, (m, 2)), np.zeros(m))
-         for z, m in ((1, n_t // 2), (0, n_t - n_t // 2))], is_target=True, target_id="t")
-    source = dataset_from_arms(
-        [("s", z, rng.normal(shift, scale, (m, 2)), np.zeros(m))
-         for z, m in ((1, n_s // 2), (0, n_s - n_s // 2))], is_target=False)
+    target = dataset_from_arms([("t", 1, n_t // 2), ("t", 0, n_t - n_t // 2)],
+                               rng.normal(0.0, 1.0, (n_t, 2)), np.zeros(n_t),
+                               is_target=True, target_id="t")
+    source = dataset_from_arms([("s", 1, n_s // 2), ("s", 0, n_s - n_s // 2)],
+                               rng.normal(shift, scale, (n_s, 2)), np.zeros(n_s),
+                               is_target=False)
     d = make_dataset((target, source), target_id="t")
     fit = fit_membership(d, parse_feature_spec(",".join(atoms), d.p))
     assume(fit.converged and fit.ridge_lambda == 0.0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from metaborrow.data import ArmSummary, TrialSummary
+from metaborrow.data import ArmSummary, TrialSummary, make_dataset
 from metaborrow.errors import DataError
 from metaborrow.meta import MetaFit
 from metaborrow.reconstruct import (ReconstructionConfig, reconstruct_all,
@@ -28,19 +28,25 @@ FIT = meta_fit([0.5, 1.5, -0.8], ("intercept", "arm", "x1_mean"))
 CFG = ReconstructionConfig(rng_seed=11)
 
 
+def assert_same_rows(a, b):
+    """Datasets ``a`` and ``b`` hold the same rows: per-row trial ids, then every column."""
+    assert [a.trial_ids[i] for i in a.trial] == [b.trial_ids[i] for i in b.trial]
+    for name in ("z", "y", "X", "w", "is_target"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+
 def test_moments_restored_at_large_n():
     # treated arm: mean surface 0.5 + 1.5 + (-0.8) x, residual var
     # y_var - load^2 x_var = 5 - 0.64 * 2 = 3.72
     a = arm()
-    recs = reconstruct_arm(a, FIT, CFG, n_override=200_000)
-    y = np.array([r.y for r in recs])
-    x = np.array([r.x[0] for r in recs])
+    d = reconstruct_arm(a, FIT, CFG, n_override=200_000)
+    y, x = d.y, d.X[:, 0]
     assert abs(x.mean() - 1.0) < 0.02
     assert abs(x.var(ddof=1) - 2.0) < 0.05
     expected_mean = 0.5 + 1.5 - 0.8 * 1.0
     assert abs(y.mean() - expected_mean) < 4 * np.sqrt(5.0 / 200_000)
     assert y.var(ddof=1) == pytest.approx(5.0, rel=0.03)
-    assert all(r.z == 1 and r.source == "reconstructed" for r in recs[:5])
+    assert np.all(d.z == 1) and not d.is_target.any() and np.all(d.w == 1.0)
 
 
 def test_interaction_column_loads_only_on_treated_arm():
@@ -49,41 +55,43 @@ def test_interaction_column_loads_only_on_treated_arm():
     n = 200_000
     treated = reconstruct_arm(arm(armv=1), fit, CFG, n_override=n)
     control = reconstruct_arm(arm(armv=0, y_mean=0.5 - 0.8), fit, CFG, n_override=n)
-    yt = np.array([r.y for r in treated])
-    yc = np.array([r.y for r in control])
+    yt, yc = treated.y, control.y
     # treated slope -0.8 + 0.3 = -0.5, control slope -0.8
     assert abs(yt.mean() - (0.5 + 1.5 - 0.5 * 1.0)) < 4 * np.sqrt(5.0 / n)
     assert abs(yc.mean() - (0.5 - 0.8 * 1.0)) < 4 * np.sqrt(5.0 / n)
-    xt = np.array([r.x[0] for r in treated])
+    xt = treated.X[:, 0]
     slope = np.polyfit(xt, yt, 1)[0]
     assert slope == pytest.approx(-0.5, abs=0.02)
 
 
 @pytest.mark.parametrize("p", [0, 2])
 def test_records_carry_covariate_rows(p):
-    # p = 0 still gives n records with x == (), not zero rows
+    # p = 0 still gives n rows, each with no covariates
     a = arm(n=25, x_mean=(1.0, 0.4)[:p], x_var=(2.0, 0.24)[:p],
             fam=("continuous", "binary")[:p])
     fit = meta_fit([0.5, 1.5, -0.8, 0.2][:2 + p],
                    ("intercept", "arm", "x1_mean", "x2_mean")[:2 + p])
-    recs = reconstruct_arm(a, fit, CFG, rng=np.random.default_rng(5))
+    d = reconstruct_arm(a, fit, CFG, rng=np.random.default_rng(5))
     xs = sample_covariates(a, 25, np.random.default_rng(5))
-    assert len(recs) == 25
-    assert [r.x for r in recs] == [tuple(row) for row in xs.tolist()]
-    assert all(type(r.y) is float and type(r.z) is int for r in recs)
+    assert len(d) == 25 and d.X.shape == (25, p)
+    assert d.X.tobytes() == xs.tobytes()
+    assert d.y.dtype == float and d.z.dtype == int
 
 
 def test_substreams_are_deterministic_and_order_free():
     trials = [TrialSummary("t1", (arm("t1", 1), arm("t1", 0, y_mean=0.0))),
               TrialSummary("t2", (arm("t2", 1, n=30), arm("t2", 0, n=20)))]
-    r1 = reconstruct_all(trials, FIT, CFG).subjects
-    r2 = reconstruct_all(trials[::-1], FIT, CFG).subjects
-    by_key = lambda recs: {k: [r for r in recs if (r.trial_id, r.z) == k]
-                           for k in {(r.trial_id, r.z) for r in recs}}
-    assert by_key(r1) == by_key(r2)
-    assert reconstruct_all(trials, FIT, CFG).subjects == r1  # same seed, same draws
+    d1 = reconstruct_all(trials, FIT, CFG)
+    d2 = reconstruct_all(trials[::-1], FIT, CFG)
+    for tid in ("t1", "t2"):
+        for z in (1, 0):
+            rows1 = (d1.trial == d1.trial_ids.index(tid)) & (d1.z == z)
+            rows2 = (d2.trial == d2.trial_ids.index(tid)) & (d2.z == z)
+            assert d1.y[rows1].tobytes() == d2.y[rows2].tobytes()
+            assert d1.X[rows1].tobytes() == d2.X[rows2].tobytes()
+    assert_same_rows(reconstruct_all(trials, FIT, CFG), d1)  # same seed, same draws
     other = ReconstructionConfig(rng_seed=12)
-    assert reconstruct_all(trials, FIT, other).subjects != r1
+    assert not np.array_equal(reconstruct_all(trials, FIT, other).y, d1.y)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 3**50])
@@ -92,42 +100,43 @@ def test_substream_is_the_one_the_key_tuple_seeds(seed):
     trials = [TrialSummary(tid, (arm(tid, 1, n=7), arm(tid, 0, n=5)))
               for tid in ("", "t1", "Prüfung-試験")]
     cfg = ReconstructionConfig(rng_seed=seed)
-    got = list(reconstruct_all(trials, FIT, cfg).subjects)
-    want = [rec for t in trials for a in t.arms for rec in reconstruct_arm(
+    got = reconstruct_all(trials, FIT, cfg)
+    want = make_dataset([reconstruct_arm(
         a, FIT, cfg, rng=default_rng(SeedSequence((seed, zlib.crc32(a.trial_id.encode()),
-                                                    a.arm))))]
-    assert got == want
+                                                    a.arm))))
+        for t in trials for a in t.arms])
+    assert_same_rows(got, want)
 
 
 def test_arms_use_distinct_substreams():
     a1 = reconstruct_arm(arm("t1", 1), FIT, CFG)
     a0 = reconstruct_arm(arm("t1", 0), FIT, CFG)
     b1 = reconstruct_arm(arm("t2", 1), FIT, CFG)
-    assert [r.x for r in a1] != [r.x for r in a0]
-    assert [r.x for r in a1] != [r.x for r in b1]
+    assert not np.array_equal(a1.X, a0.X)
+    assert not np.array_equal(a1.X, b1.X)
 
 
 def test_explicit_rng_overrides_substream():
     rng = np.random.default_rng(3)
     r1 = reconstruct_arm(arm(), FIT, CFG, rng=rng)
     r2 = reconstruct_arm(arm(), FIT, CFG, rng=np.random.default_rng(3))
-    assert r1 == r2
-    assert r1 != reconstruct_arm(arm(), FIT, CFG)  # substream differs
+    assert_same_rows(r1, r2)
+    assert not np.array_equal(r1.y, reconstruct_arm(arm(), FIT, CFG).y)  # substream differs
 
 
 def test_control_only_borrow_skips_treated_arms():
     trials = [TrialSummary("t1", (arm("t1", 1), arm("t1", 0)))]
     cfg = ReconstructionConfig(rng_seed=11, borrow="control_only")
-    recs = reconstruct_all(trials, FIT, cfg).subjects
-    assert {r.z for r in recs} == {0}
-    assert len(recs) == 50
+    d = reconstruct_all(trials, FIT, cfg)
+    assert set(d.z.tolist()) == {0}
+    assert len(d) == 50
 
 
 def test_empty_arm_skipped_by_reconstruct_all():
     empty = ArmSummary("t1", 0, 0, 0.0, 1.0, (1.0,), (2.0,), ("continuous",))
     trials = [TrialSummary("t1", (arm("t1", 1), empty))]
-    recs = reconstruct_all(trials, FIT, CFG).subjects
-    assert {r.z for r in recs} == {1}
+    d = reconstruct_all(trials, FIT, CFG)
+    assert set(d.z.tolist()) == {1}
     with pytest.raises(DataError, match="cannot sample"):
         reconstruct_arm(empty, FIT, CFG)
 
@@ -136,9 +145,8 @@ def test_overexplained_variance_clamps_with_warning():
     # slope explains 0.64 * 2 = 1.28 > y_var = 1.0
     tight = arm(y_var=1.0)
     with pytest.warns(UserWarning, match="clamped"):
-        recs = reconstruct_arm(tight, FIT, CFG, n_override=50_000)
-    y = np.array([r.y for r in recs])
-    x = np.array([r.x[0] for r in recs])
+        d = reconstruct_arm(tight, FIT, CFG, n_override=50_000)
+    y, x = d.y, d.X[:, 0]
     # outcomes are nearly deterministic in x at the floor variance
     resid = y - (0.5 + 1.5 - 0.8 * x)
     assert resid.var() < 1e-6
@@ -147,10 +155,9 @@ def test_overexplained_variance_clamps_with_warning():
 
 def test_degenerate_zero_covariate_variance():
     a = arm(x_var=(0.0,))
-    recs = reconstruct_arm(a, FIT, CFG, n_override=10_000)
-    x = np.array([r.x[0] for r in recs])
+    d = reconstruct_arm(a, FIT, CFG, n_override=10_000)
+    x, y = d.X[:, 0], d.y
     assert np.all(x == 1.0)
-    y = np.array([r.y for r in recs])
     assert y.var(ddof=1) == pytest.approx(5.0, rel=0.05)  # all variance residual
 
 

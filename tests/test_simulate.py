@@ -115,9 +115,8 @@ def test_target_trial_allocations():
     for alloc, n1, n0 in (("one_to_one", 20, 20), ("three_to_one", 30, 10),
                           ("single_arm", 40, 0)):
         d = generate_target_trial(40, alloc, "normal", rng)
-        z = [s.z for s in d.subjects]
-        assert sum(z) == n1 and len(z) - sum(z) == n0
-        assert all(s.source == "target" for s in d.subjects)
+        assert d.z.tolist() == [1] * n1 + [0] * n0
+        assert d.is_target.all() and d.trial_ids == ("target",)
 
 
 def test_replication_is_deterministic():

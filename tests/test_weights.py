@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from metaborrow import weights
-from metaborrow.data import SubjectRecord, make_dataset
+from metaborrow.data import Dataset
 from metaborrow.errors import DataError, NumericalError
 from metaborrow.weights import (FeatureMap, FeatureTerm, compute_weights,
                                 default_feature_map, fit_membership,
@@ -12,19 +12,23 @@ from metaborrow.weights import (FeatureMap, FeatureTerm, compute_weights,
                                 parse_feature_spec)
 
 
+def pool(x_target, x_source, z_source=None):
+    """Target rows ``tgt``, then reconstructed rows ``src``: outcome 0, unit weights.
+
+    ``x_target`` and ``x_source`` are (n, p) covariates.  Arms alternate
+    0, 1 in each group, unless ``z_source`` gives the source rows' arms.
+    """
+    n_t, n_s = len(x_target), len(x_source)
+    z_source = np.arange(n_s) % 2 if z_source is None else z_source
+    trial = np.repeat([0, 1], [n_t, n_s])
+    return Dataset(("tgt", "src"), trial, np.concatenate([np.arange(n_t) % 2, z_source]),
+                   np.zeros(n_t + n_s), np.concatenate([x_target, x_source]),
+                   np.ones(n_t + n_s), trial == 0, "tgt")
+
+
 def pooled(n_target=60, n_source=180, shift=1.0, seed=0, p=1):
     rng = np.random.default_rng(seed)
-    subs = [SubjectRecord("tgt", int(i % 2), 0.0,
-                          tuple(rng.normal(0.0, 1.0, p)), 1.0, "target")
-            for i in range(n_target)]
-    subs += [SubjectRecord("src", int(i % 2), 0.0,
-                           tuple(rng.normal(shift, 1.0, p)), 1.0, "reconstructed")
-             for i in range(n_source)]
-    return make_dataset(subs, target_id="tgt")
-
-
-def weights_of(d):
-    return np.array([s.weight for s in d.subjects])
+    return pool(rng.normal(0.0, 1.0, (n_target, p)), rng.normal(shift, 1.0, (n_source, p)))
 
 
 def test_mean_weight_is_one_for_unpenalized_fit():
@@ -32,14 +36,14 @@ def test_mean_weight_is_one_for_unpenalized_fit():
         d = pooled(seed=seed, p=p, shift=shift)
         fit = fit_membership(d)
         assert fit.converged and fit.ridge_lambda == 0.0
-        w = weights_of(compute_weights(d, fit))
+        w = compute_weights(d, fit).w
         assert w.mean() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_no_shift_gives_flat_weights():
     d = pooled(n_target=400, n_source=400, shift=0.0, seed=4)
     fit = fit_membership(d)
-    w = weights_of(compute_weights(d, fit))
+    w = compute_weights(d, fit).w
     assert w.mean() == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.abs(w - 1.0) < 0.35)  # only sampling noise separates groups
 
@@ -50,8 +54,8 @@ def test_shift_direction_downweights_source_region():
     fmap = linear_feature_map(1)
     fit = fit_membership(d, fmap)
     assert fit.alpha[1] < 0
-    x = np.array([s.x[0] for s in d.subjects])
-    w = weights_of(compute_weights(d, fit))
+    x = d.X[:, 0]
+    w = compute_weights(d, fit).w
     order = np.argsort(x)
     assert np.all(np.diff(w[order]) <= 1e-12)  # monotone in x under linear map
 
@@ -61,8 +65,8 @@ def test_weights_scale_by_pool_ratio():
     # (N / n_T) = 4 at the far left tail
     d = pooled(n_target=250, n_source=750, shift=3.0, seed=6)
     fit = fit_membership(d)
-    w = weights_of(compute_weights(d, fit))
-    x = np.array([s.x[0] for s in d.subjects])
+    w = compute_weights(d, fit).w
+    x = d.X[:, 0]
     assert w[np.argmin(x)] == pytest.approx(4.0, abs=0.2)
     assert w[np.argmax(x)] < 0.1
 
@@ -71,8 +75,8 @@ def test_probabilities_match_weights():
     d = pooled(seed=7)
     fit = fit_membership(d)
     pi = membership_probabilities(d, fit)
-    w = weights_of(compute_weights(d, fit))
-    assert w == pytest.approx(len(d.subjects) / d.n_target() * pi)
+    w = compute_weights(d, fit).w
+    assert w == pytest.approx(len(d) / d.n_target() * pi)
 
 
 
@@ -94,23 +98,16 @@ def test_pin_target_weights():
     d = pooled(seed=8)
     fit = fit_membership(d)
     w = compute_weights(d, fit, pin_target_weights=True)
-    for s in w.subjects:
-        if s.source == "target":
-            assert s.weight == 1.0
-        else:
-            assert s.weight != 1.0
+    assert np.all(w.w[w.is_target] == 1.0)
+    assert np.all(w.w[~w.is_target] != 1.0)
 
 
 def test_separated_groups_saturate_but_stay_calibrated():
     rng = np.random.default_rng(9)
-    subs = [SubjectRecord("tgt", i % 2, 0.0, (float(v),), 1.0, "target")
-            for i, v in enumerate(rng.uniform(1.0, 2.0, 20))]
-    subs += [SubjectRecord("src", i % 2, 0.0, (float(v),), 1.0, "reconstructed")
-             for i, v in enumerate(rng.uniform(-2.0, -1.0, 20))]
-    d = make_dataset(subs, target_id="tgt")
+    d = pool(rng.uniform(1.0, 2.0, (20, 1)), rng.uniform(-2.0, -1.0, (20, 1)))
     fit = fit_membership(d)
     assert fit.converged
-    w = weights_of(compute_weights(d, fit))
+    w = compute_weights(d, fit).w
     assert w.mean() == pytest.approx(1.0, abs=1e-6)
     # fully separated: target rows absorb the whole pool, source rows vanish
     assert w[:20] == pytest.approx(2.0, abs=1e-6)
@@ -126,9 +123,8 @@ def test_nonconvergence_raises_after_ridge_escalation(monkeypatch):
 
 def test_single_class_datasets_rejected():
     rng = np.random.default_rng(11)
-    only_target = make_dataset(
-        [SubjectRecord("tgt", i % 2, 0.0, (float(rng.normal()),), 1.0, "target")
-         for i in range(10)], target_id="tgt")
+    only_target = Dataset(("tgt",), np.zeros(10, int), np.arange(10) % 2, np.zeros(10),
+                          rng.normal(size=(10, 1)), np.ones(10), np.ones(10, bool), "tgt")
     with pytest.raises(DataError, match="both target and non-target"):
         fit_membership(only_target)
 
@@ -137,9 +133,8 @@ def test_compute_weights_requires_target_rows():
     rng = np.random.default_rng(12)
     d = pooled(seed=12)
     fit = fit_membership(d)
-    sourceless = make_dataset(
-        [SubjectRecord("src", i % 2, 0.0, (float(rng.normal()),), 1.0,
-                       "reconstructed") for i in range(10)])
+    sourceless = Dataset(("src",), np.zeros(10, int), np.arange(10) % 2, np.zeros(10),
+                         rng.normal(size=(10, 1)), np.ones(10), np.zeros(10, bool))
     with pytest.raises(DataError, match="no target subjects"):
         compute_weights(sourceless, fit)
 
@@ -149,11 +144,11 @@ def test_compute_weights_requires_target_rows():
 def test_default_and_linear_feature_maps():
     d = pooled(seed=13, p=2)
     F = default_feature_map(2).matrix(d)
-    x = np.array([s.x for s in d.subjects])
-    assert F.shape == (len(d.subjects), 5)
+    x = d.X
+    assert F.shape == (len(d), 5)
     assert np.allclose(F[:, 0], 1.0)
     assert np.allclose(F[:, 3], x[:, 0] ** 2)
-    assert linear_feature_map(2).matrix(d).shape == (len(d.subjects), 3)
+    assert linear_feature_map(2).matrix(d).shape == (len(d), 3)
 
 
 def test_parse_feature_spec_atoms():
@@ -189,15 +184,10 @@ def test_arm_feature_separates_allocation_shift():
     # target randomizes 1:1 but the source pool is control-heavy; with an
     # arm term the fit detects it and reweights arms back into balance
     rng = np.random.default_rng(15)
-    subs = [SubjectRecord("tgt", i % 2, 0.0, (float(rng.normal()),), 1.0, "target")
-            for i in range(200)]
-    subs += [SubjectRecord("src", 0, 0.0, (float(rng.normal()),), 1.0,
-                           "reconstructed") for i in range(300)]
-    subs += [SubjectRecord("src", 1, 0.0, (float(rng.normal()),), 1.0,
-                           "reconstructed") for i in range(100)]
-    d = make_dataset(subs, target_id="tgt")
+    d = pool(rng.normal(size=(200, 1)), rng.normal(size=(400, 1)),
+             z_source=np.repeat([0, 1], [300, 100]))
     fmap = parse_feature_spec("x1,z", p=1)
     fit = fit_membership(d, fmap)
-    w = weights_of(compute_weights(d, fit))
-    z = np.array([s.z for s in d.subjects])
+    w = compute_weights(d, fit).w
+    z = d.z
     assert w[z == 1].sum() == pytest.approx(w[z == 0].sum(), rel=0.02)
