@@ -8,9 +8,9 @@ treatment contrast with sandwich standard errors.  A Monte-Carlo harness
 and a bundled renal-trial example exercise the whole chain.
 """
 
-from .data import (ArmSummary, Dataset, TrialSummary, dataset_from_arms,
-                   make_dataset, read_subjects, read_summaries,
-                   validate_dataset, write_subjects, write_summaries)
+from .data import (Dataset, Summaries, dataset_from_arms, make_dataset,
+                   read_subjects, read_summaries, validate_dataset,
+                   write_subjects, write_summaries)
 from .errors import ConfigError, DataError, MetaborrowError, NumericalError
 from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit,
                        build_outcome_design, choose_model, estimate_univariate,
@@ -18,7 +18,7 @@ from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit,
 from .meta import MetaDesign, MetaFit, build_design, fit_dl, meta_se
 from .pipeline import PipelineConfig, run_pipeline
 from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
-                          reconstruct_all, reconstruct_arm, sample_covariates)
+                          reconstruct_all)
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        EstimatorSummary, ReplicationResult, ScenarioConfig,
                        aggregate, generate_meta_trial, generate_meta_trials,
@@ -31,7 +31,7 @@ from .weights import (FeatureMap, FeatureTerm, LogisticFit, compute_weights,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArmSummary", "Dataset", "TrialSummary", "dataset_from_arms",
+    "Dataset", "Summaries", "dataset_from_arms",
     "make_dataset", "read_subjects", "read_summaries", "validate_dataset",
     "write_subjects", "write_summaries",
     "ConfigError", "DataError", "MetaborrowError", "NumericalError",
@@ -40,7 +40,6 @@ __all__ = [
     "MetaDesign", "MetaFit", "build_design", "fit_dl", "meta_se",
     "PipelineConfig", "run_pipeline",
     "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "reconstruct_all",
-    "reconstruct_arm", "sample_covariates",
     "ALLOCATIONS", "COVARIATE_DISTS", "MODEL_SPECS", "CellResult",
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",
     "generate_meta_trial", "generate_meta_trials", "generate_target_trial", "run_cell",

@@ -21,6 +21,11 @@ the fitted regression surface — the completed trials' means are treated
 as precisely estimated.  The simulated target trial draws subjects at
 the subject-level scale n_j * v_j.
 
+Both scales are :class:`metaborrow.data.Summaries` tables with two arm
+rows per trial, treated arm first: the four completed trials make one
+table for each stage, and the target trial's own table gives the arm
+statistics its subjects are drawn from.
+
 Baseline eGFR is the single covariate; follow-up duration is not used.
 """
 
@@ -34,8 +39,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .data import (ArmSummary, TrialSummary, dataset_from_arms, make_dataset,
-                   write_summaries)
+from .data import Summaries, dataset_from_arms, make_dataset, write_summaries
 from .errors import ConfigError, DataError
 from .estimate import fit_ols, fit_weighted_regression
 from .meta import build_design, fit_dl
@@ -81,20 +85,20 @@ COMPLETED_TRIALS = (
 TARGET_TRIAL = EgfrTrialRow("Sawara 2008", 22, 16, 12.0, (4.8, 2.7), (50.7, 16.2), (57.3, 18.7))
 
 
-def _derive(row, subject_scale):
-    base = -row.follow_up_months / 12.0
-    total = row.n1 + row.n0
+def _derive(rows, subject_scale):
+    """One Summaries table of the published ``rows``: two arm rows per trial, treated first."""
     arms = []
-    for arm, nj, (xm, xsd) in ((1, row.n1, row.baseline_treat),
-                               (0, row.n0, row.baseline_ctrl)):
-        v_j = nj * row.total_change[1] ** 2 / total
-        arms.append(ArmSummary(
-            trial_id=row.study, arm=arm, n=nj,
-            y_mean=base + (row.total_change[0] if arm == 1 else 0.0),
-            y_var=nj * v_j if subject_scale else v_j,
-            x_mean=(xm,), x_var=(xsd ** 2,), x_family=("continuous",),
-        ))
-    return TrialSummary(row.study, tuple(arms))
+    for row in rows:
+        base = -row.follow_up_months / 12.0
+        total = row.n1 + row.n0
+        for arm, nj, (xm, xsd) in ((1, row.n1, row.baseline_treat),
+                                   (0, row.n0, row.baseline_ctrl)):
+            v_j = nj * row.total_change[1] ** 2 / total
+            arms.append((arm, nj, base + (row.total_change[0] if arm == 1 else 0.0),
+                         nj * v_j if subject_scale else v_j, (xm,), (xsd ** 2,)))
+    arm, n, y_mean, y_var, x_mean, x_var = zip(*arms)
+    return Summaries(tuple(row.study for row in rows), np.arange(len(arms)) // 2, arm, n,
+                     y_mean, y_var, x_mean, x_var, np.zeros((len(arms), 1), dtype=bool))
 
 
 def derive_arm_summaries(row):
@@ -103,16 +107,17 @@ def derive_arm_summaries(row):
     This is the view the meta-regression consumes: each row enters with
     variance y_var / n_j = v_j, the precision of the arm mean.
     """
-    return _derive(row, subject_scale=True)
+    return _derive((row,), subject_scale=True)
 
 
 def derive_reconstruction_summaries(row):
     """Arm summaries with y_var = v_j, the scale reconstruction noise uses."""
-    return _derive(row, subject_scale=False)
+    return _derive((row,), subject_scale=False)
 
 
 def completed_summaries():
-    return [derive_arm_summaries(r) for r in COMPLETED_TRIALS]
+    """The four completed trials' arm summaries at the subject-level scale, as one table."""
+    return _derive(COMPLETED_TRIALS, subject_scale=True)
 
 
 def fit_meta():
@@ -133,14 +138,13 @@ def simulate_target(n1, n0, rng):
     reported baseline mean/SD, treated arm first.
     """
     t = derive_arm_summaries(TARGET_TRIAL)
-    arms = ((t.trial_id, 1, n1), (t.trial_id, 0, n0))
     xs, ys = [], []
-    for _, arm_val, nj in arms:
-        a = t.arm(arm_val)
-        xs.append(rng.normal(a.x_mean[0], a.x_var[0] ** 0.5, nj))
-        ys.append(rng.normal(a.y_mean, a.y_var ** 0.5, nj))
-    return dataset_from_arms(arms, np.concatenate(xs)[:, None], np.concatenate(ys),
-                             is_target=True, target_id=t.trial_id)
+    for (x_mean,), (x_var,), y_mean, y_var, nj in zip(
+            t.x_mean.tolist(), t.x_var.tolist(), t.y_mean.tolist(), t.y_var.tolist(), (n1, n0)):
+        xs.append(rng.normal(x_mean, x_var ** 0.5, nj))
+        ys.append(rng.normal(y_mean, y_var ** 0.5, nj))
+    return dataset_from_arms(t.trial_ids, t.trial, t.arm, [n1, n0], np.concatenate(xs)[:, None],
+                             np.concatenate(ys), is_target=True, target_id=t.trial_ids[0])
 
 
 # scenario -> (n1, n0, borrow); borrow None means no external data.
@@ -215,10 +219,10 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
 
     meta, _ = fit_meta()
     rcfg = ReconstructionConfig(rng_seed=0, borrow=borrow)
-    trials = [derive_reconstruction_summaries(row) for row in COMPLETED_TRIALS]
+    summaries = _derive(COMPLETED_TRIALS, subject_scale=False)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ClampWarning)
-        recon = reconstruct_all(trials, meta, rcfg, rng=rng)
+        recon = reconstruct_all(summaries, meta, rcfg, rng=rng)
     clamped = [f"{w.message.trial_id}/arm{w.message.arm}" for w in caught
                if issubclass(w.category, ClampWarning)]
     pooled = make_dataset((target, recon), target_id=target.target_id)

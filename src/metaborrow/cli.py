@@ -67,8 +67,7 @@ def _need_seed(ctx, value):
 def meta(ctx, summaries, interaction, level, out_path):
     """Fit the random-effects meta-regression on arm-level rows."""
     pl.check_level(level)
-    trials = read_summaries(summaries)
-    design = build_design(trials, include_interaction=interaction)
+    design = build_design(read_summaries(summaries), include_interaction=interaction)
     fit = fit_dl(design)
     payload = pl.meta_to_dict(fit, level)
     click.echo(f"rows: {len(design.y)}   tau2: {fit.tau2:.4f}   Q: {fit.q_stat:.4f} "
@@ -101,16 +100,16 @@ def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
     out_path = _fallback(ctx, out_path, "out")
     if out_path is None:
         raise ConfigError("an output path is required: pass --out")
-    trials = read_summaries(summaries)
+    s = read_summaries(summaries)
     if meta_path:
         fit = pl.read_meta(meta_path)
     else:
-        fit = fit_dl(build_design(trials, include_interaction=interaction))
+        fit = fit_dl(build_design(s, include_interaction=interaction))
     rcfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
-    recon = reconstruct_all(trials, fit, rcfg)
+    recon = reconstruct_all(s, fit, rcfg)
     write_subjects(recon, out_path, include_weight=False)
     click.echo(f"reconstructed {len(recon)} subjects from "
-               f"{len(trials)} trials -> {out_path}")
+               f"{len(s.trial_ids)} trials -> {out_path}")
 
 
 @cli.command()

@@ -1,8 +1,13 @@
 """Core domain types, validation, and file I/O.
 
-Arm-level aggregate summaries (one ArmSummary per trial arm: sample
-size, outcome mean/variance, covariate means/variances) are grouped into
-TrialSummary records; the meta-regression and reconstruction read them.
+Arm-level aggregate summaries are one Summaries table held column by
+column, one row per trial arm: the arm indicator, sample size, outcome
+mean and variance, the R x p covariate means and variances, which
+covariates are binary, and each row's index into a tuple of trial ids.
+A trial's arms are adjacent rows and trials come in order of first
+appearance.  The meta-regression and reconstruction read these columns
+directly; :func:`read_summaries` builds the table from a file and
+:func:`write_summaries` writes it back.
 
 Subject-level data, observed in the target trial or reconstructed from
 summaries, is a Dataset held column by column: arm indicators ``z``,
@@ -23,7 +28,7 @@ covariances.
 Files are CSV, or JSON (a list of objects keyed like the CSV columns)
 when the path ends in ``.json``: the suffix alone picks the format.
 
-All types are immutable values; a Dataset's arrays are read-only.
+All types are immutable values; their arrays are read-only.
 Floats are written with ``repr``, so means, outcomes, and weights
 round-trip bit-for-bit; variances pass through their SD column (sqrt on
 write, square on read) and may move by an ulp.
@@ -34,7 +39,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -43,104 +47,135 @@ import numpy as np
 
 from .errors import DataError
 
-FAMILIES = ("continuous", "binary")
+FAMILIES = ("continuous", "binary")  # a covariate's family tag, indexed by its binary flag
+
+_SUMMARY_COLUMNS = (("trial", int), ("arm", int), ("n", int), ("y_mean", float),
+                    ("y_var", float), ("x_mean", float), ("x_var", float), ("binary", bool))
 
 
-@dataclass(frozen=True)
-class ArmSummary:
-    """Aggregate statistics of one trial arm.
+def _summary_column(value, name, dtype):
+    try:
+        return _read_only(value, dtype)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise DataError(f"summary column {name}: {exc}") from None
+
+
+def _first_bad_arm(trial_ids, trial, arm, n, y_mean, y_var, x_mean, x_var, binary):
+    """The first arm row that breaks an invariant, as ``(row, message)``; None if none does.
+
+    Row i belongs to trial ``trial_ids[trial[i]]``; rows whose ids are
+    equal count as one trial even under two indices.  A row's checks run
+    in a fixed order and the first failing one names it.
+    """
+    first = {}
+    key = np.array([first.setdefault(t, k) for k, t in enumerate(trial_ids)], dtype=int)[trial]
+    arm_ok = (arm == 0) | (arm == 1)
+    key = np.where(arm_ok, 2 * key + arm, -1 - np.arange(len(arm)))  # a bad arm matches nothing
+    duplicate = np.ones(len(arm), dtype=bool)
+    duplicate[np.unique(key, return_index=True)[1]] = False
+    covariate = (x_var < 0) | (binary & ~((x_mean >= 0) & (x_mean <= 1)))
+    checks = (~(np.isfinite(y_mean) & np.isfinite(y_var) & np.isfinite(x_mean).all(axis=1)
+                & np.isfinite(x_var).all(axis=1)), ~arm_ok, n < 0, y_var < 0,
+              covariate.any(axis=1), duplicate)
+    bad = np.flatnonzero(np.logical_or.reduce(checks))
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    tid, a = trial_ids[trial[i]], int(arm[i])
+    j = int(covariate[i].argmax()) if covariate.shape[1] else 0
+    messages = (
+        lambda: (f"trial {tid!r} arm {a}: summary not finite (y_mean {y_mean[i]}, "
+                 f"y_var {y_var[i]}, x_mean {tuple(x_mean[i].tolist())}, "
+                 f"x_var {tuple(x_var[i].tolist())})"),
+        lambda: f"trial {tid!r}: arm must be 0 or 1, got {a}",
+        lambda: f"trial {tid!r}: n must be nonnegative, got {n[i]}",
+        lambda: f"trial {tid!r} arm {a}: negative outcome variance",
+        lambda: (f"trial {tid!r} arm {a}: x{j + 1} variance negative" if x_var[i, j] < 0 else
+                 f"trial {tid!r} arm {a}: binary x{j + 1} mean {x_mean[i, j]} outside [0, 1]"),
+        lambda: f"duplicate (trial_id, arm) pair: ({tid!r}, {a})",
+    )
+    return i, next(message() for mask, message in zip(checks, messages) if mask[i])
+
+
+@dataclass(frozen=True, eq=False)
+class Summaries:
+    """Arm-level aggregate summaries held as columns, one row per trial arm.
 
     Attributes
     ----------
-    trial_id : str
-    arm : int
+    trial_ids : tuple of str
+        Distinct trial ids, in order of first appearance; ``trial``
+        indexes into it.
+    trial : ndarray of int, shape (R,)
+        Each arm's position in ``trial_ids``.  A trial's arms are
+        adjacent rows, and every trial has one or two (single-arm
+        trials allowed).
+    arm : ndarray of int, shape (R,)
         1 = treatment, 0 = control.
-    n : int
+    n : ndarray of int, shape (R,)
         Number of subjects in the arm.
-    y_mean, y_var : float
+    y_mean, y_var : ndarray of float, shape (R,)
         Mean and variance of individual outcomes.
-    x_mean, x_var : tuple of float
+    x_mean, x_var : ndarray of float, shape (R, p)
         Per-covariate means and variances (diagonal dispersion).
-    x_family : tuple of str
-        Per-covariate family tag, ``continuous`` or ``binary``.
+    binary : ndarray of bool, shape (R, p)
+        True for a binary covariate, False for a continuous one.
 
-    Every mean and variance must be finite; DataError otherwise.
+    Construction checks every row in one vectorised pass and raises
+    DataError naming the first bad row: every mean and variance finite,
+    ``arm`` 0 or 1, ``n`` and the variances nonnegative, a binary mean
+    in [0, 1], and no ``(trial_id, arm)`` pair twice.  Then it checks
+    the layout: distinct ids, each trial's arms adjacent, and no trial
+    without arms.  The arrays are read-only, held as :class:`Dataset`
+    holds its columns, and tables compare by identity.
     """
 
-    trial_id: str
-    arm: int
-    n: int
-    y_mean: float
-    y_var: float
-    x_mean: tuple
-    x_var: tuple
-    x_family: tuple
+    trial_ids: tuple
+    trial: np.ndarray
+    arm: np.ndarray
+    n: np.ndarray
+    y_mean: np.ndarray
+    y_var: np.ndarray
+    x_mean: np.ndarray
+    x_var: np.ndarray
+    binary: np.ndarray
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.y_mean, self.y_var, *self.x_mean, *self.x_var))):
-            raise DataError(
-                f"trial {self.trial_id!r} arm {self.arm}: summary not finite (y_mean {self.y_mean}, "
-                f"y_var {self.y_var}, x_mean {self.x_mean}, x_var {self.x_var})")
-        if self.arm not in (0, 1):
-            raise DataError(f"trial {self.trial_id!r}: arm must be 0 or 1, got {self.arm}")
-        if self.n < 0:
-            raise DataError(f"trial {self.trial_id!r}: n must be nonnegative, got {self.n}")
-        if self.y_var < 0:
-            raise DataError(f"trial {self.trial_id!r} arm {self.arm}: negative outcome variance")
-        if not (len(self.x_mean) == len(self.x_var) == len(self.x_family)):
-            raise DataError(f"trial {self.trial_id!r} arm {self.arm}: covariate field lengths differ")
-        for j, (v, fam, m) in enumerate(zip(self.x_var, self.x_family, self.x_mean), start=1):
-            if v < 0:
-                raise DataError(f"trial {self.trial_id!r} arm {self.arm}: x{j} variance negative")
-            if fam not in FAMILIES:
-                raise DataError(f"trial {self.trial_id!r} arm {self.arm}: unknown family {fam!r}")
-            if fam == "binary" and not 0.0 <= m <= 1.0:
-                raise DataError(
-                    f"trial {self.trial_id!r} arm {self.arm}: binary x{j} mean {m} outside [0, 1]"
-                )
+        ids = tuple(self.trial_ids)
+        object.__setattr__(self, "trial_ids", ids)
+        for name, dtype in _SUMMARY_COLUMNS:
+            object.__setattr__(self, name, _summary_column(getattr(self, name), name, dtype))
+        R = len(self.arm)
+        if any(getattr(self, name).shape != (R,) for name in ("trial", "n", "y_mean", "y_var")):
+            raise DataError("summary columns differ in length")
+        if not (self.x_mean.ndim == 2 and len(self.x_mean) == R
+                and self.x_mean.shape == self.x_var.shape == self.binary.shape):
+            raise DataError("covariate field lengths differ")
+        if np.any((self.trial < 0) | (self.trial >= len(ids))):
+            raise DataError(f"trial index outside 0..{len(ids) - 1}")
+        bad = _first_bad_arm(ids, self.trial, self.arm, self.n, self.y_mean, self.y_var,
+                             self.x_mean, self.x_var, self.binary)
+        if bad:
+            raise DataError(bad[1])
+        if len(set(ids)) < len(ids):
+            raise DataError(f"trial {next(t for k, t in enumerate(ids) if t in ids[:k])!r}: "
+                            "arm rows not adjacent")
+        # each row's trial index is its predecessor's or the next one, ending at the last id
+        previous = np.concatenate(([-1], self.trial))
+        step = np.diff(np.concatenate((previous, [len(ids)])))
+        wrong = np.flatnonzero((step != 0) & (step != 1))
+        if len(wrong):
+            i = wrong[0]
+            if step[i] > 1:
+                raise DataError(f"trial {ids[previous[i] + 1]!r}: no arms")
+            raise DataError(f"trial {ids[self.trial[i]]!r}: arm rows not adjacent")
 
     @property
     def p(self):
-        return len(self.x_mean)
+        return self.x_mean.shape[1]
 
-
-@dataclass(frozen=True)
-class TrialSummary:
-    """One trial: one or two ArmSummary records (single-arm trials allowed)."""
-
-    trial_id: str
-    arms: tuple
-
-    def __post_init__(self):
-        seen = [a.arm for a in self.arms]
-        if len(set(seen)) != len(seen):
-            raise DataError(f"trial {self.trial_id!r}: duplicate arm values {seen}")
-        if not self.arms:
-            raise DataError(f"trial {self.trial_id!r}: no arms")
-        dims = {a.p for a in self.arms}
-        if len(dims) > 1:
-            raise DataError(f"trial {self.trial_id!r}: covariate dimension differs across arms")
-
-    def arm(self, value):
-        for a in self.arms:
-            if a.arm == value:
-                return a
-        return None
-
-    @property
-    def p(self):
-        return self.arms[0].p
-
-
-def trial_dimension(trials):
-    """The covariate dimension shared by ``trials`` (0 when there are none).
-
-    Raises DataError naming the dimensions when the trials differ.
-    """
-    dims = {t.p for t in trials}
-    if len(dims) > 1:
-        raise DataError(f"covariate dimension differs across trials: {sorted(dims)}")
-    return dims.pop() if dims else 0
+    def __len__(self):
+        return len(self.arm)
 
 
 _SOURCES = ("reconstructed", "target")  # a row's source tag, indexed by its is_target flag
@@ -230,23 +265,18 @@ def _owned(trial_ids, trial, z, y, X, w, is_target, target_id=""):
     return Dataset(trial_ids, *arrays, target_id)
 
 
-def dataset_from_arms(arms, X, y, is_target, target_id=""):
+def dataset_from_arms(trial_ids, trial, arm, n, X, y, is_target, target_id=""):
     """Build a Dataset from rows stacked arm by arm, with unit weights.
 
-    ``arms`` is a sequence of ``(trial_id, arm, n)``: the next ``n`` rows
-    of the (N, p) covariate matrix ``X`` and of the N outcomes ``y`` belong
-    to that arm, whose indicator ``arm`` they all carry.  ``is_target``
+    Arm k is the arm ``arm[k]`` of trial ``trial_ids[trial[k]]``: the next
+    ``n[k]`` rows of the (N, p) covariate matrix ``X`` and of the N
+    outcomes ``y`` belong to it and carry its indicator.  ``is_target``
     tags every row.  ``X`` and ``y`` are taken over, not copied: they are
     made read-only in place, so the caller must not write to them after.
     """
-    sizes = np.array([n for *_, n in arms], dtype=int)
-    index = {}
-    trial = np.repeat(np.array([index.setdefault(tid, len(index)) for tid, *_ in arms],
-                               dtype=int), sizes)
-    z = np.repeat(np.array([arm for _, arm, _ in arms], dtype=int), sizes)
-    n = len(y)
-    return _owned(tuple(index), trial, z, y, X, np.ones(n), np.full(n, bool(is_target)),
-                  target_id)
+    rows = len(y)
+    return _owned(tuple(trial_ids), np.repeat(trial, n), np.repeat(arm, n), y, X,
+                  np.ones(rows), np.full(rows, bool(is_target)), target_id)
 
 
 def _row_columns(tids, z, y, xs, w, sources):
@@ -390,12 +420,15 @@ def _detect_format(path):
 
 
 def _row_to_arm(row, label):
+    """A summary row's trial id, arm, n, y_mean, y_var, x means, x variances and binary flags."""
     try:
         trial_id = row["trial_id"]
         if not isinstance(trial_id, str):
             raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
         arm = int(row["arm"])
         n = int(row["n"])
+        if max(abs(arm), abs(n)) >= 2**63:  # the table holds them as int64
+            raise OverflowError(f"arm {arm} or n {n} out of range")
         y_mean = float(row["y_mean"])
         if "y_sd" in row and row.get("y_sd") not in (None, ""):
             y_var = float(row["y_sd"]) ** 2
@@ -403,7 +436,7 @@ def _row_to_arm(row, label):
             y_var = n * float(row["y_se_mean"]) ** 2
         else:
             raise DataError(f"{label}: need one of y_sd or y_se_mean")
-        x_mean, x_var, x_family = [], [], []
+        x_mean, x_var, binary = [], [], []
         j = 1
         while f"x{j}_mean" in row:
             cell = row[f"x{j}_mean"]
@@ -411,73 +444,76 @@ def _row_to_arm(row, label):
                 break
             x_mean.append(float(cell))
             x_var.append(float(row[f"x{j}_sd"]) ** 2)
-            x_family.append(row[f"x{j}_family"].strip() or "continuous")
+            family = row[f"x{j}_family"].strip() or "continuous"
+            if family not in FAMILIES:
+                raise DataError(f"{label}: trial {trial_id!r} arm {arm}: unknown family {family!r}")
+            binary.append(family == "binary")
             j += 1
     except DataError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise DataError(f"{label}: cannot parse summary row ({exc})") from exc
-    try:
-        return ArmSummary(trial_id, arm, n, y_mean, y_var, tuple(x_mean), tuple(x_var),
-                          tuple(x_family))
-    except DataError as exc:
-        raise DataError(f"{label}: {exc}") from None
+    return trial_id, arm, n, y_mean, y_var, x_mean, x_var, binary
 
 
 def read_summaries(path):
-    """Read arm-level summaries; return a list of TrialSummary.
+    """Read arm-level summaries; return a Summaries table.
 
     Accepts the CSV schema ``trial_id,arm,n,y_mean,y_sd|y_se_mean,
     x1_mean,x1_sd,x1_family,...`` or, for a path ending in ``.json``,
     its JSON mirror (a list of objects with the same field names).  Arm
-    rows sharing a ``trial_id`` are merged into one trial; duplicated
-    (trial_id, arm) pairs are an error.
-    Errors name the row by file line (CSV) or object number (JSON).
+    rows sharing a ``trial_id`` form one trial, wherever they stand in
+    the file: the table groups them, trials in order of first
+    appearance.  Every row is checked as :class:`Summaries` checks it,
+    in file order, and errors name the row by file line (CSV) or object
+    number (JSON).
     """
     path = Path(path)
-    rows = [_row_to_arm(row, label) for label, row in _read_rows(path, "summary")]
-    if not rows:
+    raw = _read_rows(path, "summary")
+    if not raw:
         raise DataError(f"{path}: no trials")
+    labels = [label for label, _ in raw]
+    tids, *fields = zip(*(_row_to_arm(row, label) for label, row in raw))
+    dims = list(map(len, fields[4]))
+    ragged = next((i for i, d in enumerate(dims) if d != dims[0]), None)
+    if ragged is not None:
+        raise DataError(f"{labels[ragged]}: trial {tids[ragged]!r} arm {fields[0][ragged]}: "
+                        f"covariate dimension differs across arms: {dims[ragged]}, but "
+                        f"{dims[0]} at {labels[0]}")
+    trial_ids = tuple(dict.fromkeys(tids))
+    index = {t: k for k, t in enumerate(trial_ids)}
+    columns = [_summary_column(values, name, dtype) for (name, dtype), values in
+               zip(_SUMMARY_COLUMNS, [list(map(index.__getitem__, tids)), *fields])]
+    bad = _first_bad_arm(trial_ids, *columns)
+    if bad:
+        raise DataError(f"{labels[bad[0]]}: {bad[1]}")
+    order = np.argsort(columns[0], kind="stable")
+    return Summaries(trial_ids, *(c[order] for c in columns))
 
-    by_trial = {}
-    order = []
-    for a in rows:
-        if a.trial_id not in by_trial:
-            by_trial[a.trial_id] = []
-            order.append(a.trial_id)
-        if any(prev.arm == a.arm for prev in by_trial[a.trial_id]):
-            raise DataError(f"duplicate (trial_id, arm) pair: ({a.trial_id!r}, {a.arm})")
-        by_trial[a.trial_id].append(a)
-    trials = [TrialSummary(tid, tuple(by_trial[tid])) for tid in order]
-    trial_dimension(trials)
-    return trials
 
+def write_summaries(s, path):
+    """Write a Summaries table to CSV or JSON (y_sd convention), one row per arm.
 
-def write_summaries(trials, path):
-    """Write TrialSummary records back to CSV or JSON (y_sd convention).
-
-    One row dict per arm, in the summary schema's column order, feeds
-    both formats; a path ending in ``.json`` gets JSON, any other CSV.
-    The csv module writes a float with ``repr``, as JSON does, so both
-    round-trip every mean exactly.
+    The columns, in the summary schema's order, feed both formats; a
+    path ending in ``.json`` gets JSON, any other CSV.  The csv module
+    writes a float with ``repr``, as JSON does, so both round-trip every
+    mean exactly.
     """
     path = Path(path)
-    rows = []
-    for a in chain.from_iterable(t.arms for t in trials):
-        row = {"trial_id": a.trial_id, "arm": a.arm, "n": a.n, "y_mean": a.y_mean,
-               "y_sd": math.sqrt(a.y_var)}
-        for j, (m, v, fam) in enumerate(zip(a.x_mean, a.x_var, a.x_family), start=1):
-            row.update({f"x{j}_mean": m, f"x{j}_sd": math.sqrt(v), f"x{j}_family": fam})
-        rows.append(row)
+    names = ["trial_id", "arm", "n", "y_mean", "y_sd"]
+    columns = [list(map(s.trial_ids.__getitem__, s.trial.tolist())), s.arm.tolist(),
+               s.n.tolist(), s.y_mean.tolist(), np.sqrt(s.y_var).tolist()]
+    for j in range(s.p):
+        names += [f"x{j + 1}_mean", f"x{j + 1}_sd", f"x{j + 1}_family"]
+        columns += [s.x_mean[:, j].tolist(), np.sqrt(s.x_var[:, j]).tolist(),
+                    list(map(FAMILIES.__getitem__, s.binary[:, j].tolist()))]
     if _detect_format(path) == "json":
-        _write_json(rows, path)
+        _write_json([dict(zip(names, row)) for row in zip(*columns)], path)
         return
-    p = trials[0].p if trials else 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["trial_id", "arm", "n", "y_mean", "y_sd"]
-                        + [f"x{j}_{s}" for j in range(1, p + 1) for s in ("mean", "sd", "family")])
-        writer.writerows(map(dict.values, rows))
+        writer.writerow(names)
+        writer.writerows(zip(*columns))
 
 
 def _write_json(rows, path):

@@ -1,11 +1,13 @@
 """Random-effects meta-regression on arm-level aggregate data.
 
-The regression is defined at the arm level: each trial contributes one
-row per arm, with response equal to the arm's outcome mean, variance
-equal to the variance of that mean (``y_var / n``), and design vector
+The regression is defined at the arm level: each row of a
+:class:`metaborrow.data.Summaries` table is one design row, with
+response equal to the arm's outcome mean, variance equal to the
+variance of that mean (``y_var / n``), and design vector
 ``(1, arm, covariate means...)``, optionally extended with arm-by-mean
-interaction columns.  So for p covariates there are exactly two layouts,
-and :func:`design_columns` names them; reconstruction checks a fit
+interaction columns; the design is stacked from the table's columns.
+So for p covariates there are exactly two layouts, and
+:func:`design_columns` names them; reconstruction checks a fit
 against them.  Between-trial heterogeneity is estimated with the
 moment (DerSimonian-Laird) estimator generalized to regression via the
 trace formula, then folded back into the row variances for the final
@@ -78,8 +80,8 @@ def design_columns(p, include_interaction=False):
         tuple(f"arm:{m}" for m in means) if include_interaction else ())
 
 
-def build_design(trials, include_interaction=False):
-    """Assemble the arm-level MetaDesign from trial summaries.
+def build_design(s, include_interaction=False):
+    """Assemble the arm-level MetaDesign from a Summaries table, one row per arm.
 
     Every covariate mean enters; ``include_interaction`` also adds the
     ``arm * x_mean`` columns.  The columns are :func:`design_columns`.
@@ -87,38 +89,26 @@ def build_design(trials, include_interaction=False):
     Raises
     ------
     DataError
-        If the trials differ in covariate dimension, fewer rows than
+        If an arm is empty or has zero outcome variance, fewer rows than
         ``q + 1`` remain, or all rows share one arm value (treatment
         coefficient unidentifiable).
     """
-    rows_y, rows_v, rows_x = [], [], []
-    arms_seen = set()
-    p = trials[0].p if trials else 0
-    for t in trials:
-        if t.p != p:
-            raise DataError(f"trial {t.trial_id!r}: covariate dimension {t.p} differs from "
-                            f"dimension {p} of trial {trials[0].trial_id!r}")
-        for a in t.arms:
-            if a.n < 1:
-                raise DataError(f"trial {a.trial_id!r} arm {a.arm}: empty arm in meta design")
-            v = a.y_var / a.n
-            if not v > 0:
-                raise DataError(f"trial {a.trial_id!r} arm {a.arm}: zero-variance arm rejected")
-            x = [1.0, float(a.arm), *a.x_mean]
-            if include_interaction:
-                x += [a.arm * m for m in a.x_mean]
-            rows_y.append(a.y_mean)
-            rows_v.append(v)
-            rows_x.append(x)
-            arms_seen.add(a.arm)
-    X = np.asarray(rows_x, dtype=float)
+    empty = s.n < 1
+    v = s.y_var / np.maximum(s.n, 1)  # an empty arm is rejected, whatever its v
+    bad = np.flatnonzero(empty | ~(v > 0))
+    if len(bad):
+        i = bad[0]
+        problem = "empty arm in meta design" if empty[i] else "zero-variance arm rejected"
+        raise DataError(f"trial {s.trial_ids[s.trial[i]]!r} arm {s.arm[i]}: {problem}")
+    arm = s.arm.astype(float)
+    X = np.column_stack([np.ones(len(s)), arm, s.x_mean]
+                        + ([arm[:, None] * s.x_mean] if include_interaction else []))
     q = X.shape[1]
-    if len(rows_y) < q + 1:
-        raise DataError(f"meta design needs at least {q + 1} arm rows, got {len(rows_y)}")
-    if len(arms_seen) < 2:
+    if len(s) < q + 1:
+        raise DataError(f"meta design needs at least {q + 1} arm rows, got {len(s)}")
+    if s.arm.all() or not s.arm.any():
         raise DataError("all arm rows share one arm value: treatment coefficient unidentifiable")
-    return MetaDesign(np.asarray(rows_y), np.asarray(rows_v), X,
-                      design_columns(p, include_interaction))
+    return MetaDesign(s.y_mean, v, X, design_columns(s.p, include_interaction))
 
 
 def fit_dl(design):

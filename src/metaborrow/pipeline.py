@@ -55,7 +55,7 @@ class PipelineConfig:
 
     Every field is checked on construction, its type included, so a
     config file's wrong-typed value is a ConfigError (exit 2): paths are
-    strings, ``seed`` an int (not a bool), the switches bools, and
+    strings, ``seed`` a nonnegative int (not a bool), the switches bools, and
     ``level`` a real number in (0, 1).
     """
 
@@ -81,6 +81,8 @@ class PipelineConfig:
             raise ConfigError("seed is required (reconstruction is stochastic)")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.borrow not in BORROW_MODES:
             raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
         if not (self.features is None or isinstance(self.features, str)):
@@ -230,8 +232,8 @@ def run_pipeline(cfg):
     stamp = {"config_hash": cfg.config_hash(), "seed": cfg.seed}
 
     with _Stage("meta"):
-        trials = read_summaries(cfg.summaries)
-        design = build_design(trials, include_interaction=cfg.meta_interaction)
+        summaries = read_summaries(cfg.summaries)
+        design = build_design(summaries, include_interaction=cfg.meta_interaction)
         meta = fit_dl(design)
         meta_payload = meta_to_dict(meta, cfg.level)
         write_json({"stamp": stamp, **meta_payload}, outdir / "meta_fit.json")
@@ -239,10 +241,10 @@ def run_pipeline(cfg):
     with _Stage("reconstruct"):
         target = read_subjects(cfg.target)
         rcfg = ReconstructionConfig(rng_seed=cfg.seed, borrow=cfg.borrow)
-        recon = reconstruct_all(trials, meta, rcfg)
-        if target.p != trials[0].p:
+        recon = reconstruct_all(summaries, meta, rcfg)
+        if target.p != summaries.p:
             raise ConfigError(
-                f"target covariate dimension {target.p} differs from summaries {trials[0].p}"
+                f"target covariate dimension {target.p} differs from summaries {summaries.p}"
             )
         write_subjects(recon, outdir / "reconstructed.csv", include_weight=False, stamp=stamp)
 
@@ -265,7 +267,7 @@ def run_pipeline(cfg):
         payload["tau2"] = float(meta.tau2)
         write_json({"stamp": stamp, **payload}, outdir / "estimate.json")
 
-    summary = _render_summary(cfg, stamp, trials, meta, weighted, payload)
+    summary = _render_summary(cfg, stamp, summaries, meta, weighted, payload)
     (outdir / "summary.txt").write_text(summary, encoding="utf-8")
     log.info("pipeline complete: %s", outdir)
     return {"stamp": stamp, "meta": meta_payload, "estimate": payload,
@@ -274,7 +276,7 @@ def run_pipeline(cfg):
                            "estimate.json", "summary.txt")]}
 
 
-def _render_summary(cfg, stamp, trials, meta, weighted, estimate):
+def _render_summary(cfg, stamp, summaries, meta, weighted, estimate):
     """summary.txt's text; ``estimate`` is the payload written to estimate.json."""
     ct = estimate["contrast_z"]
     n_rec = len(weighted) - weighted.n_target()
@@ -283,7 +285,7 @@ def _render_summary(cfg, stamp, trials, meta, weighted, estimate):
         "treatment-effect estimate via aggregate-data borrowing",
         f"config {stamp['config_hash']}  seed {stamp['seed']}",
         "",
-        f"completed trials: {len(trials)} ({sum(len(t.arms) for t in trials)} arms)",
+        f"completed trials: {len(summaries.trial_ids)} ({len(summaries)} arms)",
         f"meta coefficients ({', '.join(meta.columns)}):",
         "  " + "  ".join(f"{b:+.4f}" for b in meta.beta),
         f"between-trial variance tau2 = {meta.tau2:.4f}",

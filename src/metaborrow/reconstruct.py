@@ -42,9 +42,14 @@ The location and scale are applied to whole columns afterwards:
 one a per-arm ``normal`` call draws.  Only the covariate term of the
 mean, ``X @ load``, is one product per arm.  The stacked ``X`` and ``y``
 become a Dataset through :func:`metaborrow.data.dataset_from_arms`,
-without a copy.  ``reconstruct_arm`` and ``sample_covariates`` run the
-same pass on one arm, so an arm drawn from its substream has the same
-rows alone as among others.
+without a copy.
+
+Arms are rows of a :class:`metaborrow.data.Summaries` table, and a mask
+over its columns picks the borrowed ones, so every per-arm quantity is
+one array indexed by those rows.  A one-row table is the one-arm case:
+an arm drawn from its substream has the same rows alone as among
+others, and a one-row table with a larger ``n`` draws more rows from
+the same substream.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .data import dataset_from_arms, trial_dimension
+from .data import dataset_from_arms
 from .errors import ConfigError, DataError
 from .meta import design_columns
 
@@ -116,8 +121,8 @@ def _seed_words(seed):
     return words
 
 
-def _arm_keys(seed, arms):
-    """One uint32 row per arm: the words of (seed, crc32 of trial id, arm).
+def _arm_keys(seed, s, rows):
+    """One uint32 row per arm ``rows`` of ``s``: the words of (seed, crc32 of trial id, arm).
 
     ``SeedSequence(row)`` hashes exactly the words ``SeedSequence((seed,
     tag, arm))`` converts its tuple to, so each arm's substream is the
@@ -125,62 +130,40 @@ def _arm_keys(seed, arms):
     conversion.
     """
     words = _seed_words(seed)
-    keys = np.empty((len(arms), len(words) + 2), dtype=np.uint32)
+    keys = np.empty((len(rows), len(words) + 2), dtype=np.uint32)
     keys[:, :-2] = words
-    tags = {}
-    keys[:, -2] = [tags.setdefault(a.trial_id, zlib.crc32(str(a.trial_id).encode("utf-8")))
-                   for a in arms]
-    keys[:, -1] = [a.arm for a in arms]
+    tags = np.array([zlib.crc32(t.encode("utf-8")) for t in s.trial_ids], dtype=np.uint32)
+    keys[:, -2] = tags[s.trial[rows]]
+    keys[:, -1] = s.arm[rows]
     return keys
 
 
-def _require_subjects(arm, n):
-    if n < 1:
-        raise DataError(f"trial {arm.trial_id!r} arm {arm.arm}: cannot sample {n} subjects")
-
-
-def _draw_covariates(rng, arm, out):
+def _draw_covariates(rng, binary, out):
     """Fill row j of ``out`` with covariate j's raw draws, in covariate order.
 
-    Standard normals for a continuous covariate, uniforms on [0, 1) for a
-    binary one (ArmSummary admits no other family); :func:`_covariates`
-    turns them into values.
+    Uniforms on [0, 1) for a covariate flagged ``binary``, standard
+    normals otherwise; :func:`_covariates` turns them into values.
     """
-    for row, fam in zip(out, arm.x_family):
-        if fam == "continuous":
-            rng.standard_normal(out=row)
-        else:
+    for row, is_binary in zip(out, binary):
+        if is_binary:
             rng.random(out=row)
+        else:
+            rng.standard_normal(out=row)
 
 
-def _covariates(raw, arms, sizes):
-    """The (N, p) covariate matrix from the (p, N) raw draws of ``arms``.
+def _covariates(raw, s, rows, sizes):
+    """The (N, p) covariate matrix from the (p, N) raw draws of arms ``rows`` of ``s``.
 
     Arm k owns the next ``sizes[k]`` columns of ``raw``.  A continuous
     value is ``x_mean + sqrt(x_var) * z``, a binary one ``u < x_mean``.
     """
-    p = len(raw)
+    def per_row(column):
+        return np.repeat(column[rows].T, sizes, axis=1)
 
-    def per_row(values, dtype=float):
-        return np.repeat(np.array(values, dtype=dtype).reshape(len(arms), p).T, sizes, axis=1)
-
-    mean = per_row([a.x_mean for a in arms])
-    x = mean + np.sqrt(per_row([a.x_var for a in arms])) * raw
-    np.copyto(x, raw < mean, where=per_row([[f == "binary" for f in a.x_family] for a in arms],
-                                           bool))
+    mean = per_row(s.x_mean)
+    x = mean + np.sqrt(per_row(s.x_var)) * raw
+    np.copyto(x, raw < mean, where=per_row(s.binary))
     return np.ascontiguousarray(x.T)
-
-
-def sample_covariates(arm, n, rng):
-    """Draw an (n, p) covariate matrix matching the arm's reported moments.
-
-    Continuous covariates are Normal(x_mean, x_var); binary covariates
-    are Bernoulli(x_mean).  Distinct covariates are independent.
-    """
-    _require_subjects(arm, n)
-    raw = np.empty((arm.p, n))
-    _draw_covariates(rng, arm, raw)
-    return _covariates(raw, [arm], [n])
 
 
 def _loads(meta, p):
@@ -199,39 +182,38 @@ def _loads(meta, p):
     return control, treated
 
 
-def _reconstruct(arms, sizes, p, meta, cfg, rng):
-    """Reconstruct ``sizes[k]`` subjects of each ``arms[k]``; returns a Dataset.
+def _reconstruct(s, rows, meta, cfg, rng):
+    """Reconstruct the ``n`` subjects of each arm ``rows`` of ``s``; returns a Dataset.
 
     The one reconstruction pass (see the module docstring).  Warns one
-    ClampWarning per clamped arm, in the order of ``arms``.
+    ClampWarning per clamped arm, in the order of ``rows``.
     """
+    p = s.p
     control, treated = _loads(meta, p)
-    arm_of = np.array([a.arm for a in arms], dtype=int)
+    arm_of, sizes, y_var = s.arm[rows], s.n[rows], s.y_var[rows]
     loads = np.where(arm_of[:, None] == 1, treated, control)
-    y_var = np.array([a.y_var for a in arms], dtype=float)
-    x_var = np.array([a.x_var for a in arms], dtype=float).reshape(len(arms), p)
-    s2 = y_var - (loads**2 * x_var).sum(axis=1)
+    s2 = y_var - (loads**2 * s.x_var[rows]).sum(axis=1)
     floor = cfg.error_floor * y_var
     clamped = s2 < floor
     for k in np.flatnonzero(clamped).tolist():
-        a = arms[k]
+        trial_id, arm = s.trial_ids[s.trial[rows[k]]], int(arm_of[k])
         warnings.warn(ClampWarning(
-            f"trial {a.trial_id!r} arm {a.arm}: residual variance "
+            f"trial {trial_id!r} arm {arm}: residual variance "
             f"{s2[k]:.6g} below floor; clamped to {floor[k]:.6g} "
             "(covariate slopes explain more variance than the arm reports)",
-            a.trial_id, a.arm,
+            trial_id, arm,
         ), stacklevel=3)
     sd = np.sqrt(np.where(clamped, floor, s2))
 
-    bounds = list(accumulate(sizes, initial=0))
+    bounds = list(accumulate(sizes.tolist(), initial=0))
     raw = np.empty((p + 1, bounds[-1]))
-    keys = _arm_keys(cfg.rng_seed, arms) if rng is None else [None] * len(arms)
-    for a, key, lo, hi in zip(arms, keys, bounds, bounds[1:]):
+    keys = _arm_keys(cfg.rng_seed, s, rows) if rng is None else [None] * len(rows)
+    for binary, key, lo, hi in zip(s.binary[rows].tolist(), keys, bounds, bounds[1:]):
         arm_rng = rng if key is None else Generator(PCG64(SeedSequence(key)))
-        _draw_covariates(arm_rng, a, raw[:p, lo:hi])
+        _draw_covariates(arm_rng, binary, raw[:p, lo:hi])
         arm_rng.standard_normal(out=raw[p, lo:hi])
 
-    X = _covariates(raw[:p], arms, sizes)
+    X = _covariates(raw[:p], s, rows, sizes)
     # one BLAS product per arm keeps an arm's values independent of the
     # arms around it: at p > 1, a product over several arms' rows can round
     # a row differently in the last bit, and so can a sum of column products
@@ -241,52 +223,24 @@ def _reconstruct(arms, sizes, p, meta, cfg, rng):
     mean = np.repeat(meta.beta[0] + meta.beta[1] * arm_of, sizes) + xl
     y = mean + np.repeat(sd, sizes) * raw[p]
 
-    return dataset_from_arms([(a.trial_id, a.arm, n) for a, n in zip(arms, sizes)], X, y,
-                             is_target=False)
+    return dataset_from_arms(s.trial_ids, s.trial[rows], arm_of, sizes, X, y, is_target=False)
 
 
-def reconstruct_arm(arm, meta, cfg, rng=None, n_override=None):
-    """Reconstruct one arm; returns a Dataset of its rows, tagged reconstructed.
-
-    The pass of :func:`reconstruct_all` on this arm alone: at ``arm.n``
-    rows from the arm's substream, the rows are the ones
-    ``reconstruct_all`` gives it, with unit weights, and a clamped
-    residual variance warns the same ClampWarning.
-
-    Parameters
-    ----------
-    arm : ArmSummary
-    meta : MetaFit
-        Its columns must be :func:`metaborrow.meta.design_columns` for
-        ``arm.p`` covariates, with or without the interaction columns.
-    cfg : ReconstructionConfig
-    rng : numpy Generator or None
-        When None, the per-arm substream derived from ``cfg.rng_seed``
-        is used.
-    n_override : int or None
-        Draw this many subjects instead of ``arm.n`` (useful for
-        moment-restoration checks at large n).
-    """
-    n = int(n_override) if n_override is not None else arm.n
-    _require_subjects(arm, n)
-    return _reconstruct([arm], [n], arm.p, meta, cfg, rng)
-
-
-def reconstruct_all(trials, meta, cfg, rng=None):
-    """Reconstruct every borrowed arm across trials; returns a Dataset.
+def reconstruct_all(s, meta, cfg, rng=None):
+    """Reconstruct every borrowed arm of Summaries ``s``; returns a Dataset.
 
     The rows are tagged reconstructed and carry unit weights.  Treatment
     arms are skipped when ``cfg.borrow == "control_only"``, and empty
-    arms always.  Rows follow (trial, arm) input order.  Each arm draws
+    arms always.  Rows follow the table's row order.  Each arm draws
     from its own substream keyed by (seed, trial_id, arm), so its values
     do not depend on trial order; when ``rng`` is given, every arm draws
-    from that one stream instead, in input order.
+    from that one stream instead, in row order.
 
-    Raises DataError when the trials differ in covariate dimension or
-    the meta fit's columns are not a layout for their covariate count
-    (see :func:`metaborrow.meta.design_columns`).
+    Raises DataError when the meta fit's columns are not a layout for
+    the table's covariate count (see
+    :func:`metaborrow.meta.design_columns`).
     """
-    p = trial_dimension(trials)
-    arms = [a for t in trials for a in t.arms
-            if a.n > 0 and not (cfg.borrow == "control_only" and a.arm == 1)]
-    return _reconstruct(arms, [a.n for a in arms], p, meta, cfg, rng)
+    borrowed = s.n > 0
+    if cfg.borrow == "control_only":
+        borrowed &= s.arm == 0
+    return _reconstruct(s, np.flatnonzero(borrowed), meta, cfg, rng)

@@ -19,7 +19,10 @@ unchanged.  The draws go into shared buffers, ``y`` is computed over all
 rows at once, and the 2K arm means and variances are segmented sums
 (``np.add.reduceat``) over the stacked ``(y, x)`` rows.  Those sums add
 in sequence where ``ndarray.mean`` adds pairwise, so a summary can
-differ from ``np.mean``/``np.var(ddof=1)`` in the last bits.
+differ from ``np.mean``/``np.var(ddof=1)`` in the last bits.  The sums
+are the columns of one :class:`metaborrow.data.Summaries` table, two
+rows per trial (treated arm first), which the meta-regression and
+reconstruction read as they are.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .data import ArmSummary, TrialSummary, dataset_from_arms, make_dataset
+from .data import Summaries, dataset_from_arms, make_dataset
 from .errors import ConfigError, DataError, MetaborrowError
 from .estimate import (MEAT_KINDS, choose_model, estimate_univariate,
                        fit_weighted_regression)
@@ -160,13 +163,13 @@ def covariate_location(k, K):
 
 
 def _meta_trials(ks, K, n, dist, rng):
-    """Generate completed trials ``ks`` of K in one pass; returns (z, x, y, summaries).
+    """Generate completed trials ``ks`` of K in one pass; returns (z, x, y, Summaries).
 
     Each trial draws, in order, its size floor(Uniform(n, 4n)) as
     ``n + 3n u``, its covariates and its noise, into shared buffers;
     ``y`` is then computed over all rows at once, and the 2 * len(ks)
     arms' means and variances of ``y`` and ``x`` are two segmented sums
-    over the stacked ``(y, x)`` rows.
+    over the stacked ``(y, x)`` rows, which become the table's columns.
     """
     for k in ks:
         if not 1 <= k <= K:
@@ -190,20 +193,15 @@ def _meta_trials(ks, K, n, dist, rng):
     mean = np.add.reduceat(yx, starts, axis=1) / counts
     d = yx - np.repeat(mean, sizes, axis=1)
     var = np.add.reduceat(np.multiply(d, d, out=d), starts, axis=1) / (counts - 1)
-    (y_mean, x_mean), (y_var, x_var) = mean.tolist(), var.tolist()
-
-    trials = []
-    for i, k in enumerate(ks):
-        tid = f"sim{k:02d}"
-        trials.append(TrialSummary(tid, tuple(
-            ArmSummary(trial_id=tid, arm=arm, n=sizes[j], y_mean=y_mean[j], y_var=y_var[j],
-                       x_mean=(x_mean[j],), x_var=(x_var[j],), x_family=("continuous",))
-            for arm, j in ((1, 2 * i), (0, 2 * i + 1)))))
-    return z, x, y, tuple(trials)
+    row = np.arange(len(sizes))  # arm rows: trial i's treated arm is row 2i, its control 2i + 1
+    summaries = Summaries(tuple(f"sim{k:02d}" for k in ks), row // 2, 1 - row % 2, counts,
+                          mean[0], var[0], mean[1:].T, var[1:].T,
+                          np.zeros((len(sizes), 1), dtype=bool))
+    return z, x, y, summaries
 
 
 def generate_meta_trials(K, n, dist, rng):
-    """Generate completed trials 1..K in one pass; returns (z, x, y, summaries).
+    """Generate completed trials 1..K in one pass; returns (z, x, y, Summaries).
 
     The draws are those of :func:`generate_meta_trial` called for k = 1..K
     in turn, and the rows are those trials' rows one after another.
@@ -212,14 +210,13 @@ def generate_meta_trials(K, n, dist, rng):
 
 
 def generate_meta_trial(k, K, n, dist, rng):
-    """Generate completed trial k and return (z, x, y, TrialSummary).
+    """Generate completed trial k and return (z, x, y, Summaries).
 
     The trial enrolls floor(Uniform(n, 4n)) subjects split evenly; only
-    the TrialSummary is available to the downstream pipeline, the
-    subject-level draws exist for diagnostics.
+    its two-row Summaries table (treated arm first) is available to the
+    downstream pipeline, the subject-level draws exist for diagnostics.
     """
-    z, x, y, (summary,) = _meta_trials((k,), K, n, dist, rng)
-    return z, x, y, summary
+    return _meta_trials((k,), K, n, dist, rng)
 
 
 def generate_target_trial(n, allocation, dist, rng):
@@ -239,7 +236,7 @@ def generate_target_trial(n, allocation, dist, rng):
     x, e = np.empty((n, 1)), np.empty(n)
     _draw_rows(rng, 0.0, dist, x[:, 0], e)
     y = _outcome(np.repeat([1.0, 0.0], (n1, n0)), x[:, 0], e)  # treated rows first
-    return dataset_from_arms([("target", 1, n1), ("target", 0, n0)], x, y,
+    return dataset_from_arms(("target",), [0, 0], [1, 0], [n1, n0], x, y,
                              is_target=True, target_id="target")
 
 
@@ -397,16 +394,22 @@ def aggregate(cfg, results):
 def run_cell(cfg, jobs=1, progress=None):
     """Run every replication of a cell and aggregate.
 
-    ``jobs > 1`` fans replications out to a process pool; because each
-    replication is seeded independently by its index, the aggregate is
-    identical at any ``jobs``.  ``progress`` (callable taking the count
-    of completed replications) is invoked occasionally when given.
+    ``jobs > 1`` fans replications out to a process pool of
+    ``min(jobs, replications)`` workers (the pool starts all its workers
+    at once, and more than one per replication would sit idle); because
+    each replication is seeded independently by its index, the aggregate
+    is identical at any ``jobs``.  ``jobs < 1`` is a ConfigError.
+    ``progress`` (callable taking the count of completed replications)
+    is invoked occasionally when given.
     """
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     reps = range(cfg.replications)
-    parallel = jobs and jobs > 1
-    with ProcessPoolExecutor(max_workers=jobs) if parallel else nullcontext() as pool:
+    workers = min(jobs, cfg.replications)
+    parallel = workers > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         outs = (pool.map(run_replication, repeat(cfg), reps,
-                         chunksize=max(1, cfg.replications // (jobs * 8)))
+                         chunksize=max(1, cfg.replications // (workers * 8)))
                 if parallel else map(run_replication, repeat(cfg), reps))
         results = []
         for i, out in enumerate(outs, start=1):

@@ -16,7 +16,8 @@ import pytest
 from metaborrow import casestudy
 from metaborrow.data import Dataset, make_dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
-from metaborrow.reconstruct import ReconstructionConfig, reconstruct_arm
+from metaborrow.data import Summaries
+from metaborrow.reconstruct import ReconstructionConfig, reconstruct_all
 from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, EST_POOLED,
                                  EST_POOLED_UNI, MODEL_SPECS, ScenarioConfig,
                                  read_cell_csv, run_cell, write_cell_csv)
@@ -92,18 +93,22 @@ def test_criterion_02_reconstruction_moments(report):
     clamped = set()
     arms_checked = 0
     t0 = time.perf_counter()
-    for trial in trials:
-        for arm in trial.arms:
+    for t in trials:
+        for i in range(len(t)):
+            # a one-row table of n subjects: the arm's own substream, drawn at n
+            arm = Summaries(t.trial_ids, t.trial[i:i + 1], t.arm[i:i + 1], [n],
+                            t.y_mean[i:i + 1], t.y_var[i:i + 1], t.x_mean[i:i + 1],
+                            t.x_var[i:i + 1], t.binary[i:i + 1])
             with warnings.catch_warnings(record=True) as wrec:
                 warnings.simplefilter("always")
-                y = reconstruct_arm(arm, fit, cfg, n_override=n).y
-            fitted_mean = np.array([1.0, arm.arm, *arm.x_mean]) @ fit.beta
+                y = reconstruct_all(arm, fit, cfg).y
+            fitted_mean = np.array([1.0, t.arm[i], *t.x_mean[i]]) @ fit.beta
             worst_mean = max(worst_mean,
-                             abs(y.mean() - fitted_mean) / np.sqrt(arm.y_var / n))
+                             abs(y.mean() - fitted_mean) / np.sqrt(t.y_var[i] / n))
             if any("clamped" in str(w.message) for w in wrec):
-                clamped.add(f"{arm.trial_id}/arm{arm.arm}")
+                clamped.add(f"{t.trial_ids[0]}/arm{t.arm[i]}")
             else:
-                worst_var = max(worst_var, abs(y.var(ddof=1) / arm.y_var - 1.0))
+                worst_var = max(worst_var, abs(y.var(ddof=1) / t.y_var[i] - 1.0))
             arms_checked += 1
     elapsed = time.perf_counter() - t0
     ok = (arms_checked == 8 and worst_mean <= 4.0 and worst_var <= 0.03

@@ -15,6 +15,8 @@ from metaborrow.casestudy import (COMPLETED_TRIALS, DEFAULT_SEED, SCENARIOS,
 from metaborrow.data import read_summaries
 from metaborrow.errors import ConfigError, DataError
 
+TREATED, CONTROL = 0, 1  # a derived trial's arm rows, treated first
+
 
 def test_row_validation():
     with pytest.raises(DataError, match="arm sizes"):
@@ -29,35 +31,37 @@ def test_arm_derivation_oracle():
     yasuda = COMPLETED_TRIALS[0]
     assert yasuda.study == "Yasuda 2004"
     t = derive_arm_summaries(yasuda)
+    assert t.trial_ids == ("Yasuda 2004",) and t.arm.tolist() == [1, 0]
+    assert t.n.tolist() == [39, 41] and not t.binary.any()
     # 12-month follow-up loses one eGFR unit; the treated arm adds the
     # reported total change of -2.0
-    assert t.arm(0).y_mean == pytest.approx(-1.0)
-    assert t.arm(1).y_mean == pytest.approx(-3.0)
+    assert t.y_mean[CONTROL] == pytest.approx(-1.0)
+    assert t.y_mean[TREATED] == pytest.approx(-3.0)
     # change SE 0.6 split by arm size: treated share 39 * 0.36 / 80
     v_treat = 39 * 0.6**2 / 80
     assert v_treat == pytest.approx(0.1755)
-    assert t.arm(1).y_var == pytest.approx(39 * v_treat)      # subject scale
+    assert t.y_var[TREATED] == pytest.approx(39 * v_treat)      # subject scale
     r = derive_reconstruction_summaries(yasuda)
-    assert r.arm(1).y_var == pytest.approx(v_treat)           # mean scale
-    assert r.arm(1).y_mean == t.arm(1).y_mean
+    assert r.y_var[TREATED] == pytest.approx(v_treat)           # mean scale
+    assert r.y_mean[TREATED] == t.y_mean[TREATED]
     # baseline eGFR copied per arm
-    assert t.arm(1).x_mean == (59.0,) and t.arm(1).x_var == (25.6**2,)
-    assert t.arm(0).x_mean == (60.0,)
+    assert t.x_mean[TREATED].tolist() == [59.0] and t.x_var[TREATED].tolist() == [25.6**2]
+    assert t.x_mean[CONTROL].tolist() == [60.0]
 
 
 def test_zero_change_is_symmetric():
     row = EgfrTrialRow("x", 10, 10, 12.0, (0.0, 0.5), (50.0, 10.0), (50.0, 10.0))
     t = derive_arm_summaries(row)
-    assert t.arm(1).y_mean == t.arm(0).y_mean == pytest.approx(-1.0)
-    assert t.arm(1).y_var == t.arm(0).y_var  # equal arm sizes
+    assert t.y_mean[TREATED] == t.y_mean[CONTROL] == pytest.approx(-1.0)
+    assert t.y_var[TREATED] == t.y_var[CONTROL]  # equal arm sizes
 
 
 def test_long_follow_up_scaling():
     rahman = COMPLETED_TRIALS[2]
     assert rahman.follow_up_months == 58.0
     t = derive_arm_summaries(rahman)
-    assert t.arm(0).y_mean == pytest.approx(-58.0 / 12.0)
-    assert t.arm(1).y_mean == pytest.approx(-58.0 / 12.0 + 0.9)
+    assert t.y_mean[CONTROL] == pytest.approx(-58.0 / 12.0)
+    assert t.y_mean[TREATED] == pytest.approx(-58.0 / 12.0 + 0.9)
 
 
 def test_meta_stage_rows_and_determinism():
@@ -76,15 +80,12 @@ def test_meta_stage_rows_and_determinism():
 def test_bundled_csv_matches_derivation(tmp_path):
     regenerated = write_bundled_csv(tmp_path / "egfr.csv")
     assert filecmp.cmp(regenerated, str(bundled_data_path()), shallow=False)
-    trials = read_summaries(str(bundled_data_path()))
+    back = read_summaries(str(bundled_data_path()))
     derived = completed_summaries()
-    assert [t.trial_id for t in trials] == [t.trial_id for t in derived]
-    for back, orig in zip(trials, derived):
-        for arm_val in (1, 0):
-            assert back.arm(arm_val).y_mean == orig.arm(arm_val).y_mean
-            assert back.arm(arm_val).y_var == pytest.approx(
-                orig.arm(arm_val).y_var, rel=1e-12)
-            assert back.arm(arm_val).n == orig.arm(arm_val).n
+    assert back.trial_ids == derived.trial_ids == tuple(r.study for r in COMPLETED_TRIALS)
+    for column in ("trial", "arm", "n", "y_mean", "x_mean", "binary"):
+        assert np.array_equal(getattr(back, column), getattr(derived, column)), column
+    assert back.y_var == pytest.approx(derived.y_var, rel=1e-12)
 
 
 def test_simulated_target_moments():
@@ -93,8 +94,9 @@ def test_simulated_target_moments():
     t = derive_arm_summaries(TARGET_TRIAL)
     y1, x0 = d.y[d.z == 1], d.X[d.z == 0, 0]
     assert len(y1) == 40_000
-    assert y1.mean() == pytest.approx(t.arm(1).y_mean, abs=4 * np.sqrt(t.arm(1).y_var / 4e4))
-    assert y1.var() == pytest.approx(t.arm(1).y_var, rel=0.03)
+    assert y1.mean() == pytest.approx(t.y_mean[TREATED],
+                                      abs=4 * np.sqrt(t.y_var[TREATED] / 4e4))
+    assert y1.var() == pytest.approx(t.y_var[TREATED], rel=0.03)
     assert x0.mean() == pytest.approx(57.3, abs=0.5)
     assert x0.std() == pytest.approx(18.7, rel=0.03)
 

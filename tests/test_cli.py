@@ -4,10 +4,11 @@ import json
 
 import numpy as np
 import pytest
+from summary_tables import arm_row, table
 
 from metaborrow.cli import main
-from metaborrow.data import (ArmSummary, Dataset, TrialSummary, make_dataset,
-                             read_subjects, write_subjects, write_summaries)
+from metaborrow.data import (Dataset, make_dataset, read_subjects, write_subjects,
+                             write_summaries)
 
 SUBCOMMANDS = ("meta", "reconstruct", "weights", "estimate", "simulate",
                "case-study", "pipeline")
@@ -15,18 +16,12 @@ SUBCOMMANDS = ("meta", "reconstruct", "weights", "estimate", "simulate",
 
 def summaries_csv(tmp_path, x_means=(-1.0, 0.0, 1.0)):
     rng = np.random.default_rng(42)
-    trials = []
-    for i, mu in enumerate(x_means):
-        tid = f"trial{i + 1}"
-        arms = tuple(ArmSummary(
-            tid, arm_val, 40 + 5 * i,
-            y_mean=1.0 + 2.0 * arm_val - mu + rng.normal(0, 0.1),
-            y_var=2.0 + 0.1 * i,
-            x_mean=(mu,), x_var=(1.0,), x_family=("continuous",),
-        ) for arm_val in (1, 0))
-        trials.append(TrialSummary(tid, arms))
+    arms = [arm_row(f"trial{i + 1}", arm_val, 40 + 5 * i,
+                    y_mean=1.0 + 2.0 * arm_val - mu + rng.normal(0, 0.1), y_var=2.0 + 0.1 * i,
+                    x_mean=(mu,), x_var=(1.0,))
+            for i, mu in enumerate(x_means) for arm_val in (1, 0)]
     path = tmp_path / "summaries.csv"
-    write_summaries(trials, path)
+    write_summaries(table(*arms), path)
     return str(path)
 
 
@@ -91,6 +86,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "output path is required" in err
     code, err = run_fail(capsys, ["case-study", "--scenario", "bogus"])
     assert code == 2  # click Choice rejects it before the command runs
+    for jobs in ("0", "-4"):
+        code, err = run_fail(capsys, ["simulate", "--reps", "2", "--seed", "1", "--jobs", jobs])
+        assert code == 2 and f"error: jobs must be >= 1, got {jobs}" in err
 
 
 @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan"])
@@ -101,17 +99,20 @@ def test_level_outside_unit_interval_exits_2(tmp_path, capsys, level):
         assert code == 2 and "level must be a number in (0, 1)" in err
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "simulate", "case-study"])
+@pytest.mark.parametrize("command", ["reconstruct", "simulate", "case-study", "pipeline"])
 def test_negative_reconstruction_seed_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
     argv, seed_name = {
-        "reconstruct": (["--summaries", summaries_csv(tmp_path),
-                         "--out", str(tmp_path / "r.csv")], "rng_seed"),
-        "simulate": (["--K", "5", "--reps", "2"], "base_seed"),
-        "case-study": (["--scenario", "target"], "seed"),
+        "reconstruct": (["--summaries", summaries_csv(tmp_path), "--out", str(out)], "rng_seed"),
+        "simulate": (["--K", "5", "--reps", "2", "--out", str(out)], "base_seed"),
+        "case-study": (["--scenario", "target", "--out", str(out)], "seed"),
+        "pipeline": (["--summaries", summaries_csv(tmp_path), "--target", target_csv(tmp_path),
+                      "--out", str(out)], "seed"),
     }[command]
     code, err = run_fail(capsys, [command, *argv, "--seed", "-1"])
     assert code == 2 and f"error: {seed_name} must be nonnegative, got -1" in err
     assert "Traceback" not in err
+    assert not out.exists()  # rejected before any output is written
 
 
 def test_data_error_exits_3(tmp_path, capsys):
@@ -129,10 +130,9 @@ def test_meta_fit_on_other_covariates_exits_3(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     fit_path = str(tmp_path / "fit.json")
     run_ok(capsys, ["meta", "--summaries", spath, "--out", fit_path])
-    wide = [TrialSummary(f"w{k}", tuple(ArmSummary(
-        f"w{k}", arm_val, 30, 1.0 + arm_val + k, 2.0, x_mean=(0.5 * k, 0.3 * k),
-        x_var=(1.0, 1.0), x_family=("continuous",) * 2) for arm_val in (1, 0)))
-        for k in range(3)]
+    wide = table(*(arm_row(f"w{k}", arm_val, 30, 1.0 + arm_val + k, 2.0,
+                           x_mean=(0.5 * k, 0.3 * k), x_var=(1.0, 1.0))
+                   for k in range(3) for arm_val in (1, 0)))
     wide_path = tmp_path / "wide.csv"
     write_summaries(wide, wide_path)
     code, err = run_fail(capsys, ["reconstruct", "--summaries", str(wide_path), "--meta-fit",

@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaborrow.data import (ArmSummary, Dataset, TrialSummary, dataset_from_arms,
-                             make_dataset, read_subjects, read_summaries,
-                             validate_dataset, write_subjects, write_summaries)
+from summary_tables import arm_row, assert_same, table, take
+
+from metaborrow.data import (Dataset, Summaries, dataset_from_arms, make_dataset,
+                             read_subjects, read_summaries, validate_dataset,
+                             write_subjects, write_summaries)
 from metaborrow.errors import DataError
 
 
 def arm(trial_id="t1", arm_val=1, n=40, y_mean=1.5, y_var=2.0,
-        x_mean=(0.3,), x_var=(1.1,), x_family=("continuous",)):
-    return ArmSummary(trial_id, arm_val, n, y_mean, y_var, x_mean, x_var, x_family)
+        x_mean=(0.3,), x_var=(1.1,), binary=None):
+    """A one-arm table."""
+    return table(arm_row(trial_id, arm_val, n, y_mean, y_var, x_mean, x_var, binary))
 
 
 def one_row(trial_id="t", z=1, y=0.5, x=(0.1,)):
@@ -34,15 +37,20 @@ def assert_same_rows(a, b):
 
 def two_arm_trial(tid="t1", p=1):
     # variances are exact squares so the SD column round-trips exactly
-    a1 = arm(tid, 1, 40, 2.5, 4.0, (0.3,) * p, (2.25,) * p, ("continuous",) * p)
-    a0 = arm(tid, 0, 35, 1.0, 1.0, (0.2,) * p, (0.25,) * p, ("continuous",) * p)
-    return TrialSummary(tid, (a1, a0))
+    return [arm_row(tid, 1, 40, 2.5, 4.0, (0.3,) * p, (2.25,) * p),
+            arm_row(tid, 0, 35, 1.0, 1.0, (0.2,) * p, (0.25,) * p)]
+
+
+def summary_csv(tmp_path, *rows, header="trial_id,arm,n,y_mean,y_sd,x1_mean,x1_sd,x1_family"):
+    path = tmp_path / "s.csv"
+    path.write_text("\n".join((header,) + rows) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------- validation
 
 def test_arm_summary_rejects_bad_arm_value():
-    with pytest.raises(DataError, match="arm must be 0 or 1"):
+    with pytest.raises(DataError, match="^trial 't1': arm must be 0 or 1, got 2$"):
         arm(arm_val=2)
 
 
@@ -65,38 +73,67 @@ def test_arm_summary_rejects_non_finite_statistics(field, bad):
 
 def test_arm_summary_rejects_mismatched_covariate_lengths():
     with pytest.raises(DataError, match="lengths differ"):
-        arm(x_mean=(0.1, 0.2), x_var=(1.0,), x_family=("continuous",))
+        Summaries(("t1",), [0], [1], [40], [1.5], [2.0], [[0.1, 0.2]], [[1.0]], [[False]])
 
 
-def test_arm_summary_rejects_unknown_family_and_bad_binary_mean():
-    with pytest.raises(DataError, match="unknown family"):
-        arm(x_family=("poisson",))
-    with pytest.raises(DataError, match="outside \\[0, 1\\]"):
-        arm(x_mean=(1.4,), x_family=("binary",))
+def test_arm_summary_rejects_unknown_family_and_bad_binary_mean(tmp_path):
+    path = summary_csv(tmp_path, "t1,1,25,2.0,1.0,0.0,1.0,continuous",
+                       "t1,0,25,1.0,1.0,0.0,1.0,poisson")
+    with pytest.raises(DataError, match="^line 3: trial 't1' arm 0: unknown family 'poisson'$"):
+        read_summaries(path)
+    with pytest.raises(DataError, match="binary x1 mean 1.4 outside \\[0, 1\\]"):
+        arm(x_mean=(1.4,), binary=(True,))
+    # the first bad row is named, and within it the first failing check
+    with pytest.raises(DataError, match="^trial 't2' arm 0: x2 variance negative$"):
+        table(arm_row("t1", x_mean=(0.5, 2.0), x_var=(1.0, 1.0), binary=(True, False)),
+              arm_row("t2", 0, x_mean=(0.5, 2.0), x_var=(1.0, -1.0), binary=(False, True)),
+              arm_row("t3", y_var=-1.0, x_mean=(0.5, 2.0), x_var=(1.0, 1.0)))
 
 
 def test_trial_summary_rejects_duplicate_arms():
-    a = arm(arm_val=1)
-    with pytest.raises(DataError, match="duplicate arm"):
-        TrialSummary("t1", (a, a))
+    a = arm_row(arm=1)
+    with pytest.raises(DataError, match=r"^duplicate \(trial_id, arm\) pair: \('t1', 1\)$"):
+        table(a, a)
 
 
-def test_trial_summary_rejects_empty_and_mixed_dimensions():
-    with pytest.raises(DataError, match="no arms"):
-        TrialSummary("t1", ())
-    a1 = arm(arm_val=1)
-    a0 = arm(arm_val=0, x_mean=(0.1, 0.2), x_var=(1.0, 1.0),
-             x_family=("continuous", "continuous"))
-    with pytest.raises(DataError, match="dimension differs"):
-        TrialSummary("t1", (a1, a0))
+def test_summaries_reject_a_trial_arm_pair_anywhere_twice():
+    # two trials given the same id are one trial: a second (A, 1) row is a
+    # duplicate wherever it stands, and the id's rows must be adjacent
+    columns = ([1, 0, 1, 0], [30] * 4, [1.0, 0.0, 2.0, 0.5], [1.0] * 4,
+               np.zeros((4, 1)), np.ones((4, 1)), np.zeros((4, 1), bool))
+    with pytest.raises(DataError, match=r"^duplicate \(trial_id, arm\) pair: \('A', 1\)$"):
+        Summaries(("A", "A"), [0, 0, 1, 1], *columns)
+    with pytest.raises(DataError, match=r"^duplicate \(trial_id, arm\) pair: \('A', 1\)$"):
+        Summaries(("A", "B", "A"), [0, 0, 1, 2], [1, 0, 0, 1], *columns[1:])
+    with pytest.raises(DataError, match="^trial 'A': arm rows not adjacent$"):
+        Summaries(("A", "B", "A"), [0, 1, 1, 2], [1, 1, 0, 0], *columns[1:])
+    with pytest.raises(DataError, match="^trial 'A': arm rows not adjacent$"):
+        Summaries(("A", "B"), [0, 1, 1, 0], [1, 1, 0, 0], *columns[1:])
+
+
+def test_trial_summary_rejects_empty_and_mixed_dimensions(tmp_path):
+    with pytest.raises(DataError, match="^trial 't2': no arms$"):
+        Summaries(("t1", "t2"), [0, 0], [1, 0], [5, 5], [1.0, 0.0], [1.0, 1.0],
+                  np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((2, 0), bool))
+    path = summary_csv(tmp_path, "t1,1,25,2.0,1.0,0.0,1.0,continuous,0.5,1.0,binary",
+                       "t1,0,25,1.0,1.0,0.0,1.0,continuous,,,",
+                       header="trial_id,arm,n,y_mean,y_sd,x1_mean,x1_sd,x1_family,"
+                              "x2_mean,x2_sd,x2_family")
+    with pytest.raises(DataError, match="^line 3: trial 't1' arm 0: covariate dimension "
+                                        "differs across arms: 1, but 2 at line 2$"):
+        read_summaries(path)
 
 
 def test_trial_arm_accessor():
-    t = two_arm_trial()
-    assert t.arm(1).y_mean == 2.5
-    assert t.arm(0).y_mean == 1.0
-    assert t.arm(9) is None
-    assert t.p == 1
+    s = table(*two_arm_trial("t1"), *two_arm_trial("t2"))
+    # one row per arm; the trial and arm columns locate each one
+    assert (len(s), s.p, s.trial_ids) == (4, 1, ("t1", "t2"))
+    assert s.trial.tolist() == [0, 0, 1, 1] and s.arm.tolist() == [1, 0, 1, 0]
+    assert s.y_mean[(s.trial == s.trial_ids.index("t2")) & (s.arm == 0)].tolist() == [1.0]
+    assert not np.any(s.arm == 9)
+    for name in ("trial", "arm", "n", "y_mean", "y_var", "x_mean", "x_var", "binary"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(s, name)[:1] = 0
 
 
 def test_dataset_with_weights_checks_length():
@@ -117,7 +154,8 @@ def test_dataset_columns_are_read_only(tmp_path):
     write_subjects(d, tmp_path / "subj.csv")
     built = (d, d.with_weights([2.0] * 4), make_dataset((d, d)),
              read_subjects(tmp_path / "subj.csv", target_id="tgt"),
-             dataset_from_arms([("a", 1, 3)], np.zeros((3, 2)), np.ones(3), is_target=False))
+             dataset_from_arms(("a",), [0], [1], [3], np.zeros((3, 2)), np.ones(3),
+                               is_target=False))
     for ds in built:
         for name in COLUMNS:
             col = getattr(ds, name)
@@ -131,7 +169,8 @@ def test_dataset_columns_are_read_only(tmp_path):
     assert own.y[0] == 0.0 and y.flags.writeable
     # the arm assembler takes the stacked arrays over: read-only in place, not copied
     X, y = np.zeros((3, 2)), np.ones(3)
-    taken = dataset_from_arms([("a", 1, 2), ("b", 0, 1)], X, y, is_target=True, target_id="a")
+    taken = dataset_from_arms(("a", "b"), [0, 1], [1, 0], [2, 1], X, y, is_target=True,
+                              target_id="a")
     assert taken.X is X and taken.y is y and not y.flags.writeable
     assert taken.trial.tolist() == [0, 0, 1] and taken.z.tolist() == [1, 1, 0]
     assert taken.w.tolist() == [1.0] * 3 and taken.n_target() == 3
@@ -166,7 +205,8 @@ def test_pooling_concatenates_rows_in_order():
     # no parts, or only empty ones, pool to an empty Dataset
     empty = make_dataset(())
     assert (len(empty), empty.p, empty.trial_ids) == (0, 0, ())
-    no_rows = make_dataset((dataset_from_arms([], np.empty((0, 2)), np.empty(0), False),))
+    no_rows = make_dataset((dataset_from_arms((), [], [], [], np.empty((0, 2)), np.empty(0),
+                                              False),))
     assert (len(no_rows), no_rows.p) == (0, 2)
 
 
@@ -186,26 +226,24 @@ def test_validate_dataset_reports_each_violation():
 # ------------------------------------------------------------- summary files
 
 def test_summaries_roundtrip_csv_and_json(tmp_path):
-    trials = [two_arm_trial("t1"), two_arm_trial("t2")]
+    s = table(*two_arm_trial("t1"), *two_arm_trial("t2"))
     for name in ("s.csv", "s.json"):
         path = tmp_path / name
-        write_summaries(trials, path)
-        assert read_summaries(path) == trials
+        write_summaries(s, path)
+        assert_same(read_summaries(path), s)
 
 
 def test_summaries_roundtrip_precision(tmp_path):
-    t = TrialSummary("t1", (
-        arm("t1", 1, 7, 1 / 3, 2 / 7, (0.1 + 0.2,), (1 / 9,), ("continuous",)),
-        arm("t1", 0, 9, -1 / 3, 3 / 7, (-0.3,), (2 / 9,), ("continuous",)),
-    ))
+    s = table(arm_row("t1", 1, 7, 1 / 3, 2 / 7, (0.1 + 0.2,), (1 / 9,)),
+              arm_row("t1", 0, 9, -1 / 3, 3 / 7, (-0.3,), (2 / 9,)))
     path = tmp_path / "s.csv"
-    write_summaries([t], path)
-    back = read_summaries(path)[0]
+    write_summaries(s, path)
+    back = read_summaries(path)
     # means round-trip exactly; variances pass through the SD column
-    assert back.arms[0].y_mean == 1 / 3
-    assert back.arms[0].x_mean == (0.1 + 0.2,)
-    assert back.arms[0].y_var == pytest.approx(2 / 7, rel=1e-15)
-    assert back.arms[1].x_var[0] == pytest.approx(2 / 9, rel=1e-15)
+    assert back.y_mean[0] == 1 / 3
+    assert back.x_mean[0].tolist() == [0.1 + 0.2]
+    assert back.y_var[0] == pytest.approx(2 / 7, rel=1e-15)
+    assert back.x_var[1, 0] == pytest.approx(2 / 9, rel=1e-15)
 
 
 def test_summaries_accept_se_of_mean_column(tmp_path):
@@ -215,8 +253,8 @@ def test_summaries_accept_se_of_mean_column(tmp_path):
         "t1,1,25,2.0,0.4,0.0,1.0,continuous\n"
         "t1,0,25,1.0,0.4,0.0,1.0,continuous\n"
     )
-    trials = read_summaries(path)
-    assert trials[0].arm(1).y_var == pytest.approx(25 * 0.4**2)
+    s = read_summaries(path)
+    assert s.arm[0] == 1 and s.y_var[0] == pytest.approx(25 * 0.4**2)
 
 
 def test_summaries_reject_duplicate_trial_arm_pair(tmp_path):
@@ -226,7 +264,8 @@ def test_summaries_reject_duplicate_trial_arm_pair(tmp_path):
         "t1,1,25,2.0,1.0,0.0,1.0,continuous\n"
         "t1,1,30,1.0,1.0,0.0,1.0,continuous\n"
     )
-    with pytest.raises(DataError, match="duplicate"):
+    with pytest.raises(DataError, match=r"^line 3: duplicate \(trial_id, arm\) pair: "
+                                        r"\('t1', 1\)$"):
         read_summaries(path)
 
 
@@ -239,7 +278,7 @@ def test_summaries_skip_comment_lines(tmp_path):
         "t1,1,25,2.0,1.0,0.0,1.0,continuous\n"
         "t1,0,25,1.0,1.0,0.0,1.0,continuous\n"
     )
-    assert len(read_summaries(path)) == 1
+    assert read_summaries(path).trial_ids == ("t1",)
 
 
 def test_summaries_errors_on_missing_empty_or_malformed(tmp_path):
@@ -256,6 +295,10 @@ def test_summaries_errors_on_missing_empty_or_malformed(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("trial_id,arm,n,y_mean,y_sd\nt1,one,25,2.0,1.0\n")
     with pytest.raises(DataError, match="line 2"):
+        read_summaries(bad)
+    bad.write_text("trial_id,arm,n,y_mean,y_sd\nt1,1,25,2.0,1.0\n"
+                   "t1,0,99999999999999999999,1.0,1.0\n")
+    with pytest.raises(DataError, match="^line 3: cannot parse summary row .*out of range"):
         read_summaries(bad)
 
 
@@ -477,3 +520,60 @@ def test_csv_round_trips_finite_rows(tmp_path_factory, d):
     path = tmp_path_factory.mktemp("csv") / "subj.csv"
     write_subjects(d, path, stamp={"seed": 1})
     assert_same_rows(read_subjects(path, target_id="tgt"), d)
+
+
+# ------------------------------------------------------------- summary round trip
+
+# no subnormals: their square root squared loses relative precision
+variances = st.floats(0.0, 1e300, allow_subnormal=False)
+
+
+@st.composite
+def summary_tables(draw):
+    """A valid table: p in {0, 1, 3}, mixed families, single-arm trials, awkward ids."""
+    p = draw(st.sampled_from((0, 1, 3)))
+    rows = []
+    for tid in draw(st.lists(awkward_ids, min_size=1, max_size=5, unique=True)):
+        for armv in draw(st.sampled_from(((1,), (0,), (1, 0), (0, 1)))):
+            binary = draw(st.lists(st.booleans(), min_size=p, max_size=p))
+            rows.append(arm_row(tid, armv, draw(st.integers(0, 10**6)), draw(finite),
+                                draw(variances),
+                                [draw(st.floats(0.0, 1.0) if b else finite) for b in binary],
+                                [draw(variances) for _ in binary], binary))
+    return table(*rows)
+
+
+def _reorder_file(path, order):
+    """Rewrite a summary file with its data rows in ``order``."""
+    if path.suffix == ".json":
+        objects = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps([objects[i] for i in order]), encoding="utf-8")
+        return
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = csv.reader(fh)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header] + [rows[i] for i in order])
+
+
+@settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
+@given(summary_tables(), st.sampled_from(("s.csv", "s.json")), st.data())
+def test_summaries_round_trip_any_table(tmp_path_factory, s, name, data):
+    path = tmp_path_factory.mktemp("summaries") / name
+    write_summaries(s, path)
+    # a file may list one trial's arms apart: they come back grouped, in
+    # order of the trials' first appearance
+    order = data.draw(st.permutations(range(len(s))))
+    _reorder_file(path, order)
+    first = {}
+    for i in order:
+        first.setdefault(s.trial[i], len(first))
+    want = take(s, sorted(order, key=lambda i: first[s.trial[i]]))
+    back = read_summaries(path)
+    assert back.trial_ids == want.trial_ids
+    for column in ("trial", "arm", "n", "y_mean", "x_mean", "binary"):
+        got, expected = getattr(back, column), getattr(want, column)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), column
+    # variances pass through the SD column
+    for column in ("y_var", "x_var"):
+        np.testing.assert_allclose(getattr(back, column), getattr(want, column), rtol=1e-15,
+                                   atol=0.0)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from metaborrow.data import ArmSummary, TrialSummary
+from summary_tables import arm_row, table
+
 from metaborrow.errors import DataError, NumericalError
 from metaborrow.meta import MetaDesign, build_design, fit_dl, meta_se
 
@@ -11,9 +12,13 @@ from metaborrow.meta import MetaDesign, build_design, fit_dl, meta_se
 def trial(tid, y_treat, y_ctrl, n=4, y_var=4.0, x_mean=0.0, p=1):
     # y_var = n so each arm row enters with mean-variance y_var / n = 1;
     # the p covariates all have mean x_mean
-    mk = lambda armv, ym: ArmSummary(tid, armv, n, ym, y_var, (x_mean,) * p, (1.0,) * p,
-                                     ("continuous",) * p)
-    return TrialSummary(tid, (mk(1, y_treat), mk(0, y_ctrl)))
+    return [arm_row(tid, armv, n, ym, y_var, (x_mean,) * p, (1.0,) * p)
+            for armv, ym in ((1, y_treat), (0, y_ctrl))]
+
+
+def stack(trials):
+    """One table of the trials' arm rows, trials in the given order."""
+    return table(*(a for t in trials for a in t))
 
 
 def test_intercept_only_moment_oracle():
@@ -33,7 +38,7 @@ def test_arm_design_moment_oracle():
     # treat means (3, 7), control means (1, 1), all row variances 1:
     # beta = (1, 4), Q = 8, tau2 = 3, cov = [[2, -2], [-2, 4]].
     trials = [trial("a", 3.0, 1.0, p=0), trial("b", 7.0, 1.0, p=0)]
-    design = build_design(trials)
+    design = build_design(stack(trials))
     assert design.columns == ("intercept", "arm")
     assert np.allclose(design.v, 1.0)
     fit = fit_dl(design)
@@ -56,8 +61,8 @@ def test_tau2_truncated_at_zero_when_homogeneous():
 def test_fit_invariant_to_row_order():
     trials = [trial("a", 3.0, 1.0, x_mean=-1.0), trial("b", 7.0, 2.0, x_mean=2.0),
               trial("c", 5.0, 1.5, x_mean=0.5)]
-    f1 = fit_dl(build_design(trials))
-    f2 = fit_dl(build_design(trials[::-1]))
+    f1 = fit_dl(build_design(stack(trials)))
+    f2 = fit_dl(build_design(stack(trials[::-1])))
     assert f1.beta == pytest.approx(f2.beta)
     assert f1.tau2 == pytest.approx(f2.tau2)
     assert f1.q_stat == pytest.approx(f2.q_stat)
@@ -66,7 +71,7 @@ def test_fit_invariant_to_row_order():
 def test_build_design_columns_and_interaction():
     trials = [trial("a", 3.0, 1.0, x_mean=-1.0), trial("b", 7.0, 2.0, x_mean=2.0),
               trial("c", 5.0, 1.5, x_mean=0.5)]
-    d = build_design(trials, include_interaction=True)
+    d = build_design(stack(trials), include_interaction=True)
     assert d.columns == ("intercept", "arm", "x1_mean", "arm:x1_mean")
     assert d.X.shape == (6, 4)
     # interaction column is arm * x1_mean row by row
@@ -75,34 +80,25 @@ def test_build_design_columns_and_interaction():
 
 def test_build_design_rejects_degenerate_inputs():
     with pytest.raises(DataError, match="at least"):
-        build_design([trial("a", 3.0, 1.0)])  # 2 rows for 3 columns
-    one_armed = TrialSummary("a", (ArmSummary("a", 1, 5, 1.0, 1.0, (), (), ()),))
-    more = TrialSummary("b", (ArmSummary("b", 1, 5, 2.0, 1.0, (), (), ()),))
-    third = TrialSummary("c", (ArmSummary("c", 1, 5, 3.0, 1.0, (), (), ()),))
+        build_design(stack([trial("a", 3.0, 1.0)]))  # 2 rows for 3 columns
+    one_armed = [arm_row(tid, 1, 5, y_mean, 1.0, (), ())
+                 for tid, y_mean in (("a", 1.0), ("b", 2.0), ("c", 3.0))]
     with pytest.raises(DataError, match="share one arm"):
-        build_design([one_armed, more, third])
-    zero_var = TrialSummary("z", (
-        ArmSummary("z", 1, 5, 1.0, 0.0, (), (), ()),
-        ArmSummary("z", 0, 5, 0.0, 1.0, (), (), ()),
-    ))
-    with pytest.raises(DataError, match="zero-variance"):
-        build_design([zero_var, trial("a", 3.0, 1.0)])
+        build_design(table(*one_armed))
+    zero_var = [arm_row("z", 1, 5, 1.0, 0.0, (), ()), arm_row("z", 0, 5, 0.0, 1.0, (), ())]
+    with pytest.raises(DataError, match="^trial 'z' arm 1: zero-variance arm rejected$"):
+        build_design(stack([zero_var, trial("a", 3.0, 1.0, p=0)]))
+    empty = [arm_row("e", 1, 5, 1.0, 1.0, (), ()), arm_row("e", 0, 0, 0.0, 1.0, (), ())]
+    with pytest.raises(DataError, match="^trial 'e' arm 0: empty arm in meta design$"):
+        build_design(stack([trial("a", 3.0, 1.0, p=0), empty]))
 
 
-
-def test_trials_of_differing_dimension_are_rejected():
-    wide = TrialSummary("w", tuple(ArmSummary("w", armv, 4, 1.0, 4.0, (0.0, 1.0), (1.0, 1.0),
-                                              ("continuous", "binary")) for armv in (1, 0)))
-    narrow = [trial(f"t{k}", 3.0 + k, 1.0, x_mean=0.5 * k) for k in range(4)]
-    for trials in ([wide, *narrow], [*narrow, wide]):
-        with pytest.raises(DataError, match="covariate dimension [12] differs from dimension [12]"):
-            build_design(trials)
 
 def test_collinear_design_names_offending_columns():
     # two covariates with equal means in every arm: x2_mean repeats x1_mean
     trials = [trial("a", 3.0, 1.0, x_mean=-1.0, p=2), trial("b", 7.0, 2.0, x_mean=2.0, p=2),
               trial("c", 5.0, 1.5, x_mean=0.5, p=2)]
-    design = build_design(trials)
+    design = build_design(stack(trials))
     with pytest.raises(NumericalError, match="dependent columns: x2_mean$"):
         fit_dl(design)
 
@@ -113,8 +109,9 @@ def test_singular_normal_equations_are_a_numerical_error(monkeypatch):
     def singular(a):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    design = build_design([trial("a", 3.0, 1.0, x_mean=-1.0), trial("b", 7.0, 2.0, x_mean=2.0),
-                           trial("c", 5.0, 1.5, x_mean=0.5)])
+    trials = [trial("a", 3.0, 1.0, x_mean=-1.0), trial("b", 7.0, 2.0, x_mean=2.0),
+              trial("c", 5.0, 1.5, x_mean=0.5)]
+    design = build_design(stack(trials))
     monkeypatch.setattr(np.linalg, "inv", singular)
     with pytest.raises(NumericalError, match="rank deficient"):
         fit_dl(design)
@@ -130,7 +127,7 @@ def test_non_finite_heterogeneity_is_an_error():
 
 def test_meta_se_matches_covariance_diagonal():
     trials = [trial("a", 3.0, 1.0, p=0), trial("b", 7.0, 1.0, p=0)]
-    fit = fit_dl(build_design(trials))
+    fit = fit_dl(build_design(stack(trials)))
     se, lo, hi = meta_se(fit, level=0.95)
     assert se == pytest.approx(np.sqrt(np.diag(fit.cov_beta)))
     assert lo == pytest.approx(fit.beta - 1.959963984540054 * se)

@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from metaborrow.data import ArmSummary, Dataset, TrialSummary, write_subjects, write_summaries
+from summary_tables import arm_row, table
+
+from metaborrow.data import Dataset, write_subjects, write_summaries
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
@@ -19,21 +21,12 @@ ARTIFACTS = ("meta_fit.json", "reconstructed.csv", "weighted.csv",
 
 def write_inputs(tmp_path, p=1):
     rng = np.random.default_rng(42)
-    trials = []
-    for i, mu in enumerate((-1.0, 0.0, 1.0)):
-        tid = f"trial{i + 1}"
-        arms = []
-        for arm_val in (1, 0):
-            n = 40 + 5 * i
-            arms.append(ArmSummary(
-                tid, arm_val, n,
-                y_mean=1.0 + 2.0 * arm_val - mu + rng.normal(0, 0.1),
-                y_var=2.0 + 0.1 * i,
-                x_mean=(mu,) * p, x_var=(1.0,) * p, x_family=("continuous",) * p,
-            ))
-        trials.append(TrialSummary(tid, tuple(arms)))
+    arms = [arm_row(f"trial{i + 1}", arm_val, 40 + 5 * i,
+                    y_mean=1.0 + 2.0 * arm_val - mu + rng.normal(0, 0.1), y_var=2.0 + 0.1 * i,
+                    x_mean=(mu,) * p, x_var=(1.0,) * p)
+            for i, mu in enumerate((-1.0, 0.0, 1.0)) for arm_val in (1, 0)]
     spath = tmp_path / "summaries.csv"
-    write_summaries(trials, spath)
+    write_summaries(table(*arms), spath)
 
     z, xs, ys = np.arange(40) % 2, [], []
     for i in range(40):
@@ -166,6 +159,8 @@ def test_config_validation(tmp_path):
         PipelineConfig(**{**base, "level": 1.5})
     with pytest.raises(ConfigError, match="seed is required"):
         PipelineConfig(**{**base, "seed": None})
+    with pytest.raises(ConfigError, match="^seed must be nonnegative, got -1$"):
+        PipelineConfig(**{**base, "seed": -1})
     # values of the wrong type, as a JSON config file can hold them
     for key, value in [("seed", "abc"), ("seed", 1.5), ("seed", True), ("seed", math.nan),
                        ("seed", []), ("seed", {}), ("summaries", tmp_path / "s.csv"),

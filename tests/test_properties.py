@@ -16,11 +16,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from metaborrow.data import FAMILIES, ArmSummary, TrialSummary, dataset_from_arms, make_dataset
+from summary_tables import arm_row, concat, table, take
+
+from metaborrow.data import dataset_from_arms, make_dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, build_design, fit_dl
 from metaborrow.reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
-                                    reconstruct_all, reconstruct_arm)
+                                    reconstruct_all)
 from metaborrow.simulate import generate_meta_trial, generate_target_trial
 from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
 
@@ -32,9 +34,9 @@ def shuffled_trials(draw):
     """Simulated completed trials, plus the same trials in a drawn order."""
     K = draw(st.integers(3, 8))
     rng = np.random.default_rng(draw(seeds))
-    trials = [generate_meta_trial(k, K, 20, "normal", rng)[-1] for k in range(1, K + 1)]
+    trials = concat([generate_meta_trial(k, K, 20, "normal", rng)[-1] for k in range(1, K + 1)])
     order = draw(st.permutations(range(K)))
-    return trials, [trials[i] for i in order]
+    return trials, take(trials, [2 * i + a for i in order for a in (0, 1)])
 
 
 def arm_rows(d):
@@ -90,22 +92,20 @@ def borrowed_trials(draw):
                    df=1, columns=columns)
 
     def summary(tid, armv, n, y_var, x_var):
-        families = tuple(draw(st.sampled_from(FAMILIES)) for _ in range(p))
-        x_mean = tuple(draw(st.floats(0.0, 1.0) if f == "binary" else st.floats(-3.0, 3.0))
-                       for f in families)
-        return ArmSummary(tid, armv, n, draw(st.floats(-5.0, 5.0)), y_var, x_mean, x_var,
-                          families)
+        binary = tuple(draw(st.booleans()) for _ in range(p))
+        x_mean = tuple(draw(st.floats(0.0, 1.0) if b else st.floats(-3.0, 3.0)) for b in binary)
+        return [arm_row(tid, armv, n, draw(st.floats(-5.0, 5.0)), y_var, x_mean, x_var, binary)]
 
     trials = []
     for k in range(draw(st.integers(1, 5))):
-        arms = tuple(summary(f"t{k}", armv, draw(st.sampled_from((0, 1, 2, 9, 30))),
-                             draw(st.floats(0.0, 6.0)),
-                             tuple(draw(st.floats(0.0, 4.0)) for _ in range(p)))
-                     for armv in draw(st.sampled_from(((0,), (1,), (0, 1), (1, 0)))))
-        trials.append(TrialSummary(f"t{k}", arms))
+        trials.append([a for armv in draw(st.sampled_from(((0,), (1,), (0, 1), (1, 0))))
+                       for a in summary(f"t{k}", armv, draw(st.sampled_from((0, 1, 2, 9, 30))),
+                                        draw(st.floats(0.0, 6.0)),
+                                        tuple(draw(st.floats(0.0, 4.0)) for _ in range(p)))])
     tight = summary("tight", 0, draw(st.integers(1, 5)), 0.0 if p else 1.0, (1.0,) * p)
-    trials.insert(draw(st.integers(0, len(trials))), TrialSummary("tight", (tight,)))
-    return trials, meta, 2.0 if p == 0 else draw(st.sampled_from((0.0, 1e-8, 2.0)))
+    trials.insert(draw(st.integers(0, len(trials))), tight)
+    return (table(*(a for t in trials for a in t)), meta,
+            2.0 if p == 0 else draw(st.sampled_from((0.0, 1e-8, 2.0))))
 
 
 def row_bits(d):
@@ -119,8 +119,8 @@ def row_bits(d):
 def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow, shared):
     trials, meta, floor = case
     cfg = ReconstructionConfig(rng_seed=seed, error_floor=floor, borrow=borrow)
-    borrowed = [a for t in trials for a in t.arms
-                if a.n and not (borrow == "control_only" and a.arm == 1)]
+    borrowed = [i for i in range(len(trials))
+                if trials.n[i] and not (borrow == "control_only" and trials.arm[i] == 1)]
 
     def run(reconstruct):
         rng = np.random.default_rng(seed) if shared else None
@@ -130,8 +130,8 @@ def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow, shared):
         return row_bits(rows), [(w.message.trial_id, w.message.arm) for w in caught]
 
     rows, clamps = run(lambda rng: reconstruct_all(trials, meta, cfg, rng=rng))
-    arm_rows, arm_clamps = run(lambda rng: make_dataset([reconstruct_arm(a, meta, cfg, rng=rng)
-                                                         for a in borrowed]))
+    arm_rows, arm_clamps = run(lambda rng: make_dataset([
+        reconstruct_all(take(trials, [i]), meta, cfg, rng=rng) for i in borrowed]))
     assert rows == arm_rows
     assert ("tight", 0) in clamps
     assert clamps == arm_clamps
@@ -143,10 +143,11 @@ def test_zero_weight_rows_drop_out(seed, n_target, n_zero, meat, interaction):
     rng = np.random.default_rng(seed)
     target = generate_target_trial(n_target, "one_to_one", "normal", rng)
     target = target.with_weights(rng.uniform(0.2, 3.0, n_target))
-    arms = [(f"s{k}", k % 2, m)
+    arms = [(k, k % 2, m)
             for k, m in enumerate(np.bincount(rng.integers(0, 4, n_zero), minlength=4)) if m]
     x, y = zip(*[(rng.normal(1.0, 2.0, (m, 1)), rng.normal(5.0, 3.0, m)) for *_, m in arms])
-    junk = dataset_from_arms(arms, np.concatenate(x), np.concatenate(y), is_target=False)
+    junk = dataset_from_arms(("s0", "s1", "s2", "s3"), *zip(*arms), np.concatenate(x),
+                             np.concatenate(y), is_target=False)
     pooled = make_dataset((target, junk.with_weights(np.zeros(n_zero))),
                           target_id=target.target_id)
 
@@ -168,10 +169,10 @@ FEATURE_ATOMS = ("x1", "x2", "x1^2", "x2^2", "x1*x2", "z", "z*x1", "z*x2")
 def test_mean_weight_is_one_for_any_feature_map(seed, atoms, shift, scale):
     rng = np.random.default_rng(seed)
     n_t, n_s = rng.integers(40, 120), rng.integers(80, 240)
-    target = dataset_from_arms([("t", 1, n_t // 2), ("t", 0, n_t - n_t // 2)],
+    target = dataset_from_arms(("t",), [0, 0], [1, 0], [n_t // 2, n_t - n_t // 2],
                                rng.normal(0.0, 1.0, (n_t, 2)), np.zeros(n_t),
                                is_target=True, target_id="t")
-    source = dataset_from_arms([("s", 1, n_s // 2), ("s", 0, n_s - n_s // 2)],
+    source = dataset_from_arms(("s",), [0, 0], [1, 0], [n_s // 2, n_s - n_s // 2],
                                rng.normal(shift, scale, (n_s, 2)), np.zeros(n_s),
                                is_target=False)
     d = make_dataset((target, source), target_id="t")

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from numpy.random import SeedSequence, default_rng
 
-from metaborrow.data import ArmSummary, TrialSummary, make_dataset
+from summary_tables import arm_row, table
+
+from metaborrow.data import make_dataset
 from metaborrow.errors import DataError
 from metaborrow.meta import MetaFit
-from metaborrow.reconstruct import (ReconstructionConfig, reconstruct_all,
-                                    reconstruct_arm, sample_covariates)
+from metaborrow.reconstruct import ReconstructionConfig, reconstruct_all
 
 
 def meta_fit(beta, columns):
@@ -20,8 +21,9 @@ def meta_fit(beta, columns):
 
 
 def arm(tid="t1", armv=1, n=50, y_mean=2.0, y_var=5.0, x_mean=(1.0,),
-        x_var=(2.0,), fam=("continuous",)):
-    return ArmSummary(tid, armv, n, y_mean, y_var, x_mean, x_var, fam)
+        x_var=(2.0,), binary=None):
+    """A one-arm table: reconstructing it reconstructs that arm alone."""
+    return table(arm_row(tid, armv, n, y_mean, y_var, x_mean, x_var, binary))
 
 
 FIT = meta_fit([0.5, 1.5, -0.8], ("intercept", "arm", "x1_mean"))
@@ -38,8 +40,7 @@ def assert_same_rows(a, b):
 def test_moments_restored_at_large_n():
     # treated arm: mean surface 0.5 + 1.5 + (-0.8) x, residual var
     # y_var - load^2 x_var = 5 - 0.64 * 2 = 3.72
-    a = arm()
-    d = reconstruct_arm(a, FIT, CFG, n_override=200_000)
+    d = reconstruct_all(arm(n=200_000), FIT, CFG)
     y, x = d.y, d.X[:, 0]
     assert abs(x.mean() - 1.0) < 0.02
     assert abs(x.var(ddof=1) - 2.0) < 0.05
@@ -53,8 +54,8 @@ def test_interaction_column_loads_only_on_treated_arm():
     fit = meta_fit([0.5, 1.5, -0.8, 0.3],
                    ("intercept", "arm", "x1_mean", "arm:x1_mean"))
     n = 200_000
-    treated = reconstruct_arm(arm(armv=1), fit, CFG, n_override=n)
-    control = reconstruct_arm(arm(armv=0, y_mean=0.5 - 0.8), fit, CFG, n_override=n)
+    treated = reconstruct_all(arm(armv=1, n=n), fit, CFG)
+    control = reconstruct_all(arm(armv=0, n=n, y_mean=0.5 - 0.8), fit, CFG)
     yt, yc = treated.y, control.y
     # treated slope -0.8 + 0.3 = -0.5, control slope -0.8
     assert abs(yt.mean() - (0.5 + 1.5 - 0.5 * 1.0)) < 4 * np.sqrt(5.0 / n)
@@ -66,23 +67,26 @@ def test_interaction_column_loads_only_on_treated_arm():
 
 @pytest.mark.parametrize("p", [0, 2])
 def test_records_carry_covariate_rows(p):
-    # p = 0 still gives n rows, each with no covariates
-    a = arm(n=25, x_mean=(1.0, 0.4)[:p], x_var=(2.0, 0.24)[:p],
-            fam=("continuous", "binary")[:p])
+    # p = 0 still gives n rows, each with no covariates; with a given rng
+    # the covariates come first, each drawn whole in covariate order
+    a = arm(n=25, x_mean=(1.0, 0.4)[:p], x_var=(2.0, 0.24)[:p], binary=(False, True)[:p])
     fit = meta_fit([0.5, 1.5, -0.8, 0.2][:2 + p],
                    ("intercept", "arm", "x1_mean", "x2_mean")[:2 + p])
-    d = reconstruct_arm(a, fit, CFG, rng=np.random.default_rng(5))
-    xs = sample_covariates(a, 25, np.random.default_rng(5))
+    d = reconstruct_all(a, fit, CFG, rng=np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    xs = np.column_stack([np.empty((25, 0)), rng.normal(1.0, 2.0**0.5, 25),
+                          rng.random(25) < 0.4][:1 + p])
     assert len(d) == 25 and d.X.shape == (25, p)
     assert d.X.tobytes() == xs.tobytes()
     assert d.y.dtype == float and d.z.dtype == int
 
 
 def test_substreams_are_deterministic_and_order_free():
-    trials = [TrialSummary("t1", (arm("t1", 1), arm("t1", 0, y_mean=0.0))),
-              TrialSummary("t2", (arm("t2", 1, n=30), arm("t2", 0, n=20)))]
+    rows = [arm_row("t1", 1), arm_row("t1", 0, y_mean=0.0), arm_row("t2", 1, n=30),
+            arm_row("t2", 0, n=20)]
+    trials = table(*rows)
     d1 = reconstruct_all(trials, FIT, CFG)
-    d2 = reconstruct_all(trials[::-1], FIT, CFG)
+    d2 = reconstruct_all(table(*rows[2:], *rows[:2]), FIT, CFG)
     for tid in ("t1", "t2"):
         for z in (1, 0):
             rows1 = (d1.trial == d1.trial_ids.index(tid)) & (d1.z == z)
@@ -97,35 +101,34 @@ def test_substreams_are_deterministic_and_order_free():
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 3**50])
 def test_substream_is_the_one_the_key_tuple_seeds(seed):
     # each arm draws what default_rng(SeedSequence((seed, crc32(id), arm))) draws
-    trials = [TrialSummary(tid, (arm(tid, 1, n=7), arm(tid, 0, n=5)))
-              for tid in ("", "t1", "Prüfung-試験")]
+    keys = [(tid, armv, n) for tid in ("", "t1", "Prüfung-試験") for armv, n in ((1, 7), (0, 5))]
     cfg = ReconstructionConfig(rng_seed=seed)
-    got = reconstruct_all(trials, FIT, cfg)
-    want = make_dataset([reconstruct_arm(
-        a, FIT, cfg, rng=default_rng(SeedSequence((seed, zlib.crc32(a.trial_id.encode()),
-                                                    a.arm))))
-        for t in trials for a in t.arms])
+    got = reconstruct_all(table(*(arm_row(tid, armv, n) for tid, armv, n in keys)), FIT, cfg)
+    want = make_dataset([reconstruct_all(
+        arm(tid, armv, n), FIT, cfg,
+        rng=default_rng(SeedSequence((seed, zlib.crc32(tid.encode()), armv))))
+        for tid, armv, n in keys])
     assert_same_rows(got, want)
 
 
 def test_arms_use_distinct_substreams():
-    a1 = reconstruct_arm(arm("t1", 1), FIT, CFG)
-    a0 = reconstruct_arm(arm("t1", 0), FIT, CFG)
-    b1 = reconstruct_arm(arm("t2", 1), FIT, CFG)
+    a1 = reconstruct_all(arm("t1", 1), FIT, CFG)
+    a0 = reconstruct_all(arm("t1", 0), FIT, CFG)
+    b1 = reconstruct_all(arm("t2", 1), FIT, CFG)
     assert not np.array_equal(a1.X, a0.X)
     assert not np.array_equal(a1.X, b1.X)
 
 
 def test_explicit_rng_overrides_substream():
     rng = np.random.default_rng(3)
-    r1 = reconstruct_arm(arm(), FIT, CFG, rng=rng)
-    r2 = reconstruct_arm(arm(), FIT, CFG, rng=np.random.default_rng(3))
+    r1 = reconstruct_all(arm(), FIT, CFG, rng=rng)
+    r2 = reconstruct_all(arm(), FIT, CFG, rng=np.random.default_rng(3))
     assert_same_rows(r1, r2)
-    assert not np.array_equal(r1.y, reconstruct_arm(arm(), FIT, CFG).y)  # substream differs
+    assert not np.array_equal(r1.y, reconstruct_all(arm(), FIT, CFG).y)  # substream differs
 
 
 def test_control_only_borrow_skips_treated_arms():
-    trials = [TrialSummary("t1", (arm("t1", 1), arm("t1", 0)))]
+    trials = table(arm_row("t1", 1), arm_row("t1", 0))
     cfg = ReconstructionConfig(rng_seed=11, borrow="control_only")
     d = reconstruct_all(trials, FIT, cfg)
     assert set(d.z.tolist()) == {0}
@@ -133,19 +136,17 @@ def test_control_only_borrow_skips_treated_arms():
 
 
 def test_empty_arm_skipped_by_reconstruct_all():
-    empty = ArmSummary("t1", 0, 0, 0.0, 1.0, (1.0,), (2.0,), ("continuous",))
-    trials = [TrialSummary("t1", (arm("t1", 1), empty))]
+    trials = table(arm_row("t1", 1), arm_row("t1", 0, n=0, y_mean=0.0, y_var=1.0))
     d = reconstruct_all(trials, FIT, CFG)
-    assert set(d.z.tolist()) == {1}
-    with pytest.raises(DataError, match="cannot sample"):
-        reconstruct_arm(empty, FIT, CFG)
+    assert set(d.z.tolist()) == {1} and len(d) == 50
+    assert len(reconstruct_all(arm(n=0), FIT, CFG)) == 0
 
 
 def test_overexplained_variance_clamps_with_warning():
     # slope explains 0.64 * 2 = 1.28 > y_var = 1.0
-    tight = arm(y_var=1.0)
+    tight = arm(y_var=1.0, n=50_000)
     with pytest.warns(UserWarning, match="clamped"):
-        d = reconstruct_arm(tight, FIT, CFG, n_override=50_000)
+        d = reconstruct_all(tight, FIT, CFG)
     y, x = d.y, d.X[:, 0]
     # outcomes are nearly deterministic in x at the floor variance
     resid = y - (0.5 + 1.5 - 0.8 * x)
@@ -154,17 +155,15 @@ def test_overexplained_variance_clamps_with_warning():
 
 
 def test_degenerate_zero_covariate_variance():
-    a = arm(x_var=(0.0,))
-    d = reconstruct_arm(a, FIT, CFG, n_override=10_000)
+    d = reconstruct_all(arm(x_var=(0.0,), n=10_000), FIT, CFG)
     x, y = d.X[:, 0], d.y
     assert np.all(x == 1.0)
     assert y.var(ddof=1) == pytest.approx(5.0, rel=0.05)  # all variance residual
 
 
 def test_binary_covariate_sampling():
-    a = arm(x_mean=(0.3,), x_var=(0.21,), fam=("binary",))
-    rng = np.random.default_rng(0)
-    xs = sample_covariates(a, 100_000, rng)
+    a = arm(n=100_000, x_mean=(0.3,), x_var=(0.21,), binary=(True,))
+    xs = reconstruct_all(a, FIT, CFG, rng=np.random.default_rng(0)).X
     assert set(np.unique(xs)) == {0.0, 1.0}
     assert xs.mean() == pytest.approx(0.3, abs=0.01)
 
@@ -174,21 +173,20 @@ def test_meta_layout_mismatches_rejected():
                r"\(intercept, arm, x1_mean, arm:x1_mean\)$")
     wrong_order = meta_fit([1.0, 2.0], ("arm", "intercept"))
     with pytest.raises(DataError, match=r"columns \(arm, intercept\) do not match .*" + layouts):
-        reconstruct_arm(arm(), wrong_order, CFG)
+        reconstruct_all(arm(), wrong_order, CFG)
     stray = meta_fit([1.0, 2.0, 3.0], ("intercept", "arm", "follow_up"))
     with pytest.raises(DataError, match=r"\(intercept, arm, follow_up\) do not match"):
-        reconstruct_arm(arm(), stray, CFG)
+        reconstruct_all(arm(), stray, CFG)
     out_of_range = meta_fit([1.0, 2.0, 3.0], ("intercept", "arm", "x2_mean"))
     with pytest.raises(DataError, match=r"\(intercept, arm, x2_mean\) do not match"):
-        reconstruct_arm(arm(), out_of_range, CFG)
+        reconstruct_all(arm(), out_of_range, CFG)
 
 
 def test_fit_on_fewer_covariates_is_rejected():
     # a fit made on one covariate has no slope for x2: reading it for two
     # covariates is an error naming both layouts, not a zero slope
-    wide = [TrialSummary(f"t{k}", tuple(arm(f"t{k}", armv, x_mean=(1.0, 0.5 * k),
-                                            x_var=(2.0, 1.0), fam=("continuous",) * 2)
-                                        for armv in (1, 0))) for k in range(3)]
+    wide = table(*(arm_row(f"t{k}", armv, x_mean=(1.0, 0.5 * k), x_var=(2.0, 1.0))
+                   for k in range(3) for armv in (1, 0)))
     for fit in (FIT, meta_fit([0.5, 1.5, -0.8, 0.3], ("intercept", "arm", "x1_mean",
                                                        "arm:x1_mean"))):
         with pytest.raises(DataError, match=r"\(intercept, arm, x1_mean.*\) do not match the "
@@ -196,13 +194,6 @@ def test_fit_on_fewer_covariates_is_rejected():
                                             r"\(intercept, arm, x1_mean, x2_mean\) or"):
             reconstruct_all(wide, fit, CFG)
 
-
-
-def test_trials_of_differing_dimension_are_rejected():
-    trials = [TrialSummary(f"t{k}", (arm(f"t{k}", 1), arm(f"t{k}", 0))) for k in range(4)]
-    wide = arm("t4", x_mean=(1.0, 0.5), x_var=(2.0, 0.25), fam=("continuous", "binary"))
-    with pytest.raises(DataError, match=r"covariate dimension differs across trials: \[1, 2\]"):
-        reconstruct_all([*trials, TrialSummary("t4", (wide,))], FIT, CFG)
 
 def test_config_validation():
     with pytest.raises(DataError, match="error_floor"):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from summary_tables import assert_same, concat
 
+from metaborrow import simulate
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.simulate import (COVARIATE_DISTS, EST_POOLED, EST_POOLED_UNI, EST_TARGET,
                                  CellResult, EstimateRecord, ReplicationResult,
@@ -53,16 +55,16 @@ def test_covariate_location_grid():
 def test_generate_meta_trial_summaries_match_draws():
     rng = np.random.default_rng(0)
     z, x, y, summary = generate_meta_trial(2, 5, 40, "normal", rng)
-    assert summary.trial_id == "sim02"
+    assert summary.trial_ids == ("sim02",) and summary.trial.tolist() == [0, 0]
     n = len(y)
     assert 40 <= n < 160
-    for arm_val in (1, 0):
+    assert summary.arm.tolist() == [1, 0] and not summary.binary.any()
+    for row, arm_val in enumerate((1, 0)):
         m = z == arm_val
-        a = summary.arm(arm_val)
-        assert a.n == m.sum()
-        assert a.y_mean == pytest.approx(y[m].mean())
-        assert a.y_var == pytest.approx(y[m].var(ddof=1))
-        assert a.x_mean[0] == pytest.approx(x[m].mean())
+        assert summary.n[row] == m.sum()
+        assert summary.y_mean[row] == pytest.approx(y[m].mean())
+        assert summary.y_var[row] == pytest.approx(y[m].var(ddof=1))
+        assert summary.x_mean[row, 0] == pytest.approx(x[m].mean())
     with pytest.raises(DataError, match="outside"):
         generate_meta_trial(6, 5, 40, "normal", rng)
 
@@ -87,19 +89,19 @@ def test_one_pass_generation_is_k_sequential_trials(K, n, dist, seed):
     for got, i in ((z, 0), (x, 1), (y, 2)):
         assert np.array_equal(got, np.concatenate([s[i] for s in singles]))
         assert np.array_equal(got, np.concatenate([r[i] for r in refs]))
-    assert trials == tuple(s[3] for s in singles)
+    assert_same(trials, concat([s[3] for s in singles]))
     # the stream is left where K sequential draws leave it: the target trial is unchanged
     assert batch_rng.random() == one_rng.random() == ref_rng.random()
 
-    for trial, (rz, rx, ry) in zip(trials, refs):
-        assert [a.arm for a in trial.arms] == [1, 0]
-        for a in trial.arms:
-            m = rz == a.arm
-            assert a.n == m.sum()
-            assert a.y_mean == pytest.approx(np.mean(ry[m]), rel=1e-13, abs=1e-13)
-            assert a.y_var == pytest.approx(np.var(ry[m], ddof=1), rel=1e-13)
-            assert a.x_mean[0] == pytest.approx(np.mean(rx[m]), rel=1e-13, abs=1e-13)
-            assert a.x_var[0] == pytest.approx(np.var(rx[m], ddof=1), rel=1e-13)
+    assert trials.arm.tolist() == [1, 0] * K
+    for i, (rz, rx, ry) in enumerate(refs):
+        for row in (2 * i, 2 * i + 1):
+            m = rz == trials.arm[row]
+            assert trials.n[row] == m.sum()
+            assert trials.y_mean[row] == pytest.approx(np.mean(ry[m]), rel=1e-13, abs=1e-13)
+            assert trials.y_var[row] == pytest.approx(np.var(ry[m], ddof=1), rel=1e-13)
+            assert trials.x_mean[row, 0] == pytest.approx(np.mean(rx[m]), rel=1e-13, abs=1e-13)
+            assert trials.x_var[row, 0] == pytest.approx(np.var(rx[m], ddof=1), rel=1e-13)
 
 
 def test_chisq2_covariates_have_unit_variance():
@@ -154,6 +156,39 @@ def test_parallel_equals_serial():
     serial = run_cell(TINY, jobs=1)
     parallel = run_cell(TINY, jobs=2)
     assert serial == parallel
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its width, runs the map in-process."""
+
+    widths = []
+
+    def __init__(self, max_workers):
+        self.widths.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables, chunksize=1):
+        return map(fn, *iterables)
+
+
+def test_pool_width_is_capped_and_jobs_checked(monkeypatch):
+    # the pool starts all its workers at once: never more than one per replication
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "widths", [])
+    cfg = ScenarioConfig(K=5, n=20, replications=3, base_seed=123)
+    serial = run_cell(cfg, jobs=1)
+    assert run_cell(cfg, jobs=5000) == serial
+    assert run_cell(cfg, jobs=2) == serial
+    assert RecordingPool.widths == [3, 2]
+    for jobs in (0, -4):
+        with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
+            run_cell(cfg, jobs=jobs)
+    assert RecordingPool.widths == [3, 2]
 
 
 def test_aggregate_arithmetic_oracles():
