@@ -419,14 +419,26 @@ def _detect_format(path):
     return "json" if str(path).endswith(".json") else "csv"
 
 
+def _integer(value, name):
+    """``int(value)``, refusing a fractional number, which ``int()`` would truncate.
+
+    A JSON number arrives as a float; a CSV cell as text, which ``int()``
+    rejects unless it spells an integer.
+    """
+    number = int(value)
+    if isinstance(value, float) and number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def _row_to_arm(row, label):
     """A summary row's trial id, arm, n, y_mean, y_var, x means, x variances and binary flags."""
     try:
         trial_id = row["trial_id"]
         if not isinstance(trial_id, str):
             raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
-        arm = int(row["arm"])
-        n = int(row["n"])
+        arm = _integer(row["arm"], "arm")
+        n = _integer(row["n"], "n")
         if max(abs(arm), abs(n)) >= 2**63:  # the table holds them as int64
             raise OverflowError(f"arm {arm} or n {n} out of range")
         y_mean = float(row["y_mean"])
@@ -561,7 +573,8 @@ def read_subjects(path, target_id=None):
             else:
                 source = "target"
             weight = float(row["weight"]) if row.get("weight") not in (None, "") else 1.0
-            fields = (row["trial_id"], int(row["z"]), float(row["y"]), tuple(x), weight, source)
+            fields = (row["trial_id"], _integer(row["z"], "z"), float(row["y"]), tuple(x), weight,
+                      source)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{label}: cannot parse subject row ({exc})") from exc
         for column, value in zip((tids, zs, ys, xs, ws, sources), fields):
@@ -593,45 +606,91 @@ def _csv_fields(values):
     return fields
 
 
-def write_subjects(d, path, include_weight=True, include_source=True, stamp=None):
-    """Write a Dataset to CSV or JSON, optionally with weight/source columns.
+_BLOCK_ROWS = 512  # rows write_subjects formats and writes at a time
+
+
+def write_subjects(d, path, include_weight=True, include_source=True, stamp=None, known=None):
+    """Write a Dataset to CSV or JSON, optionally with weight/source columns; return its row text.
 
     A path ending in ``.json`` gets JSON, any other CSV.
     ``stamp`` (a mapping) is written as leading ``# key=value`` comment
     lines in CSV output; the readers skip such lines.
 
-    CSV rows are streamed through one line template rather than
+    CSV rows are streamed through line templates rather than
     ``csv.writer.writerows``, which scans every field of every row for
     characters that need quoting.  Only trial ids can need quoting: the
     source tags are fixed, and ``str`` of a Python int or float never
     holds a delimiter, quote or line break.  So each distinct id and tag
     is quoted once, by the csv module's own rules, and rows index into
     those fields.  The bytes are the ones ``writerows`` writes, ending
-    each line with its ``\\r\\n``.  Each line goes to the file as it is
-    formatted; no list of lines or whole-file string is built, which
-    would hold the file in memory.
+    each line with its ``\\r\\n``.
+
+    Rows are formatted and written in blocks of 512: a block's numeric
+    fields ``z,y,x1,...,xp`` become one ``"\\n"``-joined string (floats
+    by ``repr``, so they round-trip exactly), and its lines are written
+    with the trial id, weight and source added.  Only one block's fields
+    are held at a time, besides the block strings, which the CSV branch
+    returns as a list: the numeric text of every row, in order, about
+    half of the file's bytes.  What that text costs in memory is held by
+    whoever keeps the list.
+
+    ``known``, such a list from an earlier write, stands for the text of
+    ``d``'s last rows, as when ``d`` pools a dataset written before
+    behind other rows: those rows are written from it without formatting
+    their floats again, and the returned list ends with it.  The caller
+    vouches that it is the text of those rows; a ``known`` covering more
+    rows than ``d`` holds raises ValueError before the file is opened,
+    and None formats every row.  JSON output formats every row whatever
+    ``known`` holds, and returns None.
     """
     path = Path(path)
-    as_csv = _detect_format(path) == "csv"
-    trial_ids, sources = d.trial_ids, _SOURCES
-    if as_csv:
-        trial_ids, sources = _csv_fields(trial_ids), _csv_fields(sources)
+    known = list(known or ())
+    head = len(d) - sum(text.count("\n") + 1 for text in known)
+    if head < 0:
+        raise ValueError(f"known text covers {len(d) - head} rows; the dataset has {len(d)}")
     names = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
-    # tolist() gives Python ints and floats: z is written as 1, not 1.0,
-    # and floats with repr, so they round-trip exactly
-    columns = [list(map(trial_ids.__getitem__, d.trial.tolist())), d.z.tolist(), d.y.tolist(),
-               *d.X.T.tolist()]
     if include_weight:
         names.append("weight")
-        columns.append(d.w.tolist())
     if include_source:
         names.append("source")
-        columns.append(list(map(sources.__getitem__, d.is_target.tolist())))
-    if as_csv:
-        template = ",".join(["{}"] * len(columns)) + "\r\n"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            _write_stamp(fh, stamp)
-            csv.writer(fh).writerow(names)
-            fh.writelines(map(template.format, *columns))
-    else:
+    if _detect_format(path) == "json":
+        # tolist() gives Python ints and floats: z is written as 1, not 1.0
+        columns = [list(map(d.trial_ids.__getitem__, d.trial.tolist())), d.z.tolist(),
+                   d.y.tolist(), *d.X.T.tolist()]
+        if include_weight:
+            columns.append(d.w.tolist())
+        if include_source:
+            columns.append(list(map(_SOURCES.__getitem__, d.is_target.tolist())))
         _write_json([dict(zip(names, row)) for row in zip(*columns)], path)
+        return None
+
+    def blocks():
+        """(first row, each row's numeric fields, their joined text) of every block."""
+        numbers = ",".join(["{}"] * (2 + d.p))
+        for i in range(0, head, _BLOCK_ROWS):
+            j = min(i + _BLOCK_ROWS, head)
+            rows = list(map(numbers.format, d.z[i:j].tolist(), d.y[i:j].tolist(),
+                            *d.X[i:j].T.tolist()))
+            yield i, rows, "\n".join(rows)
+        i = head
+        for text in known:
+            rows = text.split("\n")
+            yield i, rows, text
+            i += len(rows)
+
+    trial_ids, sources = _csv_fields(d.trial_ids), _csv_fields(_SOURCES)
+    template = "{},{}" + ",{}" * (include_weight + include_source) + "\r\n"
+    texts = []
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        _write_stamp(fh, stamp)
+        csv.writer(fh).writerow(names)
+        for i, rows, text in blocks():
+            j = i + len(rows)
+            columns = [map(trial_ids.__getitem__, d.trial[i:j].tolist()), rows]
+            if include_weight:
+                columns.append(d.w[i:j].tolist())
+            if include_source:
+                columns.append(map(sources.__getitem__, d.is_target[i:j].tolist()))
+            fh.writelines(map(template.format, *columns))
+            texts.append(text)
+    return texts

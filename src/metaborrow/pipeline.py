@@ -246,14 +246,16 @@ def run_pipeline(cfg):
             raise ConfigError(
                 f"target covariate dimension {target.p} differs from summaries {summaries.p}"
             )
-        write_subjects(recon, outdir / "reconstructed.csv", include_weight=False, stamp=stamp)
+        # the numeric text of the reconstructed rows, which end the pooled dataset
+        recon_text = write_subjects(recon, outdir / "reconstructed.csv", include_weight=False,
+                                    stamp=stamp)
 
     with _Stage("weights"):
         pooled = make_dataset((target, recon), target_id=target.target_id)
         mfit = fit_membership(
             pooled, parse_feature_spec(cfg.features, pooled.p) if cfg.features else None)
         weighted = compute_weights(pooled, mfit)
-        write_subjects(weighted, outdir / "weighted.csv", stamp=stamp)
+        write_subjects(weighted, outdir / "weighted.csv", stamp=stamp, known=recon_text)
 
     with _Stage("estimate"):
         fit = fit_weighted_regression(

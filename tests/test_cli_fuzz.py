@@ -4,8 +4,9 @@ Each example starts from a valid pair of files (the bundled eGFR
 summaries and a simulated target trial, as CSV or JSON) and breaks one
 of them in a way that no reading of the schema accepts: a truncated row,
 a non-numeric or non-finite cell, a missing column, an empty file, a
-stray text row, invalid JSON, a JSON value of the wrong type, or bytes
-that are not UTF-8.  The JSON inputs of ``pipeline --config`` and
+stray text row, invalid JSON, a JSON value of the wrong type, a
+fractional JSON number for an arm, size or indicator, or bytes that are
+not UTF-8.  The JSON inputs of ``pipeline --config`` and
 ``reconstruct --meta-fit`` are broken too: cut short, a top level of
 another type, a required key dropped, a config or meta-fit value of the
 wrong type, or bytes that are not UTF-8.
@@ -47,6 +48,7 @@ TARGET_TABLE = (["trial_id", "z", "y", "x1"],
 BAD_CELLS = ("", "nan", "inf", "-inf", "1e400", "abc", " ", "NaN?")
 BAD_CATEGORIES = ("nan", "abc", "2", "-1", "0.5")  # arm / z columns: not 0 or 1 either
 BAD_JSON_VALUES = (None, "abc", math.nan, math.inf, -math.inf, [], {})
+fractional = st.floats(-1, 60).filter(lambda v: not v.is_integer())  # for arm, n and z
 stray_text = st.text(st.characters(exclude_characters=',"\r\n', exclude_categories=("Cs",)),
                      min_size=1, max_size=20).filter(lambda s: s.strip())
 
@@ -109,7 +111,10 @@ def broken_json(draw, table):
         del obj[key]
     else:
         values = BAD_JSON_VALUES[:1] + BAD_JSON_VALUES[2:] if key == "trial_id" else BAD_JSON_VALUES
-        obj[key] = draw(st.sampled_from(values + ((2, -1) if key in ("arm", "z") else ())))
+        bad = st.sampled_from(values + ((2, -1) if key in ("arm", "z") else ()))
+        if key in ("arm", "n", "z"):
+            bad |= fractional  # int() would truncate it to a valid value
+        obj[key] = draw(bad)
     return json.dumps(objects)
 
 

@@ -331,6 +331,32 @@ def test_json_errors_name_the_object(tmp_path):
         read_subjects(subjects_json)
 
 
+@pytest.mark.parametrize("field, value", [("arm", 1.7), ("arm", 0.2), ("n", 40.9), ("n", -0.5)])
+def test_json_summaries_reject_fractional_integers(tmp_path, field, value):
+    rows = [{"trial_id": "A", "arm": 1, "n": 40, "y_mean": 2.0, "y_sd": 1.0},
+            {"trial_id": "A", "arm": 0, "n": 40, "y_mean": 1.0, "y_sd": 1.0}]
+    integral = rows[1][field]
+    rows[1][field] = value
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(DataError, match=rf"^object 2: cannot parse summary row \({field} must "
+                                        rf"be an integer, got {value}\)$"):
+        read_summaries(path)
+    rows[1][field] = float(integral)  # an integral float is the integer it spells
+    path.write_text(json.dumps(rows))
+    s = read_summaries(path)
+    assert (s.arm.tolist(), s.n.tolist()) == ([1, 0], [40, 40])
+
+
+def test_json_subjects_reject_a_fractional_arm_indicator(tmp_path):
+    path = tmp_path / "subj.json"
+    path.write_text(json.dumps([{"trial_id": "t", "z": 1, "y": 1.0},
+                                {"trial_id": "t", "z": 0.6, "y": 1.0}]))
+    with pytest.raises(DataError, match=r"^object 2: cannot parse subject row \(z must be an "
+                                        r"integer, got 0.6\)$"):
+        read_subjects(path)
+
+
 MALFORMED_FILES = {
     "invalid.json": b"[{",
     "number.json": b"5",
@@ -487,8 +513,9 @@ edge_floats = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
 
 
 @st.composite
-def awkward_datasets(draw, values):
-    p = draw(st.sampled_from((0, 1, 3)))
+def awkward_datasets(draw, values, p=None):
+    if p is None:
+        p = draw(st.sampled_from((0, 1, 3)))
     n = draw(st.integers(0, 12))
 
     def column(elements):
@@ -511,6 +538,27 @@ def test_csv_writer_matches_writerows_bytes(tmp_path_factory, d, include_weight,
                    include_source=include_source, stamp=stamp)
     writerows_csv(d, out / "ref.csv", include_weight, include_source, stamp)
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+@settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
+@given(awkward_datasets(edge_floats).flatmap(
+           lambda a: st.tuples(st.just(a), awkward_datasets(edge_floats, p=a.p))),
+       st.booleans(), st.booleans())
+def test_known_text_writes_the_bytes_of_a_fresh_write(tmp_path_factory, parts, include_weight,
+                                                      include_source):
+    a, b = parts
+    d = make_dataset(parts, target_id="tgt")
+    out = tmp_path_factory.mktemp("known")
+    kw = dict(include_weight=include_weight, include_source=include_source, stamp={"seed": 7})
+    known = write_subjects(b, out / "tail.csv", include_weight=False)
+    texts = write_subjects(d, out / "reuse.csv", known=known, **kw)
+    fresh = write_subjects(d, out / "fresh.csv", **kw)
+    assert (out / "reuse.csv").read_bytes() == (out / "fresh.csv").read_bytes()
+    assert "\n".join(texts) == "\n".join(fresh)  # the same rows' text, blocked differently
+    # known text for one row more than the dataset holds is refused before the file is opened
+    with pytest.raises(ValueError, match=f"covers {len(d) + 1} rows; the dataset has {len(d)}"):
+        write_subjects(d, out / "refused.csv", known=fresh + ["0,1.0"], **kw)
+    assert not (out / "refused.csv").exists()
 
 
 @settings(deadline=None)

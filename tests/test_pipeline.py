@@ -9,7 +9,8 @@ import pytest
 
 from summary_tables import arm_row, table
 
-from metaborrow.data import Dataset, write_subjects, write_summaries
+from metaborrow.data import (Dataset, read_subjects, read_summaries, write_subjects,
+                             write_summaries)
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
@@ -66,6 +67,19 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     # the CSV artifacts are stamped with the same hash
     head = (outdir / "weighted.csv").read_text().splitlines()[0]
     assert head == f"# config_hash={cfg.config_hash()}"
+    # weighted.csv reuses reconstructed.csv's text for its last rows: they are
+    # those rows, and a fresh write of the rows read back gives the same bytes
+    weighted = read_subjects(outdir / "weighted.csv")
+    recon = read_subjects(outdir / "reconstructed.csv")
+    k = weighted.n_target()
+    assert len(weighted) == est["n"] == k + len(recon)
+    assert ([weighted.trial_ids[i] for i in weighted.trial[k:]]
+            == [recon.trial_ids[i] for i in recon.trial])
+    for name in ("z", "y", "X"):
+        assert np.array_equal(getattr(weighted, name)[k:], getattr(recon, name))
+    rewritten = tmp_path / "rewritten.csv"
+    write_subjects(weighted, rewritten, stamp=result["stamp"])
+    assert rewritten.read_bytes() == (outdir / "weighted.csv").read_bytes()
 
 
 def test_pipeline_reruns_byte_identical(tmp_path):
@@ -107,7 +121,10 @@ def test_stage_errors_carry_stage_name_and_keep_partials(tmp_path):
         run_pipeline(cfg)
     outdir = tmp_path / "run"
     assert (outdir / "meta_fit.json").exists()
-    assert (outdir / "reconstructed.csv").exists()
+    # reconstructed.csv is complete: a row per reconstructed subject, the last one ended
+    reconstructed = outdir / "reconstructed.csv"
+    assert len(read_subjects(reconstructed)) == read_summaries(cfg.summaries).n.sum()
+    assert reconstructed.read_bytes().endswith(b"\r\n")
     assert not (outdir / "weighted.csv").exists()
     assert not (outdir / "estimate.json").exists()
 
