@@ -16,9 +16,9 @@ from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit,
                        build_outcome_design, choose_model, estimate_univariate,
                        fit_ols, fit_weighted_regression)
 from .meta import MetaDesign, MetaFit, build_design, fit_dl, meta_se
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import Borrowed, PipelineConfig, borrow, run_pipeline
 from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
-                          reconstruct_all)
+                          clamped_arms, reconstruct_all)
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        EstimatorSummary, ReplicationResult, ScenarioConfig,
                        aggregate, generate_meta_trial, generate_meta_trials,
@@ -38,8 +38,8 @@ __all__ = [
     "MEAT_KINDS", "UnivariateEstimate", "WeightedFit", "build_outcome_design",
     "choose_model", "estimate_univariate", "fit_ols", "fit_weighted_regression",
     "MetaDesign", "MetaFit", "build_design", "fit_dl", "meta_se",
-    "PipelineConfig", "run_pipeline",
-    "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "reconstruct_all",
+    "Borrowed", "PipelineConfig", "borrow", "run_pipeline",
+    "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "clamped_arms", "reconstruct_all",
     "ALLOCATIONS", "COVARIATE_DISTS", "MODEL_SPECS", "CellResult",
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",
     "generate_meta_trial", "generate_meta_trials", "generate_target_trial", "run_cell",

@@ -31,7 +31,6 @@ Baseline eGFR is the single covariate; follow-up duration is not used.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -39,12 +38,12 @@ from pathlib import Path
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .data import Summaries, dataset_from_arms, make_dataset, write_summaries
+from .data import Summaries, dataset_from_arms, write_summaries
 from .errors import ConfigError, DataError
-from .estimate import fit_ols, fit_weighted_regression
+from .estimate import fit_ols
 from .meta import build_design, fit_dl
-from .reconstruct import ClampWarning, ReconstructionConfig, reconstruct_all
-from .weights import compute_weights, fit_membership
+from .pipeline import borrow
+from .reconstruct import ReconstructionConfig
 
 DEFAULT_SEED = 40
 
@@ -197,20 +196,20 @@ class CaseStudyResult:
 def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
     """Run one borrowing scenario end to end; intervals are 95%.
 
-    All randomness (target IPD, reconstruction draws) flows from one
-    stream keyed by ``seed``.  Borrowing scenarios use the quadratic
-    weight feature map and, by default, the conservative ``w4`` sandwich.
-    A negative ``seed`` is a ConfigError.
+    The target IPD draws from a stream keyed by (``seed``, 99) and
+    reconstruction from per-arm substreams keyed by ``seed``.  Borrowing
+    scenarios run :func:`metaborrow.pipeline.borrow` with the quadratic
+    weight feature map and, by default, the conservative ``w4``
+    sandwich.  A negative ``seed`` is a ConfigError.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
-    n1, n0, borrow = SCENARIOS[scenario]
-    rng = default_rng(SeedSequence((int(seed), 99)))
-    target = simulate_target(n1, n0, rng)
+    n1, n0, borrow_mode = SCENARIOS[scenario]
+    target = simulate_target(n1, n0, default_rng(SeedSequence((int(seed), 99))))
 
-    if borrow is None:
+    if borrow_mode is None:
         if n0 == 0:
             return CaseStudyResult(scenario, n1, n0, estimable=False, seed=seed)
         fit = fit_ols(target)
@@ -218,18 +217,11 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
                                **fit.contrast("z"))
 
     meta, _ = fit_meta()
-    rcfg = ReconstructionConfig(rng_seed=0, borrow=borrow)
-    summaries = _derive(COMPLETED_TRIALS, subject_scale=False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ClampWarning)
-        recon = reconstruct_all(summaries, meta, rcfg, rng=rng)
-    clamped = [f"{w.message.trial_id}/arm{w.message.arm}" for w in caught
-               if issubclass(w.category, ClampWarning)]
-    pooled = make_dataset((target, recon), target_id=target.target_id)
-    weighted = compute_weights(pooled, fit_membership(pooled))
-    fit = fit_weighted_regression(weighted, meat=meat)
-    return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=fit.df,
-                           tau2=meta.tau2, clamped_arms=tuple(clamped), **fit.contrast("z"))
+    done = borrow(_derive(COMPLETED_TRIALS, subject_scale=False), meta, target,
+                  ReconstructionConfig(rng_seed=int(seed), borrow=borrow_mode), meat=meat)
+    clamped = tuple(f"{c.trial_id}/arm{c.arm}" for c in done.clamps)
+    return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=done.fit.df,
+                           tau2=meta.tau2, clamped_arms=clamped, **done.fit.contrast("z"))
 
 
 def bundled_data_path():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import sys
+import warnings
 
 import click
 
@@ -19,7 +20,7 @@ from .data import read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
 from .estimate import (MEAT_KINDS, estimate_univariate, fit_weighted_regression)
 from .meta import build_design, fit_dl
-from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
+from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS,
                        EST_POOLED, ScenarioConfig, run_cell, write_cell_csv)
 from .weights import compute_weights, fit_membership, parse_feature_spec
@@ -107,6 +108,8 @@ def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
         fit = fit_dl(build_design(s, include_interaction=interaction))
     rcfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
     recon = reconstruct_all(s, fit, rcfg)
+    for clamp in clamped_arms(s, fit, rcfg):
+        warnings.warn(clamp)
     write_subjects(recon, out_path, include_weight=False)
     click.echo(f"reconstructed {len(recon)} subjects from "
                f"{len(s.trial_ids)} trials -> {out_path}")
@@ -119,16 +122,14 @@ def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
               help="Trial id marking target rows when no source column exists.")
 @click.option("--features", default=None,
               help='Feature spec like "x1,x1^2"; default: all covariates + squares.')
-@click.option("--pin-target/--no-pin-target", default=False, show_default=True,
-              help="Diagnostic: force weight 1 on target rows.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Weighted subject CSV/JSON.")
 @click.pass_context
-def weights(ctx, subjects, target_id, features, pin_target, out_path):
+def weights(ctx, subjects, target_id, features, out_path):
     """Estimate importance weights from the target-membership model."""
     d = read_subjects(subjects, target_id=target_id)
     fit = fit_membership(d, parse_feature_spec(features, d.p) if features else None)
-    weighted = compute_weights(d, fit, pin_target_weights=pin_target)
+    weighted = compute_weights(d, fit)
     w = weighted.w
     click.echo(f"membership fit: converged={fit.converged} iterations={fit.iterations} "
                f"ridge={fit.ridge_lambda:g}")

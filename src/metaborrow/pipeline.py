@@ -1,8 +1,10 @@
-"""End-to-end pipeline: meta-fit, reconstruct, weight, estimate, with artifacts.
+"""The borrowing chain, and the end-to-end pipeline that writes its artifacts.
 
-Given an arm-summary file and a target-trial IPD file, runs the four
-stages in order and writes one artifact per stage into the output
-directory:
+:func:`borrow` wires the stages after the meta fit (reconstruct,
+weights, estimate) for every caller: the simulation harness, the case
+study and :func:`run_pipeline`, which reads an arm-summary file and a
+target-trial IPD file, fits the meta stage, runs :func:`borrow`, and
+writes one artifact per stage into the output directory:
 
     meta_fit.json          coefficients, covariance, tau2
     reconstructed.csv      reconstructed subject rows
@@ -12,8 +14,10 @@ directory:
 
 Every artifact carries the configuration hash and seed, and nothing else
 varies between runs, so a rerun with the same config is byte-identical.
-Stage failures propagate with the stage name prefixed; artifacts from
-stages that already completed stay on disk to aid debugging.
+A run first removes these five names from the output directory, so a
+failed rerun never leaves the previous run's later artifacts beside its
+own.  Stage failures propagate with the stage name prefixed; artifacts
+from stages that already completed stay on disk to aid debugging.
 """
 
 from __future__ import annotations
@@ -21,20 +25,25 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from dataclasses import asdict, dataclass, fields
+import warnings
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, replace
 from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
-from .data import make_dataset, read_subjects, read_summaries, write_subjects
+from .data import Dataset, make_dataset, read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
-from .estimate import MEAT_KINDS, fit_weighted_regression
+from .estimate import MEAT_KINDS, WeightedFit, fit_weighted_regression
 from .meta import MetaFit, build_design, fit_dl, meta_se
-from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
-from .weights import compute_weights, fit_membership, parse_feature_spec
+from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
+from .weights import LogisticFit, compute_weights, fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
+
+ARTIFACTS = ("meta_fit.json", "reconstructed.csv", "weighted.csv", "estimate.json",
+             "summary.txt")
 
 
 def check_level(level):
@@ -197,22 +206,56 @@ def write_json(payload, path):
         fh.write("\n")
 
 
-class _Stage:
-    """Context manager prefixing library errors with the failing stage."""
+@contextmanager
+def _stage(name):
+    """Prefix a library error raised inside with the stage name."""
+    try:
+        yield
+    except MetaborrowError as exc:
+        raise type(exc)(f"stage {name}: {exc}") from exc
 
-    def __init__(self, name):
-        self.name = name
 
-    def __enter__(self):
-        log.info("stage %s: start", self.name)
-        return self
+@dataclass(frozen=True)
+class Borrowed:
+    """What :func:`borrow` made, a stage not yet run leaving its fields None; ``clamps``
+    holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor."""
 
-    def __exit__(self, exc_type, exc, tb):
-        if exc is not None and isinstance(exc, MetaborrowError):
-            raise type(exc)(f"stage {self.name}: {exc}") from exc
-        if exc is None:
-            log.info("stage %s: done", self.name)
-        return False
+    reconstructed: Dataset
+    clamps: tuple
+    membership: LogisticFit = None
+    weighted: Dataset = None
+    fit: WeightedFit = None
+
+
+def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcome):
+    """Borrow the arms of ``summaries`` into the ``target`` Dataset; returns Borrowed.
+
+    Stage ``reconstruct`` draws the borrowed arms under ``rcfg`` from
+    the fit ``meta``; ``weights`` pools them behind the target rows and
+    weights every row by a membership model on the feature spec
+    ``features`` (default: each covariate and its square); ``estimate``
+    fits the weighted regression, passing ``outcome`` on to
+    :func:`metaborrow.estimate.fit_weighted_regression`.  Each stage
+    ends by calling ``on_stage(name, borrowed)`` when it is given, and a
+    library error raised in a stage, the hook included, names the stage.
+    """
+    report = on_stage or (lambda stage, done: None)
+    with _stage("reconstruct"):
+        if target.p != summaries.p:
+            raise ConfigError(
+                f"target covariate dimension {target.p} differs from summaries {summaries.p}")
+        done = Borrowed(reconstruct_all(summaries, meta, rcfg),
+                        clamped_arms(summaries, meta, rcfg))
+        report("reconstruct", done)
+    with _stage("weights"):
+        pooled = make_dataset((target, done.reconstructed), target_id=target.target_id)
+        mfit = fit_membership(pooled, parse_feature_spec(features, pooled.p) if features else None)
+        done = replace(done, membership=mfit, weighted=compute_weights(pooled, mfit))
+        report("weights", done)
+    with _stage("estimate"):
+        done = replace(done, fit=fit_weighted_regression(done.weighted, **outcome))
+        report("estimate", done)
+    return done
 
 
 def run_pipeline(cfg):
@@ -222,60 +265,56 @@ def run_pipeline(cfg):
     and estimate.json, without their stamp.
 
     Raises ConfigError before any computation if an input path is
-    missing.  Artifacts are written as each stage completes.
+    missing.  Artifacts are written as each stage completes, and each
+    clamped arm is warned once, as a :class:`metaborrow.ClampWarning`.
     """
     for label, p in (("summaries", cfg.summaries), ("target", cfg.target)):
         if not Path(p).exists():
             raise ConfigError(f"{label} file not found: {p}")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
+    for name in ARTIFACTS:
+        (outdir / name).unlink(missing_ok=True)
     stamp = {"config_hash": cfg.config_hash(), "seed": cfg.seed}
 
-    with _Stage("meta"):
+    with _stage("meta"):
         summaries = read_summaries(cfg.summaries)
-        design = build_design(summaries, include_interaction=cfg.meta_interaction)
-        meta = fit_dl(design)
+        meta = fit_dl(build_design(summaries, include_interaction=cfg.meta_interaction))
         meta_payload = meta_to_dict(meta, cfg.level)
         write_json({"stamp": stamp, **meta_payload}, outdir / "meta_fit.json")
-
-    with _Stage("reconstruct"):
+    log.info("stage meta: done")
+    with _stage("reconstruct"):
         target = read_subjects(cfg.target)
         rcfg = ReconstructionConfig(rng_seed=cfg.seed, borrow=cfg.borrow)
-        recon = reconstruct_all(summaries, meta, rcfg)
-        if target.p != summaries.p:
-            raise ConfigError(
-                f"target covariate dimension {target.p} differs from summaries {summaries.p}"
-            )
-        # the numeric text of the reconstructed rows, which end the pooled dataset
-        recon_text = write_subjects(recon, outdir / "reconstructed.csv", include_weight=False,
-                                    stamp=stamp)
 
-    with _Stage("weights"):
-        pooled = make_dataset((target, recon), target_id=target.target_id)
-        mfit = fit_membership(
-            pooled, parse_feature_spec(cfg.features, pooled.p) if cfg.features else None)
-        weighted = compute_weights(pooled, mfit)
-        write_subjects(weighted, outdir / "weighted.csv", stamp=stamp, known=recon_text)
+    recon_text = payload = None
 
-    with _Stage("estimate"):
-        fit = fit_weighted_regression(
-            weighted, include_covariates=cfg.outcome_covariates,
-            include_interaction=cfg.outcome_interaction, meat=cfg.meat)
-        payload = weighted_fit_to_dict(fit, cfg.level)
-        payload["membership"] = {
-            "converged": mfit.converged, "iterations": mfit.iterations,
-            "ridge_lambda": mfit.ridge_lambda, "deviance": mfit.deviance,
-        }
-        payload["tau2"] = float(meta.tau2)
-        write_json({"stamp": stamp, **payload}, outdir / "estimate.json")
+    def write_artifact(stage, done):
+        nonlocal recon_text, payload
+        if stage == "reconstruct":
+            for clamp in done.clamps:
+                warnings.warn(clamp)
+            # the numeric text of the reconstructed rows, which end the pooled dataset
+            recon_text = write_subjects(done.reconstructed, outdir / "reconstructed.csv",
+                                        include_weight=False, stamp=stamp)
+        elif stage == "weights":
+            write_subjects(done.weighted, outdir / "weighted.csv", stamp=stamp, known=recon_text)
+        else:
+            m = done.membership
+            payload = {**weighted_fit_to_dict(done.fit, cfg.level), "tau2": float(meta.tau2),
+                       "membership": {"converged": m.converged, "iterations": m.iterations,
+                                      "ridge_lambda": m.ridge_lambda, "deviance": m.deviance}}
+            write_json({"stamp": stamp, **payload}, outdir / "estimate.json")
+        log.info("stage %s: done", stage)
 
-    summary = _render_summary(cfg, stamp, summaries, meta, weighted, payload)
+    done = borrow(summaries, meta, target, rcfg, features=cfg.features,
+                  on_stage=write_artifact, include_covariates=cfg.outcome_covariates,
+                  include_interaction=cfg.outcome_interaction, meat=cfg.meat)
+    summary = _render_summary(cfg, stamp, summaries, meta, done.weighted, payload)
     (outdir / "summary.txt").write_text(summary, encoding="utf-8")
     log.info("pipeline complete: %s", outdir)
     return {"stamp": stamp, "meta": meta_payload, "estimate": payload,
-            "artifacts": [str(outdir / name) for name in
-                          ("meta_fit.json", "reconstructed.csv", "weighted.csv",
-                           "estimate.json", "summary.txt")]}
+            "artifacts": [str(outdir / name) for name in ARTIFACTS]}
 
 
 def _render_summary(cfg, stamp, summaries, meta, weighted, estimate):

@@ -11,8 +11,11 @@ variance:
 where ``load_j`` is the total slope on covariate j for this arm
 (main-effect coefficient plus, for treated arms, the arm-interaction
 coefficient when the meta design carries one).  A negative ``s2`` is
-clamped to ``error_floor * y_var`` with a :class:`ClampWarning` naming
-the arm, never silently.
+clamped to ``error_floor * y_var``, never silently:
+:func:`clamped_arms` returns one unraised :class:`ClampWarning` per
+clamped arm, from the same residual-variance rule, and the library's
+edges (``run_pipeline``, the CLI ``reconstruct`` command) warn with
+them.
 
 The meta fit must have one of the two column layouts that
 :func:`metaborrow.meta.design_columns` gives for the trials' covariate
@@ -20,41 +23,23 @@ count p; any other fit is a DataError, so a fit made on fewer
 covariates is never read as a zero slope on the rest.
 
 Randomness is drawn from per-arm substreams keyed by (seed, crc32 of
-trial id, arm), so results do not depend on trial order and arms can be
-reconstructed in parallel.  The keys of all arms are built once per call
-as one uint32 matrix, a row per arm holding the words of the seed, the
-tag and the arm; ``SeedSequence(row)`` hashes exactly the words that
-``SeedSequence((seed, tag, arm))`` converts its tuple to, so each arm's
-stream is the one the tuple keys.
+trial id, arm), so results do not depend on trial order and an arm has
+the same rows alone, as a one-row table, as among others.
 
-All borrowed arms are reconstructed in one pass over arrays.  The meta
-fit's layout is checked once, and two slices of its coefficients give
-one load vector for control arms and one for treated arms (main slopes
-plus arm-interaction slopes); the residual variances and clamp tests
-of all arms are one array operation.  A single loop over the arms then
-only draws: from each arm's substream (the key above, unchanged), or
-from one shared generator in (trial, arm) order, each covariate's
-standard normals (continuous) or uniforms (binary) and then the outcome
-noise, into one ``(p + 1, N)`` buffer whose row slices are the arms.
-The location and scale are applied to whole columns afterwards:
-``x_mean + sqrt(x_var) * z`` and ``mean + sd * z`` are what
+All borrowed arms are reconstructed in one pass over arrays: the arms
+are rows of a :class:`metaborrow.data.Summaries` table, so the loads,
+residual variances and clamp tests of all arms are one array operation.
+A single loop over the arms then only draws, from each arm's substream,
+each covariate's standard normals (continuous) or uniforms (binary) and
+then the outcome noise, into one ``(p + 1, N)`` buffer whose row slices
+are the arms.  Location and scale are applied to whole columns
+afterwards: ``x_mean + sqrt(x_var) * z`` and ``mean + sd * z`` are what
 ``Generator.normal`` computes element by element, so every value is the
-one a per-arm ``normal`` call draws.  Only the covariate term of the
-mean, ``X @ load``, is one product per arm.  The stacked ``X`` and ``y``
-become a Dataset through :func:`metaborrow.data.dataset_from_arms`,
-without a copy.
-
-Arms are rows of a :class:`metaborrow.data.Summaries` table, and a mask
-over its columns picks the borrowed ones, so every per-arm quantity is
-one array indexed by those rows.  A one-row table is the one-arm case:
-an arm drawn from its substream has the same rows alone as among
-others, and a one-row table with a larger ``n`` draws more rows from
-the same substream.
+one a per-arm ``normal`` call draws.
 """
 
 from __future__ import annotations
 
-import warnings
 import zlib
 from dataclasses import dataclass
 from itertools import accumulate
@@ -166,12 +151,17 @@ def _covariates(raw, s, rows, sizes):
     return np.ascontiguousarray(x.T)
 
 
-def _loads(meta, p):
-    """Total slope per covariate: (control arm, treated arm) vectors of length p.
+def _arms(s, meta, cfg):
+    """The arms ``cfg`` borrows from ``s``: (rows, loads, residual variances, floors).
 
-    Raises DataError unless the fit's columns are one of the two layouts
-    :func:`metaborrow.meta.design_columns` gives for ``p`` covariates.
+    Nonempty arms are borrowed, treated ones only under ``both_arms``.
+    An arm's load is its total slope per covariate, the arm-interaction
+    slopes added for a treated arm; an arm whose residual variance is
+    below its floor is clamped to it.  Raises DataError unless the fit's
+    columns are one of the two layouts
+    :func:`metaborrow.meta.design_columns` gives for the table's p.
     """
+    p = s.p
     layouts = dict.fromkeys((design_columns(p), design_columns(p, True)))
     if tuple(meta.columns) not in layouts:
         raise DataError(f"meta fit columns ({', '.join(meta.columns)}) do not match the meta "
@@ -179,39 +169,38 @@ def _loads(meta, p):
                         + " or ".join(f"({', '.join(cols)})" for cols in layouts))
     control = meta.beta[2:2 + p]
     treated = control + meta.beta[2 + p:] if len(meta.columns) > 2 + p else control
-    return control, treated
+    rows = np.flatnonzero((s.n > 0) & ((s.arm == 0) | (cfg.borrow != "control_only")))
+    loads = np.where(s.arm[rows][:, None] == 1, treated, control)
+    y_var = s.y_var[rows]
+    return rows, loads, y_var - (loads**2 * s.x_var[rows]).sum(axis=1), cfg.error_floor * y_var
 
 
-def _reconstruct(s, rows, meta, cfg, rng):
-    """Reconstruct the ``n`` subjects of each arm ``rows`` of ``s``; returns a Dataset.
+def reconstruct_all(s, meta, cfg):
+    """Reconstruct every borrowed arm of Summaries ``s``; returns a Dataset.
 
-    The one reconstruction pass (see the module docstring).  Warns one
-    ClampWarning per clamped arm, in the order of ``rows``.
+    The rows are tagged reconstructed and carry unit weights.  Treatment
+    arms are skipped when ``cfg.borrow == "control_only"``, and empty
+    arms always.  Rows follow the table's row order.  Each arm draws
+    from its own substream keyed by (seed, trial_id, arm), so its values
+    do not depend on trial order.  A clamped arm is drawn at its floor
+    without a warning; :func:`clamped_arms` names it.
+
+    Raises DataError when the meta fit's columns are not a layout for
+    the table's covariate count (see
+    :func:`metaborrow.meta.design_columns`).
     """
     p = s.p
-    control, treated = _loads(meta, p)
-    arm_of, sizes, y_var = s.arm[rows], s.n[rows], s.y_var[rows]
-    loads = np.where(arm_of[:, None] == 1, treated, control)
-    s2 = y_var - (loads**2 * s.x_var[rows]).sum(axis=1)
-    floor = cfg.error_floor * y_var
-    clamped = s2 < floor
-    for k in np.flatnonzero(clamped).tolist():
-        trial_id, arm = s.trial_ids[s.trial[rows[k]]], int(arm_of[k])
-        warnings.warn(ClampWarning(
-            f"trial {trial_id!r} arm {arm}: residual variance "
-            f"{s2[k]:.6g} below floor; clamped to {floor[k]:.6g} "
-            "(covariate slopes explain more variance than the arm reports)",
-            trial_id, arm,
-        ), stacklevel=3)
-    sd = np.sqrt(np.where(clamped, floor, s2))
+    rows, loads, s2, floor = _arms(s, meta, cfg)
+    arm_of, sizes = s.arm[rows], s.n[rows]
+    sd = np.sqrt(np.where(s2 < floor, floor, s2))
 
     bounds = list(accumulate(sizes.tolist(), initial=0))
     raw = np.empty((p + 1, bounds[-1]))
-    keys = _arm_keys(cfg.rng_seed, s, rows) if rng is None else [None] * len(rows)
+    keys = _arm_keys(cfg.rng_seed, s, rows)
     for binary, key, lo, hi in zip(s.binary[rows].tolist(), keys, bounds, bounds[1:]):
-        arm_rng = rng if key is None else Generator(PCG64(SeedSequence(key)))
-        _draw_covariates(arm_rng, binary, raw[:p, lo:hi])
-        arm_rng.standard_normal(out=raw[p, lo:hi])
+        rng = Generator(PCG64(SeedSequence(key)))
+        _draw_covariates(rng, binary, raw[:p, lo:hi])
+        rng.standard_normal(out=raw[p, lo:hi])
 
     X = _covariates(raw[:p], s, rows, sizes)
     # one BLAS product per arm keeps an arm's values independent of the
@@ -226,21 +215,21 @@ def _reconstruct(s, rows, meta, cfg, rng):
     return dataset_from_arms(s.trial_ids, s.trial[rows], arm_of, sizes, X, y, is_target=False)
 
 
-def reconstruct_all(s, meta, cfg, rng=None):
-    """Reconstruct every borrowed arm of Summaries ``s``; returns a Dataset.
+def clamped_arms(s, meta, cfg):
+    """The arms :func:`reconstruct_all` draws at the residual-variance floor.
 
-    The rows are tagged reconstructed and carry unit weights.  Treatment
-    arms are skipped when ``cfg.borrow == "control_only"``, and empty
-    arms always.  Rows follow the table's row order.  Each arm draws
-    from its own substream keyed by (seed, trial_id, arm), so its values
-    do not depend on trial order; when ``rng`` is given, every arm draws
-    from that one stream instead, in row order.
-
-    Raises DataError when the meta fit's columns are not a layout for
-    the table's covariate count (see
-    :func:`metaborrow.meta.design_columns`).
+    One unraised :class:`ClampWarning` per clamped arm, in table row
+    order, for the caller to count, report or ``warnings.warn``.  Raises
+    DataError as :func:`reconstruct_all` does.
     """
-    borrowed = s.n > 0
-    if cfg.borrow == "control_only":
-        borrowed &= s.arm == 0
-    return _reconstruct(s, np.flatnonzero(borrowed), meta, cfg, rng)
+    rows, _, s2, floor = _arms(s, meta, cfg)
+    clamps = []
+    for k in np.flatnonzero(s2 < floor).tolist():
+        trial_id, arm = s.trial_ids[s.trial[rows[k]]], int(s.arm[rows[k]])
+        clamps.append(ClampWarning(
+            f"trial {trial_id!r} arm {arm}: residual variance "
+            f"{s2[k]:.6g} below floor; clamped to {floor[k]:.6g} "
+            "(covariate slopes explain more variance than the arm reports)",
+            trial_id, arm,
+        ))
+    return tuple(clamps)

@@ -3,32 +3,24 @@
 Each replication generates K completed trials plus one target trial from
 a linear outcome model with a treatment-by-covariate interaction,
 exposes only arm-level summaries of the completed trials, and runs the
-pipeline (meta-regression -> reconstruction -> importance weights ->
-weighted regression) next to an unweighted target-only comparator.
-Replications are independently seeded, so a cell aggregates to the same
-result at any parallelism level.
+borrowing chain (meta-regression -> reconstruction -> importance
+weights -> weighted regression) next to an unweighted target-only
+comparator.  Replications are independently seeded, so a cell
+aggregates to the same result at any parallelism level.
 
 Truth used everywhere: Y = 1 + 2 z - x + 0.5 z x + Normal(0, 1), so the
 target-population average treatment effect is exactly 2.
 
 A replication generates its K completed trials in one pass
-(:func:`generate_meta_trials`).  Each trial still draws, in turn, its
-size, its covariates and its noise, so the draws are those of K
-:func:`generate_meta_trial` calls and the target trial drawn next is
-unchanged.  The draws go into shared buffers, ``y`` is computed over all
-rows at once, and the 2K arm means and variances are segmented sums
-(``np.add.reduceat``) over the stacked ``(y, x)`` rows.  Those sums add
-in sequence where ``ndarray.mean`` adds pairwise, so a summary can
-differ from ``np.mean``/``np.var(ddof=1)`` in the last bits.  The sums
-are the columns of one :class:`metaborrow.data.Summaries` table, two
-rows per trial (treated arm first), which the meta-regression and
-reconstruction read as they are.
+(:func:`generate_meta_trials`), drawing what K :func:`generate_meta_trial`
+calls draw, into one :class:`metaborrow.data.Summaries` table of two
+rows per trial (treated arm first), and runs the meta fit and
+:func:`metaborrow.pipeline.borrow` on it.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -38,13 +30,13 @@ from pathlib import Path
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .data import Summaries, dataset_from_arms, make_dataset
+from .data import Summaries, dataset_from_arms
 from .errors import ConfigError, DataError, MetaborrowError
 from .estimate import (MEAT_KINDS, choose_model, estimate_univariate,
                        fit_weighted_regression)
 from .meta import build_design, fit_dl
-from .reconstruct import BORROW_MODES, ClampWarning, ReconstructionConfig, reconstruct_all
-from .weights import compute_weights, fit_membership
+from .pipeline import borrow
+from .reconstruct import BORROW_MODES, ReconstructionConfig
 
 TRUE_DELTA = 2.0
 TRUE_BETA0 = 1.0
@@ -170,6 +162,8 @@ def _meta_trials(ks, K, n, dist, rng):
     ``y`` is then computed over all rows at once, and the 2 * len(ks)
     arms' means and variances of ``y`` and ``x`` are two segmented sums
     over the stacked ``(y, x)`` rows, which become the table's columns.
+    Those sums add in sequence where ``ndarray.mean`` adds pairwise, so a
+    summary can differ from ``np.mean``/``np.var(ddof=1)`` in the last bits.
     """
     for k in ks:
         if not 1 <= k <= K:
@@ -278,36 +272,23 @@ def run_replication(cfg, r):
     target = generate_target_trial(cfg.n, cfg.allocation, cfg.covariate_dist, rng)
 
     try:
-        design = build_design(trials, include_interaction=True)
-        meta = fit_dl(design)
+        meta = fit_dl(build_design(trials, include_interaction=True))
         recon_seed = int(SeedSequence((cfg.base_seed, r, 1)).generate_state(1)[0])
         rcfg = ReconstructionConfig(rng_seed=recon_seed, borrow=cfg.borrow)
-        # sampled arm variances routinely dip below the explained part in
-        # small trials; the clamp is counted rather than warned rep by rep
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ClampWarning)
-            recon = reconstruct_all(trials, meta, rcfg)
-        n_clamped = sum(issubclass(w.category, ClampWarning) for w in caught)
-        pooled = make_dataset((target, recon), target_id=target.target_id)
-        fit = fit_membership(pooled)
-        weighted = compute_weights(pooled, fit)
-
         model = choose_model(cfg.model_spec == "identified")
-        reg = fit_weighted_regression(weighted, meat=cfg.meat, **model)
-        ct = reg.contrast("z")
-        uni = estimate_univariate(weighted)
+        done = borrow(trials, meta, target, rcfg, meat=cfg.meat, **model)
+        ct = done.fit.contrast("z")
+        uni = estimate_univariate(done.weighted)
 
         target_rec = None
         if cfg.allocation != "single_arm":
-            treg = fit_weighted_regression(target, meat="hc0", **model)
-            tct = treg.contrast("z")
-            target_rec = EstimateRecord(tct["estimate"], tct["se"],
-                                        tct["ci_low"], tct["ci_high"])
+            tct = fit_weighted_regression(target, meat="hc0", **model).contrast("z")
+            target_rec = EstimateRecord(tct["estimate"], tct["se"], tct["ci_low"], tct["ci_high"])
         return ReplicationResult(
             rep=r, ok=True,
             pooled=EstimateRecord(ct["estimate"], ct["se"], ct["ci_low"], ct["ci_high"]),
             pooled_univariate=EstimateRecord(uni.delta, uni.se, uni.ci_low, uni.ci_high),
-            target=target_rec, tau2=meta.tau2, clamped_arms=n_clamped,
+            target=target_rec, tau2=meta.tau2, clamped_arms=len(done.clamps),
         )
     except (MetaborrowError, np.linalg.LinAlgError) as exc:
         return ReplicationResult(rep=r, ok=False, error=f"{type(exc).__name__}: {exc}")

@@ -258,11 +258,8 @@ def membership_probabilities(d, fit):
     return _probabilities(fit.fmap.matrix(d), fit.alpha)
 
 
-def compute_weights(d, fit, pin_target_weights=False):
+def compute_weights(d, fit):
     """Attach importance weights w = (N / n_T) * pi(x) to every subject.
-
-    ``pin_target_weights`` is a diagnostic mode that forces weight 1 on
-    target rows while reconstructed rows keep the estimated ratio.
 
     Raises
     ------
@@ -281,6 +278,4 @@ def compute_weights(d, fit, pin_target_weights=False):
             "non-finite importance weight: target and pooled covariate "
             "distributions are too far apart; analyze the target rows alone"
         )
-    if pin_target_weights:
-        w = np.where(d.is_target, 1.0, w)
     return d.with_weights(w)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, help screens, and stage composition via files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from summary_tables import arm_row, table
 from metaborrow.cli import main
 from metaborrow.data import (Dataset, make_dataset, read_subjects, write_subjects,
                              write_summaries)
+from metaborrow.reconstruct import ClampWarning
 
 SUBCOMMANDS = ("meta", "reconstruct", "weights", "estimate", "simulate",
                "case-study", "pipeline")
@@ -232,6 +234,25 @@ def test_stage_composition(tmp_path, capsys):
     assert set(payload) == {"regression", "univariate"}
     # borrowing 270 reconstructed subjects should land near the true effect 2
     assert abs(payload["regression"]["contrast_z"]["estimate"] - 2.0) < 1.0
+
+
+def test_reconstruct_warns_once_per_clamped_arm(tmp_path, capsys):
+    # each arm's slope of -1 on x explains 1.0 of the outcome variance: the
+    # arms reporting 0.1 are clamped, the ones reporting 2.0 are not
+    arms = [arm_row(f"t{k}", a, 40, y_mean=1.0 + 2.0 * a - mu,
+                    y_var=0.1 if (k, a) in {(0, 0), (2, 1)} else 2.0, x_mean=(mu,),
+                    x_var=(1.0,))
+            for k, mu in enumerate((-1.0, 0.0, 1.0)) for a in (1, 0)]
+    spath = tmp_path / "tight.csv"
+    write_summaries(table(*arms), spath)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_ok(capsys, ["reconstruct", "--summaries", str(spath), "--seed", "3",
+                        "--out", str(tmp_path / "recon.csv")])
+    clamps = [w.message for w in caught if issubclass(w.category, ClampWarning)]
+    assert [(c.trial_id, c.arm) for c in clamps] == [("t0", 0), ("t2", 1)]
+    assert all(f"trial {c.trial_id!r} arm {c.arm}: residual variance" in str(c) and
+               "clamped to" in str(c) for c in clamps)
 
 
 def test_group_seed_and_out_fallbacks(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import filecmp
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,15 +16,19 @@ from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
                                  read_config, run_pipeline)
+from metaborrow.reconstruct import ClampWarning
 
 ARTIFACTS = ("meta_fit.json", "reconstructed.csv", "weighted.csv",
              "estimate.json", "summary.txt")
 
 
-def write_inputs(tmp_path, p=1):
+def write_inputs(tmp_path, p=1, tight=()):
+    """Summaries and target files; the (trial id, arm) pairs in ``tight`` report an outcome
+    variance of 0.1, less than the covariate slope explains, so they are clamped."""
     rng = np.random.default_rng(42)
     arms = [arm_row(f"trial{i + 1}", arm_val, 40 + 5 * i,
-                    y_mean=1.0 + 2.0 * arm_val - mu + rng.normal(0, 0.1), y_var=2.0 + 0.1 * i,
+                    y_mean=1.0 + 2.0 * arm_val - mu + rng.normal(0, 0.1),
+                    y_var=0.1 if (f"trial{i + 1}", arm_val) in tight else 2.0 + 0.1 * i,
                     x_mean=(mu,) * p, x_var=(1.0,) * p)
             for i, mu in enumerate((-1.0, 0.0, 1.0)) for arm_val in (1, 0)]
     spath = tmp_path / "summaries.csv"
@@ -41,8 +46,8 @@ def write_inputs(tmp_path, p=1):
     return str(spath), str(tpath)
 
 
-def config(tmp_path, out="run", **kw):
-    spath, tpath = write_inputs(tmp_path)
+def config(tmp_path, out="run", tight=(), **kw):
+    spath, tpath = write_inputs(tmp_path, tight=tight)
     base = dict(summaries=spath, target=tpath, out=str(tmp_path / out), seed=7)
     base.update(kw)
     return PipelineConfig(**base)
@@ -116,10 +121,15 @@ def test_missing_input_fails_before_any_artifact(tmp_path):
 
 
 def test_stage_errors_carry_stage_name_and_keep_partials(tmp_path):
+    run_pipeline(config(tmp_path))  # a complete earlier run into the same directory
     cfg = config(tmp_path, features="x1,x2")  # x2 does not exist (p = 1)
     with pytest.raises(DataError, match="stage weights: .*x2"):
         run_pipeline(cfg)
     outdir = tmp_path / "run"
+    # this run's completed stages, and none of the earlier run's later artifacts
+    assert sorted(p.name for p in outdir.iterdir()) == ["meta_fit.json", "reconstructed.csv"]
+    assert json.loads((outdir / "meta_fit.json").read_text())["stamp"]["config_hash"] == \
+        cfg.config_hash()
     assert (outdir / "meta_fit.json").exists()
     # reconstructed.csv is complete: a row per reconstructed subject, the last one ended
     reconstructed = outdir / "reconstructed.csv"
@@ -127,6 +137,22 @@ def test_stage_errors_carry_stage_name_and_keep_partials(tmp_path):
     assert reconstructed.read_bytes().endswith(b"\r\n")
     assert not (outdir / "weighted.csv").exists()
     assert not (outdir / "estimate.json").exists()
+    assert not (outdir / "summary.txt").exists()
+
+
+def test_each_clamped_arm_warns_once(tmp_path):
+    cfg = config(tmp_path, tight={("trial1", 0), ("trial3", 1)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_pipeline(cfg)
+    clamps = [w.message for w in caught if issubclass(w.category, ClampWarning)]
+    assert [(c.trial_id, c.arm) for c in clamps] == [("trial1", 0), ("trial3", 1)]
+    assert all(str(c).startswith(f"trial {c.trial_id!r} arm {c.arm}: residual variance ")
+               for c in clamps)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_pipeline(config(tmp_path, out="plain"))
+    assert not [w for w in caught if issubclass(w.category, ClampWarning)]
 
 
 def test_dimension_mismatch_reported_at_reconstruct_stage(tmp_path):

@@ -3,13 +3,11 @@
 * trial order does not change the meta-regression or any arm's
   reconstructed rows;
 * reconstructing all borrowed arms in one pass gives, bit for bit, the
-  rows and clamp warnings of reconstructing them one arm at a time;
+  rows and clamped arms of reconstructing them one arm at a time;
 * zero-weight reconstructed rows drop out of both estimators exactly;
 * a converged unpenalized membership fit gives a mean weight of one,
   whatever the feature map.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +19,7 @@ from summary_tables import arm_row, concat, table, take
 from metaborrow.data import dataset_from_arms, make_dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, build_design, fit_dl
-from metaborrow.reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
+from metaborrow.reconstruct import (BORROW_MODES, ReconstructionConfig, clamped_arms,
                                     reconstruct_all)
 from metaborrow.simulate import generate_meta_trial, generate_target_trial
 from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
@@ -59,7 +57,6 @@ def test_trial_order_does_not_change_the_meta_fit(trials, interaction):
     assert b.q_stat == pytest.approx(a.q_stat, rel=1e-9, abs=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::metaborrow.reconstruct.ClampWarning")
 @settings(deadline=None, max_examples=25)
 @given(shuffled_trials(), seeds, st.sampled_from(BORROW_MODES))
 def test_trial_order_does_not_change_any_arms_rows(trials, seed, borrow):
@@ -115,26 +112,25 @@ def row_bits(d):
 
 
 @settings(deadline=None, max_examples=40)
-@given(borrowed_trials(), seeds, st.sampled_from(BORROW_MODES), st.booleans())
-def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow, shared):
+@given(borrowed_trials(), seeds, st.sampled_from(BORROW_MODES))
+def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow):
     trials, meta, floor = case
     cfg = ReconstructionConfig(rng_seed=seed, error_floor=floor, borrow=borrow)
     borrowed = [i for i in range(len(trials))
                 if trials.n[i] and not (borrow == "control_only" and trials.arm[i] == 1)]
 
-    def run(reconstruct):
-        rng = np.random.default_rng(seed) if shared else None
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", ClampWarning)
-            rows = reconstruct(rng)
-        return row_bits(rows), [(w.message.trial_id, w.message.arm) for w in caught]
+    def arms(clamps):
+        return [(c.trial_id, c.arm) for c in clamps]
 
-    rows, clamps = run(lambda rng: reconstruct_all(trials, meta, cfg, rng=rng))
-    arm_rows, arm_clamps = run(lambda rng: make_dataset([
-        reconstruct_all(take(trials, [i]), meta, cfg, rng=rng) for i in borrowed]))
+    rows = row_bits(reconstruct_all(trials, meta, cfg))
+    arm_rows = row_bits(make_dataset([
+        reconstruct_all(take(trials, [i]), meta, cfg) for i in borrowed]))
+    clamps = arms(clamped_arms(trials, meta, cfg))
+    arm_clamps = arms(c for i in borrowed for c in clamped_arms(take(trials, [i]), meta, cfg))
     assert rows == arm_rows
     assert ("tight", 0) in clamps
     assert clamps == arm_clamps
+
 
 @settings(deadline=None, max_examples=25)
 @given(seeds, st.integers(12, 60), st.integers(1, 80), st.sampled_from(("w4", "w3", "hc0")),

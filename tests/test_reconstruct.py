@@ -8,10 +8,10 @@ from numpy.random import SeedSequence, default_rng
 
 from summary_tables import arm_row, table
 
-from metaborrow.data import make_dataset
 from metaborrow.errors import DataError
 from metaborrow.meta import MetaFit
-from metaborrow.reconstruct import ReconstructionConfig, reconstruct_all
+from metaborrow.reconstruct import (ClampWarning, ReconstructionConfig, clamped_arms,
+                                    reconstruct_all)
 
 
 def meta_fit(beta, columns):
@@ -28,6 +28,11 @@ def arm(tid="t1", armv=1, n=50, y_mean=2.0, y_var=5.0, x_mean=(1.0,),
 
 FIT = meta_fit([0.5, 1.5, -0.8], ("intercept", "arm", "x1_mean"))
 CFG = ReconstructionConfig(rng_seed=11)
+
+
+def substream(seed, tid, armv):
+    """The generator an arm draws from: keyed by (seed, crc32 of its trial id, arm)."""
+    return default_rng(SeedSequence((seed, zlib.crc32(tid.encode()), armv)))
 
 
 def assert_same_rows(a, b):
@@ -67,13 +72,13 @@ def test_interaction_column_loads_only_on_treated_arm():
 
 @pytest.mark.parametrize("p", [0, 2])
 def test_records_carry_covariate_rows(p):
-    # p = 0 still gives n rows, each with no covariates; with a given rng
-    # the covariates come first, each drawn whole in covariate order
+    # p = 0 still gives n rows, each with no covariates; from the arm's
+    # substream the covariates come first, each drawn whole in covariate order
     a = arm(n=25, x_mean=(1.0, 0.4)[:p], x_var=(2.0, 0.24)[:p], binary=(False, True)[:p])
     fit = meta_fit([0.5, 1.5, -0.8, 0.2][:2 + p],
                    ("intercept", "arm", "x1_mean", "x2_mean")[:2 + p])
-    d = reconstruct_all(a, fit, CFG, rng=np.random.default_rng(5))
-    rng = np.random.default_rng(5)
+    d = reconstruct_all(a, fit, CFG)
+    rng = substream(11, "t1", 1)
     xs = np.column_stack([np.empty((25, 0)), rng.normal(1.0, 2.0**0.5, 25),
                           rng.random(25) < 0.4][:1 + p])
     assert len(d) == 25 and d.X.shape == (25, p)
@@ -100,15 +105,22 @@ def test_substreams_are_deterministic_and_order_free():
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 3**50])
 def test_substream_is_the_one_the_key_tuple_seeds(seed):
-    # each arm draws what default_rng(SeedSequence((seed, crc32(id), arm))) draws
+    # each arm draws what default_rng(SeedSequence((seed, crc32(id), arm))) draws:
+    # its covariate, then its outcome noise around the arm's regression line
     keys = [(tid, armv, n) for tid in ("", "t1", "Prüfung-試験") for armv, n in ((1, 7), (0, 5))]
-    cfg = ReconstructionConfig(rng_seed=seed)
-    got = reconstruct_all(table(*(arm_row(tid, armv, n) for tid, armv, n in keys)), FIT, cfg)
-    want = make_dataset([reconstruct_all(
-        arm(tid, armv, n), FIT, cfg,
-        rng=default_rng(SeedSequence((seed, zlib.crc32(tid.encode()), armv))))
-        for tid, armv, n in keys])
-    assert_same_rows(got, want)
+    got = reconstruct_all(table(*(arm_row(tid, armv, n) for tid, armv, n in keys)), FIT,
+                          ReconstructionConfig(rng_seed=seed))
+    sd = (5.0 - 0.8**2 * 2.0) ** 0.5  # residual SD of every arm
+    xs, ys = [], []
+    for tid, armv, n in keys:
+        rng = substream(seed, tid, armv)
+        xs.append(rng.normal(1.0, 2.0**0.5, n))
+        ys.append(0.5 + 1.5 * armv + xs[-1] * -0.8 + sd * rng.standard_normal(n))
+    assert [got.trial_ids[i] for i in got.trial] == [tid for tid, _, n in keys
+                                                     for _ in range(n)]
+    assert got.z.tolist() == [armv for _, armv, n in keys for _ in range(n)]
+    assert got.X.tobytes() == np.concatenate(xs)[:, None].tobytes()
+    assert got.y.tobytes() == np.concatenate(ys).tobytes()
 
 
 def test_arms_use_distinct_substreams():
@@ -117,14 +129,6 @@ def test_arms_use_distinct_substreams():
     b1 = reconstruct_all(arm("t2", 1), FIT, CFG)
     assert not np.array_equal(a1.X, a0.X)
     assert not np.array_equal(a1.X, b1.X)
-
-
-def test_explicit_rng_overrides_substream():
-    rng = np.random.default_rng(3)
-    r1 = reconstruct_all(arm(), FIT, CFG, rng=rng)
-    r2 = reconstruct_all(arm(), FIT, CFG, rng=np.random.default_rng(3))
-    assert_same_rows(r1, r2)
-    assert not np.array_equal(r1.y, reconstruct_all(arm(), FIT, CFG).y)  # substream differs
 
 
 def test_control_only_borrow_skips_treated_arms():
@@ -145,8 +149,13 @@ def test_empty_arm_skipped_by_reconstruct_all():
 def test_overexplained_variance_clamps_with_warning():
     # slope explains 0.64 * 2 = 1.28 > y_var = 1.0
     tight = arm(y_var=1.0, n=50_000)
-    with pytest.warns(UserWarning, match="clamped"):
-        d = reconstruct_all(tight, FIT, CFG)
+    (clamp,) = clamped_arms(tight, FIT, CFG)
+    assert isinstance(clamp, ClampWarning) and isinstance(clamp, UserWarning)
+    assert (clamp.trial_id, clamp.arm) == ("t1", 1)
+    assert str(clamp) == ("trial 't1' arm 1: residual variance -0.28 below floor; clamped to "
+                          "1e-08 (covariate slopes explain more variance than the arm reports)")
+    assert clamped_arms(arm(), FIT, CFG) == ()
+    d = reconstruct_all(tight, FIT, CFG)
     y, x = d.y, d.X[:, 0]
     # outcomes are nearly deterministic in x at the floor variance
     resid = y - (0.5 + 1.5 - 0.8 * x)
@@ -163,7 +172,7 @@ def test_degenerate_zero_covariate_variance():
 
 def test_binary_covariate_sampling():
     a = arm(n=100_000, x_mean=(0.3,), x_var=(0.21,), binary=(True,))
-    xs = reconstruct_all(a, FIT, CFG, rng=np.random.default_rng(0)).X
+    xs = reconstruct_all(a, FIT, CFG).X
     assert set(np.unique(xs)) == {0.0, 1.0}
     assert xs.mean() == pytest.approx(0.3, abs=0.01)
 

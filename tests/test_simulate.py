@@ -1,5 +1,7 @@
 """Monte-Carlo engine: seeding, parallel equality, aggregation arithmetic."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -127,6 +129,18 @@ def test_replication_is_deterministic():
     assert r1 == r2
     assert r1.ok and np.isfinite(r1.pooled.estimate)
     assert run_replication(TINY, 4) != r1
+
+
+def test_clamped_arms_are_counted_not_warned():
+    # small trials: sampled arm variances dip below the explained part
+    cfg = ScenarioConfig(K=5, n=20, allocation="three_to_one", replications=40, base_seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        filters = list(warnings.filters)
+        results = [run_replication(cfg, r) for r in range(cfg.replications)]
+        assert warnings.filters == filters
+    assert all(res.ok for res in results)
+    assert sum(res.clamped_arms for res in results) > 0
 
 
 def test_replications_differ_across_base_seeds():

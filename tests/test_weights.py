@@ -94,13 +94,6 @@ def test_weights_of_the_fitted_rows_reuse_the_fit(monkeypatch):
     assert compute_weights(same_rows, fit).w.tobytes() == w.tobytes()
     assert len(evaluated) == 1 and evaluated[0] is same_rows
 
-def test_pin_target_weights():
-    d = pooled(seed=8)
-    fit = fit_membership(d)
-    w = compute_weights(d, fit, pin_target_weights=True)
-    assert np.all(w.w[w.is_target] == 1.0)
-    assert np.all(w.w[~w.is_target] != 1.0)
-
 
 def test_separated_groups_saturate_but_stay_calibrated():
     rng = np.random.default_rng(9)
