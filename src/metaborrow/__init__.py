@@ -24,9 +24,8 @@ from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        aggregate, generate_meta_trial, generate_meta_trials,
                        generate_target_trial, run_cell, run_replication,
                        write_cell_csv)
-from .weights import (FeatureMap, FeatureTerm, LogisticFit, compute_weights,
-                      default_feature_map, fit_membership,
-                      membership_probabilities, parse_feature_spec)
+from .weights import (FeatureMap, LogisticFit, compute_weights, default_feature_map,
+                      fit_membership, parse_feature_spec)
 
 __version__ = "0.1.0"
 
@@ -44,8 +43,7 @@ __all__ = [
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",
     "generate_meta_trial", "generate_meta_trials", "generate_target_trial", "run_cell",
     "run_replication", "write_cell_csv",
-    "FeatureMap", "FeatureTerm", "LogisticFit", "compute_weights",
-    "default_feature_map", "fit_membership", "membership_probabilities",
-    "parse_feature_spec",
+    "FeatureMap", "LogisticFit", "compute_weights", "default_feature_map",
+    "fit_membership", "parse_feature_spec",
     "__version__",
 ]

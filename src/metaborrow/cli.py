@@ -129,7 +129,7 @@ def weights(ctx, subjects, target_id, features, out_path):
     """Estimate importance weights from the target-membership model."""
     d = read_subjects(subjects, target_id=target_id)
     fit = fit_membership(d, parse_feature_spec(features, d.p) if features else None)
-    weighted = compute_weights(d, fit)
+    weighted = compute_weights(fit)
     w = weighted.w
     click.echo(f"membership fit: converged={fit.converged} iterations={fit.iterations} "
                f"ridge={fit.ridge_lambda:g}")

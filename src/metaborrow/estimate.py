@@ -116,7 +116,9 @@ class WeightedFit:
             i = self.columns.index(name)
         except ValueError as exc:
             raise DataError(f"no column {name!r} in fit ({', '.join(self.columns)})") from exc
-        return float(self.beta[i]), float(np.sqrt(self.cov_beta[i, i]))
+        # an ill-conditioned design can round a variance below zero: its SE is NaN
+        var = self.cov_beta[i, i]
+        return float(self.beta[i]), float(np.sqrt(var)) if var >= 0 else float("nan")
 
     def contrast(self, name="z", level=0.95):
         """Estimate, SE, CI, t and p for one coefficient."""
@@ -170,25 +172,25 @@ def weighted_transpose(A, v):
 def _wls(X, w, y, names):
     """Weighted least squares: returns (beta, bread) with bread = (X'WX)^{-1}.
 
-    A design that is rank deficient under the weights, or whose normal
-    equations are numerically singular, raises NumericalError naming the
-    dependent columns, found from the QR diagonal of sqrt(w) X; the QR
-    runs only on that path.
+    Rank is decided from the R factor of sqrt(w) X: a column whose
+    diagonal entry is at most 1e-10 of the largest depends on the ones
+    before it.  Such a design, or one whose normal equations are
+    numerically singular, raises NumericalError naming the dependent
+    columns (all of them when none stands out).
     """
     Xw = weighted_transpose(X, np.sqrt(w)).T
-    XtW = weighted_transpose(X, w)
-    try:
-        if np.linalg.matrix_rank(Xw) < X.shape[1]:
-            raise np.linalg.LinAlgError
-        # X'WX squares the condition number: inv can fail on a design of full rank
-        bread = np.linalg.inv(XtW @ X)
-    except np.linalg.LinAlgError:
-        diag = np.abs(np.diag(np.linalg.qr(Xw)[1]))
-        bad = [names[i] for i in np.flatnonzero(diag <= diag.max() * 1e-10)]
-        raise NumericalError(
-            "weighted design is rank deficient; dependent columns: " + ", ".join(bad or names)
-        ) from None
-    return bread @ (XtW @ y), bread
+    diag = np.abs(np.diag(np.linalg.qr(Xw, mode="r")))
+    bad = [names[i] for i in np.flatnonzero(diag <= diag.max() * 1e-10)]
+    if not bad:
+        XtW = weighted_transpose(X, w)
+        try:
+            # X'WX squares the condition number: inv can fail on a design of full rank
+            bread = np.linalg.inv(XtW @ X)
+            return bread @ (XtW @ y), bread
+        except np.linalg.LinAlgError:
+            pass
+    raise NumericalError(
+        "weighted design is rank deficient; dependent columns: " + ", ".join(bad or names))
 
 
 def fit_weighted_regression(d, include_covariates=True, include_interaction=False,
@@ -215,9 +217,8 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
     e = y - X @ beta
     power = {"w4": 4, "w3": 3, "hc0": 2}[meat]
     M = weighted_transpose(X, w ** power * e ** 2) @ X
-    cov = bread @ M @ bread
     return WeightedFit(
-        beta=beta, cov_beta=cov, columns=names, n=n, df=n - q, meat=meat,
+        beta=beta, cov_beta=bread @ M @ bread, columns=names, n=n, df=n - q, meat=meat,
         n_eff_treated=float(w[z == 1].sum()), n_eff_control=float(w[z == 0].sum()),
     )
 

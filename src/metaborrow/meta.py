@@ -34,10 +34,6 @@ class MetaDesign:
     X: np.ndarray
     columns: tuple
 
-    @property
-    def q(self):
-        return self.X.shape[1]
-
 
 @dataclass(frozen=True)
 class MetaFit:

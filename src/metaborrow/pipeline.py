@@ -188,7 +188,7 @@ def weighted_fit_to_dict(fit, level=0.95):
     return {
         "columns": list(fit.columns),
         "beta": [float(b) for b in fit.beta],
-        "se": [float(np.sqrt(fit.cov_beta[i, i])) for i in range(len(fit.beta))],
+        "se": [fit.coef(name)[1] for name in fit.columns],
         "n": fit.n,
         "df": fit.df,
         "meat": fit.meat,
@@ -250,7 +250,7 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
     with _stage("weights"):
         pooled = make_dataset((target, done.reconstructed), target_id=target.target_id)
         mfit = fit_membership(pooled, parse_feature_spec(features, pooled.p) if features else None)
-        done = replace(done, membership=mfit, weighted=compute_weights(pooled, mfit))
+        done = replace(done, membership=mfit, weighted=compute_weights(mfit))
         report("weights", done)
     with _stage("estimate"):
         done = replace(done, fit=fit_weighted_regression(done.weighted, **outcome))

@@ -11,7 +11,7 @@ variance:
 where ``load_j`` is the total slope on covariate j for this arm
 (main-effect coefficient plus, for treated arms, the arm-interaction
 coefficient when the meta design carries one).  A negative ``s2`` is
-clamped to ``error_floor * y_var``, never silently:
+clamped to ``ERROR_FLOOR * y_var``, never silently:
 :func:`clamped_arms` returns one unraised :class:`ClampWarning` per
 clamped arm, from the same residual-variance rule, and the library's
 edges (``run_pipeline``, the CLI ``reconstruct`` command) warn with
@@ -52,6 +52,7 @@ from .errors import ConfigError, DataError
 from .meta import design_columns
 
 BORROW_MODES = ("both_arms", "control_only")
+ERROR_FLOOR = 1e-8  # lower bound on a residual variance, relative to the arm's y_var
 
 
 class ClampWarning(UserWarning):
@@ -75,21 +76,15 @@ class ReconstructionConfig:
     ----------
     rng_seed : int
         Nonnegative; keys the per-arm substreams (ConfigError when negative).
-    error_floor : float
-        Lower bound on the residual variance, relative to the arm's
-        outcome variance (default 1e-8).
     borrow : str
         ``both_arms`` reconstructs every arm; ``control_only`` skips
         treatment arms.
     """
 
     rng_seed: int
-    error_floor: float = 1e-8
     borrow: str = "both_arms"
 
     def __post_init__(self):
-        if self.error_floor < 0:
-            raise DataError("error_floor must be nonnegative")
         if self.borrow not in BORROW_MODES:
             raise DataError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
 
@@ -172,7 +167,7 @@ def _arms(s, meta, cfg):
     rows = np.flatnonzero((s.n > 0) & ((s.arm == 0) | (cfg.borrow != "control_only")))
     loads = np.where(s.arm[rows][:, None] == 1, treated, control)
     y_var = s.y_var[rows]
-    return rows, loads, y_var - (loads**2 * s.x_var[rows]).sum(axis=1), cfg.error_floor * y_var
+    return rows, loads, y_var - (loads**2 * s.x_var[rows]).sum(axis=1), ERROR_FLOOR * y_var
 
 
 def reconstruct_all(s, meta, cfg):

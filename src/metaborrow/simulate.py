@@ -31,7 +31,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .data import Summaries, dataset_from_arms
-from .errors import ConfigError, DataError, MetaborrowError
+from .errors import ConfigError, DataError, MetaborrowError, NumericalError
 from .estimate import (MEAT_KINDS, choose_model, estimate_univariate,
                        fit_weighted_regression)
 from .meta import build_design, fit_dl
@@ -260,38 +260,49 @@ class ReplicationResult:
                 EST_TARGET: self.target}[estimator]
 
 
+def _record(ct):
+    """The EstimateRecord of a ``WeightedFit.contrast`` dict; NumericalError when its
+    standard error is not finite, since a NaN interval would be averaged as a result."""
+    if not np.isfinite(ct["se"]):
+        raise NumericalError(f"standard error of the z contrast is {ct['se']}")
+    return EstimateRecord(ct["estimate"], ct["se"], ct["ci_low"], ct["ci_high"])
+
+
 def run_replication(cfg, r):
     """Run one seeded replication; estimation failures are captured.
 
     The data stream is seeded by (base_seed, r, 0) and the
     reconstruction substreams by a child of (base_seed, r, 1), so a
-    replication depends only on (cfg, r).
+    replication depends only on (cfg, r).  A failure of the borrowing
+    chain, or a pooled standard error that is not finite, fails the
+    replication; a target-only comparator that cannot be fitted, or whose
+    standard error is not finite, only leaves ``target`` None.
     """
     rng = default_rng(SeedSequence((cfg.base_seed, r, 0)))
     trials = generate_meta_trials(cfg.K, cfg.n, cfg.covariate_dist, rng)[-1]
     target = generate_target_trial(cfg.n, cfg.allocation, cfg.covariate_dist, rng)
+    model = choose_model(cfg.model_spec == "identified")
 
     try:
         meta = fit_dl(build_design(trials, include_interaction=True))
         recon_seed = int(SeedSequence((cfg.base_seed, r, 1)).generate_state(1)[0])
         rcfg = ReconstructionConfig(rng_seed=recon_seed, borrow=cfg.borrow)
-        model = choose_model(cfg.model_spec == "identified")
         done = borrow(trials, meta, target, rcfg, meat=cfg.meat, **model)
-        ct = done.fit.contrast("z")
+        pooled = _record(done.fit.contrast("z"))
         uni = estimate_univariate(done.weighted)
-
-        target_rec = None
-        if cfg.allocation != "single_arm":
-            tct = fit_weighted_regression(target, meat="hc0", **model).contrast("z")
-            target_rec = EstimateRecord(tct["estimate"], tct["se"], tct["ci_low"], tct["ci_high"])
-        return ReplicationResult(
-            rep=r, ok=True,
-            pooled=EstimateRecord(ct["estimate"], ct["se"], ct["ci_low"], ct["ci_high"]),
-            pooled_univariate=EstimateRecord(uni.delta, uni.se, uni.ci_low, uni.ci_high),
-            target=target_rec, tau2=meta.tau2, clamped_arms=len(done.clamps),
-        )
     except (MetaborrowError, np.linalg.LinAlgError) as exc:
         return ReplicationResult(rep=r, ok=False, error=f"{type(exc).__name__}: {exc}")
+    target_rec = None
+    if cfg.allocation != "single_arm":
+        try:
+            target_rec = _record(fit_weighted_regression(target, meat="hc0", **model).contrast("z"))
+        except (MetaborrowError, np.linalg.LinAlgError):
+            pass
+    return ReplicationResult(
+        rep=r, ok=True, pooled=pooled,
+        pooled_univariate=EstimateRecord(uni.delta, uni.se, uni.ci_low, uni.ci_high),
+        target=target_rec, tau2=meta.tau2, clamped_arms=len(done.clamps),
+    )
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from metaborrow.reconstruct import ReconstructionConfig, clamped_arms, reconstru
 from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, EST_POOLED,
                                  EST_POOLED_UNI, MODEL_SPECS, ScenarioConfig,
                                  read_cell_csv, run_cell, write_cell_csv)
-from metaborrow.weights import compute_weights, fit_membership, linear_feature_map
+from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
 
 BORROW_MODES = ("both_arms", "control_only")
 
@@ -153,7 +153,7 @@ def test_criterion_04_mean_weight_identity(report):
                          target_id="t")
         fit = fit_membership(d)
         assert fit.converged and fit.ridge_lambda == 0.0
-        w = compute_weights(d, fit).w
+        w = compute_weights(fit).w
         worst = max(worst, abs(float(w.mean()) - 1.0))
     ok = worst <= 1e-6
     line = report(4, ok, f"three converged unpenalized fits: "
@@ -261,7 +261,7 @@ def test_criterion_10_estimator_oracles(report):
     source = trial_rows("s", np.zeros(4000), np.zeros(4000), rng.normal(1.0, 1.0, 4000),
                         is_target=False)
     d = make_dataset((source, target), target_id="t")
-    fit = fit_membership(d, linear_feature_map(1))
+    fit = fit_membership(d, parse_feature_spec("x1", 1))
     grid = np.linspace(-2.0, 2.0, 81)
     w_hat = 2.0 / (1.0 + np.exp(-(fit.alpha[0] + fit.alpha[1] * grid)))
     w_true = 2.0 / (1.0 + np.exp(-(0.5 - grid)))

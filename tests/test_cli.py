@@ -282,6 +282,12 @@ def test_simulate_cell_and_from_label(tmp_path, capsys):
     assert csv1.read_text() == csv2.read_text()
 
 
+def test_simulate_reports_pooled_rows_when_the_comparator_is_unestimable(capsys):
+    out = run_ok(capsys, ["simulate", "--K", "5", "--n", "4", "--reps", "20", "--seed", "1"])
+    assert "pooled_regression    n=20" in out and "pooled_univariate    n=20" in out
+    assert "target_regression" not in out and "failures" not in out
+
+
 def test_case_study_meta_and_nc_rows(tmp_path, capsys):
     out = run_ok(capsys, ["case-study", "--scenario", "meta"])
     assert "meta stage: 8 arm rows" in out

@@ -83,6 +83,17 @@ def test_undefined_statistic_has_no_p_value():
     assert np.isnan(ct["t_stat"]) and np.isnan(ct["p_value"])
 
 
+def test_negative_variance_has_a_nan_standard_error():
+    # a variance rounded below zero gives NaN, without numpy's invalid-sqrt warning
+    fit = WeightedFit(beta=np.array([0.0, 2.0]), cov_beta=np.diag([1.0, -269.0]),
+                      columns=("intercept", "z"), n=10, df=8, meat="hc0",
+                      n_eff_treated=5.0, n_eff_control=5.0)
+    with np.errstate(all="raise"):
+        ct = fit.contrast("z")
+    assert ct["estimate"] == 2.0 and np.isnan(ct["se"]) and np.isnan(ct["p_value"])
+    assert fit.coef("intercept") == (0.0, 1.0)
+
+
 def test_univariate_zero_weight_arm_rejected():
     with pytest.raises(DataError, match="zero total weight"):
         estimate_univariate(dataset([1, 1, 0], [1.0, 2.0, 3.0], w=[1.0, 1.0, 0.0]))

@@ -9,6 +9,8 @@
   whatever the feature map.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 
 from summary_tables import arm_row, concat, table, take
 
+from metaborrow import reconstruct
 from metaborrow.data import dataset_from_arms, make_dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, build_design, fit_dl
@@ -115,18 +118,20 @@ def row_bits(d):
 @given(borrowed_trials(), seeds, st.sampled_from(BORROW_MODES))
 def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow):
     trials, meta, floor = case
-    cfg = ReconstructionConfig(rng_seed=seed, error_floor=floor, borrow=borrow)
+    cfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
     borrowed = [i for i in range(len(trials))
                 if trials.n[i] and not (borrow == "control_only" and trials.arm[i] == 1)]
 
     def arms(clamps):
         return [(c.trial_id, c.arm) for c in clamps]
 
-    rows = row_bits(reconstruct_all(trials, meta, cfg))
-    arm_rows = row_bits(make_dataset([
-        reconstruct_all(take(trials, [i]), meta, cfg) for i in borrowed]))
-    clamps = arms(clamped_arms(trials, meta, cfg))
-    arm_clamps = arms(c for i in borrowed for c in clamped_arms(take(trials, [i]), meta, cfg))
+    with mock.patch.object(reconstruct, "ERROR_FLOOR", floor):
+        rows = row_bits(reconstruct_all(trials, meta, cfg))
+        arm_rows = row_bits(make_dataset([
+            reconstruct_all(take(trials, [i]), meta, cfg) for i in borrowed]))
+        clamps = arms(clamped_arms(trials, meta, cfg))
+        arm_clamps = arms(c for i in borrowed
+                          for c in clamped_arms(take(trials, [i]), meta, cfg))
     assert rows == arm_rows
     assert ("tight", 0) in clamps
     assert clamps == arm_clamps
@@ -174,4 +179,4 @@ def test_mean_weight_is_one_for_any_feature_map(seed, atoms, shift, scale):
     d = make_dataset((target, source), target_id="t")
     fit = fit_membership(d, parse_feature_spec(",".join(atoms), d.p))
     assume(fit.converged and fit.ridge_lambda == 0.0)
-    assert compute_weights(d, fit).w.mean() == pytest.approx(1.0, abs=1e-6)
+    assert compute_weights(fit).w.mean() == pytest.approx(1.0, abs=1e-6)

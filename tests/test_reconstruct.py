@@ -205,7 +205,5 @@ def test_fit_on_fewer_covariates_is_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(DataError, match="error_floor"):
-        ReconstructionConfig(rng_seed=1, error_floor=-1.0)
     with pytest.raises(DataError, match="borrow"):
         ReconstructionConfig(rng_seed=1, borrow="sometimes")

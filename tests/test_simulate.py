@@ -143,6 +143,31 @@ def test_clamped_arms_are_counted_not_warned():
     assert sum(res.clamped_arms for res in results) > 0
 
 
+def test_unestimable_comparator_keeps_the_pooled_estimates():
+    # a 4-subject target cannot fit the 4-column identified model alone
+    cfg = ScenarioConfig(K=5, n=4, replications=20, base_seed=1)
+    results = [run_replication(cfg, r) for r in range(cfg.replications)]
+    assert all(res.ok and res.target is None for res in results)
+    assert all(np.isfinite([res.pooled.estimate, res.pooled.se]).all() for res in results)
+    cell = aggregate(cfg, results)
+    assert cell.failures == 0 and EST_TARGET not in cell.summaries
+    assert cell.summary(EST_POOLED).n_used == 20
+
+
+def test_non_finite_standard_error_is_unestimable():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # two target controls 3e-5 apart: the comparator's hc0 variance of z rounds negative
+        res = run_replication(ScenarioConfig(K=3, n=6, allocation="three_to_one",
+                                             base_seed=3), 161)
+        assert res.ok and res.target is None and np.isfinite(res.pooled.se)
+        # the same rounding in the pooled fit fails the replication
+        pooled = run_replication(ScenarioConfig(K=3, n=4, allocation="three_to_one",
+                                                covariate_dist="chisq2", base_seed=1), 35)
+    assert not pooled.ok
+    assert pooled.error == "NumericalError: standard error of the z contrast is nan"
+
+
 def test_replications_differ_across_base_seeds():
     other = ScenarioConfig(K=5, n=20, replications=6, base_seed=124)
     assert run_replication(other, 3) != run_replication(TINY, 3)
