@@ -214,14 +214,14 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
             return CaseStudyResult(scenario, n1, n0, estimable=False, seed=seed)
         fit = fit_ols(target)
         return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=fit.df,
-                               **fit.contrast("z"))
+                               **fit.z_contrast())
 
     meta, _ = fit_meta()
     done = borrow(_derive(COMPLETED_TRIALS, subject_scale=False), meta, target,
                   ReconstructionConfig(rng_seed=int(seed), borrow=borrow_mode), meat=meat)
     clamped = tuple(f"{c.trial_id}/arm{c.arm}" for c in done.clamps)
     return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=done.fit.df,
-                           tau2=meta.tau2, clamped_arms=clamped, **done.fit.contrast("z"))
+                           tau2=meta.tau2, clamped_arms=clamped, **done.fit.z_contrast())
 
 
 def bundled_data_path():

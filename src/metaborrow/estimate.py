@@ -132,35 +132,46 @@ class WeightedFit:
             "t_stat": float(t), "p_value": p,
         }
 
+    def z_contrast(self, level=0.95):
+        """``contrast("z", level)``; NumericalError when its SE is not finite, since a
+        NaN interval would be reported, or averaged, as a result."""
+        ct = self.contrast("z", level)
+        if not np.isfinite(ct["se"]):
+            raise NumericalError(f"standard error of the z contrast is {ct['se']}")
+        return ct
+
 
 def build_outcome_design(d, include_covariates=True, include_interaction=False):
-    """Design matrix for the outcome regression.
+    """Column-major design matrix for the outcome regression, and its column names.
 
     ``include_covariates=False`` gives the deliberately coarse model
     (intercept and arm only).  ``include_interaction`` adds z*x columns.
     """
-    n = len(d)
-    z = d.z.astype(float)
-    cols = [np.ones(n), z]
     names = ["intercept", "z"]
     if include_covariates:
-        x = d.X
-        for j in range(d.p):
-            cols.append(x[:, j])
-            names.append(f"x{j + 1}")
+        names += [f"x{j + 1}" for j in range(d.p)]
         if include_interaction:
-            for j in range(d.p):
-                cols.append(z * x[:, j])
-                names.append(f"z:x{j + 1}")
-    return np.column_stack(cols), tuple(names)
+            names += [f"z:x{j + 1}" for j in range(d.p)]
+    X = np.empty((len(d), len(names)), order="F")
+    X[:, 0] = 1.0
+    X[:, 1] = d.z
+    if include_covariates:
+        X[:, 2:2 + d.p] = d.X
+        if include_interaction:
+            np.multiply(X[:, 1:2], d.X, out=X[:, 2 + d.p:])
+    return X, tuple(names)
 
 
 def weighted_transpose(A, v):
     """``A.T * v`` for an (N, q) matrix ``A``: the same values with the same strides.
 
-    NumPy broadcasts ``A.T * v`` in ``A``'s memory order, as N inner
-    loops of length q.  This fills a result of the same layout one column
-    of ``A`` at a time, as q loops of length N.  The layout matters: BLAS
+    The design matrices here are column-major, so ``A.T`` is C-ordered
+    and this fills it one column of ``A`` at a time, as q contiguous
+    loops of length N.  It is kept over the broadcast, which gives the
+    same values, for memory: on a small N the broadcast allocates a
+    buffer as large as its output (tracemalloc peak 7.7 kB against
+    3.8 kB at N = 100, q = 4, and 46 kB against 23 kB at N = 700, numpy
+    2.4).  The result keeps ``A.T``'s layout for any ``A``, since BLAS
     can round a product with a C-ordered left factor differently.
     """
     out = np.empty_like(A.T)

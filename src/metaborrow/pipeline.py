@@ -184,7 +184,7 @@ def meta_from_dict(d):
 
 
 def weighted_fit_to_dict(fit, level=0.95):
-    ct = fit.contrast("z", level=level)
+    ct = fit.z_contrast(level)
     return {
         "columns": list(fit.columns),
         "beta": [float(b) for b in fit.beta],

@@ -31,7 +31,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .data import Summaries, dataset_from_arms
-from .errors import ConfigError, DataError, MetaborrowError, NumericalError
+from .errors import ConfigError, DataError, MetaborrowError
 from .estimate import (MEAT_KINDS, choose_model, estimate_univariate,
                        fit_weighted_regression)
 from .meta import build_design, fit_dl
@@ -260,11 +260,10 @@ class ReplicationResult:
                 EST_TARGET: self.target}[estimator]
 
 
-def _record(ct):
-    """The EstimateRecord of a ``WeightedFit.contrast`` dict; NumericalError when its
-    standard error is not finite, since a NaN interval would be averaged as a result."""
-    if not np.isfinite(ct["se"]):
-        raise NumericalError(f"standard error of the z contrast is {ct['se']}")
+def _record(fit):
+    """The EstimateRecord of ``fit``'s z contrast; NumericalError when its standard
+    error is not finite (:meth:`WeightedFit.z_contrast`)."""
+    ct = fit.z_contrast()
     return EstimateRecord(ct["estimate"], ct["se"], ct["ci_low"], ct["ci_high"])
 
 
@@ -288,14 +287,14 @@ def run_replication(cfg, r):
         recon_seed = int(SeedSequence((cfg.base_seed, r, 1)).generate_state(1)[0])
         rcfg = ReconstructionConfig(rng_seed=recon_seed, borrow=cfg.borrow)
         done = borrow(trials, meta, target, rcfg, meat=cfg.meat, **model)
-        pooled = _record(done.fit.contrast("z"))
+        pooled = _record(done.fit)
         uni = estimate_univariate(done.weighted)
     except (MetaborrowError, np.linalg.LinAlgError) as exc:
         return ReplicationResult(rep=r, ok=False, error=f"{type(exc).__name__}: {exc}")
     target_rec = None
     if cfg.allocation != "single_arm":
         try:
-            target_rec = _record(fit_weighted_regression(target, meat="hc0", **model).contrast("z"))
+            target_rec = _record(fit_weighted_regression(target, meat="hc0", **model))
         except (MetaborrowError, np.linalg.LinAlgError):
             pass
     return ReplicationResult(

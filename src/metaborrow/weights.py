@@ -54,16 +54,20 @@ class FeatureMap:
     terms: tuple
 
     def matrix(self, d):
-        """Evaluate the feature matrix over a Dataset: ones, then one column per term."""
+        """Evaluate the feature matrix over a Dataset: ones, then one column per term.
+
+        The matrix is column-major, so the IRLS products read contiguous columns.
+        """
         x, z = d.X, d.z.astype(float)
-        cols = [np.ones(len(d))]
-        for term in self.terms:
+        F = np.empty((len(d), 1 + len(self.terms)), order="F")
+        F[:, 0] = 1.0
+        for i, term in enumerate(self.terms, start=1):
             for f in term:
                 if f != ARM and not 0 <= f < d.p:
                     raise DataError(
                         f"feature term references covariate {f + 1} outside dimension {d.p}")
-            cols.append(reduce(np.multiply, [z if f == ARM else x[:, f] for f in term]))
-        return np.column_stack(cols)
+            F[:, i] = reduce(np.multiply, [z if f == ARM else x[:, f] for f in term])
+        return F
 
 
 def default_feature_map(p):

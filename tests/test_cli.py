@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from summary_tables import arm_row, table
 
+from metaborrow import simulate
 from metaborrow.cli import main
 from metaborrow.data import (Dataset, make_dataset, read_subjects, write_subjects,
                              write_summaries)
+from metaborrow.pipeline import borrow
 from metaborrow.reconstruct import ClampWarning
+from metaborrow.simulate import ScenarioConfig, run_replication
 
 SUBCOMMANDS = ("meta", "reconstruct", "weights", "estimate", "simulate",
                "case-study", "pipeline")
@@ -195,6 +198,41 @@ def test_numerical_error_exits_4(tmp_path, capsys):
     code, err = run_fail(capsys, ["meta", "--summaries", spath])
     assert code == 4
     assert "x1_mean" in err
+
+
+def test_nan_standard_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a simulated replication whose pooled z variance rounds below zero: keep its inputs
+    calls = []
+
+    def keep(*args, **kw):
+        calls.append((args, borrow(*args, **kw)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simulate, "borrow", keep)
+    res = run_replication(ScenarioConfig(K=3, n=4, allocation="three_to_one",
+                                         covariate_dist="chisq2", base_seed=1), 35)
+    assert res.error == "NumericalError: standard error of the z contrast is nan"
+    ((summaries, _, target, rcfg), done), = calls
+    spath, tpath, wpath = (str(tmp_path / f) for f in ("s.csv", "t.csv", "w.csv"))
+    write_summaries(summaries, spath)
+    write_subjects(target, tpath, include_weight=False)
+    write_subjects(done.weighted, wpath)
+
+    code, err = run_fail(capsys, ["estimate", "--subjects", wpath, "--interaction",
+                                  "--meat", "w3", "--out", str(tmp_path / "est.json")])
+    assert code == 4 and "standard error of the z contrast is nan" in err
+    assert not (tmp_path / "est.json").exists()
+
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ClampWarning)
+        code, err = run_fail(capsys, ["pipeline", "--summaries", spath, "--target", tpath,
+                                      "--seed", str(rcfg.rng_seed), "--meta-interaction",
+                                      "--outcome-interaction", "--meat", "w3",
+                                      "--out", str(out)])
+    assert code == 4 and "stage estimate: standard error of the z contrast is nan" in err
+    assert (out / "weighted.csv").exists()
+    assert not (out / "estimate.json").exists() and not (out / "summary.txt").exists()
 
 
 def test_stage_composition(tmp_path, capsys):

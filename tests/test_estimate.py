@@ -113,6 +113,23 @@ def test_weighted_regression_matches_normal_equations():
     assert fit.df == len(y) - 6
 
 
+@pytest.mark.parametrize("covariates,interaction",
+                         [(False, False), (False, True), (True, False), (True, True)])
+def test_outcome_design_is_column_major_column_stack(covariates, interaction):
+    # the products in _wls and the sandwich read contiguous columns
+    d = random_dataset(np.random.default_rng(11), n=40, p=3)
+    X, names = build_outcome_design(d, covariates, interaction)
+    z, x = d.z.astype(float), d.X
+    cols = [np.ones(len(d)), z]
+    if covariates:
+        cols += [x[:, j] for j in range(3)]
+        if interaction:
+            cols += [z * x[:, j] for j in range(3)]
+    assert X.flags.f_contiguous and not X.flags.c_contiguous
+    assert X.tobytes() == np.column_stack(cols).tobytes()
+    assert len(names) == X.shape[1] == len(cols)
+
+
 def test_sandwich_meat_conventions():
     # cov must scale as c^(power - 2) when every weight is multiplied by c,
     # pinning the w^4 / w^3 / w^2 middle-matrix conventions

@@ -1,6 +1,7 @@
 """Monte-Carlo engine: seeding, parallel equality, aggregation arithmetic."""
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from summary_tables import assert_same, concat
 
 from metaborrow import simulate
 from metaborrow.errors import ConfigError, DataError
+from metaborrow.estimate import fit_weighted_regression
 from metaborrow.simulate import (COVARIATE_DISTS, EST_POOLED, EST_POOLED_UNI, EST_TARGET,
                                  CellResult, EstimateRecord, ReplicationResult,
                                  ScenarioConfig, aggregate, covariate_location,
@@ -154,12 +156,20 @@ def test_unestimable_comparator_keeps_the_pooled_estimates():
     assert cell.summary(EST_POOLED).n_used == 20
 
 
-def test_non_finite_standard_error_is_unestimable():
+def test_non_finite_standard_error_is_unestimable(monkeypatch):
+    def negative_z_variance(d, **kw):
+        # what an ill-conditioned comparator gives: its variance of z rounded below zero
+        fit = fit_weighted_regression(d, **kw)
+        cov = fit.cov_beta.copy()
+        cov[1, 1] = -1.0
+        return replace(fit, cov_beta=cov)
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        # two target controls 3e-5 apart: the comparator's hc0 variance of z rounds negative
-        res = run_replication(ScenarioConfig(K=3, n=6, allocation="three_to_one",
-                                             base_seed=3), 161)
+        with monkeypatch.context() as m:
+            m.setattr(simulate, "fit_weighted_regression", negative_z_variance)
+            res = run_replication(ScenarioConfig(K=3, n=6, allocation="three_to_one",
+                                                 base_seed=3), 161)
         assert res.ok and res.target is None and np.isfinite(res.pooled.se)
         # the same rounding in the pooled fit fails the replication
         pooled = run_replication(ScenarioConfig(K=3, n=4, allocation="three_to_one",

@@ -207,6 +207,10 @@ def test_feature_matrix_columns_are_products(atoms, seed, n):
     assert F[:, 0].tobytes() == np.ones(n).tobytes()
     for i, atom in enumerate(atoms, start=1):
         assert F[:, i].tobytes() == by_hand[atom].tobytes(), atom
+    # column-major, so the IRLS products read contiguous columns; the same values
+    # as the row-major column_stack
+    assert F.flags.f_contiguous and (n == 1 or not atoms or not F.flags.c_contiguous)
+    assert F.tobytes() == np.column_stack([np.ones(n), *(by_hand[a] for a in atoms)]).tobytes()
 
 
 def test_arm_feature_separates_allocation_shift():
