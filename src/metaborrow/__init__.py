@@ -12,9 +12,8 @@ from .data import (Dataset, Summaries, dataset_from_arms, make_dataset,
                    read_subjects, read_summaries, validate_dataset,
                    write_subjects, write_summaries)
 from .errors import ConfigError, DataError, MetaborrowError, NumericalError
-from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit,
-                       build_outcome_design, choose_model, estimate_univariate,
-                       fit_ols, fit_weighted_regression)
+from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit, build_outcome_design,
+                       estimate_univariate, fit_ols, fit_weighted_regression)
 from .meta import MetaDesign, MetaFit, build_design, fit_dl, meta_se
 from .pipeline import Borrowed, PipelineConfig, borrow, run_pipeline
 from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
@@ -35,7 +34,7 @@ __all__ = [
     "write_subjects", "write_summaries",
     "ConfigError", "DataError", "MetaborrowError", "NumericalError",
     "MEAT_KINDS", "UnivariateEstimate", "WeightedFit", "build_outcome_design",
-    "choose_model", "estimate_univariate", "fit_ols", "fit_weighted_regression",
+    "estimate_univariate", "fit_ols", "fit_weighted_regression",
     "MetaDesign", "MetaFit", "build_design", "fit_dl", "meta_se",
     "Borrowed", "PipelineConfig", "borrow", "run_pipeline",
     "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "clamped_arms", "reconstruct_all",

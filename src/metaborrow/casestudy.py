@@ -33,12 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .data import Summaries, dataset_from_arms, write_summaries
+from .data import Summaries, dataset_from_arms
 from .errors import ConfigError, DataError
 from .estimate import fit_ols
 from .meta import build_design, fit_dl
@@ -228,8 +227,3 @@ def bundled_data_path():
     """Path of the packaged arm-summary CSV (8 derived rows)."""
     return resources.files("metaborrow").joinpath("data/egfr_summaries.csv")
 
-
-def write_bundled_csv(path):
-    """Regenerate the bundled CSV from the trial constants."""
-    write_summaries(completed_summaries(), Path(path))
-    return Path(path)

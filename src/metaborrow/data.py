@@ -609,8 +609,9 @@ def _csv_fields(values):
 _BLOCK_ROWS = 512  # rows write_subjects formats and writes at a time
 
 
-def write_subjects(d, path, include_weight=True, include_source=True, stamp=None, known=None):
-    """Write a Dataset to CSV or JSON, optionally with weight/source columns; return its row text.
+def write_subjects(d, path, include_weight=True, stamp=None, known=None):
+    """Write a Dataset, with a source column and optionally weights, to CSV or JSON; return its
+    row text.
 
     A path ending in ``.json`` gets JSON, any other CSV.
     ``stamp`` (a mapping) is written as leading ``# key=value`` comment
@@ -648,19 +649,15 @@ def write_subjects(d, path, include_weight=True, include_source=True, stamp=None
     head = len(d) - sum(text.count("\n") + 1 for text in known)
     if head < 0:
         raise ValueError(f"known text covers {len(d) - head} rows; the dataset has {len(d)}")
-    names = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
-    if include_weight:
-        names.append("weight")
-    if include_source:
-        names.append("source")
+    names = (["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
+             + ["weight"] * include_weight + ["source"])
     if _detect_format(path) == "json":
         # tolist() gives Python ints and floats: z is written as 1, not 1.0
         columns = [list(map(d.trial_ids.__getitem__, d.trial.tolist())), d.z.tolist(),
                    d.y.tolist(), *d.X.T.tolist()]
         if include_weight:
             columns.append(d.w.tolist())
-        if include_source:
-            columns.append(list(map(_SOURCES.__getitem__, d.is_target.tolist())))
+        columns.append(list(map(_SOURCES.__getitem__, d.is_target.tolist())))
         _write_json([dict(zip(names, row)) for row in zip(*columns)], path)
         return None
 
@@ -679,7 +676,7 @@ def write_subjects(d, path, include_weight=True, include_source=True, stamp=None
             i += len(rows)
 
     trial_ids, sources = _csv_fields(d.trial_ids), _csv_fields(_SOURCES)
-    template = "{},{}" + ",{}" * (include_weight + include_source) + "\r\n"
+    template = "{},{}" + ",{}" * (1 + include_weight) + "\r\n"
     texts = []
     with open(path, "w", newline="", encoding="utf-8") as fh:
         _write_stamp(fh, stamp)
@@ -689,8 +686,7 @@ def write_subjects(d, path, include_weight=True, include_source=True, stamp=None
             columns = [map(trial_ids.__getitem__, d.trial[i:j].tolist()), rows]
             if include_weight:
                 columns.append(d.w[i:j].tolist())
-            if include_source:
-                columns.append(map(sources.__getitem__, d.is_target[i:j].tolist()))
+            columns.append(map(sources.__getitem__, d.is_target[i:j].tolist()))
             fh.writelines(map(template.format, *columns))
             texts.append(text)
     return texts

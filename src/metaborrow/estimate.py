@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 
 MEAT_KINDS = ("w4", "w3", "hc0")
 
@@ -120,9 +120,15 @@ class WeightedFit:
         var = self.cov_beta[i, i]
         return float(self.beta[i]), float(np.sqrt(var)) if var >= 0 else float("nan")
 
-    def contrast(self, name="z", level=0.95):
-        """Estimate, SE, CI, t and p for one coefficient."""
-        est, se = self.coef(name)
+    def z_contrast(self, level=0.95):
+        """Estimate, SE, CI, t and p of the ``z`` coefficient, on ``df`` degrees of freedom.
+
+        NumericalError when the SE is not finite, since a NaN interval
+        would be reported, or averaged, as a result.
+        """
+        est, se = self.coef("z")
+        if not np.isfinite(se):
+            raise NumericalError(f"standard error of the z contrast is {se}")
         tq = special.stdtrit(self.df, 0.5 + level / 2)
         t = _statistic(est, se)
         p = float(2 * special.stdtr(self.df, -abs(t)))
@@ -132,33 +138,28 @@ class WeightedFit:
             "t_stat": float(t), "p_value": p,
         }
 
-    def z_contrast(self, level=0.95):
-        """``contrast("z", level)``; NumericalError when its SE is not finite, since a
-        NaN interval would be reported, or averaged, as a result."""
-        ct = self.contrast("z", level)
-        if not np.isfinite(ct["se"]):
-            raise NumericalError(f"standard error of the z contrast is {ct['se']}")
-        return ct
-
 
 def build_outcome_design(d, include_covariates=True, include_interaction=False):
     """Column-major design matrix for the outcome regression, and its column names.
 
     ``include_covariates=False`` gives the deliberately coarse model
-    (intercept and arm only).  ``include_interaction`` adds z*x columns.
+    (intercept and arm only).  ``include_interaction`` adds z*x columns,
+    so it needs the covariates: without them it is a ConfigError.
     """
+    if include_interaction and not include_covariates:
+        raise ConfigError("the z*x interaction needs the covariates in the outcome model")
     names = ["intercept", "z"]
     if include_covariates:
         names += [f"x{j + 1}" for j in range(d.p)]
-        if include_interaction:
-            names += [f"z:x{j + 1}" for j in range(d.p)]
+    if include_interaction:
+        names += [f"z:x{j + 1}" for j in range(d.p)]
     X = np.empty((len(d), len(names)), order="F")
     X[:, 0] = 1.0
     X[:, 1] = d.z
     if include_covariates:
         X[:, 2:2 + d.p] = d.X
-        if include_interaction:
-            np.multiply(X[:, 1:2], d.X, out=X[:, 2 + d.p:])
+    if include_interaction:
+        np.multiply(X[:, 1:2], d.X, out=X[:, 2 + d.p:])
     return X, tuple(names)
 
 
@@ -204,6 +205,32 @@ def _wls(X, w, y, names):
         "weighted design is rank deficient; dependent columns: " + ", ".join(bad or names))
 
 
+def _fit(d, w, meat, include_covariates=True, include_interaction=False):
+    """WLS of y on the outcome design under weights ``w``, with ``meat``'s covariance.
+
+    "homoskedastic" gives SSR / (N - q) (X'WX)^{-1}; the sandwich kinds
+    are described in :func:`fit_weighted_regression`.
+    """
+    X, names = build_outcome_design(d, include_covariates, include_interaction)
+    y, z = d.y, d.z
+    n, q = X.shape
+    if n <= q:
+        raise DataError(f"need more than {q} subjects to fit {q} coefficients, got {n}")
+    n_eff = [float(w[z == arm].sum()) for arm in (0, 1)]
+    for arm in (0, 1):
+        if n_eff[arm] <= 0:
+            raise DataError(f"arm {arm} has zero total weight; arm unestimable")
+    beta, bread = _wls(X, w, y, names)
+    e = y - X @ beta
+    if meat == "homoskedastic":
+        cov = float(e @ e) / (n - q) * bread
+    else:
+        power = {"w4": 4, "w3": 3, "hc0": 2}[meat]
+        cov = bread @ (weighted_transpose(X, w ** power * e ** 2) @ X) @ bread
+    return WeightedFit(beta=beta, cov_beta=cov, columns=names, n=n, df=n - q, meat=meat,
+                       n_eff_treated=n_eff[1], n_eff_control=n_eff[0])
+
+
 def fit_weighted_regression(d, include_covariates=True, include_interaction=False,
                             meat="w4"):
     """Importance-weighted WLS of y on (1, z[, x, z*x]) with sandwich SEs.
@@ -216,55 +243,15 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
     """
     if meat not in MEAT_KINDS:
         raise DataError(f"unknown meat {meat!r}; choose from {MEAT_KINDS}")
-    X, names = build_outcome_design(d, include_covariates, include_interaction)
-    w, y, z = d.w, d.y, d.z
-    n, q = X.shape
-    if n <= q:
-        raise DataError(f"need more than {q} subjects to fit {q} coefficients, got {n}")
-    for arm in (0, 1):
-        if w[z == arm].sum() <= 0:
-            raise DataError(f"arm {arm} has zero total weight; arm unestimable")
-    beta, bread = _wls(X, w, y, names)
-    e = y - X @ beta
-    power = {"w4": 4, "w3": 3, "hc0": 2}[meat]
-    M = weighted_transpose(X, w ** power * e ** 2) @ X
-    return WeightedFit(
-        beta=beta, cov_beta=bread @ M @ bread, columns=names, n=n, df=n - q, meat=meat,
-        n_eff_treated=float(w[z == 1].sum()), n_eff_control=float(w[z == 0].sum()),
-    )
+    return _fit(d, d.w, meat, include_covariates, include_interaction)
 
 
 def fit_ols(d):
     """Ordinary least squares of y on (1, z, x) with the homoskedastic covariance.
 
     Ignores weights entirely: cov = sigma2_hat (X'X)^{-1} with
-    sigma2_hat = SSR / (N - q).  This is the natural analysis of a
-    single randomized trial and the comparator for the weighted fits.
+    sigma2_hat = SSR / (N - q), and ``n_eff_*`` count each arm's rows.
+    This is the natural analysis of a single randomized trial and the
+    comparator for the weighted fits.
     """
-    X, names = build_outcome_design(d)
-    y, z = d.y, d.z
-    n, q = X.shape
-    if n <= q:
-        raise DataError(f"need more than {q} subjects to fit {q} coefficients, got {n}")
-    for arm in (0, 1):
-        if not np.any(z == arm):
-            raise DataError(f"arm {arm} has no subjects; arm unestimable")
-    beta, bread = _wls(X, np.ones(n), y, names)
-    e = y - X @ beta
-    sigma2 = float(e @ e) / (n - q)
-    return WeightedFit(
-        beta=beta, cov_beta=sigma2 * bread, columns=names, n=n, df=n - q,
-        meat="homoskedastic",
-        n_eff_treated=float(np.sum(z == 1)), n_eff_control=float(np.sum(z == 0)),
-    )
-
-
-def choose_model(identified):
-    """Map a model-specification flag to outcome-design options.
-
-    ``identified=True`` fits the full model with covariates and z*x
-    interactions; ``False`` fits intercept and arm only.
-    """
-    if identified:
-        return {"include_covariates": True, "include_interaction": True}
-    return {"include_covariates": False, "include_interaction": False}
+    return _fit(d, np.ones(len(d)), "homoskedastic")

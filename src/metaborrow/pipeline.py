@@ -60,7 +60,7 @@ class PipelineConfig:
     :func:`metaborrow.weights.parse_feature_spec`) or None for the
     default quadratic map.  ``meta_interaction`` adds arm-by-mean
     columns to the meta design; ``outcome_interaction`` adds z*x columns
-    to the final regression.
+    to the final regression and needs ``outcome_covariates``.
 
     Every field is checked on construction, its type included, so a
     config file's wrong-typed value is a ConfigError (exit 2): paths are
@@ -232,7 +232,7 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
 
     Stage ``reconstruct`` draws the borrowed arms under ``rcfg`` from
     the fit ``meta``; ``weights`` pools them behind the target rows and
-    weights every row by a membership model on the feature spec
+    weights every row by a membership model on the FeatureMap
     ``features`` (default: each covariate and its square); ``estimate``
     fits the weighted regression, passing ``outcome`` on to
     :func:`metaborrow.estimate.fit_weighted_regression`.  Each stage
@@ -249,7 +249,7 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
         report("reconstruct", done)
     with _stage("weights"):
         pooled = make_dataset((target, done.reconstructed), target_id=target.target_id)
-        mfit = fit_membership(pooled, parse_feature_spec(features, pooled.p) if features else None)
+        mfit = fit_membership(pooled, features)
         done = replace(done, membership=mfit, weighted=compute_weights(mfit))
         report("weights", done)
     with _stage("estimate"):
@@ -265,8 +265,10 @@ def run_pipeline(cfg):
     and estimate.json, without their stamp.
 
     Raises ConfigError before any computation if an input path is
-    missing.  Artifacts are written as each stage completes, and each
-    clamped arm is warned once, as a :class:`metaborrow.ClampWarning`.
+    missing, and before any artifact if the feature spec does not parse
+    against the summaries' covariates.  Artifacts are written as each
+    stage completes, and each clamped arm is warned once, as a
+    :class:`metaborrow.ClampWarning`.
     """
     for label, p in (("summaries", cfg.summaries), ("target", cfg.target)):
         if not Path(p).exists():
@@ -279,6 +281,9 @@ def run_pipeline(cfg):
 
     with _stage("meta"):
         summaries = read_summaries(cfg.summaries)
+    # the spec is a setting, not a stage's product: a bad one names no stage
+    features = parse_feature_spec(cfg.features, summaries.p) if cfg.features else None
+    with _stage("meta"):
         meta = fit_dl(build_design(summaries, include_interaction=cfg.meta_interaction))
         meta_payload = meta_to_dict(meta, cfg.level)
         write_json({"stamp": stamp, **meta_payload}, outdir / "meta_fit.json")
@@ -307,7 +312,7 @@ def run_pipeline(cfg):
             write_json({"stamp": stamp, **payload}, outdir / "estimate.json")
         log.info("stage %s: done", stage)
 
-    done = borrow(summaries, meta, target, rcfg, features=cfg.features,
+    done = borrow(summaries, meta, target, rcfg, features=features,
                   on_stage=write_artifact, include_covariates=cfg.outcome_covariates,
                   include_interaction=cfg.outcome_interaction, meat=cfg.meat)
     summary = _render_summary(cfg, stamp, summaries, meta, done.weighted, payload)
@@ -336,7 +341,7 @@ def _render_summary(cfg, stamp, summaries, meta, weighted, estimate):
         "",
         f"weighted regression ({', '.join(estimate['columns'])}), meat {estimate['meat']}:",
         f"  z contrast: {ct['estimate']:+.4f}  se {ct['se']:.4f}  "
-        f"{int(cfg.level * 100)}% CI [{ct['ci_low']:+.4f}, {ct['ci_high']:+.4f}]",
+        f"{cfg.level * 100:g}% CI [{ct['ci_low']:+.4f}, {ct['ci_high']:+.4f}]",
         f"  t = {ct['t_stat']:.3f} on {estimate['df']} df, p = {ct['p_value']:.4g}",
         "",
     ]

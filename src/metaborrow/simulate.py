@@ -32,8 +32,7 @@ from numpy.random import SeedSequence, default_rng
 
 from .data import Summaries, dataset_from_arms
 from .errors import ConfigError, DataError, MetaborrowError
-from .estimate import (MEAT_KINDS, choose_model, estimate_univariate,
-                       fit_weighted_regression)
+from .estimate import MEAT_KINDS, estimate_univariate, fit_weighted_regression
 from .meta import build_design, fit_dl
 from .pipeline import borrow
 from .reconstruct import BORROW_MODES, ReconstructionConfig
@@ -45,7 +44,10 @@ TRUE_BETA2 = 0.5
 
 COVARIATE_DISTS = ("normal", "chisq2")
 ALLOCATIONS = ("one_to_one", "three_to_one", "single_arm")
-MODEL_SPECS = ("identified", "misidentified")
+# the outcome-design options of each model_spec
+OUTCOME_MODELS = {"identified": {"include_covariates": True, "include_interaction": True},
+                  "misidentified": {"include_covariates": False, "include_interaction": False}}
+MODEL_SPECS = tuple(OUTCOME_MODELS)
 
 # Estimator labels used in results and CSV output.
 EST_POOLED = "pooled_regression"      # weighted regression on target + reconstructed
@@ -280,7 +282,7 @@ def run_replication(cfg, r):
     rng = default_rng(SeedSequence((cfg.base_seed, r, 0)))
     trials = generate_meta_trials(cfg.K, cfg.n, cfg.covariate_dist, rng)[-1]
     target = generate_target_trial(cfg.n, cfg.allocation, cfg.covariate_dist, rng)
-    model = choose_model(cfg.model_spec == "identified")
+    model = OUTCOME_MODELS[cfg.model_spec]
 
     try:
         meta = fit_dl(build_design(trials, include_interaction=True))

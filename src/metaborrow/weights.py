@@ -32,7 +32,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError
 from .estimate import weighted_transpose
 
 ARM = "z"  # the arm-indicator factor of a feature term
@@ -79,7 +79,8 @@ def parse_feature_spec(spec, p):
     """Parse a comma-separated feature string, e.g. ``"x1,x1^2,x2,z"``.
 
     The intercept is implicit.  Accepted atoms: ``xJ``, ``xJ^2``,
-    ``xJ*xK``, ``z``, ``z*xJ``.
+    ``xJ*xK``, ``z``, ``z*xJ``.  The spec is a setting, so a malformed
+    one is a ConfigError.
     """
     terms = []
     for atom in spec.split(","):
@@ -98,13 +99,13 @@ def parse_feature_spec(spec, p):
 def _covariate_index(atom, p):
     atom = atom.strip()
     if not atom.startswith("x"):
-        raise DataError(f"cannot parse feature atom {atom!r}")
+        raise ConfigError(f"cannot parse feature atom {atom!r}")
     try:
         j = int(atom[1:]) - 1
     except ValueError as exc:
-        raise DataError(f"cannot parse feature atom {atom!r}") from exc
+        raise ConfigError(f"cannot parse feature atom {atom!r}") from exc
     if not 0 <= j < p:
-        raise DataError(f"feature atom {atom!r} outside covariate dimension {p}")
+        raise ConfigError(f"feature atom {atom!r} outside covariate dimension {p}")
     return j
 
 
@@ -114,10 +115,9 @@ class LogisticFit:
 
     ``ridge_lambda`` is zero for a plain maximum-likelihood fit and
     records the penalty actually used when the ridge path was engaged.
-    ``fmap`` is the feature map the fit was made with.  ``fitted_on`` is
-    the Dataset the model was fitted on and ``weights`` (read-only) its
-    importance weights from the fit's final probabilities, which
-    :func:`compute_weights` attaches to that dataset.
+    ``fitted_on`` is the Dataset the model was fitted on and ``weights``
+    (read-only) its importance weights from the fit's final
+    probabilities, which :func:`compute_weights` attaches to that dataset.
     """
 
     alpha: np.ndarray
@@ -125,7 +125,6 @@ class LogisticFit:
     iterations: int
     deviance: float
     ridge_lambda: float
-    fmap: FeatureMap
     fitted_on: object = field(default=None, repr=False, compare=False)
     weights: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -198,8 +197,8 @@ def fit_membership(d, fmap=None):
     weights = (len(d) / d.n_target()) * pi
     weights.flags.writeable = False
     return LogisticFit(alpha=alpha, converged=ok, iterations=iters,
-                       deviance=deviance, ridge_lambda=float(lam), fmap=fmap,
-                       fitted_on=d, weights=weights)
+                       deviance=deviance, ridge_lambda=float(lam), fitted_on=d,
+                       weights=weights)
 
 
 def _sigmoid(eta):

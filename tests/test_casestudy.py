@@ -10,9 +10,8 @@ from metaborrow.casestudy import (COMPLETED_TRIALS, DEFAULT_SEED, SCENARIOS,
                                   bundled_data_path, completed_summaries,
                                   derive_arm_summaries,
                                   derive_reconstruction_summaries, fit_meta,
-                                  run_case_study,
-                                  simulate_target, write_bundled_csv)
-from metaborrow.data import read_summaries
+                                  run_case_study, simulate_target)
+from metaborrow.data import read_summaries, write_summaries
 from metaborrow.errors import ConfigError, DataError
 
 TREATED, CONTROL = 0, 1  # a derived trial's arm rows, treated first
@@ -78,7 +77,8 @@ def test_meta_stage_rows_and_determinism():
 
 
 def test_bundled_csv_matches_derivation(tmp_path):
-    regenerated = write_bundled_csv(tmp_path / "egfr.csv")
+    regenerated = tmp_path / "egfr.csv"
+    write_summaries(completed_summaries(), regenerated)
     assert filecmp.cmp(regenerated, str(bundled_data_path()), shallow=False)
     back = read_summaries(str(bundled_data_path()))
     derived = completed_summaries()

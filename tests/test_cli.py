@@ -120,6 +120,26 @@ def test_negative_reconstruction_seed_exits_2(tmp_path, capsys, command):
     assert not out.exists()  # rejected before any output is written
 
 
+def test_contradictory_outcome_flags_exit_2(tmp_path, capsys):
+    # the z*x interaction needs the covariates; it used to fit (1, z) silently
+    out = tmp_path / "est.json"
+    code, err = run_fail(capsys, ["estimate", "--subjects", target_csv(tmp_path),
+                                  "--no-covariates", "--interaction", "--out", str(out)])
+    assert code == 2 and "interaction needs the covariates" in err
+    assert not out.exists()
+
+
+def test_bad_feature_spec_exits_2_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    for command, argv in (("weights", ["--subjects", target_csv(tmp_path), "--target-id", "tgt",
+                                       "--out", str(out)]),
+                          ("pipeline", ["--summaries", summaries_csv(tmp_path), "--target",
+                                        target_csv(tmp_path), "--seed", "7", "--out", str(out)])):
+        code, err = run_fail(capsys, [command, *argv, "--features", "x1,bogus"])
+        assert code == 2 and "cannot parse feature atom 'bogus'" in err, command
+        assert not out.exists() or list(out.iterdir()) == []
+
+
 def test_data_error_exits_3(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     lines = (tmp_path / "summaries.csv").read_text().splitlines()

@@ -411,7 +411,7 @@ def test_subjects_roundtrip_csv_and_json(tmp_path):
 def test_subjects_source_inferred_from_target_id(tmp_path):
     d = subjects()
     path = tmp_path / "subj.csv"
-    write_subjects(d, path, include_source=False)
+    writerows_csv(d, path, include_weight=True, include_source=False, stamp=None)
     back = read_subjects(path, target_id="tgt")
     assert back.is_target.tolist() == [True, True, False, False]
     # without a target id, everything is target
@@ -529,27 +529,24 @@ def awkward_datasets(draw, values, p=None):
 
 
 @settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
-@given(awkward_datasets(edge_floats), st.booleans(), st.booleans(),
+@given(awkward_datasets(edge_floats), st.booleans(),
        st.sampled_from((None, {}, {"config_hash": "deadbeef", "seed": 7})))
-def test_csv_writer_matches_writerows_bytes(tmp_path_factory, d, include_weight,
-                                            include_source, stamp):
+def test_csv_writer_matches_writerows_bytes(tmp_path_factory, d, include_weight, stamp):
     out = tmp_path_factory.mktemp("csv")
-    write_subjects(d, out / "fast.csv", include_weight=include_weight,
-                   include_source=include_source, stamp=stamp)
-    writerows_csv(d, out / "ref.csv", include_weight, include_source, stamp)
+    write_subjects(d, out / "fast.csv", include_weight=include_weight, stamp=stamp)
+    writerows_csv(d, out / "ref.csv", include_weight, include_source=True, stamp=stamp)
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
 @settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
 @given(awkward_datasets(edge_floats).flatmap(
            lambda a: st.tuples(st.just(a), awkward_datasets(edge_floats, p=a.p))),
-       st.booleans(), st.booleans())
-def test_known_text_writes_the_bytes_of_a_fresh_write(tmp_path_factory, parts, include_weight,
-                                                      include_source):
+       st.booleans())
+def test_known_text_writes_the_bytes_of_a_fresh_write(tmp_path_factory, parts, include_weight):
     a, b = parts
     d = make_dataset(parts, target_id="tgt")
     out = tmp_path_factory.mktemp("known")
-    kw = dict(include_weight=include_weight, include_source=include_source, stamp={"seed": 7})
+    kw = dict(include_weight=include_weight, stamp={"seed": 7})
     known = write_subjects(b, out / "tail.csv", include_weight=False)
     texts = write_subjects(d, out / "reuse.csv", known=known, **kw)
     fresh = write_subjects(d, out / "fresh.csv", **kw)

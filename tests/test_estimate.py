@@ -5,11 +5,10 @@ import pytest
 from scipy import stats
 
 from metaborrow.data import Dataset, make_dataset
-from metaborrow.errors import DataError, NumericalError
-from metaborrow.estimate import (UnivariateEstimate, WeightedFit,
-                                 build_outcome_design, choose_model,
-                                 estimate_univariate, fit_ols,
-                                 fit_weighted_regression, weighted_transpose)
+from metaborrow.errors import ConfigError, DataError, NumericalError
+from metaborrow.estimate import (UnivariateEstimate, WeightedFit, build_outcome_design,
+                                 estimate_univariate, fit_ols, fit_weighted_regression,
+                                 weighted_transpose)
 
 
 def dataset(z, y, x=None, w=None, tid="t"):
@@ -75,12 +74,15 @@ def test_undefined_statistic_has_no_p_value():
     with np.errstate(over="ignore", invalid="ignore"):
         huge = estimate_univariate(dataset([1, 1, 0, 0], [1e308, 1e308, -1e308, -1e308]))
     assert np.isnan(huge.z_stat) and np.isnan(huge.p_value)
-    # a NaN standard error leaves t undefined even for a finite estimate
+    # a NaN standard error leaves t undefined even for a finite estimate: no contrast
     fit = WeightedFit(beta=np.array([0.0, 2.0]), cov_beta=np.diag([1.0, np.nan]),
                       columns=("intercept", "z"), n=10, df=8, meat="w4",
                       n_eff_treated=5.0, n_eff_control=5.0)
-    ct = fit.contrast("z")
-    assert np.isnan(ct["t_stat"]) and np.isnan(ct["p_value"])
+    with pytest.raises(NumericalError, match="standard error of the z contrast is nan"):
+        fit.z_contrast()
+    with np.errstate(all="raise"):
+        est, se = fit.coef("z")
+    assert est == 2.0 and np.isnan(se)
 
 
 def test_negative_variance_has_a_nan_standard_error():
@@ -89,8 +91,10 @@ def test_negative_variance_has_a_nan_standard_error():
                       columns=("intercept", "z"), n=10, df=8, meat="hc0",
                       n_eff_treated=5.0, n_eff_control=5.0)
     with np.errstate(all="raise"):
-        ct = fit.contrast("z")
-    assert ct["estimate"] == 2.0 and np.isnan(ct["se"]) and np.isnan(ct["p_value"])
+        est, se = fit.coef("z")
+    assert est == 2.0 and np.isnan(se)
+    with pytest.raises(NumericalError, match="standard error of the z contrast is nan"):
+        fit.z_contrast()
     assert fit.coef("intercept") == (0.0, 1.0)
 
 
@@ -114,7 +118,7 @@ def test_weighted_regression_matches_normal_equations():
 
 
 @pytest.mark.parametrize("covariates,interaction",
-                         [(False, False), (False, True), (True, False), (True, True)])
+                         [(False, False), (True, False), (True, True)])
 def test_outcome_design_is_column_major_column_stack(covariates, interaction):
     # the products in _wls and the sandwich read contiguous columns
     d = random_dataset(np.random.default_rng(11), n=40, p=3)
@@ -128,6 +132,14 @@ def test_outcome_design_is_column_major_column_stack(covariates, interaction):
     assert X.flags.f_contiguous and not X.flags.c_contiguous
     assert X.tobytes() == np.column_stack(cols).tobytes()
     assert len(names) == X.shape[1] == len(cols)
+
+
+def test_interaction_without_covariates_is_a_config_error():
+    d = random_dataset(np.random.default_rng(12))
+    with pytest.raises(ConfigError, match="interaction needs the covariates"):
+        build_outcome_design(d, include_covariates=False, include_interaction=True)
+    with pytest.raises(ConfigError, match="interaction needs the covariates"):
+        fit_weighted_regression(d, include_covariates=False, include_interaction=True)
 
 
 def test_sandwich_meat_conventions():
@@ -155,7 +167,7 @@ def test_contrast_uses_t_reference():
     rng = np.random.default_rng(4)
     d = random_dataset(rng, n=30)
     fit = fit_weighted_regression(d, include_covariates=False, meat="hc0")
-    ct = fit.contrast("z", level=0.90)
+    ct = fit.z_contrast(level=0.90)
     est, se = fit.coef("z")
     tq = stats.t.ppf(0.95, fit.df)
     assert ct["ci_low"] == pytest.approx(est - tq * se)
@@ -207,7 +219,7 @@ def test_unestimable_configurations_rejected():
     single_arm = dataset([1, 1, 1, 1, 1, 1], rng.normal(size=6))
     with pytest.raises(DataError, match="zero total weight"):
         fit_weighted_regression(single_arm, include_covariates=False)
-    with pytest.raises(DataError, match="no subjects"):
+    with pytest.raises(DataError, match="arm 0 has zero total weight"):
         fit_ols(single_arm)
     tiny = dataset([1, 0], [1.0, 2.0])
     with pytest.raises(DataError, match="need more than"):
@@ -231,17 +243,6 @@ def test_ols_matches_closed_form():
     # weights are ignored by design
     reweighted = fit_ols(d.with_weights([3.0] * 50))
     assert reweighted.beta == pytest.approx(fit.beta, rel=1e-14)
-
-
-def test_choose_model_switch():
-    assert choose_model(True) == {"include_covariates": True,
-                                  "include_interaction": True}
-    assert choose_model(False) == {"include_covariates": False,
-                                   "include_interaction": False}
-    rng = np.random.default_rng(9)
-    d = random_dataset(rng)
-    coarse = fit_weighted_regression(d, **choose_model(False))
-    assert coarse.columns == ("intercept", "z")
 
 
 def test_estimators_agree_on_saturated_two_group_problem():

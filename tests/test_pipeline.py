@@ -12,7 +12,8 @@ from summary_tables import arm_row, table
 
 from metaborrow.data import (Dataset, read_subjects, read_summaries, write_subjects,
                              write_summaries)
-from metaborrow.errors import ConfigError, DataError
+from metaborrow import pipeline
+from metaborrow.errors import ConfigError, NumericalError
 from metaborrow.meta import MetaFit
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
                                  read_config, run_pipeline)
@@ -120,10 +121,15 @@ def test_missing_input_fails_before_any_artifact(tmp_path):
     assert not (tmp_path / "never").exists()
 
 
-def test_stage_errors_carry_stage_name_and_keep_partials(tmp_path):
+def test_stage_errors_carry_stage_name_and_keep_partials(tmp_path, monkeypatch):
     run_pipeline(config(tmp_path))  # a complete earlier run into the same directory
-    cfg = config(tmp_path, features="x1,x2")  # x2 does not exist (p = 1)
-    with pytest.raises(DataError, match="stage weights: .*x2"):
+    cfg = config(tmp_path)
+
+    def fail(*args):
+        raise NumericalError("membership model did not converge")
+
+    monkeypatch.setattr(pipeline, "fit_membership", fail)
+    with pytest.raises(NumericalError, match="^stage weights: membership model did not"):
         run_pipeline(cfg)
     outdir = tmp_path / "run"
     # this run's completed stages, and none of the earlier run's later artifacts
@@ -138,6 +144,22 @@ def test_stage_errors_carry_stage_name_and_keep_partials(tmp_path):
     assert not (outdir / "weighted.csv").exists()
     assert not (outdir / "estimate.json").exists()
     assert not (outdir / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("spec", ["x1,x2", "x1,bogus"])  # p = 1: x2 does not exist
+def test_bad_feature_spec_fails_before_any_artifact(tmp_path, spec):
+    run_pipeline(config(tmp_path))  # a complete earlier run into the same directory
+    with pytest.raises(ConfigError, match="^feature atom 'x2' outside|^cannot parse feature"):
+        run_pipeline(config(tmp_path, features=spec))
+    assert list((tmp_path / "run").iterdir()) == []
+
+
+@pytest.mark.parametrize("level,label", [(0.95, "95% CI"), (0.57, "57% CI"),
+                                         (0.975, "97.5% CI")])
+def test_summary_labels_the_interval_with_its_level(tmp_path, level, label):
+    run_pipeline(config(tmp_path, level=level))
+    summary = (tmp_path / "run" / "summary.txt").read_text()
+    assert f" {label} [" in summary
 
 
 def test_each_clamped_arm_warns_once(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from summary_tables import assert_same, concat
 
-from metaborrow import simulate
+from metaborrow import pipeline, simulate
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.estimate import fit_weighted_regression
 from metaborrow.simulate import (COVARIATE_DISTS, EST_POOLED, EST_POOLED_UNI, EST_TARGET,
@@ -154,6 +154,28 @@ def test_unestimable_comparator_keeps_the_pooled_estimates():
     cell = aggregate(cfg, results)
     assert cell.failures == 0 and EST_TARGET not in cell.summaries
     assert cell.summary(EST_POOLED).n_used == 20
+
+
+def test_model_spec_selects_outcome_columns(monkeypatch):
+    # model_spec sets both outcome regressions: the pooled fit and the target comparator
+    fitted = {}
+
+    def recording(module):
+        def fit(d, **kw):
+            fitted[module.__name__] = fit_weighted_regression(d, **kw)
+            return fitted[module.__name__]
+        return fit
+
+    for module in (pipeline, simulate):
+        monkeypatch.setattr(module, "fit_weighted_regression", recording(module))
+    for spec, columns in (("identified", ("intercept", "z", "x1", "z:x1")),
+                          ("misidentified", ("intercept", "z"))):
+        fitted.clear()
+        res = run_replication(ScenarioConfig(K=5, n=20, model_spec=spec, base_seed=1), 0)
+        assert res.ok and res.target is not None
+        assert {name: fit.columns for name, fit in fitted.items()} == {
+            "metaborrow.pipeline": columns, "metaborrow.simulate": columns}
+        assert res.target.estimate == fitted["metaborrow.simulate"].z_contrast()["estimate"]
 
 
 def test_non_finite_standard_error_is_unestimable(monkeypatch):

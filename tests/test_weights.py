@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from metaborrow import weights
 from metaborrow.data import Dataset
-from metaborrow.errors import DataError, NumericalError
+from metaborrow.errors import ConfigError, DataError, NumericalError
 from metaborrow.weights import (ARM, FeatureMap, compute_weights, default_feature_map,
                                 fit_membership, parse_feature_spec)
 
@@ -76,7 +76,7 @@ def test_weights_scale_by_pool_ratio():
 def test_probabilities_match_weights():
     d = pooled(seed=7)
     fit = fit_membership(d)
-    pi = 1.0 / (1.0 + np.exp(-(fit.fmap.matrix(d) @ fit.alpha)))
+    pi = 1.0 / (1.0 + np.exp(-(default_feature_map(d.p).matrix(d) @ fit.alpha)))
     w = compute_weights(fit).w
     assert w == pytest.approx(len(d) / d.n_target() * pi)
 
@@ -159,16 +159,16 @@ def test_parse_feature_spec_atoms():
 
 
 def test_parse_feature_spec_errors():
-    with pytest.raises(DataError, match="cannot parse"):
+    with pytest.raises(ConfigError, match="cannot parse"):
         parse_feature_spec("y1", p=2)
-    with pytest.raises(DataError, match="outside covariate dimension"):
+    with pytest.raises(ConfigError, match="outside covariate dimension"):
         parse_feature_spec("x3", p=2)
-    with pytest.raises(DataError, match="cannot parse"):
+    with pytest.raises(ConfigError, match="cannot parse"):
         parse_feature_spec("xfoo", p=2)
     # the arm factor comes first and only once, and a term has at most two factors
     for spec, atom in (("x1*z", "z"), ("z^2", "z"), ("z*z", "z"), ("z*x1^2", "x1^2"),
                        ("x1*x2*x1", "x2*x1"), ("x1*x2^2", "x1*x2")):
-        with pytest.raises(DataError, match=re.escape(f"cannot parse feature atom '{atom}'")):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot parse feature atom '{atom}'")):
             parse_feature_spec(spec, p=2)
 
 
