@@ -9,8 +9,7 @@ and a bundled renal-trial example exercise the whole chain.
 """
 
 from .data import (Dataset, Summaries, dataset_from_arms, make_dataset,
-                   read_subjects, read_summaries, validate_dataset,
-                   write_subjects, write_summaries)
+                   read_subjects, read_summaries, write_subjects, write_summaries)
 from .errors import ConfigError, DataError, MetaborrowError, NumericalError
 from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit, build_outcome_design,
                        estimate_univariate, fit_ols, fit_weighted_regression)
@@ -20,9 +19,8 @@ from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
                           clamped_arms, reconstruct_all)
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        EstimatorSummary, ReplicationResult, ScenarioConfig,
-                       aggregate, generate_meta_trial, generate_meta_trials,
-                       generate_target_trial, run_cell, run_replication,
-                       write_cell_csv)
+                       aggregate, generate_meta_trials, generate_target_trial,
+                       run_cell, run_replication, write_cell_csv)
 from .weights import (FeatureMap, LogisticFit, compute_weights, default_feature_map,
                       fit_membership, parse_feature_spec)
 
@@ -30,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "Summaries", "dataset_from_arms",
-    "make_dataset", "read_subjects", "read_summaries", "validate_dataset",
+    "make_dataset", "read_subjects", "read_summaries",
     "write_subjects", "write_summaries",
     "ConfigError", "DataError", "MetaborrowError", "NumericalError",
     "MEAT_KINDS", "UnivariateEstimate", "WeightedFit", "build_outcome_design",
@@ -40,7 +38,7 @@ __all__ = [
     "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "clamped_arms", "reconstruct_all",
     "ALLOCATIONS", "COVARIATE_DISTS", "MODEL_SPECS", "CellResult",
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",
-    "generate_meta_trial", "generate_meta_trials", "generate_target_trial", "run_cell",
+    "generate_meta_trials", "generate_target_trial", "run_cell",
     "run_replication", "write_cell_csv",
     "FeatureMap", "LogisticFit", "compute_weights", "default_feature_map",
     "fit_membership", "parse_feature_spec",

@@ -142,7 +142,7 @@ def simulate_target(n1, n0, rng):
         xs.append(rng.normal(x_mean, x_var ** 0.5, nj))
         ys.append(rng.normal(y_mean, y_var ** 0.5, nj))
     return dataset_from_arms(t.trial_ids, t.trial, t.arm, [n1, n0], np.concatenate(xs)[:, None],
-                             np.concatenate(ys), is_target=True, target_id=t.trial_ids[0])
+                             np.concatenate(ys), is_target=True)
 
 
 # scenario -> (n1, n0, borrow); borrow None means no external data.

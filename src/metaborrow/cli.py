@@ -3,8 +3,11 @@
 One subcommand per pipeline stage (``meta``, ``reconstruct``,
 ``weights``, ``estimate``) so stages compose through files, plus the
 orchestrated ``pipeline``, the Monte-Carlo ``simulate`` engine, and the
-bundled ``case-study``.  Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical error.
+bundled ``case-study``.  The group takes only ``--log-level``; a seed
+and an output path are options of the subcommand that reads them, so
+they follow its name (``metaborrow reconstruct ... --seed 7 --out r.csv``).
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
+error.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import ConfigError, MetaborrowError
 from .estimate import (MEAT_KINDS, estimate_univariate, fit_weighted_regression)
 from .meta import build_design, fit_dl
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
-from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS,
-                       EST_POOLED, ScenarioConfig, run_cell, write_cell_csv)
+from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, run_cell,
+                       write_cell_csv)
 from .weights import compute_weights, fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
@@ -31,29 +34,18 @@ _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
-@click.option("--seed", type=int, default=None,
-              help="Default seed for any subcommand that does not set one.")
-@click.option("--out", type=click.Path(), default=None,
-              help="Default output path for any subcommand that does not set one.")
 @click.option("--log-level", type=click.Choice(_LOG_LEVELS), default="warning",
               show_default=True, help="Logging verbosity (stderr).")
-@click.pass_context
-def cli(ctx, seed, out, log_level):
+def cli(log_level):
     """Borrow completed-trial aggregates into a target-trial analysis."""
     logging.basicConfig(level=getattr(logging, log_level.upper()),
                         format="%(levelname)s %(name)s: %(message)s")
-    ctx.obj = {"seed": seed, "out": out}
 
 
-def _fallback(ctx, value, key):
-    return value if value is not None else ctx.obj.get(key)
-
-
-def _need_seed(ctx, value):
-    seed = _fallback(ctx, value, "seed")
+def _need_seed(seed):
     if seed is None:
         raise ConfigError("a seed is required: pass --seed")
-    return int(seed)
+    return seed
 
 
 @cli.command()
@@ -64,8 +56,7 @@ def _need_seed(ctx, value):
 @click.option("--level", type=float, default=0.95, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the fit as JSON.")
-@click.pass_context
-def meta(ctx, summaries, interaction, level, out_path):
+def meta(summaries, interaction, level, out_path):
     """Fit the random-effects meta-regression on arm-level rows."""
     pl.check_level(level)
     design = build_design(read_summaries(summaries), include_interaction=interaction)
@@ -77,7 +68,6 @@ def meta(ctx, summaries, interaction, level, out_path):
                                   payload["ci_low"], payload["ci_high"]):
         click.echo(f"  {name:<16s} {b:+10.4f}  se {s:8.4f}  "
                    f"[{lo:+.4f}, {hi:+.4f}]")
-    out_path = _fallback(ctx, out_path, "out")
     if out_path:
         pl.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
@@ -94,11 +84,9 @@ def meta(ctx, summaries, interaction, level, out_path):
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Subject CSV/JSON for the reconstructed rows.")
-@click.pass_context
-def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
+def reconstruct(summaries, meta_path, interaction, borrow, seed, out_path):
     """Reconstruct subject-level rows from arm summaries."""
-    seed = _need_seed(ctx, seed)
-    out_path = _fallback(ctx, out_path, "out")
+    _need_seed(seed)
     if out_path is None:
         raise ConfigError("an output path is required: pass --out")
     s = read_summaries(summaries)
@@ -124,8 +112,7 @@ def reconstruct(ctx, summaries, meta_path, interaction, borrow, seed, out_path):
               help='Feature spec like "x1,x1^2"; default: all covariates + squares.')
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Weighted subject CSV/JSON.")
-@click.pass_context
-def weights(ctx, subjects, target_id, features, out_path):
+def weights(subjects, target_id, features, out_path):
     """Estimate importance weights from the target-membership model."""
     d = read_subjects(subjects, target_id=target_id)
     fit = fit_membership(d, parse_feature_spec(features, d.p) if features else None)
@@ -135,7 +122,6 @@ def weights(ctx, subjects, target_id, features, out_path):
                f"ridge={fit.ridge_lambda:g}")
     click.echo(f"weights: mean {w.mean():.6f} over {len(w)} subjects "
                f"(target rows mean {w[weighted.is_target].mean():.4f})")
-    out_path = _fallback(ctx, out_path, "out")
     if out_path:
         write_subjects(weighted, out_path)
         click.echo(f"wrote {out_path}")
@@ -152,8 +138,7 @@ def weights(ctx, subjects, target_id, features, out_path):
 @click.option("--level", type=float, default=0.95, show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the fit(s) as JSON.")
-@click.pass_context
-def estimate(ctx, subjects, estimator, covariates, interaction, meat, level, out_path):
+def estimate(subjects, estimator, covariates, interaction, meat, level, out_path):
     """Estimate the treatment contrast on weighted subject rows."""
     pl.check_level(level)
     d = read_subjects(subjects)
@@ -175,7 +160,6 @@ def estimate(ctx, subjects, estimator, covariates, interaction, meat, level, out
         }
         click.echo(f"univariate: delta = {uni.delta:+.4f}  se {uni.se:.4f}  "
                    f"CI [{uni.ci_low:+.4f}, {uni.ci_high:+.4f}]  p {uni.p_value:.4g}")
-    out_path = _fallback(ctx, out_path, "out")
     if out_path:
         pl.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
@@ -204,8 +188,7 @@ def estimate(ctx, subjects, estimator, covariates, interaction, meat, level, out
               help="Append to an existing results CSV instead of overwriting.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Long-format results CSV.")
-@click.pass_context
-def simulate(ctx, K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
+def simulate(K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
              from_label, append, out_path):
     """Run one Monte-Carlo cell and summarize every estimator."""
     if from_label:
@@ -213,7 +196,7 @@ def simulate(ctx, K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
     else:
         cfg = ScenarioConfig(K=K, n=n, covariate_dist=dist, allocation=alloc,
                              model_spec=model, borrow=borrow, replications=reps,
-                             base_seed=_need_seed(ctx, seed), meat=meat)
+                             base_seed=_need_seed(seed), meat=meat)
     click.echo(f"cell {cfg.label}")
     cell = run_cell(cfg, jobs=jobs,
                     progress=lambda i: log.info("replications done: %d", i))
@@ -225,7 +208,6 @@ def simulate(ctx, K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
                    f"mse {s.mse:.5f}  coverage {s.coverage:.3f}  type1 {s.type1:.3f}")
     if cell.failures:
         click.echo(f"  failures: {cell.failures}")
-    out_path = _fallback(ctx, out_path, "out")
     if out_path:
         write_cell_csv(cell, out_path, append=append)
         click.echo(f"wrote {out_path}")
@@ -235,16 +217,12 @@ def simulate(ctx, K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
 @click.option("--scenario", default="all", show_default=True,
               type=click.Choice(["all", "meta", *casestudy.SCENARIOS]),
               help='"meta" prints only the deterministic meta-regression stage.')
-@click.option("--seed", type=int, default=None,
-              help=f"Default {casestudy.DEFAULT_SEED}.")
+@click.option("--seed", type=int, default=casestudy.DEFAULT_SEED, show_default=True)
 @click.option("--meat", type=click.Choice(MEAT_KINDS), default="w4", show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Write the emitted rows as JSON.")
-@click.pass_context
-def case_study(ctx, scenario, seed, meat, out_path):
+def case_study(scenario, seed, meat, out_path):
     """Run the bundled renal-trial example (meta stage and six scenarios)."""
-    seed = _fallback(ctx, seed, "seed")
-    seed = casestudy.DEFAULT_SEED if seed is None else int(seed)
     payload = {}
     if scenario in ("all", "meta"):
         fit, design = casestudy.fit_meta()
@@ -271,7 +249,6 @@ def case_study(ctx, scenario, seed, meat, out_path):
                 click.echo(f"  {name:<28s} n={res.n1}/{res.n0:<4d} NC")
         payload["scenarios"] = rows
         payload["seed"] = seed
-    out_path = _fallback(ctx, out_path, "out")
     if out_path:
         pl.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")
@@ -292,8 +269,7 @@ def case_study(ctx, scenario, seed, meat, out_path):
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Artifact directory.")
-@click.pass_context
-def pipeline(ctx, config_path, summaries, target, borrow, features, meat,
+def pipeline(config_path, summaries, target, borrow, features, meat,
              meta_interaction, outcome_interaction, level, seed, out_path):
     """Run meta -> reconstruct -> weights -> estimate, writing artifacts."""
     base = pl.read_config(config_path) if config_path else {}
@@ -301,8 +277,7 @@ def pipeline(ctx, config_path, summaries, target, borrow, features, meat,
         "summaries": summaries, "target": target, "borrow": borrow,
         "features": features, "meat": meat, "meta_interaction": meta_interaction,
         "outcome_interaction": outcome_interaction, "level": level,
-        "seed": _fallback(ctx, seed, "seed"),
-        "out": _fallback(ctx, out_path, "out"),
+        "seed": seed, "out": out_path,
     }
     base.update({k: v for k, v in overrides.items() if v is not None})
     cfg = pl.PipelineConfig.from_mapping(base)

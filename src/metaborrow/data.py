@@ -12,12 +12,13 @@ directly; :func:`read_summaries` builds the table from a file and
 Subject-level data, observed in the target trial or reconstructed from
 summaries, is a Dataset held column by column: arm indicators ``z``,
 outcomes ``y``, the N x p covariate matrix ``X``, weights ``w``, a
-target-membership flag ``is_target``, and each row's index into a tuple
-of trial ids.  Every stage from reconstruction on works on these arrays,
-and this module assembles them: ``Dataset`` from columns,
-:func:`dataset_from_arms` from rows stacked arm by arm (the target trial
-and reconstructed arms), :func:`read_subjects` from a file, and
-:func:`make_dataset` by pooling Datasets.
+target-membership flag ``is_target`` (the only record of which rows are
+the target trial's), and each row's index into a tuple of trial ids.
+Every stage from reconstruction on works on these arrays, and this
+module assembles them: ``Dataset`` from columns, :func:`dataset_from_arms`
+from rows stacked arm by arm (the target trial and reconstructed arms),
+:func:`read_subjects` from a file, and :func:`make_dataset` by pooling
+Datasets.
 
 Variances in input files are variances of individual observations.  A
 summary file may instead carry the standard error of the arm mean in a
@@ -214,7 +215,6 @@ class Dataset:
     is_target : ndarray of bool, shape (N,)
         True for rows observed in the target trial, False for
         reconstructed rows (source tags ``target`` / ``reconstructed``).
-    target_id : str
 
     Every array is read-only.  An input array that is already read-only
     is held as it is, so datasets derived from one another share their
@@ -229,7 +229,6 @@ class Dataset:
     X: np.ndarray
     w: np.ndarray
     is_target: np.ndarray
-    target_id: str = ""
 
     def __post_init__(self):
         for name, dtype in _COLUMNS:
@@ -257,15 +256,15 @@ class Dataset:
         return int(np.count_nonzero(self.is_target))
 
 
-def _owned(trial_ids, trial, z, y, X, w, is_target, target_id=""):
+def _owned(trial_ids, trial, z, y, X, w, is_target):
     """A Dataset over freshly built arrays: made read-only in place, not copied."""
     arrays = (trial, z, y, X, w, is_target)
     for a in arrays:
         a.flags.writeable = False
-    return Dataset(trial_ids, *arrays, target_id)
+    return Dataset(trial_ids, *arrays)
 
 
-def dataset_from_arms(trial_ids, trial, arm, n, X, y, is_target, target_id=""):
+def dataset_from_arms(trial_ids, trial, arm, n, X, y, is_target):
     """Build a Dataset from rows stacked arm by arm, with unit weights.
 
     Arm k is the arm ``arm[k]`` of trial ``trial_ids[trial[k]]``: the next
@@ -276,7 +275,7 @@ def dataset_from_arms(trial_ids, trial, arm, n, X, y, is_target, target_id=""):
     """
     rows = len(y)
     return _owned(tuple(trial_ids), np.repeat(trial, n), np.repeat(arm, n), y, X,
-                  np.ones(rows), np.full(rows, bool(is_target)), target_id)
+                  np.ones(rows), np.full(rows, bool(is_target)))
 
 
 def _row_columns(tids, z, y, xs, w, sources):
@@ -310,7 +309,7 @@ def _row_columns(tids, z, y, xs, w, sources):
     return cols, dims
 
 
-def make_dataset(parts, target_id=""):
+def make_dataset(parts):
     """Pool Datasets into one, their rows in order.
 
     Each column is one ``np.concatenate`` over the non-empty ``parts``,
@@ -329,40 +328,27 @@ def make_dataset(parts, target_id=""):
              for d in filled]
     cat = [np.concatenate([getattr(d, name) for d in filled])
            for name in ("z", "y", "X", "w", "is_target")]
-    return _owned(tuple(index), np.concatenate(trial), *cat, target_id)
+    return _owned(tuple(index), np.concatenate(trial), *cat)
 
 
-def _violations(trial_of, z, y, X, w, dims=None, sources=None):
-    """Vectorised invariant checks over columns; violation strings in row order.
+def _violations(tids, z, y, X, w, dims, sources):
+    """Vectorised invariant checks over subject columns; violation strings in row order.
 
-    ``trial_of(i)`` gives row i's trial id.  ``dims`` (per-row covariate
-    counts) and ``sources`` (per-row tags) are checked when given; a
-    Dataset's columns can hold neither a ragged row nor an unknown tag.
+    ``tids`` holds each row's trial id, ``dims`` its covariate count and
+    ``sources`` its source tag.
     """
     p = X.shape[1]
+    known = np.fromiter((s in _SOURCES for s in sources), dtype=bool, count=len(sources))
     checks = [((z != 0) & (z != 1), lambda i: f"arm indicator must be 0 or 1, got {z[i]}"),
-              (~np.isfinite(y), lambda i: "outcome not finite")]
-    if dims is not None:
-        checks.append((dims != p,
-                       lambda i: f"covariate dimension {dims[i]} != dataset dimension {p}"))
-    checks += [(~np.isfinite(X).all(axis=1), lambda i: "covariate not finite"),
-               (~(np.isfinite(w) & (w >= 0)),
-                lambda i: "weight must be finite and nonnegative (bounded-weight condition)")]
-    if sources is not None:
-        known = np.fromiter((s in _SOURCES for s in sources), dtype=bool, count=len(sources))
-        checks.append((~known, lambda i: f"unknown source tag {sources[i]!r}"))
+              (~np.isfinite(y), lambda i: "outcome not finite"),
+              (dims != p, lambda i: f"covariate dimension {dims[i]} != dataset dimension {p}"),
+              (~np.isfinite(X).all(axis=1), lambda i: "covariate not finite"),
+              (~(np.isfinite(w) & (w >= 0)),
+               lambda i: "weight must be finite and nonnegative (bounded-weight condition)"),
+              (~known, lambda i: f"unknown source tag {sources[i]!r}")]
     bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
-    return [f"subject {i} (trial {trial_of(i)!r}): {message(i)}"
+    return [f"subject {i} (trial {tids[i]!r}): {message(i)}"
             for i in bad.tolist() for mask, message in checks if mask[i]]
-
-
-def validate_dataset(d):
-    """Check every invariant of Dataset ``d``; return a list of violation strings.
-
-    Pure diagnostic: an empty list means the data are valid.  Each entry
-    names the offending row and the invariant it breaks.
-    """
-    return _violations(lambda i: d.trial_ids[d.trial[i]], d.z, d.y, d.X, d.w)
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +534,10 @@ def read_subjects(path, target_id=None):
     ``source`` columns, as CSV or, for a path ending in ``.json``, as a
     JSON list of objects.  When no ``source`` column is present, rows are
     tagged target/reconstructed by comparing ``trial_id`` to ``target_id``
-    (all rows are target when ``target_id`` is None).  Every invariant of
-    :func:`validate_dataset` is checked; DataError lists the violations.
+    (all rows are target when ``target_id`` is None).  Every row is
+    checked (arm 0 or 1, finite outcome and covariates, the first row's
+    covariate count, a finite nonnegative weight, a known source tag), and
+    DataError lists the violations.
     """
     path = Path(path)
     raw = _read_rows(path, "subject")
@@ -580,12 +568,12 @@ def read_subjects(path, target_id=None):
         for column, value in zip((tids, zs, ys, xs, ws, sources), fields):
             column.append(value)
     cols, dims = _row_columns(tids, zs, ys, xs, ws, sources)
-    bad = _violations(tids.__getitem__, cols["z"], cols["y"], cols["X"], cols["w"], dims, sources)
+    bad = _violations(tids, cols["z"], cols["y"], cols["X"], cols["w"], dims, sources)
     if bad:
         more = len(bad) - _MAX_REPORTED
         raise DataError(f"{path}: invalid subject rows: " + "; ".join(bad[:_MAX_REPORTED])
                         + (f"; and {more} more" if more > 0 else ""))
-    return _owned(**cols, target_id=target_id or "")
+    return _owned(**cols)
 
 
 def _csv_fields(values):

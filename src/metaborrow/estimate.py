@@ -242,7 +242,7 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
     with k_i = w_i^4 ("w4"), w_i^3 ("w3"), or w_i^2 ("hc0").
     """
     if meat not in MEAT_KINDS:
-        raise DataError(f"unknown meat {meat!r}; choose from {MEAT_KINDS}")
+        raise ConfigError(f"unknown meat {meat!r}; choose from {MEAT_KINDS}")
     return _fit(d, d.w, meat, include_covariates, include_interaction)
 
 

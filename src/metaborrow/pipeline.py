@@ -65,7 +65,8 @@ class PipelineConfig:
     Every field is checked on construction, its type included, so a
     config file's wrong-typed value is a ConfigError (exit 2): paths are
     strings, ``seed`` a nonnegative int (not a bool), the switches bools, and
-    ``level`` a real number in (0, 1).
+    ``level`` a real number in (0, 1); ``outcome_interaction`` without
+    ``outcome_covariates`` is refused here, before any artifact is written.
     """
 
     summaries: str
@@ -86,6 +87,8 @@ class PipelineConfig:
                            ("outcome_interaction", bool)):
             if not isinstance(getattr(self, name), kind):
                 raise ConfigError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
+        if self.outcome_interaction and not self.outcome_covariates:
+            raise ConfigError("outcome_interaction needs outcome_covariates")
         if self.seed is None:
             raise ConfigError("seed is required (reconstruction is stochastic)")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
@@ -248,7 +251,7 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
                         clamped_arms(summaries, meta, rcfg))
         report("reconstruct", done)
     with _stage("weights"):
-        pooled = make_dataset((target, done.reconstructed), target_id=target.target_id)
+        pooled = make_dataset((target, done.reconstructed))
         mfit = fit_membership(pooled, features)
         done = replace(done, membership=mfit, weighted=compute_weights(mfit))
         report("weights", done)

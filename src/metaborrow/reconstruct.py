@@ -86,7 +86,7 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         if self.borrow not in BORROW_MODES:
-            raise DataError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
+            raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
 
 
 def _seed_words(seed):

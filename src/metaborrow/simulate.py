@@ -12,10 +12,10 @@ Truth used everywhere: Y = 1 + 2 z - x + 0.5 z x + Normal(0, 1), so the
 target-population average treatment effect is exactly 2.
 
 A replication generates its K completed trials in one pass
-(:func:`generate_meta_trials`), drawing what K :func:`generate_meta_trial`
-calls draw, into one :class:`metaborrow.data.Summaries` table of two
-rows per trial (treated arm first), and runs the meta fit and
-:func:`metaborrow.pipeline.borrow` on it.
+(:func:`generate_meta_trials`) into one
+:class:`metaborrow.data.Summaries` table of two rows per trial (treated
+arm first), and runs the meta fit and :func:`metaborrow.pipeline.borrow`
+on it.
 """
 
 from __future__ import annotations
@@ -133,16 +133,19 @@ def _draw_rows(rng, mu, dist, x, e):
 
     ``mu + z`` is what ``rng.normal(mu, 1.0)`` computes, and a
     ``chisquare(2)`` draw is ``2 E`` for a standard exponential E, so
-    every value is the one those calls draw.
+    every value is the one those calls draw.  A ``dist`` outside
+    COVARIATE_DISTS is a ConfigError.
     """
     if dist == "normal":
         rng.standard_normal(out=x)
         x += mu
-    else:
+    elif dist == "chisq2":
         # chi-square(2)/2 = E has mean 1 and variance 1; shift to mean mu
         rng.standard_exponential(out=x)
         x += mu
         x -= 1.0
+    else:
+        raise ConfigError(f"dist must be one of {COVARIATE_DISTS}, got {dist!r}")
     rng.standard_normal(out=e)
 
 
@@ -156,21 +159,22 @@ def covariate_location(k, K):
     return 4.0 * (k - 1) / (K - 1) - 1.0 if K > 1 else 0.0
 
 
-def _meta_trials(ks, K, n, dist, rng):
-    """Generate completed trials ``ks`` of K in one pass; returns (z, x, y, Summaries).
+def generate_meta_trials(K, n, dist, rng):
+    """Generate completed trials 1..K in one pass; returns (z, x, y, Summaries).
 
-    Each trial draws, in order, its size floor(Uniform(n, 4n)) as
-    ``n + 3n u``, its covariates and its noise, into shared buffers;
-    ``y`` is then computed over all rows at once, and the 2 * len(ks)
-    arms' means and variances of ``y`` and ``x`` are two segmented sums
-    over the stacked ``(y, x)`` rows, which become the table's columns.
-    Those sums add in sequence where ``ndarray.mean`` adds pairwise, so a
-    summary can differ from ``np.mean``/``np.var(ddof=1)`` in the last bits.
+    Trial k enrolls floor(Uniform(n, 4n)) subjects split evenly; only the
+    Summaries table (treated arm first) reaches the downstream pipeline,
+    the subject-level draws exist for diagnostics.  Each trial draws, in
+    order, its size as ``n + 3n u``, its covariates and its noise, into
+    shared buffers; ``y`` is then computed over all rows at once, and the
+    2K arms' means and variances of ``y`` and ``x`` are two segmented
+    sums over the stacked ``(y, x)`` rows, which become the table's
+    columns.  Those sums add in sequence where ``ndarray.mean`` adds
+    pairwise, so a summary can differ from ``np.mean``/``np.var(ddof=1)``
+    in the last bits.
     """
-    for k in ks:
-        if not 1 <= k <= K:
-            raise DataError(f"trial index {k} outside 1..{K}")
-    yx = np.empty((2, 4 * n * len(ks)))  # a trial has at most 4n subjects
+    ks = range(1, K + 1)
+    yx = np.empty((2, 4 * n * K))  # a trial has at most 4n subjects
     e = np.empty(yx.shape[1])
     sizes = []
     lo = 0
@@ -180,7 +184,7 @@ def _meta_trials(ks, K, n, dist, rng):
         sizes += (nk // 2, nk - nk // 2)  # treated rows come first
         lo += nk
     yx = yx[:, :lo]
-    z = np.repeat(np.tile([1.0, 0.0], len(ks)), sizes)
+    z = np.repeat(np.tile([1.0, 0.0], K), sizes)
     y, x = yx
     _outcome(z, x, e[:lo], out=y)
 
@@ -194,25 +198,6 @@ def _meta_trials(ks, K, n, dist, rng):
                           mean[0], var[0], mean[1:].T, var[1:].T,
                           np.zeros((len(sizes), 1), dtype=bool))
     return z, x, y, summaries
-
-
-def generate_meta_trials(K, n, dist, rng):
-    """Generate completed trials 1..K in one pass; returns (z, x, y, Summaries).
-
-    The draws are those of :func:`generate_meta_trial` called for k = 1..K
-    in turn, and the rows are those trials' rows one after another.
-    """
-    return _meta_trials(range(1, K + 1), K, n, dist, rng)
-
-
-def generate_meta_trial(k, K, n, dist, rng):
-    """Generate completed trial k and return (z, x, y, Summaries).
-
-    The trial enrolls floor(Uniform(n, 4n)) subjects split evenly; only
-    its two-row Summaries table (treated arm first) is available to the
-    downstream pipeline, the subject-level draws exist for diagnostics.
-    """
-    return _meta_trials((k,), K, n, dist, rng)
 
 
 def generate_target_trial(n, allocation, dist, rng):
@@ -232,8 +217,7 @@ def generate_target_trial(n, allocation, dist, rng):
     x, e = np.empty((n, 1)), np.empty(n)
     _draw_rows(rng, 0.0, dist, x[:, 0], e)
     y = _outcome(np.repeat([1.0, 0.0], (n1, n0)), x[:, 0], e)  # treated rows first
-    return dataset_from_arms(("target",), [0, 0], [1, 0], [n1, n0], x, y,
-                             is_target=True, target_id="target")
+    return dataset_from_arms(("target",), [0, 0], [1, 0], [n1, n0], x, y, is_target=True)
 
 
 @dataclass(frozen=True)
@@ -341,18 +325,6 @@ class CellResult:
         if estimator not in self.summaries:
             raise DataError(f"estimator {estimator!r} has no successful replications")
         return self.summaries[estimator]
-
-    @property
-    def mse_pooled(self):
-        return self.summary(EST_POOLED).mse
-
-    @property
-    def mse_target(self):
-        return self.summary(EST_TARGET).mse
-
-    @property
-    def type1(self):
-        return self.summary(EST_POOLED).type1
 
 
 def _summarize_estimator(name, records, grid):

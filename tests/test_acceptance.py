@@ -18,7 +18,7 @@ from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.data import Summaries
 from metaborrow.reconstruct import ReconstructionConfig, clamped_arms, reconstruct_all
 from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, EST_POOLED,
-                                 EST_POOLED_UNI, MODEL_SPECS, ScenarioConfig,
+                                 EST_POOLED_UNI, EST_TARGET, MODEL_SPECS, ScenarioConfig,
                                  read_cell_csv, run_cell, write_cell_csv)
 from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
 
@@ -40,7 +40,7 @@ def trial_rows(trial_id, z, y, x, is_target):
     """One trial's rows with unit weights; ``x`` holds one covariate row per subject."""
     n = len(y)
     return Dataset((trial_id,), np.zeros(n, int), z, y, np.reshape(x, (n, -1)), np.ones(n),
-                   np.full(n, is_target), trial_id if is_target else "")
+                   np.full(n, is_target))
 
 
 @pytest.fixture(scope="module")
@@ -125,7 +125,7 @@ def test_criterion_03_zero_weight_sources_erase_exactly(report):
     tonly = trial_rows("t", np.arange(60) % 2, ty, tx, is_target=True)
     junk = Dataset(("s0", "s1", "s2", "s3"), np.arange(200) % 4, np.arange(200) % 2, jy,
                    np.reshape(jx, (200, 1)), np.ones(200), np.zeros(200, bool))
-    pooled = make_dataset((junk, tonly), target_id="t")
+    pooled = make_dataset((junk, tonly))
     pooled = pooled.with_weights([0.0] * 200 + [1.0] * 60)
 
     up, ut = estimate_univariate(pooled), estimate_univariate(tonly)
@@ -149,8 +149,7 @@ def test_criterion_04_mean_weight_identity(report):
         ty, tx = zip(*[(rng.normal(), rng.normal()) for _ in range(150)])
         sy, sx = zip(*[(rng.normal(), rng.normal(0.5, 1.2)) for _ in range(350)])
         d = make_dataset((trial_rows("s", np.arange(350) % 2, sy, sx, is_target=False),
-                          trial_rows("t", np.arange(150) % 2, ty, tx, is_target=True)),
-                         target_id="t")
+                          trial_rows("t", np.arange(150) % 2, ty, tx, is_target=True)))
         fit = fit_membership(d)
         assert fit.converged and fit.ridge_lambda == 0.0
         w = compute_weights(fit).w
@@ -166,8 +165,9 @@ def test_criterion_05_borrowing_halves_mse(report):
     t0 = time.perf_counter()
     cell = run_cell(cfg)
     elapsed = time.perf_counter() - t0
-    ratio = cell.mse_pooled / cell.mse_target
-    ok = elapsed < 180.0 and cell.mse_pooled < 0.5 * cell.mse_target
+    mse_pooled, mse_target = cell.summary(EST_POOLED).mse, cell.summary(EST_TARGET).mse
+    ratio = mse_pooled / mse_target
+    ok = elapsed < 180.0 and mse_pooled < 0.5 * mse_target
     line = report(5, ok, f"{cfg.label}: mse ratio borrowing/target-only "
                           f"{ratio:.3f} in {elapsed:.1f} s")
     assert ok, line
@@ -260,7 +260,7 @@ def test_criterion_10_estimator_oracles(report):
                         is_target=True)
     source = trial_rows("s", np.zeros(4000), np.zeros(4000), rng.normal(1.0, 1.0, 4000),
                         is_target=False)
-    d = make_dataset((source, target), target_id="t")
+    d = make_dataset((source, target))
     fit = fit_membership(d, parse_feature_spec("x1", 1))
     grid = np.linspace(-2.0, 2.0, 81)
     w_hat = 2.0 / (1.0 + np.exp(-(fit.alpha[0] + fit.alpha[1] * grid)))

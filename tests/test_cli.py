@@ -38,8 +38,7 @@ def target_csv(tmp_path):
         xs.append((x,))
         ys.append(1.0 + 2.0 * (i % 2) - x + float(rng.normal()))
     path = tmp_path / "target.csv"
-    target = Dataset(("tgt",), np.zeros(40, int), z, ys, xs, np.ones(40), np.ones(40, bool),
-                     "tgt")
+    target = Dataset(("tgt",), np.zeros(40, int), z, ys, xs, np.ones(40), np.ones(40, bool))
     write_subjects(target, path, include_weight=False)
     return str(path)
 
@@ -313,17 +312,19 @@ def test_reconstruct_warns_once_per_clamped_arm(tmp_path, capsys):
                "clamped to" in str(c) for c in clamps)
 
 
-def test_group_seed_and_out_fallbacks(tmp_path, capsys):
+def test_seed_and_out_follow_the_subcommand(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     recon_csv = tmp_path / "recon.csv"
-    run_ok(capsys, ["--seed", "11", "--out", str(recon_csv),
-                    "reconstruct", "--summaries", spath])
+    # the group takes only --log-level: a seed or an output path before the subcommand is
+    # a usage error
+    for flag, value in (("--seed", "11"), ("--out", str(recon_csv))):
+        code, err = run_fail(capsys, [flag, value, "reconstruct", "--summaries", spath,
+                                      "--seed", "11", "--out", str(recon_csv)])
+        assert code == 2 and "No such option" in err and flag in err
+    assert not recon_csv.exists()
+    run_ok(capsys, ["reconstruct", "--summaries", spath, "--seed", "11",
+                    "--out", str(recon_csv)])
     assert recon_csv.exists()
-    # explicit subcommand seed wins over the group default
-    other = tmp_path / "other.csv"
-    run_ok(capsys, ["--seed", "99", "reconstruct", "--summaries", spath,
-                    "--seed", "11", "--out", str(other)])
-    assert other.read_text() == recon_csv.read_text()
 
 
 def test_simulate_cell_and_from_label(tmp_path, capsys):
@@ -373,3 +374,14 @@ def test_pipeline_command_with_config_file(tmp_path, capsys):
     assert (tmp_path / "run" / "summary.txt").exists()
     est = json.loads((tmp_path / "run" / "estimate.json").read_text())
     assert est["meat"] == "w3"  # the flag overrides the config file
+
+
+def test_pipeline_config_with_interaction_but_no_covariates_writes_nothing(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    cfg = {"summaries": summaries_csv(tmp_path), "target": target_csv(tmp_path), "seed": 7,
+           "out": str(out_dir), "outcome_covariates": False, "outcome_interaction": True}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    code, err = run_fail(capsys, ["pipeline", "--config", str(cfg_path)])
+    assert code == 2 and "outcome_interaction needs outcome_covariates" in err
+    assert not out_dir.exists()

@@ -41,7 +41,7 @@ def _csv(header, rows):
 SUMMARY_TABLE = _table(casestudy.bundled_data_path().read_text(encoding="utf-8"))
 _target = casestudy.simulate_target(22, 16, default_rng(SeedSequence((1, 0))))
 TARGET_TABLE = (["trial_id", "z", "y", "x1"],
-                [[_target.target_id, str(z), repr(y), repr(x)] for z, y, x in
+                [[_target.trial_ids[0], str(z), repr(y), repr(x)] for z, y, x in
                  zip(_target.z.tolist(), _target.y.tolist(), _target.X[:, 0].tolist())])
 
 # cells no column of either schema accepts (trial ids take any text and are never broken)

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from summary_tables import arm_row, assert_same, table, take
 
 from metaborrow.data import (Dataset, Summaries, dataset_from_arms, make_dataset,
-                             read_subjects, read_summaries, validate_dataset,
-                             write_subjects, write_summaries)
+                             read_subjects, read_summaries, write_subjects, write_summaries)
 from metaborrow.errors import DataError
 
 
@@ -169,8 +168,7 @@ def test_dataset_columns_are_read_only(tmp_path):
     assert own.y[0] == 0.0 and y.flags.writeable
     # the arm assembler takes the stacked arrays over: read-only in place, not copied
     X, y = np.zeros((3, 2)), np.ones(3)
-    taken = dataset_from_arms(("a", "b"), [0, 1], [1, 0], [2, 1], X, y, is_target=True,
-                              target_id="a")
+    taken = dataset_from_arms(("a", "b"), [0, 1], [1, 0], [2, 1], X, y, is_target=True)
     assert taken.X is X and taken.y is y and not y.flags.writeable
     assert taken.trial.tolist() == [0, 0, 1] and taken.z.tolist() == [1, 1, 0]
     assert taken.w.tolist() == [1.0] * 3 and taken.n_target() == 3
@@ -192,14 +190,14 @@ def test_pooling_concatenates_rows_in_order():
     d = subjects()
     src = Dataset(("src", "new"), [0, 1], [0, 1], [7.0, 8.0], [(1.0, 2.0), (3.0, 4.0)],
                   [1.0, 1.0], [False, False])
-    pooled = make_dataset((d, make_dataset(()), src), target_id="tgt")
+    pooled = make_dataset((d, make_dataset(()), src))
     row_trials = [pooled.trial_ids[i] for i in pooled.trial]
     assert row_trials == ["tgt", "tgt", "src", "src", "src", "new"]
     for name in ("z", "y", "X", "w", "is_target"):
         assert np.array_equal(getattr(pooled, name),
                               np.concatenate([getattr(d, name), getattr(src, name)]))
     assert pooled.trial_ids == ("tgt", "src", "new")
-    assert pooled.target_id == "tgt" and pooled.n_target() == 2
+    assert pooled.n_target() == 2
     with pytest.raises(DataError, match="dimension differs"):
         make_dataset((d, one_row("s", 0, 1.0, (1.0,))))
     # no parts, or only empty ones, pool to an empty Dataset
@@ -210,17 +208,24 @@ def test_pooling_concatenates_rows_in_order():
     assert (len(no_rows), no_rows.p) == (0, 2)
 
 
-def test_validate_dataset_reports_each_violation():
+def test_read_subjects_reports_each_violation(tmp_path):
     # one violation per row: bad arm, non-finite y, non-finite x, negative weight
-    d = Dataset(("t",), [0] * 4, [2, 1, 0, 0], [0.0, math.nan, 0.0, 0.0],
-                [(0.1, 0.2), (0.1, 0.2), (math.inf, 0.2), (0.1, 0.2)],
-                [1.0, 1.0, 1.0, -1.0], [True] * 4)
-    violations = validate_dataset(d)
-    assert len(violations) == 4
-    for i, needle in enumerate(("arm indicator", "outcome not finite", "covariate not finite",
-                                "weight must be finite")):
-        assert violations[i].startswith(f"subject {i} (trial 't'): {needle}")
-    assert validate_dataset(one_row()) == []
+    path = tmp_path / "bad.csv"
+    path.write_text("trial_id,z,y,x1,x2,weight\n"
+                    "t,2,0.0,0.1,0.2,1.0\n"
+                    "t,1,nan,0.1,0.2,1.0\n"
+                    "t,0,0.0,inf,0.2,1.0\n"
+                    "t,0,0.0,0.1,0.2,-1.0\n")
+    with pytest.raises(DataError) as exc_info:
+        read_subjects(path)
+    message = str(exc_info.value)
+    needles = ("arm indicator", "outcome not finite", "covariate not finite",
+               "weight must be finite")
+    for i, needle in enumerate(needles):
+        assert f"subject {i} (trial 't'): {needle}" in message
+    assert message.count("(trial 't')") == 4
+    write_subjects(one_row(), path)
+    assert_same_rows(read_subjects(path), one_row())
 
 
 # ------------------------------------------------------------- summary files
@@ -395,7 +400,7 @@ def test_summaries_reject_mixed_dimension_across_trials(tmp_path):
 def subjects():
     return Dataset(("tgt", "src"), [0, 0, 1, 1], [1, 0, 1, 0], [2.5, 1.0, 3.5, -0.5],
                    [(0.1, -0.4), (0.7, 0.2), (1.1, 0.0), (0.9, -1.2)], [1.0, 1.0, 2.5, 0.5],
-                   [True, True, False, False], "tgt")
+                   [True, True, False, False])
 
 
 def test_subjects_roundtrip_csv_and_json(tmp_path):
@@ -525,7 +530,7 @@ def awkward_datasets(draw, values, p=None):
     trial_ids = tuple(dict.fromkeys(ids))
     return Dataset(trial_ids, [trial_ids.index(t) for t in ids], column(st.integers(0, 1)),
                    column(values), np.reshape(column(st.tuples(*[values] * p)), (n, p)),
-                   column(values), column(st.booleans()), "tgt")
+                   column(values), column(st.booleans()))
 
 
 @settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
@@ -544,7 +549,7 @@ def test_csv_writer_matches_writerows_bytes(tmp_path_factory, d, include_weight,
        st.booleans())
 def test_known_text_writes_the_bytes_of_a_fresh_write(tmp_path_factory, parts, include_weight):
     a, b = parts
-    d = make_dataset(parts, target_id="tgt")
+    d = make_dataset(parts)
     out = tmp_path_factory.mktemp("known")
     kw = dict(include_weight=include_weight, stamp={"seed": 7})
     known = write_subjects(b, out / "tail.csv", include_weight=False)

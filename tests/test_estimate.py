@@ -16,7 +16,7 @@ def dataset(z, y, x=None, w=None, tid="t"):
     n = len(y)
     X = np.zeros((n, 1)) if x is None else np.asarray(x, dtype=float).reshape(n, -1)
     w = np.ones(n) if w is None else w
-    return Dataset((tid,), np.zeros(n, int), z, y, X, w, np.ones(n, bool), tid)
+    return Dataset((tid,), np.zeros(n, int), z, y, X, w, np.ones(n, bool))
 
 
 def random_dataset(rng, n=60, p=2):
@@ -183,7 +183,7 @@ def test_zero_weight_rows_drop_out_exactly():
     y, x = zip(*[(rng.normal(), rng.normal(size=2)) for _ in range(30)])
     padding = Dataset(("pad",), np.zeros(30, int), np.arange(30) % 2, y, x, np.zeros(30),
                       np.zeros(30, bool))
-    padded = make_dataset((target, padding), target_id="t")
+    padded = make_dataset((target, padding))
     base = fit_weighted_regression(target, meat="hc0")
     wide = fit_weighted_regression(padded, meat="hc0")
     assert wide.beta == pytest.approx(base.beta, rel=1e-12)
@@ -224,7 +224,7 @@ def test_unestimable_configurations_rejected():
     tiny = dataset([1, 0], [1.0, 2.0])
     with pytest.raises(DataError, match="need more than"):
         fit_weighted_regression(tiny)
-    with pytest.raises(DataError, match="unknown meat"):
+    with pytest.raises(ConfigError, match="unknown meat"):
         fit_weighted_regression(random_dataset(rng), meat="w5")
 
 

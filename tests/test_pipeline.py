@@ -41,8 +41,7 @@ def write_inputs(tmp_path, p=1, tight=()):
         xs.append(x)
         ys.append(1.0 + 2.0 * (i % 2) - x[0] + rng.normal())
     tpath = tmp_path / "target.csv"
-    target = Dataset(("tgt",), np.zeros(40, int), z, ys, xs, np.ones(40), np.ones(40, bool),
-                     "tgt")
+    target = Dataset(("tgt",), np.zeros(40, int), z, ys, xs, np.ones(40), np.ones(40, bool))
     write_subjects(target, tpath)
     return str(spath), str(tpath)
 

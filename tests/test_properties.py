@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from summary_tables import arm_row, concat, table, take
+from summary_tables import arm_row, table, take
 
 from metaborrow import reconstruct
 from metaborrow.data import dataset_from_arms, make_dataset
@@ -24,7 +24,7 @@ from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, build_design, fit_dl
 from metaborrow.reconstruct import (BORROW_MODES, ReconstructionConfig, clamped_arms,
                                     reconstruct_all)
-from metaborrow.simulate import generate_meta_trial, generate_target_trial
+from metaborrow.simulate import generate_meta_trials, generate_target_trial
 from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
 
 seeds = st.integers(0, 2**32 - 1)
@@ -35,7 +35,7 @@ def shuffled_trials(draw):
     """Simulated completed trials, plus the same trials in a drawn order."""
     K = draw(st.integers(3, 8))
     rng = np.random.default_rng(draw(seeds))
-    trials = concat([generate_meta_trial(k, K, 20, "normal", rng)[-1] for k in range(1, K + 1)])
+    trials = generate_meta_trials(K, 20, "normal", rng)[-1]
     order = draw(st.permutations(range(K)))
     return trials, take(trials, [2 * i + a for i in order for a in (0, 1)])
 
@@ -149,8 +149,7 @@ def test_zero_weight_rows_drop_out(seed, n_target, n_zero, meat, interaction):
     x, y = zip(*[(rng.normal(1.0, 2.0, (m, 1)), rng.normal(5.0, 3.0, m)) for *_, m in arms])
     junk = dataset_from_arms(("s0", "s1", "s2", "s3"), *zip(*arms), np.concatenate(x),
                              np.concatenate(y), is_target=False)
-    pooled = make_dataset((target, junk.with_weights(np.zeros(n_zero))),
-                          target_id=target.target_id)
+    pooled = make_dataset((target, junk.with_weights(np.zeros(n_zero))))
 
     alone = fit_weighted_regression(target, include_interaction=interaction, meat=meat)
     wide = fit_weighted_regression(pooled, include_interaction=interaction, meat=meat)
@@ -172,11 +171,11 @@ def test_mean_weight_is_one_for_any_feature_map(seed, atoms, shift, scale):
     n_t, n_s = rng.integers(40, 120), rng.integers(80, 240)
     target = dataset_from_arms(("t",), [0, 0], [1, 0], [n_t // 2, n_t - n_t // 2],
                                rng.normal(0.0, 1.0, (n_t, 2)), np.zeros(n_t),
-                               is_target=True, target_id="t")
+                               is_target=True)
     source = dataset_from_arms(("s",), [0, 0], [1, 0], [n_s // 2, n_s - n_s // 2],
                                rng.normal(shift, scale, (n_s, 2)), np.zeros(n_s),
                                is_target=False)
-    d = make_dataset((target, source), target_id="t")
+    d = make_dataset((target, source))
     fit = fit_membership(d, parse_feature_spec(",".join(atoms), d.p))
     assume(fit.converged and fit.ridge_lambda == 0.0)
     assert compute_weights(fit).w.mean() == pytest.approx(1.0, abs=1e-6)

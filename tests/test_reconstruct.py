@@ -8,7 +8,7 @@ from numpy.random import SeedSequence, default_rng
 
 from summary_tables import arm_row, table
 
-from metaborrow.errors import DataError
+from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit
 from metaborrow.reconstruct import (ClampWarning, ReconstructionConfig, clamped_arms,
                                     reconstruct_all)
@@ -205,5 +205,7 @@ def test_fit_on_fewer_covariates_is_rejected():
 
 
 def test_config_validation():
-    with pytest.raises(DataError, match="borrow"):
+    # a setting, not data: exit 2, as PipelineConfig and ScenarioConfig reject it
+    with pytest.raises(ConfigError, match="borrow") as exc_info:
         ReconstructionConfig(rng_seed=1, borrow="sometimes")
+    assert exc_info.value.exit_code == 2

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from summary_tables import assert_same, concat
 
 from metaborrow import pipeline, simulate
 from metaborrow.errors import ConfigError, DataError
@@ -15,8 +14,8 @@ from metaborrow.estimate import fit_weighted_regression
 from metaborrow.simulate import (COVARIATE_DISTS, EST_POOLED, EST_POOLED_UNI, EST_TARGET,
                                  CellResult, EstimateRecord, ReplicationResult,
                                  ScenarioConfig, aggregate, covariate_location,
-                                 generate_meta_trial, generate_meta_trials,
-                                 generate_target_trial, read_cell_csv, run_cell,
+                                 generate_meta_trials, generate_target_trial,
+                                 read_cell_csv, run_cell,
                                  run_replication, write_cell_csv)
 
 TINY = ScenarioConfig(K=5, n=20, replications=6, base_seed=123)
@@ -56,23 +55,6 @@ def test_covariate_location_grid():
     assert covariate_location(1, 1) == 0.0
 
 
-def test_generate_meta_trial_summaries_match_draws():
-    rng = np.random.default_rng(0)
-    z, x, y, summary = generate_meta_trial(2, 5, 40, "normal", rng)
-    assert summary.trial_ids == ("sim02",) and summary.trial.tolist() == [0, 0]
-    n = len(y)
-    assert 40 <= n < 160
-    assert summary.arm.tolist() == [1, 0] and not summary.binary.any()
-    for row, arm_val in enumerate((1, 0)):
-        m = z == arm_val
-        assert summary.n[row] == m.sum()
-        assert summary.y_mean[row] == pytest.approx(y[m].mean())
-        assert summary.y_var[row] == pytest.approx(y[m].var(ddof=1))
-        assert summary.x_mean[row, 0] == pytest.approx(x[m].mean())
-    with pytest.raises(DataError, match="outside"):
-        generate_meta_trial(6, 5, 40, "normal", rng)
-
-
 def reference_trial(k, K, n, dist, rng):
     """Trial k drawn with the Generator calls the outcome model names: (z, x, y)."""
     nk = int(rng.uniform(n, 4 * n))
@@ -86,18 +68,17 @@ def reference_trial(k, K, n, dist, rng):
 @given(st.integers(1, 30), st.integers(4, 60), st.sampled_from(COVARIATE_DISTS),
        st.integers(0, 2**32 - 1))
 def test_one_pass_generation_is_k_sequential_trials(K, n, dist, seed):
-    batch_rng, one_rng, ref_rng = (np.random.default_rng(seed) for _ in range(3))
+    batch_rng, ref_rng = (np.random.default_rng(seed) for _ in range(2))
     z, x, y, trials = generate_meta_trials(K, n, dist, batch_rng)
-    singles = [generate_meta_trial(k, K, n, dist, one_rng) for k in range(1, K + 1)]
     refs = [reference_trial(k, K, n, dist, ref_rng) for k in range(1, K + 1)]
     for got, i in ((z, 0), (x, 1), (y, 2)):
-        assert np.array_equal(got, np.concatenate([s[i] for s in singles]))
         assert np.array_equal(got, np.concatenate([r[i] for r in refs]))
-    assert_same(trials, concat([s[3] for s in singles]))
     # the stream is left where K sequential draws leave it: the target trial is unchanged
-    assert batch_rng.random() == one_rng.random() == ref_rng.random()
+    assert batch_rng.random() == ref_rng.random()
 
-    assert trials.arm.tolist() == [1, 0] * K
+    assert trials.trial_ids == tuple(f"sim{k:02d}" for k in range(1, K + 1))
+    assert trials.trial.tolist() == np.repeat(np.arange(K), 2).tolist()
+    assert trials.arm.tolist() == [1, 0] * K and not trials.binary.any()
     for i, (rz, rx, ry) in enumerate(refs):
         for row in (2 * i, 2 * i + 1):
             m = rz == trials.arm[row]
@@ -110,10 +91,18 @@ def test_one_pass_generation_is_k_sequential_trials(K, n, dist, seed):
 
 def test_chisq2_covariates_have_unit_variance():
     rng = np.random.default_rng(1)
-    _, x, _, _ = generate_meta_trial(1, 1, 100_000, "chisq2", rng)
+    _, x, _, _ = generate_meta_trials(1, 100_000, "chisq2", rng)
     assert x.mean() == pytest.approx(0.0, abs=0.03)   # location 0 when K = 1
     assert x.var() == pytest.approx(1.0, abs=0.05)
     assert x.min() > -1.5  # shifted chi-square is bounded below
+
+
+def test_unknown_covariate_dist_rejected():
+    rng = np.random.default_rng(3)
+    for generate in (lambda: generate_target_trial(10, "one_to_one", "uniform", rng),
+                     lambda: generate_meta_trials(2, 10, "bogus", rng)):
+        with pytest.raises(ConfigError, match="dist must be one of"):
+            generate()
 
 
 def test_target_trial_allocations():
@@ -295,14 +284,6 @@ def test_aggregate_counts_failures_and_keeps_order():
     assert not empty.valid
     with pytest.raises(DataError, match="no successful"):
         empty.summary(EST_POOLED)
-
-
-def test_cell_result_properties():
-    cfg = ScenarioConfig(K=5, n=20, replications=1, base_seed=5)
-    cell = run_cell(cfg)
-    assert cell.mse_pooled == cell.summary(EST_POOLED).mse
-    assert cell.mse_target == cell.summary(EST_TARGET).mse
-    assert cell.type1 == cell.summary(EST_POOLED).power_curve[0]
 
 
 def test_csv_roundtrip(tmp_path):

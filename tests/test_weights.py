@@ -26,7 +26,7 @@ def pool(x_target, x_source, z_source=None):
     trial = np.repeat([0, 1], [n_t, n_s])
     return Dataset(("tgt", "src"), trial, np.concatenate([np.arange(n_t) % 2, z_source]),
                    np.zeros(n_t + n_s), np.concatenate([x_target, x_source]),
-                   np.ones(n_t + n_s), trial == 0, "tgt")
+                   np.ones(n_t + n_s), trial == 0)
 
 
 def pooled(n_target=60, n_source=180, shift=1.0, seed=0, p=1):
@@ -125,7 +125,7 @@ def test_nonconvergence_raises_after_ridge_escalation(monkeypatch):
 def test_single_class_datasets_rejected():
     rng = np.random.default_rng(11)
     only_target = Dataset(("tgt",), np.zeros(10, int), np.arange(10) % 2, np.zeros(10),
-                          rng.normal(size=(10, 1)), np.ones(10), np.ones(10, bool), "tgt")
+                          rng.normal(size=(10, 1)), np.ones(10), np.ones(10, bool))
     with pytest.raises(DataError, match="both target and non-target"):
         fit_membership(only_target)
 
@@ -193,7 +193,7 @@ def test_feature_matrix_columns_are_products(atoms, seed, n):
     x = rng.normal(0.0, 3.0, (n, 3))
     z = rng.integers(0, 2, n)
     d = Dataset(("t",), np.zeros(n, int), z, np.zeros(n), x, np.ones(n),
-                np.ones(n, bool), "t")
+                np.ones(n, bool))
     zf = z.astype(float)
     by_hand = {"z": zf}
     for j in range(3):
