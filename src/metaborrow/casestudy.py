@@ -168,7 +168,6 @@ class CaseStudyResult:
     n1: int
     n0: int
     estimable: bool
-    seed: int
     estimate: float = None
     se: float = None
     ci_low: float = None
@@ -210,16 +209,16 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
 
     if borrow_mode is None:
         if n0 == 0:
-            return CaseStudyResult(scenario, n1, n0, estimable=False, seed=seed)
+            return CaseStudyResult(scenario, n1, n0, estimable=False)
         fit = fit_ols(target)
-        return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=fit.df,
+        return CaseStudyResult(scenario, n1, n0, estimable=True, df=fit.df,
                                **fit.z_contrast())
 
     meta, _ = fit_meta()
     done = borrow(_derive(COMPLETED_TRIALS, subject_scale=False), meta, target,
                   ReconstructionConfig(rng_seed=int(seed), borrow=borrow_mode), meat=meat)
     clamped = tuple(f"{c.trial_id}/arm{c.arm}" for c in done.clamps)
-    return CaseStudyResult(scenario, n1, n0, estimable=True, seed=seed, df=done.fit.df,
+    return CaseStudyResult(scenario, n1, n0, estimable=True, df=done.fit.df,
                            tau2=meta.tau2, clamped_arms=clamped, **done.fit.z_contrast())
 
 

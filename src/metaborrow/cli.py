@@ -6,8 +6,8 @@ orchestrated ``pipeline``, the Monte-Carlo ``simulate`` engine, and the
 bundled ``case-study``.  The group takes only ``--log-level``; a seed
 and an output path are options of the subcommand that reads them, so
 they follow its name (``metaborrow reconstruct ... --seed 7 --out r.csv``).
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
-error.
+Exit codes: 0 success, 2 configuration error (a path the system refuses
+included), 3 data error, 4 numerical error.
 """
 
 from __future__ import annotations
@@ -295,6 +295,9 @@ def main(argv=None):
     except MetaborrowError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(exc.exit_code)
+    except OSError as exc:  # a path the system refuses is a setting, so ConfigError's code
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(ConfigError.exit_code)
     except click.exceptions.Exit as exc:
         sys.exit(exc.exit_code)
     except click.ClickException as exc:

@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
@@ -278,37 +279,6 @@ def dataset_from_arms(trial_ids, trial, arm, n, X, y, is_target):
                   np.ones(rows), np.full(rows, bool(is_target)))
 
 
-def _row_columns(tids, z, y, xs, w, sources):
-    """Dataset columns from per-row field sequences, plus each row's covariate count.
-
-    The dimension p is the first row's covariate count.  A row with
-    another count is put into ``X`` as zeros: callers report it from the
-    counts.  Unknown source tags become ``is_target`` False; callers
-    check the tags.
-    """
-    n = len(tids)
-    p = len(xs[0]) if n else 0
-    dims = np.fromiter(map(len, xs), dtype=int, count=n)
-    if np.any(dims != p):
-        xs = [x if len(x) == p else (0.0,) * p for x in xs]
-    try:
-        z = np.array(z, dtype=int).reshape(n)
-    except OverflowError as exc:
-        raise DataError(f"arm indicator {max(z, key=abs)} out of range; must be 0 or 1") from exc
-    trial_ids = tuple(dict.fromkeys(tids))
-    index = {t: i for i, t in enumerate(trial_ids)}
-    cols = {
-        "trial_ids": trial_ids,
-        "trial": np.fromiter(map(index.__getitem__, tids), dtype=int, count=n),
-        "z": z,
-        "y": np.array(y, dtype=float).reshape(n),
-        "X": np.array(xs, dtype=float).reshape(n, p),
-        "w": np.array(w, dtype=float).reshape(n),
-        "is_target": np.fromiter(map("target".__eq__, sources), dtype=bool, count=n),
-    }
-    return cols, dims
-
-
 def make_dataset(parts):
     """Pool Datasets into one, their rows in order.
 
@@ -329,26 +299,6 @@ def make_dataset(parts):
     cat = [np.concatenate([getattr(d, name) for d in filled])
            for name in ("z", "y", "X", "w", "is_target")]
     return _owned(tuple(index), np.concatenate(trial), *cat)
-
-
-def _violations(tids, z, y, X, w, dims, sources):
-    """Vectorised invariant checks over subject columns; violation strings in row order.
-
-    ``tids`` holds each row's trial id, ``dims`` its covariate count and
-    ``sources`` its source tag.
-    """
-    p = X.shape[1]
-    known = np.fromiter((s in _SOURCES for s in sources), dtype=bool, count=len(sources))
-    checks = [((z != 0) & (z != 1), lambda i: f"arm indicator must be 0 or 1, got {z[i]}"),
-              (~np.isfinite(y), lambda i: "outcome not finite"),
-              (dims != p, lambda i: f"covariate dimension {dims[i]} != dataset dimension {p}"),
-              (~np.isfinite(X).all(axis=1), lambda i: "covariate not finite"),
-              (~(np.isfinite(w) & (w >= 0)),
-               lambda i: "weight must be finite and nonnegative (bounded-weight condition)"),
-              (~known, lambda i: f"unknown source tag {sources[i]!r}")]
-    bad = np.flatnonzero(np.logical_or.reduce([mask for mask, _ in checks]))
-    return [f"subject {i} (trial {tids[i]!r}): {message(i)}"
-            for i in bad.tolist() for mask, message in checks if mask[i]]
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +356,14 @@ def _detect_format(path):
 
 
 def _integer(value, name):
-    """``int(value)``, refusing a fractional number, which ``int()`` would truncate.
+    """``int(value)``, refusing a fractional number or a bool, which ``int()`` would
+    truncate or read as 0 or 1.
 
-    A JSON number arrives as a float; a CSV cell as text, which ``int()``
-    rejects unless it spells an integer.
+    A JSON number arrives as a float, ``true``/``false`` as a bool; a CSV cell as
+    text, which ``int()`` rejects unless it spells an integer.
     """
     number = int(value)
-    if isinstance(value, float) and number != value:
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return number
 
@@ -535,20 +486,24 @@ def read_subjects(path, target_id=None):
     JSON list of objects.  When no ``source`` column is present, rows are
     tagged target/reconstructed by comparing ``trial_id`` to ``target_id``
     (all rows are target when ``target_id`` is None).  Every row is
-    checked (arm 0 or 1, finite outcome and covariates, the first row's
-    covariate count, a finite nonnegative weight, a known source tag), and
-    DataError lists the violations.
+    checked as it is parsed (arm 0 or 1, finite outcome and covariates,
+    the first row's covariate count, a finite nonnegative weight, a known
+    source tag), and DataError names each failed check by the row's file
+    line (CSV) or object number (JSON): the first ten, then a count of the
+    rest.  The columns are built once every row has passed.
     """
     path = Path(path)
     raw = _read_rows(path, "subject")
     if not raw:
         raise DataError(f"{path}: no subjects")
 
-    tids, zs, ys, xs, ws, sources = [], [], [], [], [], []
+    p = None  # the first row's covariate count
+    rows, bad = [], []
     for label, row in raw:
         try:
-            if not isinstance(row["trial_id"], str):
-                raise DataError(f"{label}: trial_id must be text, got {row['trial_id']!r}")
+            trial_id = row["trial_id"]
+            if not isinstance(trial_id, str):
+                raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
             x = []
             j = 1
             while f"x{j}" in row and row[f"x{j}"] not in (None, ""):
@@ -557,23 +512,36 @@ def read_subjects(path, target_id=None):
             if "source" in row and row.get("source") not in (None, ""):
                 source = row["source"]
             elif target_id is not None:
-                source = "target" if row["trial_id"] == target_id else "reconstructed"
+                source = "target" if trial_id == target_id else "reconstructed"
             else:
                 source = "target"
             weight = float(row["weight"]) if row.get("weight") not in (None, "") else 1.0
-            fields = (row["trial_id"], _integer(row["z"], "z"), float(row["y"]), tuple(x), weight,
-                      source)
+            z, y = _integer(row["z"], "z"), float(row["y"])
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{label}: cannot parse subject row ({exc})") from exc
-        for column, value in zip((tids, zs, ys, xs, ws, sources), fields):
-            column.append(value)
-    cols, dims = _row_columns(tids, zs, ys, xs, ws, sources)
-    bad = _violations(tids, cols["z"], cols["y"], cols["X"], cols["w"], dims, sources)
+        p = len(x) if p is None else p
+        ok = (z in (0, 1), math.isfinite(y), len(x) == p, all(map(math.isfinite, x)),
+              math.isfinite(weight) and weight >= 0, source in _SOURCES)
+        if not all(ok):
+            messages = (f"arm indicator must be 0 or 1, got {z}", "outcome not finite",
+                        f"covariate dimension {len(x)} != dataset dimension {p}",
+                        "covariate not finite",
+                        "weight must be finite and nonnegative (bounded-weight condition)",
+                        f"unknown source tag {source!r}")
+            bad += [f"{label}: trial {trial_id!r}: {message}"
+                    for good, message in zip(ok, messages) if not good]
+        rows.append((trial_id, z, y, x, weight, source == "target"))
     if bad:
         more = len(bad) - _MAX_REPORTED
         raise DataError(f"{path}: invalid subject rows: " + "; ".join(bad[:_MAX_REPORTED])
                         + (f"; and {more} more" if more > 0 else ""))
-    return _owned(**cols)
+    tids, zs, ys, xs, ws, flags = zip(*rows)
+    trial_ids = tuple(dict.fromkeys(tids))
+    index = {t: i for i, t in enumerate(trial_ids)}
+    return _owned(trial_ids, np.fromiter(map(index.__getitem__, tids), dtype=int, count=len(rows)),
+                  np.array(zs, dtype=int), np.array(ys, dtype=float),
+                  np.array(xs, dtype=float).reshape(len(rows), p), np.array(ws, dtype=float),
+                  np.array(flags, dtype=bool))
 
 
 def _csv_fields(values):

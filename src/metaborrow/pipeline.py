@@ -115,9 +115,12 @@ class PipelineConfig:
         return cls(**d)
 
     def config_hash(self):
-        """Hash of the analysis-relevant fields (output location excluded)."""
+        """Hash of the settings and of the two input files' bytes, not their paths (output
+        location excluded): the same data stamps alike wherever it is read from."""
         payload = asdict(self)
         payload.pop("out")
+        for name in ("summaries", "target"):
+            payload[name] = hashlib.sha256(Path(payload[name]).read_bytes()).hexdigest()
         blob = json.dumps(payload, sort_keys=True).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:12]
 

@@ -238,7 +238,6 @@ class ReplicationResult:
     pooled: EstimateRecord = None
     pooled_univariate: EstimateRecord = None
     target: EstimateRecord = None  # None when the comparator is unestimable
-    tau2: float = float("nan")
     clamped_arms: int = 0
 
     def record(self, estimator):
@@ -286,7 +285,7 @@ def run_replication(cfg, r):
     return ReplicationResult(
         rep=r, ok=True, pooled=pooled,
         pooled_univariate=EstimateRecord(uni.delta, uni.se, uni.ci_low, uni.ci_high),
-        target=target_rec, tau2=meta.tau2, clamped_arms=len(done.clamps),
+        target=target_rec, clamped_arms=len(done.clamps),
     )
 
 
@@ -294,7 +293,6 @@ def run_replication(cfg, r):
 class EstimatorSummary:
     """Aggregates for one estimator over the successful replications."""
 
-    estimator: str
     n_used: int
     mean: float
     bias: float
@@ -327,13 +325,13 @@ class CellResult:
         return self.summaries[estimator]
 
 
-def _summarize_estimator(name, records, grid):
+def _summarize_estimator(records, grid):
     est = np.array([rec.estimate for rec in records])
     lo = np.array([rec.ci_low for rec in records])
     hi = np.array([rec.ci_high for rec in records])
     power = tuple(float(np.mean((d0 < lo) | (d0 > hi))) for d0 in grid)
     return EstimatorSummary(
-        estimator=name, n_used=len(records),
+        n_used=len(records),
         mean=float(est.mean()), bias=float(est.mean() - TRUE_DELTA),
         variance=float(est.var()), mse=float(np.mean((est - TRUE_DELTA) ** 2)),
         coverage=float(np.mean((lo <= TRUE_DELTA) & (TRUE_DELTA <= hi))),
@@ -351,7 +349,7 @@ def aggregate(cfg, results):
     for name in (EST_POOLED, EST_POOLED_UNI, EST_TARGET):
         records = [o.record(name) for o in results if o.ok and o.record(name) is not None]
         if records:
-            summaries[name] = _summarize_estimator(name, records, grid)
+            summaries[name] = _summarize_estimator(records, grid)
     return CellResult(config=cfg, failures=failures, clamped_arms=clamped,
                       summaries=summaries)
 

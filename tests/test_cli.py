@@ -81,6 +81,28 @@ def test_missing_input_file_is_usage_error(tmp_path, capsys):
     assert "does not exist" in err
 
 
+@pytest.mark.parametrize("command", ["meta-out", "reconstruct", "estimate", "case-study",
+                                     "simulate", "pipeline-out-file", "meta-summaries-dir"])
+def test_refused_path_exits_2(tmp_path, capsys, command):
+    spath, tpath = summaries_csv(tmp_path), target_csv(tmp_path)
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = {
+        "meta-out": ["meta", "--summaries", spath, "--out", missing],
+        "reconstruct": ["reconstruct", "--summaries", spath, "--seed", "1", "--out", missing],
+        "estimate": ["estimate", "--subjects", tpath, "--out", missing],
+        "case-study": ["case-study", "--scenario", "meta", "--out", missing],
+        "simulate": ["simulate", "--K", "3", "--n", "20", "--reps", "2", "--seed", "1",
+                     "--out", missing],
+        "pipeline-out-file": ["pipeline", "--summaries", spath, "--target", tpath, "--seed", "1",
+                              "--out", spath],
+        "meta-summaries-dir": ["meta", "--summaries", str(tmp_path)],
+    }[command]
+    code, err = run_fail(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_config_errors_exit_2(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     code, err = run_fail(capsys, ["simulate", "--reps", "2"])
@@ -190,7 +212,7 @@ def test_pipeline_rejects_invalid_target_rows(tmp_path, capsys, column, value, n
     code, err = run_fail(capsys, ["pipeline", "--summaries", spath, "--target", tpath,
                                   "--seed", "3", "--out", str(tmp_path / "out")])
     assert code == 3
-    assert f"subject 3 (trial 'tgt'): {needle}" in err
+    assert f"line 5: trial 'tgt': {needle}" in err
     assert "Traceback" not in err
 
 

@@ -222,8 +222,8 @@ def test_read_subjects_reports_each_violation(tmp_path):
     needles = ("arm indicator", "outcome not finite", "covariate not finite",
                "weight must be finite")
     for i, needle in enumerate(needles):
-        assert f"subject {i} (trial 't'): {needle}" in message
-    assert message.count("(trial 't')") == 4
+        assert f"line {i + 2}: trial 't': {needle}" in message
+    assert message.count("trial 't':") == 4
     write_subjects(one_row(), path)
     assert_same_rows(read_subjects(path), one_row())
 
@@ -362,6 +362,25 @@ def test_json_subjects_reject_a_fractional_arm_indicator(tmp_path):
         read_subjects(path)
 
 
+@pytest.mark.parametrize("kind, field, value", [("summaries", "arm", False),
+                                                ("summaries", "n", True),
+                                                ("subjects", "z", True)])
+def test_json_booleans_are_not_integers(tmp_path, kind, field, value):
+    if kind == "summaries":
+        rows = [{"trial_id": "A", "arm": 1, "n": 40, "y_mean": 2.0, "y_sd": 1.0},
+                {"trial_id": "A", "arm": 0, "n": 40, "y_mean": 1.0, "y_sd": 1.0}]
+        read = read_summaries
+    else:
+        rows = [{"trial_id": "t", "z": 1, "y": 1.0}, {"trial_id": "t", "z": 0, "y": 1.0}]
+        read = read_subjects
+    rows[1][field] = value
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(rows))
+    with pytest.raises(DataError, match=rf"^object 2: cannot parse \w+ row \({field} must be an "
+                                        rf"integer, got {value}\)$"):
+        read(path)
+
+
 MALFORMED_FILES = {
     "invalid.json": b"[{",
     "number.json": b"5",
@@ -467,25 +486,55 @@ def test_read_subjects_reports_every_invalid_row(tmp_path):
     with pytest.raises(DataError) as exc_info:
         read_subjects(bad)
     message = str(exc_info.value)
-    for needle in ("subject 0 (trial 't'): arm indicator must be 0 or 1, got 2",
-                   "subject 1 (trial 't'): outcome not finite",
-                   "subject 2 (trial 't'): covariate not finite",
-                   "subject 3 (trial 't'): weight must be finite",
-                   "subject 4 (trial 't'): unknown source tag 'bogus'",
-                   "subject 6 (trial 't'): covariate dimension 0 != dataset dimension 1"):
+    for needle in ("line 2: trial 't': arm indicator must be 0 or 1, got 2",
+                   "line 3: trial 't': outcome not finite",
+                   "line 4: trial 't': covariate not finite",
+                   "line 5: trial 't': weight must be finite",
+                   "line 6: trial 't': unknown source tag 'bogus'",
+                   "line 8: trial 't': covariate dimension 0 != dataset dimension 1"):
         assert needle in message
-    assert "subject 5" not in message
+    assert "line 7" not in message
     ragged = tmp_path / "ragged.json"
     ragged.write_text(json.dumps([
         {"trial_id": "t", "z": 1, "y": 1.0, "x1": 0.1, "weight": 1.0, "source": "target"},
         {"trial_id": "t", "z": 0, "y": 1.0, "x1": "", "weight": 1.0, "source": "target"}]))
-    with pytest.raises(DataError, match=r"subject 1 \(trial 't'\): covariate dimension 0 != "
+    with pytest.raises(DataError, match=r"object 2: trial 't': covariate dimension 0 != "
                                         r"dataset dimension 1$"):
         read_subjects(ragged)
     huge = tmp_path / "huge.csv"
     huge.write_text("trial_id,z,y,x1\nt,99999999999999999999,1.0,0.1\n")
-    with pytest.raises(DataError, match="arm indicator 99999999999999999999 out of range"):
+    with pytest.raises(DataError, match="line 2: trial 't': arm indicator must be 0 or 1, "
+                                        "got 99999999999999999999$"):
         read_subjects(huge)
+
+
+def test_read_subjects_names_rows_by_file_label(tmp_path):
+    # two stamp lines, so the header is line 3; line 5 breaks two checks
+    stamped = tmp_path / "stamped.csv"
+    stamped.write_text("# config_hash=abc\n# seed=7\ntrial_id,z,y,x1\n"
+                       "t,1,1.0,0.1\nt,2,nan,0.1\nt,0,1.0,0.1\n")
+    with pytest.raises(DataError) as exc_info:
+        read_subjects(stamped)
+    assert str(exc_info.value) == (
+        f"{stamped}: invalid subject rows: "
+        "line 5: trial 't': arm indicator must be 0 or 1, got 2; "
+        "line 5: trial 't': outcome not finite")
+    objects = tmp_path / "rows.json"
+    objects.write_text(json.dumps([{"trial_id": "t", "z": 1, "y": 1.0, "weight": 1.0},
+                                   {"trial_id": "u", "z": 0, "y": 1.0, "weight": -2.0}]))
+    with pytest.raises(DataError, match=r"invalid subject rows: object 2: trial 'u': weight "
+                                        r"must be finite and nonnegative \(bounded-weight "
+                                        r"condition\)$"):
+        read_subjects(objects)
+    # twelve bad rows: ten are named, two counted
+    many = tmp_path / "many.csv"
+    many.write_text("trial_id,z,y\n" + "t,2,1.0\n" * 12)
+    with pytest.raises(DataError) as exc_info:
+        read_subjects(many)
+    message = str(exc_info.value)
+    assert message.endswith("line 11: trial 't': arm indicator must be 0 or 1, got 2; "
+                            "and 2 more")
+    assert message.count("arm indicator") == 10 and "line 12" not in message
 
 
 # ---------------------------------------------------------------- CSV writer bytes

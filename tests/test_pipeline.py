@@ -3,7 +3,9 @@
 import filecmp
 import json
 import math
+import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,11 +235,33 @@ def test_config_validation(tmp_path):
                        ("level", math.nan), ("level", math.inf), ("level", [])]:
         with pytest.raises(ConfigError, match=key):
             PipelineConfig(**{**base, key: value})
-    # valid configs keep their hash
-    fixed = dict(summaries="s.csv", target="t.csv", out="o", seed=7)
-    assert PipelineConfig(**fixed).config_hash() == "9c897b8ad8ac"
+    # fixed settings and input bytes give a fixed hash
+    (tmp_path / "s.csv").write_text("summaries\n")
+    (tmp_path / "t.csv").write_text("target\n")
+    fixed = dict(summaries=str(tmp_path / "s.csv"), target=str(tmp_path / "t.csv"), out="o",
+                 seed=7)
+    assert PipelineConfig(**fixed).config_hash() == "5a2f23732ab8"
     assert PipelineConfig(**fixed, features="x1,z", level=0.9,
-                          meta_interaction=True).config_hash() == "d3aa6fc65a5b"
+                          meta_interaction=True).config_hash() == "87c5d453e77a"
+
+
+def test_config_hash_reads_input_bytes(tmp_path):
+    inputs = write_inputs(tmp_path)
+    hashes = []
+    for copy in ("a", "b"):
+        (tmp_path / copy).mkdir()
+        for path in inputs:
+            shutil.copyfile(path, tmp_path / copy / Path(path).name)
+        hashes.append(PipelineConfig(summaries=str(tmp_path / copy / "summaries.csv"),
+                                     target=str(tmp_path / copy / "target.csv"),
+                                     out=str(tmp_path / copy / "out"), seed=1).config_hash())
+    assert hashes[0] == hashes[1]
+    edited = tmp_path / "b" / "summaries.csv"
+    text = edited.read_text()
+    edited.write_text(text.replace("40,", "41,", 1))
+    assert edited.read_text() != text
+    assert PipelineConfig(summaries=str(edited), target=str(tmp_path / "b" / "target.csv"),
+                          out=str(tmp_path / "b" / "out"), seed=1).config_hash() != hashes[0]
 
 
 def test_meta_fit_json_roundtrip():

@@ -258,7 +258,7 @@ def test_aggregate_arithmetic_oracles():
                              pooled_univariate=EstimateRecord(1.0 + 2.0 * r, 0.1,
                                                               0.5 + 2.0 * r,
                                                               1.5 + 2.0 * r),
-                             target=None, tau2=0.0) for r in (0, 1)]
+                             target=None) for r in (0, 1)]
     cell = aggregate(cfg, res)
     reg = cell.summary(EST_POOLED)
     assert reg.mse == 0.0 and reg.bias == 0.0 and reg.coverage == 1.0
