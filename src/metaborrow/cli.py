@@ -12,7 +12,9 @@ included), 3 data error, 4 numerical error.
 
 from __future__ import annotations
 
+import errno
 import logging
+import os
 import sys
 import warnings
 
@@ -197,6 +199,8 @@ def simulate(K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
         cfg = ScenarioConfig(K=K, n=n, covariate_dist=dist, allocation=alloc,
                              model_spec=model, borrow=borrow, replications=reps,
                              base_seed=_need_seed(seed), meat=meat)
+    if out_path and not os.path.isdir(os.path.dirname(out_path) or os.curdir):  # fail first
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
     click.echo(f"cell {cfg.label}")
     cell = run_cell(cfg, jobs=jobs,
                     progress=lambda i: log.info("replications done: %d", i))

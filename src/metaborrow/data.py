@@ -355,16 +355,17 @@ def _detect_format(path):
     return "json" if str(path).endswith(".json") else "csv"
 
 
-def _integer(value, name):
-    """``int(value)``, refusing a fractional number or a bool, which ``int()`` would
-    truncate or read as 0 or 1.
+def _number(value, name, kind=float):
+    """``kind(value)``, refusing a bool, which ``int()`` and ``float()`` read as 1 or 0, and, as
+    an int, a fractional number, which ``int()`` would truncate.
 
     A JSON number arrives as a float, ``true``/``false`` as a bool; a CSV cell as
     text, which ``int()`` rejects unless it spells an integer.
     """
-    number = int(value)
-    if isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    number = kind(value)
+    if isinstance(value, bool) or (kind is int and isinstance(value, float) and number != value):
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
     return number
 
 
@@ -374,15 +375,15 @@ def _row_to_arm(row, label):
         trial_id = row["trial_id"]
         if not isinstance(trial_id, str):
             raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
-        arm = _integer(row["arm"], "arm")
-        n = _integer(row["n"], "n")
+        arm = _number(row["arm"], "arm", int)
+        n = _number(row["n"], "n", int)
         if max(abs(arm), abs(n)) >= 2**63:  # the table holds them as int64
             raise OverflowError(f"arm {arm} or n {n} out of range")
-        y_mean = float(row["y_mean"])
+        y_mean = _number(row["y_mean"], "y_mean")
         if "y_sd" in row and row.get("y_sd") not in (None, ""):
-            y_var = float(row["y_sd"]) ** 2
+            y_var = _number(row["y_sd"], "y_sd") ** 2
         elif "y_se_mean" in row and row.get("y_se_mean") not in (None, ""):
-            y_var = n * float(row["y_se_mean"]) ** 2
+            y_var = n * _number(row["y_se_mean"], "y_se_mean") ** 2
         else:
             raise DataError(f"{label}: need one of y_sd or y_se_mean")
         x_mean, x_var, binary = [], [], []
@@ -391,8 +392,8 @@ def _row_to_arm(row, label):
             cell = row[f"x{j}_mean"]
             if cell in (None, ""):
                 break
-            x_mean.append(float(cell))
-            x_var.append(float(row[f"x{j}_sd"]) ** 2)
+            x_mean.append(_number(cell, f"x{j}_mean"))
+            x_var.append(_number(row[f"x{j}_sd"], f"x{j}_sd") ** 2)
             family = row[f"x{j}_family"].strip() or "continuous"
             if family not in FAMILIES:
                 raise DataError(f"{label}: trial {trial_id!r} arm {arm}: unknown family {family!r}")
@@ -507,7 +508,7 @@ def read_subjects(path, target_id=None):
             x = []
             j = 1
             while f"x{j}" in row and row[f"x{j}"] not in (None, ""):
-                x.append(float(row[f"x{j}"]))
+                x.append(_number(row[f"x{j}"], f"x{j}"))
                 j += 1
             if "source" in row and row.get("source") not in (None, ""):
                 source = row["source"]
@@ -515,8 +516,9 @@ def read_subjects(path, target_id=None):
                 source = "target" if trial_id == target_id else "reconstructed"
             else:
                 source = "target"
-            weight = float(row["weight"]) if row.get("weight") not in (None, "") else 1.0
-            z, y = _integer(row["z"], "z"), float(row["y"])
+            weight = row.get("weight")
+            weight = 1.0 if weight in (None, "") else _number(weight, "weight")
+            z, y = _number(row["z"], "z", int), _number(row["y"], "y")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{label}: cannot parse subject row ({exc})") from exc
         p = len(x) if p is None else p

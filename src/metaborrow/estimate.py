@@ -27,6 +27,7 @@ from scipy import special
 from .errors import ConfigError, DataError, NumericalError
 
 MEAT_KINDS = ("w4", "w3", "hc0")
+_RANK_DEFICIENT = "weighted design is rank deficient; dependent columns: "
 
 
 def _statistic(est, se):
@@ -181,28 +182,25 @@ def weighted_transpose(A, v):
     return out
 
 
-def _wls(X, w, y, names):
-    """Weighted least squares: returns (beta, bread) with bread = (X'WX)^{-1}.
-
-    Rank is decided from the R factor of sqrt(w) X: a column whose
-    diagonal entry is at most 1e-10 of the largest depends on the ones
-    before it.  Such a design, or one whose normal equations are
-    numerically singular, raises NumericalError naming the dependent
-    columns (all of them when none stands out).
-    """
-    Xw = weighted_transpose(X, np.sqrt(w)).T
+def _check_rank(Xw, names):
+    """NumericalError naming each column of ``Xw`` = sqrt(w) X whose R-factor diagonal entry
+    is at most 1e-10 of the largest: it depends on the ones before it.  qr copies ``Xw``, so
+    :func:`_fit` builds X only after dropping it: two N x q arrays live, not three."""
     diag = np.abs(np.diag(np.linalg.qr(Xw, mode="r")))
     bad = [names[i] for i in np.flatnonzero(diag <= diag.max() * 1e-10)]
-    if not bad:
-        XtW = weighted_transpose(X, w)
-        try:
-            # X'WX squares the condition number: inv can fail on a design of full rank
-            bread = np.linalg.inv(XtW @ X)
-            return bread @ (XtW @ y), bread
-        except np.linalg.LinAlgError:
-            pass
-    raise NumericalError(
-        "weighted design is rank deficient; dependent columns: " + ", ".join(bad or names))
+    if bad:
+        raise NumericalError(_RANK_DEFICIENT + ", ".join(bad))
+
+
+def _wls(X, w, y, names):
+    """WLS on a design that passed :func:`_check_rank`: (beta, bread), bread = (X'WX)^{-1}.
+    X'WX squares the condition number, so inv can still fail: NumericalError naming all."""
+    XtW = weighted_transpose(X, w)
+    try:
+        bread = np.linalg.inv(XtW @ X)
+    except np.linalg.LinAlgError:
+        raise NumericalError(_RANK_DEFICIENT + ", ".join(names)) from None
+    return bread @ (XtW @ y), bread
 
 
 def _fit(d, w, meat, include_covariates=True, include_interaction=False):
@@ -211,22 +209,28 @@ def _fit(d, w, meat, include_covariates=True, include_interaction=False):
     "homoskedastic" gives SSR / (N - q) (X'WX)^{-1}; the sandwich kinds
     are described in :func:`fit_weighted_regression`.
     """
-    X, names = build_outcome_design(d, include_covariates, include_interaction)
+    Xw, names = build_outcome_design(d, include_covariates, include_interaction)
     y, z = d.y, d.z
-    n, q = X.shape
+    n, q = Xw.shape
     if n <= q:
         raise DataError(f"need more than {q} subjects to fit {q} coefficients, got {n}")
     n_eff = [float(w[z == arm].sum()) for arm in (0, 1)]
     for arm in (0, 1):
         if n_eff[arm] <= 0:
             raise DataError(f"arm {arm} has zero total weight; arm unestimable")
+    Xw *= np.sqrt(w)[:, None]
+    _check_rank(Xw, names)
+    del Xw
+    X = build_outcome_design(d, include_covariates, include_interaction)[0]
     beta, bread = _wls(X, w, y, names)
     e = y - X @ beta
     if meat == "homoskedastic":
         cov = float(e @ e) / (n - q) * bread
     else:
         power = {"w4": 4, "w3": 3, "hc0": 2}[meat]
-        cov = bread @ (weighted_transpose(X, w ** power * e ** 2) @ X) @ bread
+        e *= e  # the meat's row weights e^2 w^power, formed in e's buffer
+        e *= np.power(w, power)
+        cov = bread @ (weighted_transpose(X, e) @ X) @ bread
     return WeightedFit(beta=beta, cov_beta=cov, columns=names, n=n, df=n - q, meat=meat,
                        n_eff_treated=n_eff[1], n_eff_control=n_eff[0])
 

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericalError
-from .estimate import _wls
+from .estimate import _check_rank, _wls, weighted_transpose
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,7 @@ def fit_dl(design):
     y, v, X = design.y, design.v, design.X
     R, q = X.shape
     w1 = 1.0 / v
+    _check_rank(weighted_transpose(X, np.sqrt(w1)).T, design.columns)
     beta_fe, Ainv = _wls(X, w1, y, design.columns)
     resid = y - X @ beta_fe
     q_stat = float(np.sum(resid**2 * w1))
@@ -136,6 +137,7 @@ def fit_dl(design):
         raise NumericalError(f"heterogeneity estimate not finite: Q = {q_stat}, tau2 = {tau2}")
     tau2 = max(0.0, tau2)
     w2 = 1.0 / (v + tau2)
+    _check_rank(weighted_transpose(X, np.sqrt(w2)).T, design.columns)
     beta, cov = _wls(X, w2, y, design.columns)
     return MetaFit(beta=beta, cov_beta=cov, tau2=float(tau2), q_stat=q_stat,
                    df=R - q, columns=design.columns)

@@ -224,7 +224,9 @@ def _stage(name):
 @dataclass(frozen=True)
 class Borrowed:
     """What :func:`borrow` made, a stage not yet run leaving its fields None; ``clamps``
-    holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor."""
+    holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor.  Once pooled,
+    ``reconstructed`` is a view of ``weighted``'s tail rows, not a second copy (its ``w`` the
+    unit weights, its ``trial`` indexing the pooled ``trial_ids``)."""
 
     reconstructed: Dataset
     clamps: tuple
@@ -255,6 +257,9 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
         report("reconstruct", done)
     with _stage("weights"):
         pooled = make_dataset((target, done.reconstructed))
+        n = len(target)
+        tail = [getattr(pooled, c)[n:] for c in ("trial", "z", "y", "X", "w", "is_target")]
+        done = Borrowed(Dataset(pooled.trial_ids, *tail), done.clamps)  # borrowed rows held once
         mfit = fit_membership(pooled, features)
         done = replace(done, membership=mfit, weighted=compute_weights(mfit))
         report("weights", done)

@@ -130,26 +130,25 @@ class LogisticFit:
 
 
 def _irls(F, t, lam):
-    """Newton steps from zero: (alpha, converged, steps, eta, pi).
+    """Newton steps from zero: (alpha, converged, steps, pi).
 
-    ``eta = F @ alpha`` for the returned alpha, and ``pi`` its sigmoid
-    when the fit converged (None otherwise).
+    ``pi`` is the sigmoid of ``F @ alpha`` for the returned alpha when
+    the fit converged, None otherwise.
     """
-    alpha = np.zeros(F.shape[1])
+    alpha, ridge = np.zeros(F.shape[1]), lam * np.eye(F.shape[1])
     for it in range(1, IRLS_MAX_ITER + 1):
-        eta = F @ alpha
-        pi = _sigmoid(eta)
+        pi = _sigmoid(F @ alpha)
         score = F.T @ (t - pi) - lam * alpha
         if np.max(np.abs(score)) <= IRLS_TOL:
-            return alpha, True, it, eta, pi
-        h = pi * (1.0 - pi)
-        H = weighted_transpose(F, h) @ F + lam * np.eye(F.shape[1])
+            return alpha, True, it, pi
+        h = np.multiply(pi, 1.0 - pi, out=pi)  # the Newton weights, in pi's buffer
+        H = weighted_transpose(F, h) @ F + ridge
         try:
             step = np.linalg.solve(H, score)
         except np.linalg.LinAlgError:
-            return alpha, False, it, eta, None
+            return alpha, False, it, None
         alpha = alpha + step
-    return alpha, False, it, F @ alpha, None
+    return alpha, False, it, None
 
 
 def fit_membership(d, fmap=None):
@@ -179,22 +178,23 @@ def fit_membership(d, fmap=None):
         raise DataError("membership fit needs both target and non-target subjects")
     F = fmap.matrix(d)
 
-    alpha, ok, iters, eta, pi = _irls(F, t, 0.0)
+    alpha, ok, iters, pi = _irls(F, t, 0.0)
     lam = 0.0
     if not ok:
-        separated = bool(np.max(np.abs(eta)) > 30)
+        separated = bool(np.max(np.abs(F @ alpha)) > 30)
         lam = 1e-6
         while lam <= 1e-2:
-            alpha, ok, iters, eta, pi = _irls(F, t, lam)
+            alpha, ok, iters, pi = _irls(F, t, lam)
             if ok:
                 break
             lam *= 10
         if not ok:
             reason = "separation persisted" if separated else "IRLS failed to converge"
             raise NumericalError(f"membership model did not converge ({reason}, ridge up to 1e-2)")
-    eps = np.finfo(float).tiny
-    deviance = float(-2.0 * np.sum(t * np.log(pi + eps) + (1 - t) * np.log(1 - pi + eps)))
-    weights = (len(d) / d.n_target()) * pi
+    # for t in {0, 1}, the bits of t log(pi + eps) + (1 - t) log(1 - pi + eps)
+    ll = np.where(d.is_target, pi, 1 - pi) + np.finfo(float).tiny
+    deviance = float(-2.0 * np.sum(np.log(ll, out=ll)))
+    weights = np.multiply(pi, len(d) / d.n_target(), out=pi)
     weights.flags.writeable = False
     return LogisticFit(alpha=alpha, converged=ok, iterations=iters,
                        deviance=deviance, ridge_lambda=float(lam), fitted_on=d,
@@ -202,8 +202,8 @@ def fit_membership(d, fmap=None):
 
 
 def _sigmoid(eta):
-    """``1 / (1 + exp(-clip(eta, -500, 500)))``, computed in one new array."""
-    pi = np.clip(eta, -500, 500)
+    """``1 / (1 + exp(-clip(eta, -500, 500)))``, computed in ``eta``'s buffer."""
+    pi = np.clip(eta, -500, 500, out=eta)
     np.negative(pi, out=pi)
     np.exp(pi, out=pi)
     pi += 1.0

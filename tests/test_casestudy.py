@@ -5,6 +5,7 @@ import filecmp
 import numpy as np
 import pytest
 
+from metaborrow import pipeline
 from metaborrow.casestudy import (COMPLETED_TRIALS, DEFAULT_SEED, SCENARIOS,
                                   TARGET_TRIAL, EgfrTrialRow,
                                   bundled_data_path, completed_summaries,
@@ -13,6 +14,7 @@ from metaborrow.casestudy import (COMPLETED_TRIALS, DEFAULT_SEED, SCENARIOS,
                                   run_case_study, simulate_target)
 from metaborrow.data import read_summaries, write_summaries
 from metaborrow.errors import ConfigError, DataError
+from metaborrow.weights import IRLS_MAX_ITER
 
 TREATED, CONTROL = 0, 1  # a derived trial's arm rows, treated first
 
@@ -159,3 +161,15 @@ def test_run_all_scenarios_order_and_rows():
         assert row["scenario"] == r.scenario
         if r.estimable:
             assert row["ci"][0] == pytest.approx(r.ci_low, abs=5e-5)
+
+
+def test_seed_41_membership_fit_converges_unpenalized(monkeypatch):
+    # Newton from zero converges here; from the intercept-only start it diverges
+    # (|eta| near 1e220 after IRLS_MAX_ITER steps), so a change of start needs a safeguard
+    fits = []
+    fit_membership = pipeline.fit_membership
+    monkeypatch.setattr(pipeline, "fit_membership",
+                        lambda d, fmap=None: fits.append(fit_membership(d, fmap)) or fits[-1])
+    run_case_study("target_borrow", seed=41)
+    (fit,) = fits
+    assert fit.converged and fit.ridge_lambda == 0 and fit.iterations < IRLS_MAX_ITER

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from summary_tables import arm_row, table
 
-from metaborrow import simulate
+from metaborrow import cli, simulate
 from metaborrow.cli import main
 from metaborrow.data import (Dataset, make_dataset, read_subjects, write_subjects,
                              write_summaries)
@@ -101,6 +101,18 @@ def test_refused_path_exits_2(tmp_path, capsys, command):
     assert code == 2
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_simulate_checks_the_out_directory_before_running(tmp_path, capsys, monkeypatch):
+    def run_cell(*args, **kwargs):
+        raise AssertionError("run_cell called before the output path was checked")
+
+    monkeypatch.setattr(cli, "run_cell", run_cell)
+    missing = str(tmp_path / "missing" / "x.csv")
+    code, err = run_fail(capsys, ["simulate", "--reps", "2", "--seed", "1", "--out", missing])
+    assert code == 2
+    # the text the write would fail with, after the whole run
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
 
 
 def test_config_errors_exit_2(tmp_path, capsys):

@@ -364,20 +364,32 @@ def test_json_subjects_reject_a_fractional_arm_indicator(tmp_path):
 
 @pytest.mark.parametrize("kind, field, value", [("summaries", "arm", False),
                                                 ("summaries", "n", True),
-                                                ("subjects", "z", True)])
+                                                ("subjects", "z", True),
+                                                ("summaries", "y_mean", True),
+                                                ("summaries", "y_sd", True),
+                                                ("summaries", "y_se_mean", False),
+                                                ("summaries", "x1_mean", True),
+                                                ("summaries", "x1_sd", False),
+                                                ("subjects", "y", True),
+                                                ("subjects", "x1", False),
+                                                ("subjects", "weight", True)])
 def test_json_booleans_are_not_integers(tmp_path, kind, field, value):
+    # nor any other number: float() would read them as 1.0 and 0.0
     if kind == "summaries":
-        rows = [{"trial_id": "A", "arm": 1, "n": 40, "y_mean": 2.0, "y_sd": 1.0},
-                {"trial_id": "A", "arm": 0, "n": 40, "y_mean": 1.0, "y_sd": 1.0}]
+        rows = [{"trial_id": "A", "arm": arm, "n": 40, "y_mean": 1.0 + arm, "y_sd": 1.0,
+                 "x1_mean": 0.0, "x1_sd": 1.0, "x1_family": "continuous"} for arm in (1, 0)]
+        if field == "y_se_mean":
+            del rows[1]["y_sd"]
         read = read_summaries
     else:
-        rows = [{"trial_id": "t", "z": 1, "y": 1.0}, {"trial_id": "t", "z": 0, "y": 1.0}]
+        rows = [{"trial_id": "t", "z": z, "y": 1.0, "x1": 0.5, "weight": 1.0} for z in (1, 0)]
         read = read_subjects
     rows[1][field] = value
     path = tmp_path / "rows.json"
     path.write_text(json.dumps(rows))
-    with pytest.raises(DataError, match=rf"^object 2: cannot parse \w+ row \({field} must be an "
-                                        rf"integer, got {value}\)$"):
+    kind_of = "an integer" if field in ("arm", "n", "z") else "a number"
+    with pytest.raises(DataError, match=rf"^object 2: cannot parse \w+ row \({field} must be "
+                                        rf"{kind_of}, got {value}\)$"):
         read(path)
 
 

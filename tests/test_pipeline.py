@@ -16,10 +16,10 @@ from metaborrow.data import (Dataset, read_subjects, read_summaries, write_subje
                              write_summaries)
 from metaborrow import pipeline
 from metaborrow.errors import ConfigError, NumericalError
-from metaborrow.meta import MetaFit
+from metaborrow.meta import MetaFit, build_design, fit_dl
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
                                  read_config, run_pipeline)
-from metaborrow.reconstruct import ClampWarning
+from metaborrow.reconstruct import ClampWarning, ReconstructionConfig, reconstruct_all
 
 ARTIFACTS = ("meta_fit.json", "reconstructed.csv", "weighted.csv",
              "estimate.json", "summary.txt")
@@ -262,6 +262,31 @@ def test_config_hash_reads_input_bytes(tmp_path):
     assert edited.read_text() != text
     assert PipelineConfig(summaries=str(edited), target=str(tmp_path / "b" / "target.csv"),
                           out=str(tmp_path / "b" / "out"), seed=1).config_hash() != hashes[0]
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["both_arms", "control_only"])
+def test_borrowed_rows_are_held_once(mode, p):
+    rng = np.random.default_rng(p)
+    s = table(*(arm_row(f"trial{i}", arm, 30 + i, y_mean=1.0 + arm + 0.1 * i, y_var=2.0,
+                        x_mean=rng.normal(size=p), x_var=(1.0,) * p)
+                for i in range(4) for arm in (1, 0)))
+    meta = fit_dl(build_design(s))
+    target = Dataset(("tgt",), np.zeros(30, int), np.arange(30) % 2, rng.normal(size=30),
+                     rng.normal(size=(30, p)), np.ones(30), np.ones(30, bool))
+    rcfg = ReconstructionConfig(rng_seed=5, borrow=mode)
+    done = pipeline.borrow(s, meta, target, rcfg)
+    alone = reconstruct_all(s, meta, rcfg)
+    got = done.reconstructed
+    for name in ("trial", "z", "y", "X", "is_target"):
+        a = getattr(got, name)
+        assert a.size == 0 or np.shares_memory(a, getattr(done.weighted, name)), name
+        assert not a.flags.writeable
+    for name in ("z", "y", "X", "w", "is_target"):
+        a, b = getattr(got, name), getattr(alone, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert ([got.trial_ids[t] for t in got.trial.tolist()]
+            == [alone.trial_ids[t] for t in alone.trial.tolist()])
 
 
 def test_meta_fit_json_roundtrip():
