@@ -38,12 +38,12 @@ write, square on read) and may move by an ulp.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -344,12 +344,6 @@ def _read_rows(path, kind):
         raise DataError(f"{path}: cannot read {fmt} {kind} file ({exc})") from exc
 
 
-def _write_stamp(fh, stamp):
-    if stamp:
-        for k, v in stamp.items():
-            fh.write(f"# {k}={v}\n")
-
-
 def _detect_format(path):
     """``json`` for a path ending in ``.json``, otherwise ``csv``."""
     return "json" if str(path).endswith(".json") else "csv"
@@ -498,6 +492,7 @@ def read_subjects(path, target_id=None):
     if not raw:
         raise DataError(f"{path}: no subjects")
 
+    json_rows = _detect_format(path) == "json"
     p = None  # the first row's covariate count
     rows, bad = [], []
     for label, row in raw:
@@ -505,10 +500,10 @@ def read_subjects(path, target_id=None):
             trial_id = row["trial_id"]
             if not isinstance(trial_id, str):
                 raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
-            x = []
+            cells = []
             j = 1
             while f"x{j}" in row and row[f"x{j}"] not in (None, ""):
-                x.append(_number(row[f"x{j}"], f"x{j}"))
+                cells.append(row[f"x{j}"])
                 j += 1
             if "source" in row and row.get("source") not in (None, ""):
                 source = row["source"]
@@ -517,8 +512,13 @@ def read_subjects(path, target_id=None):
             else:
                 source = "target"
             weight = row.get("weight")
-            weight = 1.0 if weight in (None, "") else _number(weight, "weight")
-            z, y = _number(row["z"], "z", int), _number(row["y"], "y")
+            cells.append(1.0 if weight in (None, "") else weight)
+            *x, weight = map(float, cells)  # a CSV cell is text: float() and int() check it
+            z, y = int(row["z"]), float(row["y"])
+            if json_rows:  # a JSON value may also be a bool, or a fractional z int() truncates
+                names = [f"x{k}" for k in range(1, j)] + ["weight", "z", "y"]
+                for name, value in zip(names, cells + [row["z"], row["y"]]):
+                    _number(value, name, int if name == "z" else float)
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{label}: cannot parse subject row ({exc})") from exc
         p = len(x) if p is None else p
@@ -553,18 +553,23 @@ def _csv_fields(values):
     quote an empty string, so each value is written with an empty second
     field whose ``,`` and line terminator are then cut off.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    fields = []
-    for value in values:
-        buf.seek(0)
-        buf.truncate()
-        writer.writerow((value, ""))
-        fields.append(buf.getvalue()[:-len(",\r\n")])
-    return fields
+    lines = []
+    csv.writer(SimpleNamespace(write=lines.append)).writerows((value, "") for value in values)
+    return [line[:-len(",\r\n")] for line in lines]
 
 
-_BLOCK_ROWS = 512  # rows write_subjects formats and writes at a time
+_BLOCK_ROWS = 256  # rows write_subjects formats and writes at a time
+
+
+def _lines(columns, end):
+    """Equal-length columns of fields as text: a row's fields joined by commas, each row ended
+    by ``end``; one slice assignment per column and one join, no call per row."""
+    m, n = 2 * len(columns), len(columns[0])
+    pieces = [","] * (m * n)
+    for k, column in enumerate(columns):
+        pieces[2 * k::m] = column
+    pieces[m - 1::m] = [end] * n
+    return "".join(pieces)
 
 
 def write_subjects(d, path, include_weight=True, stamp=None, known=None):
@@ -575,23 +580,22 @@ def write_subjects(d, path, include_weight=True, stamp=None, known=None):
     ``stamp`` (a mapping) is written as leading ``# key=value`` comment
     lines in CSV output; the readers skip such lines.
 
-    CSV rows are streamed through line templates rather than
-    ``csv.writer.writerows``, which scans every field of every row for
-    characters that need quoting.  Only trial ids can need quoting: the
-    source tags are fixed, and ``str`` of a Python int or float never
-    holds a delimiter, quote or line break.  So each distinct id and tag
-    is quoted once, by the csv module's own rules, and rows index into
-    those fields.  The bytes are the ones ``writerows`` writes, ending
-    each line with its ``\\r\\n``.
-
-    Rows are formatted and written in blocks of 512: a block's numeric
-    fields ``z,y,x1,...,xp`` become one ``"\\n"``-joined string (floats
-    by ``repr``, so they round-trip exactly), and its lines are written
-    with the trial id, weight and source added.  Only one block's fields
-    are held at a time, besides the block strings, which the CSV branch
-    returns as a list: the numeric text of every row, in order, about
-    half of the file's bytes.  What that text costs in memory is held by
-    whoever keeps the list.
+    CSV text is built a column at a time, not by ``csv.writer.writerows``,
+    which scans every field of every row for characters that need
+    quoting.  Only trial ids can need it: the source tags are fixed, and
+    ``repr`` of a Python int or float holds no delimiter, quote or line
+    break.  So each distinct id and tag is quoted once, by the csv
+    module's own rules, and rows index into those fields; the bytes are
+    the ones ``writerows`` writes.  Rows go in blocks of 256: each column
+    of a block becomes text in one ``map(repr, ...)`` pass (floats
+    round-trip exactly), :func:`_lines` interleaves the columns, and the
+    block is joined once and written with one ``write``, so no Python
+    call runs per row.  Blocks stay at 256 rows since a block's per-value
+    strings are live together and the ``weighted.csv`` write is the memory
+    peak of a ``run_pipeline`` call.  The CSV branch returns each block's
+    ``"\\n"``-joined ``z,y,x1,...,xp`` rows in a list, about half of the
+    file's bytes; what that text costs in memory is held by whoever keeps
+    the list.
 
     ``known``, such a list from an earlier write, stands for the text of
     ``d``'s last rows, as when ``d`` pools a dataset written before
@@ -619,32 +623,26 @@ def write_subjects(d, path, include_weight=True, stamp=None, known=None):
         _write_json([dict(zip(names, row)) for row in zip(*columns)], path)
         return None
 
-    def blocks():
-        """(first row, each row's numeric fields, their joined text) of every block."""
-        numbers = ",".join(["{}"] * (2 + d.p))
+    def fresh():
+        """The numeric text of the rows ahead of ``known``, a block at a time."""
         for i in range(0, head, _BLOCK_ROWS):
             j = min(i + _BLOCK_ROWS, head)
-            rows = list(map(numbers.format, d.z[i:j].tolist(), d.y[i:j].tolist(),
-                            *d.X[i:j].T.tolist()))
-            yield i, rows, "\n".join(rows)
-        i = head
-        for text in known:
-            rows = text.split("\n")
-            yield i, rows, text
-            i += len(rows)
+            columns = (d.z[i:j].tolist(), d.y[i:j].tolist(), *d.X[i:j].T.tolist())
+            yield _lines([list(map(repr, c)) for c in columns], "\n")[:-1]
 
-    trial_ids, sources = _csv_fields(d.trial_ids), _csv_fields(_SOURCES)
-    template = "{},{}" + ",{}" * (1 + include_weight) + "\r\n"
-    texts = []
+    ids, tags = (np.array(_csv_fields(v), dtype=object) for v in (d.trial_ids, _SOURCES))
+    texts, i = [], 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        _write_stamp(fh, stamp)
+        fh.writelines(f"# {k}={v}\n" for k, v in (stamp or {}).items())
         csv.writer(fh).writerow(names)
-        for i, rows, text in blocks():
+        for text in chain(fresh(), known):
+            rows = text.split("\n")
             j = i + len(rows)
-            columns = [map(trial_ids.__getitem__, d.trial[i:j].tolist()), rows]
+            columns = [ids[d.trial[i:j]].tolist(), rows]
             if include_weight:
-                columns.append(d.w[i:j].tolist())
-            columns.append(map(sources.__getitem__, d.is_target[i:j].tolist()))
-            fh.writelines(map(template.format, *columns))
+                columns.append(list(map(repr, d.w[i:j].tolist())))
+            columns.append(tags[d.is_target[i:j].view(np.int8)].tolist())
+            fh.write(_lines(columns, "\r\n"))
             texts.append(text)
+            i = j
     return texts

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from summary_tables import arm_row, assert_same, table, take
 
-from metaborrow.data import (Dataset, Summaries, dataset_from_arms, make_dataset,
+from metaborrow.data import (_BLOCK_ROWS, Dataset, Summaries, dataset_from_arms, make_dataset,
                              read_subjects, read_summaries, write_subjects, write_summaries)
 from metaborrow.errors import DataError
 
@@ -572,10 +572,11 @@ def writerows_csv(d, path, include_weight, include_source, stamp):
 
 # ids the csv module must quote or keep as they are: delimiter, quote, line
 # breaks, surrounding spaces, non-ASCII text, the empty string, comment marks
-awkward_ids = st.sampled_from(("tgt", "a,b", 'say "hi"', "two\nlines", "cr\r", "crlf\r\n",
-                               " padded ", "Müller 2004", "", "#1", "a\n#b", '"')) | st.text()
-edge_floats = st.sampled_from((math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300,
-                               -1e300, 0.1, 1 / 3)) | st.floats()
+AWKWARD_IDS = ("tgt", "a,b", 'say "hi"', "two\nlines", "cr\r", "crlf\r\n", " padded ",
+               "Müller 2004", "", "#1", "a\n#b", '"')
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -1e300, 0.1, 1 / 3)
+awkward_ids = st.sampled_from(AWKWARD_IDS) | st.text()
+edge_floats = st.sampled_from(EDGE_FLOATS) | st.floats()
 
 
 @st.composite
@@ -631,6 +632,69 @@ def test_csv_round_trips_finite_rows(tmp_path_factory, d):
     path = tmp_path_factory.mktemp("csv") / "subj.csv"
     write_subjects(d, path, stamp={"seed": 1})
     assert_same_rows(read_subjects(path, target_id="tgt"), d)
+
+
+def seam_dataset(p, finite=False):
+    """Two blocks and three rows: ids cycle through AWKWARD_IDS, each float column through
+    EDGE_FLOATS (only the finite ones, z in {0, 1} and weights nonnegative when ``finite``)."""
+    n = 2 * _BLOCK_ROWS + 3
+    floats = [v for v in EDGE_FLOATS if math.isfinite(v) or not finite]
+    cycle = np.resize(floats, n + p + 1)  # column k starts k values in
+    y, *x, w = (cycle[k:k + n] for k in range(p + 2))
+    return Dataset(AWKWARD_IDS, np.arange(n) % len(AWKWARD_IDS),
+                   np.resize((0, 1) if finite else (0, 1, 2, -1), n), y,
+                   np.reshape(np.transpose(x), (n, p)), np.abs(w) if finite else w,
+                   np.arange(n) % 3 == 0)
+
+
+def rows_from(d, start):
+    """``d``'s rows from ``start`` on."""
+    return Dataset(d.trial_ids, d.trial[start:], d.z[start:], d.y[start:], d.X[start:],
+                   d.w[start:], d.is_target[start:])
+
+
+@pytest.mark.parametrize("include_weight", [True, False])
+@pytest.mark.parametrize("p", [0, 3])
+def test_csv_writer_bytes_across_block_seams(tmp_path, p, include_weight):
+    d = seam_dataset(p)
+    kw = dict(include_weight=include_weight, stamp={"seed": 7})
+    fresh = write_subjects(d, tmp_path / "fresh.csv", **kw)
+    writerows_csv(d, tmp_path / "ref.csv", include_weight, include_source=True, stamp={"seed": 7})
+    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # known text whose rows begin 5 rows before the first seam: one short fresh block, then
+    # two known blocks, each crossing a seam of the fresh write
+    head = _BLOCK_ROWS - 5
+    known = write_subjects(rows_from(d, head), tmp_path / "tail.csv", include_weight=False)
+    texts = write_subjects(d, tmp_path / "reuse.csv", known=known, **kw)
+    assert len(known) == 2 and len(texts) == 3
+    assert (tmp_path / "reuse.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    assert "\n".join(texts) == "\n".join(fresh)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_csv_and_json_twins_read_back_bit_for_bit(tmp_path, p):
+    d = seam_dataset(p, finite=True)
+    twins = [tmp_path / "subj.csv", tmp_path / "subj.json"]
+    for path in twins:
+        write_subjects(d, path)
+        back = read_subjects(path)
+        assert back.trial_ids == d.trial_ids
+        for name in ("trial", "z", "y", "X", "w", "is_target"):
+            assert getattr(back, name).tobytes() == getattr(d, name).tobytes(), name
+    # a CSV cell is parsed by float() itself; a JSON value is also refused as a bool or,
+    # for z, as a fractional number
+    header = twins[0].read_text(encoding="utf-8").split("\n")[0]
+    twins[0].write_text(f"{header}\nt,1,abc\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"^line 2: cannot parse subject row \(could not convert "
+                                        r"string to float: 'abc'\)$"):
+        read_subjects(twins[0])
+    objects = json.loads(twins[1].read_text(encoding="utf-8"))
+    for field, value, message in (("y", True, "y must be a number, got True"),
+                                  ("z", 1.5, "z must be an integer, got 1.5")):
+        twins[1].write_text(json.dumps(objects[:1] + [{**objects[1], field: value}]))
+        with pytest.raises(DataError, match=rf"^object 2: cannot parse subject row "
+                                            rf"\({message}\)$"):
+            read_subjects(twins[1])
 
 
 # ------------------------------------------------------------- summary round trip
