@@ -23,7 +23,7 @@ import click
 from . import casestudy, pipeline as pl
 from .data import read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
-from .estimate import (MEAT_KINDS, estimate_univariate, fit_weighted_regression)
+from .estimate import MEAT_KINDS, check_level, estimate_univariate, fit_weighted_regression
 from .meta import build_design, fit_dl
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, run_cell,
@@ -60,7 +60,7 @@ def _need_seed(seed):
               help="Write the fit as JSON.")
 def meta(summaries, interaction, level, out_path):
     """Fit the random-effects meta-regression on arm-level rows."""
-    pl.check_level(level)
+    check_level(level)
     design = build_design(read_summaries(summaries), include_interaction=interaction)
     fit = fit_dl(design)
     payload = pl.meta_to_dict(fit, level)
@@ -142,7 +142,7 @@ def weights(subjects, target_id, features, out_path):
               help="Write the fit(s) as JSON.")
 def estimate(subjects, estimator, covariates, interaction, meat, level, out_path):
     """Estimate the treatment contrast on weighted subject rows."""
-    pl.check_level(level)
+    check_level(level)
     d = read_subjects(subjects)
     payload = {}
     if estimator in ("regression", "both"):

@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._dist import _norm_ppf
 from .errors import DataError, NumericalError
-from .estimate import _check_rank, _wls, weighted_transpose
+from .estimate import _check_rank, _wls, check_level, weighted_transpose
 
 
 @dataclass(frozen=True)
@@ -151,5 +151,5 @@ def meta_se(fit, level=0.95):
     (se, ci_low, ci_high) : three np.ndarray aligned with ``fit.beta``.
     """
     se = np.sqrt(np.diag(fit.cov_beta))
-    zq = special.ndtri(0.5 + level / 2.0)
+    zq = -_norm_ppf((1 - check_level(level)) / 2)
     return se, fit.beta - zq * se, fit.beta + zq * se

@@ -28,14 +28,13 @@ import logging
 import warnings
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
-from numbers import Real
 from pathlib import Path
 
 import numpy as np
 
 from .data import Dataset, make_dataset, read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
-from .estimate import MEAT_KINDS, WeightedFit, fit_weighted_regression
+from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
 from .meta import MetaFit, build_design, fit_dl, meta_se
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
 from .weights import LogisticFit, compute_weights, fit_membership, parse_feature_spec
@@ -44,12 +43,6 @@ log = logging.getLogger("metaborrow")
 
 ARTIFACTS = ("meta_fit.json", "reconstructed.csv", "weighted.csv", "estimate.json",
              "summary.txt")
-
-
-def check_level(level):
-    """Raise ConfigError (exit 2) unless ``level`` is a real number in (0, 1); NaN is not."""
-    if not (isinstance(level, Real) and 0 < level < 1):
-        raise ConfigError(f"level must be a number in (0, 1), got {level!r}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from metaborrow.errors import ConfigError, DataError, NumericalError
 from metaborrow.estimate import (UnivariateEstimate, WeightedFit, build_outcome_design,
                                  estimate_univariate, fit_ols, fit_weighted_regression,
                                  weighted_transpose)
+from metaborrow.meta import MetaFit, meta_se
 
 
 def dataset(z, y, x=None, w=None, tid="t"):
@@ -41,6 +42,15 @@ def test_univariate_unit_weight_oracle():
     assert est.p_value == pytest.approx(2 * stats.norm.sf(1.0))
     assert est.ci_low == pytest.approx(1.0 - stats.norm.ppf(0.975))
     assert est.ci_high == pytest.approx(1.0 + stats.norm.ppf(0.975))
+
+
+def test_univariate_p_value_and_interval_match_scipy():
+    # arms (m + 1, m - 1 | 1, -1): delta = m and se = 1, so z = m
+    for m in [0.1, 1.0, 1.96, 5.0, 10.0, 37.0]:
+        est = estimate_univariate(dataset([1, 1, 0, 0], [m + 1, m - 1, 1.0, -1.0]))
+        assert est.p_value == pytest.approx(2 * stats.norm.sf(est.z_stat), rel=1e-12, abs=0)
+        assert est.ci_high - est.delta == pytest.approx(stats.norm.ppf(0.975) * est.se,
+                                                        rel=1e-12)
 
 
 def test_univariate_weighted_oracle():
@@ -175,6 +185,20 @@ def test_contrast_uses_t_reference():
     assert ct["p_value"] == pytest.approx(2 * stats.t.sf(abs(est / se), fit.df))
     with pytest.raises(DataError, match="no column"):
         fit.coef("x9")
+
+
+@pytest.mark.parametrize("level", [0, 1, 1.5, float("nan"), True])
+def test_library_calls_check_the_level(level):
+    # each interval-building call refuses a level outside (0, 1), so a library caller gets
+    # a ConfigError (exit 2) rather than a NaN or zero-width interval
+    d = random_dataset(np.random.default_rng(1))
+    fit = fit_weighted_regression(d)
+    meta = MetaFit(beta=np.zeros(1), cov_beta=np.eye(1), tau2=0.0, q_stat=0.0, df=1,
+                   columns=("intercept",))
+    for call in (fit.z_contrast, lambda lv: estimate_univariate(d, lv),
+                 lambda lv: meta_se(meta, lv)):
+        with pytest.raises(ConfigError, match=r"level must be a number in \(0, 1\)"):
+            call(level)
 
 
 def test_zero_weight_rows_drop_out_exactly():
