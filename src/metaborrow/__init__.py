@@ -8,8 +8,8 @@ treatment contrast with sandwich standard errors.  A Monte-Carlo harness
 and a bundled renal-trial example exercise the whole chain.
 """
 
-from .data import (Dataset, Summaries, dataset_from_arms, make_dataset,
-                   read_subjects, read_summaries, write_subjects, write_summaries)
+from .data import (Dataset, Summaries, dataset_from_arms, read_subjects, read_summaries,
+                   write_subjects, write_summaries)
 from .errors import ConfigError, DataError, MetaborrowError, NumericalError
 from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit, build_outcome_design,
                        estimate_univariate, fit_ols, fit_weighted_regression)
@@ -27,8 +27,7 @@ from .weights import (FeatureMap, LogisticFit, compute_weights, default_feature_
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "Summaries", "dataset_from_arms",
-    "make_dataset", "read_subjects", "read_summaries",
+    "Dataset", "Summaries", "dataset_from_arms", "read_subjects", "read_summaries",
     "write_subjects", "write_summaries",
     "ConfigError", "DataError", "MetaborrowError", "NumericalError",
     "MEAT_KINDS", "UnivariateEstimate", "WeightedFit", "build_outcome_design",

@@ -26,8 +26,8 @@ from .errors import ConfigError, MetaborrowError
 from .estimate import MEAT_KINDS, check_level, estimate_univariate, fit_weighted_regression
 from .meta import build_design, fit_dl
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
-from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, run_cell,
-                       write_cell_csv)
+from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, _write_mode,
+                       run_cell, write_cell_csv)
 from .weights import compute_weights, fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
@@ -201,6 +201,8 @@ def simulate(K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
                              base_seed=_need_seed(seed), meat=meat)
     if out_path and not os.path.isdir(os.path.dirname(out_path) or os.curdir):  # fail first
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
+    if out_path:
+        _write_mode(out_path, append)  # a file that is not a results file fails first too
     click.echo(f"cell {cfg.label}")
     cell = run_cell(cfg, jobs=jobs,
                     progress=lambda i: log.info("replications done: %d", i))

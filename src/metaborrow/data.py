@@ -16,9 +16,9 @@ target-membership flag ``is_target`` (the only record of which rows are
 the target trial's), and each row's index into a tuple of trial ids.
 Every stage from reconstruction on works on these arrays, and this
 module assembles them: ``Dataset`` from columns, :func:`dataset_from_arms`
-from rows stacked arm by arm (the target trial and reconstructed arms),
-:func:`read_subjects` from a file, and :func:`make_dataset` by pooling
-Datasets.
+from rows stacked arm by arm, and :func:`read_subjects` from a file;
+:func:`metaborrow.reconstruct.reconstruct_all` pools the target rows with
+the reconstructed ones, drawn straight behind them.
 
 Variances in input files are variances of individual observations.  A
 summary file may instead carry the standard error of the arm mean in a
@@ -277,28 +277,6 @@ def dataset_from_arms(trial_ids, trial, arm, n, X, y, is_target):
     rows = len(y)
     return _owned(tuple(trial_ids), np.repeat(trial, n), np.repeat(arm, n), y, X,
                   np.ones(rows), np.full(rows, bool(is_target)))
-
-
-def make_dataset(parts):
-    """Pool Datasets into one, their rows in order.
-
-    Each column is one ``np.concatenate`` over the non-empty ``parts``,
-    and trial ids are renumbered in order of first appearance.  Pooling
-    no parts gives an empty Dataset of dimension 0, and only empty parts
-    an empty Dataset of the first one's dimension.  Raises DataError when
-    the non-empty parts differ in covariate dimension.
-    """
-    parts = tuple(parts) or (Dataset((), [], [], [], np.empty((0, 0)), [], []),)
-    filled = [d for d in parts if len(d)] or list(parts[:1])
-    dims = {d.p for d in filled}
-    if len(dims) > 1:
-        raise DataError(f"covariate dimension differs across pooled datasets: {sorted(dims)}")
-    index = {}
-    trial = [np.array([index.setdefault(t, len(index)) for t in d.trial_ids], dtype=int)[d.trial]
-             for d in filled]
-    cat = [np.concatenate([getattr(d, name) for d in filled])
-           for name in ("z", "y", "X", "w", "is_target")]
-    return _owned(tuple(index), np.concatenate(trial), *cat)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, make_dataset, read_subjects, read_summaries, write_subjects
+from .data import Dataset, read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
 from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
 from .meta import MetaFit, build_design, fit_dl, meta_se
@@ -217,8 +217,8 @@ def _stage(name):
 @dataclass(frozen=True)
 class Borrowed:
     """What :func:`borrow` made, a stage not yet run leaving its fields None; ``clamps``
-    holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor.  Once pooled,
-    ``reconstructed`` is a view of ``weighted``'s tail rows, not a second copy (its ``w`` the
+    holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor.
+    ``reconstructed`` is a view of the pooled rows' tail, not a second copy (its ``w`` the
     unit weights, its ``trial`` indexing the pooled ``trial_ids``)."""
 
     reconstructed: Dataset
@@ -232,8 +232,8 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
     """Borrow the arms of ``summaries`` into the ``target`` Dataset; returns Borrowed.
 
     Stage ``reconstruct`` draws the borrowed arms under ``rcfg`` from
-    the fit ``meta``; ``weights`` pools them behind the target rows and
-    weights every row by a membership model on the FeatureMap
+    the fit ``meta`` straight behind the target rows, one pooled sample;
+    ``weights`` weights its rows by a membership model on the FeatureMap
     ``features`` (default: each covariate and its square); ``estimate``
     fits the weighted regression, passing ``outcome`` on to
     :func:`metaborrow.estimate.fit_weighted_regression`.  Each stage
@@ -242,17 +242,12 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
     """
     report = on_stage or (lambda stage, done: None)
     with _stage("reconstruct"):
-        if target.p != summaries.p:
-            raise ConfigError(
-                f"target covariate dimension {target.p} differs from summaries {summaries.p}")
-        done = Borrowed(reconstruct_all(summaries, meta, rcfg),
-                        clamped_arms(summaries, meta, rcfg))
-        report("reconstruct", done)
-    with _stage("weights"):
-        pooled = make_dataset((target, done.reconstructed))
+        pooled = reconstruct_all(summaries, meta, rcfg, head=target)
         n = len(target)
         tail = [getattr(pooled, c)[n:] for c in ("trial", "z", "y", "X", "w", "is_target")]
-        done = Borrowed(Dataset(pooled.trial_ids, *tail), done.clamps)  # borrowed rows held once
+        done = Borrowed(Dataset(pooled.trial_ids, *tail), clamped_arms(summaries, meta, rcfg))
+        report("reconstruct", done)
+    with _stage("weights"):
         mfit = fit_membership(pooled, features)
         done = replace(done, membership=mfit, weighted=compute_weights(mfit))
         report("weights", done)

@@ -35,7 +35,7 @@ then the outcome noise, into one ``(p + 1, N)`` buffer whose row slices
 are the arms.  Location and scale are applied to whole columns
 afterwards: ``x_mean + sqrt(x_var) * z`` and ``mean + sd * z`` are what
 ``Generator.normal`` computes element by element, so every value is the
-one a per-arm ``normal`` call draws.
+one a per-arm ``normal`` call draws, written behind a head's rows if given.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from itertools import accumulate
 import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .data import dataset_from_arms
+from .data import Dataset, _owned
 from .errors import ConfigError, DataError
 from .meta import design_columns
 
@@ -132,7 +132,7 @@ def _draw_covariates(rng, binary, out):
 
 
 def _covariates(raw, s, rows, sizes):
-    """The (N, p) covariate matrix from the (p, N) raw draws of arms ``rows`` of ``s``.
+    """The (p, N) covariate values of the (p, N) raw draws of arms ``rows`` of ``s``.
 
     Arm k owns the next ``sizes[k]`` columns of ``raw``.  A continuous
     value is ``x_mean + sqrt(x_var) * z``, a binary one ``u < x_mean``.
@@ -143,7 +143,7 @@ def _covariates(raw, s, rows, sizes):
     mean = per_row(s.x_mean)
     x = mean + np.sqrt(per_row(s.x_var)) * raw
     np.copyto(x, raw < mean, where=per_row(s.binary))
-    return np.ascontiguousarray(x.T)
+    return x
 
 
 def _arms(s, meta, cfg):
@@ -170,7 +170,7 @@ def _arms(s, meta, cfg):
     return rows, loads, y_var - (loads**2 * s.x_var[rows]).sum(axis=1), ERROR_FLOOR * y_var
 
 
-def reconstruct_all(s, meta, cfg):
+def reconstruct_all(s, meta, cfg, head=None):
     """Reconstruct every borrowed arm of Summaries ``s``; returns a Dataset.
 
     The rows are tagged reconstructed and carry unit weights.  Treatment
@@ -180,11 +180,18 @@ def reconstruct_all(s, meta, cfg):
     do not depend on trial order.  A clamped arm is drawn at its floor
     without a warning; :func:`clamped_arms` names it.
 
-    Raises DataError when the meta fit's columns are not a layout for
-    the table's covariate count (see
-    :func:`metaborrow.meta.design_columns`).
+    A Dataset ``head`` comes first, its rows unchanged, and the borrowed
+    rows are drawn straight behind them; trial ids are the head's, then
+    the table's, each kept at its first appearance.
+
+    Raises ConfigError when ``head``'s covariate dimension is not the
+    table's, and DataError when the meta fit's columns are not a layout
+    for it (see :func:`metaborrow.meta.design_columns`).
     """
     p = s.p
+    head = Dataset((), [], [], [], np.empty((0, p)), [], []) if head is None else head
+    if head.p != p:
+        raise ConfigError(f"target covariate dimension {head.p} differs from summaries {p}")
     rows, loads, s2, floor = _arms(s, meta, cfg)
     arm_of, sizes = s.arm[rows], s.n[rows]
     sd = np.sqrt(np.where(s2 < floor, floor, s2))
@@ -197,17 +204,25 @@ def reconstruct_all(s, meta, cfg):
         _draw_covariates(rng, binary, raw[:p, lo:hi])
         rng.standard_normal(out=raw[p, lo:hi])
 
-    X = _covariates(raw[:p], s, rows, sizes)
+    m, N = len(head), len(head) + bounds[-1]
+    X, y = np.concatenate((head.X, _covariates(raw[:p], s, rows, sizes).T)), np.empty(N)
+    y[:m] = head.y
     # one BLAS product per arm keeps an arm's values independent of the
     # arms around it: at p > 1, a product over several arms' rows can round
     # a row differently in the last bit, and so can a sum of column products
-    xl = np.empty(bounds[-1])
     for load, lo, hi in zip(loads, bounds, bounds[1:]):
-        np.dot(X[lo:hi], load, out=xl[lo:hi])
-    mean = np.repeat(meta.beta[0] + meta.beta[1] * arm_of, sizes) + xl
-    y = mean + np.repeat(sd, sizes) * raw[p]
+        np.dot(X[m + lo:m + hi], load, out=y[m + lo:m + hi])
+    y[m:] += np.repeat(meta.beta[0] + meta.beta[1] * arm_of, sizes)
+    y[m:] += np.repeat(sd, sizes) * raw[p]
 
-    return dataset_from_arms(s.trial_ids, s.trial[rows], arm_of, sizes, X, y, is_target=False)
+    index = {}
+    head_trial, tail_trial = (np.array([index.setdefault(t, len(index)) for t in ids], dtype=int)
+                              for ids in (head.trial_ids, s.trial_ids))
+    return _owned(tuple(index), np.concatenate((head_trial[head.trial],
+                                                np.repeat(tail_trial[s.trial[rows]], sizes))),
+                  np.concatenate((head.z, np.repeat(arm_of, sizes))), y, X,
+                  np.concatenate((head.w, np.ones(N - m))),
+                  np.concatenate((head.is_target, np.zeros(N - m, dtype=bool))))
 
 
 def clamped_arms(s, meta, cfg):

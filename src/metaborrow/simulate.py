@@ -385,16 +385,26 @@ def run_cell(cfg, jobs=1, progress=None):
 CSV_HEADER = ("scenario", "estimator", "metric", "delta0", "value")
 
 
+def _write_mode(path, append):
+    """``"a"`` to append to the results file ``path``, else ``"w"``; DataError for another file."""
+    if not (append and Path(path).exists() and Path(path).stat().st_size):
+        return "w"
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+        if tuple(next(csv.reader(fh), ())) != CSV_HEADER:
+            raise DataError(f"{path}: cannot append, expected header {','.join(CSV_HEADER)}")
+    return "a"
+
+
 def write_cell_csv(cell, path, append=False):
     """Write a cell as long-format rows: scenario,estimator,metric,delta0,value.
 
     Scalar metrics leave ``delta0`` empty; power rows carry the null
     value being tested.  The scenario label round-trips through
     :meth:`ScenarioConfig.from_label`, so any cell in a results file can
-    be regenerated from its rows alone.
+    be regenerated from its rows alone.  ``append`` adds to a results file.
     """
     path = Path(path)
-    mode = "a" if append and path.exists() else "w"
+    mode = _write_mode(path, append)
     with open(path, mode, newline="") as fh:
         wr = csv.writer(fh)
         if mode == "w":

@@ -1,14 +1,14 @@
-"""Build and compare Summaries tables in tests.
+"""Build and compare Summaries tables, and pool Datasets, in tests.
 
 Tests describe arms one at a time with :func:`arm_row` and stack them
 with :func:`table`; :func:`take` and :func:`concat` select, reorder and
 join the rows of tables, and :func:`assert_same` compares two tables
-bit for bit.
+bit for bit.  :func:`pool` joins the rows of Datasets.
 """
 
 import numpy as np
 
-from metaborrow.data import Summaries
+from metaborrow.data import Dataset, Summaries
 
 FIELDS = ("arm", "n", "y_mean", "y_var", "x_mean", "x_var", "binary")
 
@@ -47,6 +47,16 @@ def concat(tables):
     return Summaries(sum((s.trial_ids for s in tables), ()),
                      np.concatenate([s.trial + k for s, k in zip(tables, offsets)]),
                      *(np.concatenate([getattr(s, name) for s in tables]) for name in FIELDS))
+
+
+def pool(parts):
+    """One Dataset holding the rows of ``parts`` one after another, equal trial ids merged."""
+    index = {}
+    trial = [np.array([index.setdefault(t, len(index)) for t in d.trial_ids], dtype=int)[d.trial]
+             for d in parts]
+    return Dataset(tuple(index), np.concatenate(trial),
+                   *(np.concatenate([getattr(d, c) for d in parts])
+                     for c in ("z", "y", "X", "w", "is_target")))
 
 
 def assert_same(a, b):

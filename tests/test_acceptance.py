@@ -11,9 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from summary_tables import pool
 
 from metaborrow import casestudy
-from metaborrow.data import Dataset, make_dataset
+from metaborrow.data import Dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.data import Summaries
 from metaborrow.reconstruct import ReconstructionConfig, clamped_arms, reconstruct_all
@@ -125,7 +126,7 @@ def test_criterion_03_zero_weight_sources_erase_exactly(report):
     tonly = trial_rows("t", np.arange(60) % 2, ty, tx, is_target=True)
     junk = Dataset(("s0", "s1", "s2", "s3"), np.arange(200) % 4, np.arange(200) % 2, jy,
                    np.reshape(jx, (200, 1)), np.ones(200), np.zeros(200, bool))
-    pooled = make_dataset((junk, tonly))
+    pooled = pool((junk, tonly))
     pooled = pooled.with_weights([0.0] * 200 + [1.0] * 60)
 
     up, ut = estimate_univariate(pooled), estimate_univariate(tonly)
@@ -148,8 +149,8 @@ def test_criterion_04_mean_weight_identity(report):
         rng = np.random.default_rng(seed)
         ty, tx = zip(*[(rng.normal(), rng.normal()) for _ in range(150)])
         sy, sx = zip(*[(rng.normal(), rng.normal(0.5, 1.2)) for _ in range(350)])
-        d = make_dataset((trial_rows("s", np.arange(350) % 2, sy, sx, is_target=False),
-                          trial_rows("t", np.arange(150) % 2, ty, tx, is_target=True)))
+        d = pool((trial_rows("s", np.arange(350) % 2, sy, sx, is_target=False),
+                  trial_rows("t", np.arange(150) % 2, ty, tx, is_target=True)))
         fit = fit_membership(d)
         assert fit.converged and fit.ridge_lambda == 0.0
         w = compute_weights(fit).w
@@ -260,7 +261,7 @@ def test_criterion_10_estimator_oracles(report):
                         is_target=True)
     source = trial_rows("s", np.zeros(4000), np.zeros(4000), rng.normal(1.0, 1.0, 4000),
                         is_target=False)
-    d = make_dataset((source, target))
+    d = pool((source, target))
     fit = fit_membership(d, parse_feature_spec("x1", 1))
     grid = np.linspace(-2.0, 2.0, 81)
     w_hat = 2.0 / (1.0 + np.exp(-(fit.alpha[0] + fit.alpha[1] * grid)))

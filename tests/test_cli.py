@@ -5,12 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from summary_tables import arm_row, table
+from summary_tables import arm_row, pool, table
 
 from metaborrow import cli, simulate
 from metaborrow.cli import main
-from metaborrow.data import (Dataset, make_dataset, read_subjects, write_subjects,
-                             write_summaries)
+from metaborrow.data import Dataset, read_subjects, write_subjects, write_summaries
 from metaborrow.pipeline import borrow
 from metaborrow.reconstruct import ClampWarning
 from metaborrow.simulate import ScenarioConfig, run_replication
@@ -113,6 +112,34 @@ def test_simulate_checks_the_out_directory_before_running(tmp_path, capsys, monk
     assert code == 2
     # the text the write would fail with, after the whole run
     assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+
+
+def test_simulate_append_refuses_a_file_that_is_not_a_results_file(tmp_path, capsys,
+                                                                    monkeypatch):
+    def run_cell(*args, **kwargs):
+        raise AssertionError("run_cell called before the output file was checked")
+
+    monkeypatch.setattr(cli, "run_cell", run_cell)
+    other = tmp_path / "other.csv"
+    other.write_text("a,b\n1,2\n")
+    code, err = run_fail(capsys, ["simulate", "--reps", "2", "--seed", "1", "--K", "5",
+                                  "--n", "20", "--append", "--out", str(other)])
+    assert code == 3
+    assert err == (f"error: {other}: cannot append, expected header "
+                   "scenario,estimator,metric,delta0,value\n")
+    assert other.read_text() == "a,b\n1,2\n"
+
+
+def test_simulate_append_to_an_empty_file_writes_the_header(tmp_path, capsys):
+    out = tmp_path / "empty.csv"
+    out.touch()
+    for seed in ("1", "2"):  # the second cell's rows go after the first's
+        run_ok(capsys, ["simulate", "--reps", "2", "--seed", seed, "--K", "5", "--n", "20",
+                        "--append", "--out", str(out)])
+    rows = out.read_text().splitlines()
+    assert rows[0] == ",".join(simulate.CSV_HEADER)
+    assert rows.count(",".join(simulate.CSV_HEADER)) == 1
+    assert len(simulate.read_cell_csv(out)) == 2
 
 
 def test_config_errors_exit_2(tmp_path, capsys):
@@ -310,7 +337,7 @@ def test_stage_composition(tmp_path, capsys):
     recon = read_subjects(recon_csv)
     target = read_subjects(tpath)
     assert not recon.is_target.any() and target.is_target.all()
-    write_subjects(make_dataset((recon, target)), pooled_csv)
+    write_subjects(pool((recon, target)), pooled_csv)
 
     out = run_ok(capsys, ["weights", "--subjects", pooled_csv,
                           "--out", weighted_csv])

@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summary_tables import arm_row, assert_same, table, take
+from summary_tables import arm_row, assert_same, pool, table, take
 
-from metaborrow.data import (_BLOCK_ROWS, Dataset, Summaries, dataset_from_arms, make_dataset,
-                             read_subjects, read_summaries, write_subjects, write_summaries)
+from metaborrow.data import (_BLOCK_ROWS, Dataset, Summaries, dataset_from_arms, read_subjects,
+                             read_summaries, write_subjects, write_summaries)
 from metaborrow.errors import DataError
+from metaborrow.meta import MetaFit, design_columns
+from metaborrow.reconstruct import ReconstructionConfig, reconstruct_all
 
 
 def arm(trial_id="t1", arm_val=1, n=40, y_mean=1.5, y_var=2.0,
@@ -151,7 +153,10 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 def test_dataset_columns_are_read_only(tmp_path):
     d = subjects()
     write_subjects(d, tmp_path / "subj.csv")
-    built = (d, d.with_weights([2.0] * 4), make_dataset((d, d)),
+    fit = MetaFit(np.zeros(4), np.eye(4), 0.0, 0.0, 1, design_columns(2))
+    pooled = reconstruct_all(arm("s", 0, 3, x_mean=(0.0, 1.0), x_var=(1.0, 1.0)), fit,
+                             ReconstructionConfig(rng_seed=1), head=d)
+    built = (d, d.with_weights([2.0] * 4), pooled,
              read_subjects(tmp_path / "subj.csv", target_id="tgt"),
              dataset_from_arms(("a",), [0], [1], [3], np.zeros((3, 2)), np.ones(3),
                                is_target=False))
@@ -184,28 +189,6 @@ def test_with_weights_swaps_only_the_weight_column():
     assert d2.w.tolist() == [0.5, 1.5, 2.5, 3.5]
     for name in ("trial", "z", "y", "X", "is_target"):
         assert getattr(d2, name) is getattr(d, name)
-
-
-def test_pooling_concatenates_rows_in_order():
-    d = subjects()
-    src = Dataset(("src", "new"), [0, 1], [0, 1], [7.0, 8.0], [(1.0, 2.0), (3.0, 4.0)],
-                  [1.0, 1.0], [False, False])
-    pooled = make_dataset((d, make_dataset(()), src))
-    row_trials = [pooled.trial_ids[i] for i in pooled.trial]
-    assert row_trials == ["tgt", "tgt", "src", "src", "src", "new"]
-    for name in ("z", "y", "X", "w", "is_target"):
-        assert np.array_equal(getattr(pooled, name),
-                              np.concatenate([getattr(d, name), getattr(src, name)]))
-    assert pooled.trial_ids == ("tgt", "src", "new")
-    assert pooled.n_target() == 2
-    with pytest.raises(DataError, match="dimension differs"):
-        make_dataset((d, one_row("s", 0, 1.0, (1.0,))))
-    # no parts, or only empty ones, pool to an empty Dataset
-    empty = make_dataset(())
-    assert (len(empty), empty.p, empty.trial_ids) == (0, 0, ())
-    no_rows = make_dataset((dataset_from_arms((), [], [], [], np.empty((0, 2)), np.empty(0),
-                                              False),))
-    assert (len(no_rows), no_rows.p) == (0, 2)
 
 
 def test_read_subjects_reports_each_violation(tmp_path):
@@ -611,7 +594,7 @@ def test_csv_writer_matches_writerows_bytes(tmp_path_factory, d, include_weight,
        st.booleans())
 def test_known_text_writes_the_bytes_of_a_fresh_write(tmp_path_factory, parts, include_weight):
     a, b = parts
-    d = make_dataset(parts)
+    d = pool(parts)
     out = tmp_path_factory.mktemp("known")
     kw = dict(include_weight=include_weight, stamp={"seed": 7})
     known = write_subjects(b, out / "tail.csv", include_weight=False)

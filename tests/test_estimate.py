@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 from scipy import stats
+from summary_tables import pool
 
-from metaborrow.data import Dataset, make_dataset
+from metaborrow.data import Dataset
 from metaborrow.errors import ConfigError, DataError, NumericalError
 from metaborrow.estimate import (UnivariateEstimate, WeightedFit, build_outcome_design,
                                  estimate_univariate, fit_ols, fit_weighted_regression,
@@ -207,7 +208,7 @@ def test_zero_weight_rows_drop_out_exactly():
     y, x = zip(*[(rng.normal(), rng.normal(size=2)) for _ in range(30)])
     padding = Dataset(("pad",), np.zeros(30, int), np.arange(30) % 2, y, x, np.zeros(30),
                       np.zeros(30, bool))
-    padded = make_dataset((target, padding))
+    padded = pool((target, padding))
     base = fit_weighted_regression(target, meat="hc0")
     wide = fit_weighted_regression(padded, meat="hc0")
     assert wide.beta == pytest.approx(base.beta, rel=1e-12)

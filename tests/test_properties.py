@@ -16,10 +16,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from summary_tables import arm_row, table, take
+from summary_tables import arm_row, pool, table, take
 
 from metaborrow import reconstruct
-from metaborrow.data import dataset_from_arms, make_dataset
+from metaborrow.data import dataset_from_arms
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, build_design, fit_dl
 from metaborrow.reconstruct import (BORROW_MODES, ReconstructionConfig, clamped_arms,
@@ -127,7 +127,7 @@ def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow):
 
     with mock.patch.object(reconstruct, "ERROR_FLOOR", floor):
         rows = row_bits(reconstruct_all(trials, meta, cfg))
-        arm_rows = row_bits(make_dataset([
+        arm_rows = row_bits(pool([
             reconstruct_all(take(trials, [i]), meta, cfg) for i in borrowed]))
         clamps = arms(clamped_arms(trials, meta, cfg))
         arm_clamps = arms(c for i in borrowed
@@ -149,7 +149,7 @@ def test_zero_weight_rows_drop_out(seed, n_target, n_zero, meat, interaction):
     x, y = zip(*[(rng.normal(1.0, 2.0, (m, 1)), rng.normal(5.0, 3.0, m)) for *_, m in arms])
     junk = dataset_from_arms(("s0", "s1", "s2", "s3"), *zip(*arms), np.concatenate(x),
                              np.concatenate(y), is_target=False)
-    pooled = make_dataset((target, junk.with_weights(np.zeros(n_zero))))
+    pooled = pool((target, junk.with_weights(np.zeros(n_zero))))
 
     alone = fit_weighted_regression(target, include_interaction=interaction, meat=meat)
     wide = fit_weighted_regression(pooled, include_interaction=interaction, meat=meat)
@@ -175,7 +175,7 @@ def test_mean_weight_is_one_for_any_feature_map(seed, atoms, shift, scale):
     source = dataset_from_arms(("s",), [0, 0], [1, 0], [n_s // 2, n_s - n_s // 2],
                                rng.normal(shift, scale, (n_s, 2)), np.zeros(n_s),
                                is_target=False)
-    d = make_dataset((target, source))
+    d = pool((target, source))
     fit = fit_membership(d, parse_feature_spec(",".join(atoms), d.p))
     assume(fit.converged and fit.ridge_lambda == 0.0)
     assert compute_weights(fit).w.mean() == pytest.approx(1.0, abs=1e-6)

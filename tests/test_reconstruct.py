@@ -8,8 +8,10 @@ from numpy.random import SeedSequence, default_rng
 
 from summary_tables import arm_row, table
 
+from metaborrow.data import Dataset
 from metaborrow.errors import ConfigError, DataError
-from metaborrow.meta import MetaFit
+from metaborrow.meta import MetaFit, design_columns
+from metaborrow.pipeline import borrow
 from metaborrow.reconstruct import (ClampWarning, ReconstructionConfig, clamped_arms,
                                     reconstruct_all)
 
@@ -209,3 +211,75 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="borrow") as exc_info:
         ReconstructionConfig(rng_seed=1, borrow="sometimes")
     assert exc_info.value.exit_code == 2
+
+
+# ------------------------------------------------------------- pooled draws
+
+COLUMNS = ("trial", "z", "y", "X", "w", "is_target")
+
+
+def rows_of(d, part):
+    """The rows ``part`` (a slice) of ``d``, as a Dataset over the same trial ids."""
+    return Dataset(d.trial_ids, *(getattr(d, name)[part] for name in COLUMNS))
+
+
+def p_arm(p, tid, armv, n, y_mean=1.0):
+    """One arm over p covariates; a covariate after the first is binary."""
+    return arm_row(tid, armv, n, y_mean, 5.0, (1.0, 0.4)[:p], (2.0, 0.24)[:p], (False, True)[:p])
+
+
+def pooled_case(p, head_ids=("t", "b")):
+    """A p-covariate table of trials a, b, c, its meta fit, and a 5-row head over ``head_ids``.
+
+    Trial a has both arms, b a control arm, c a treated arm.  The head
+    has unequal weights and a row that is not the target's, so a copy
+    that resets either shows.
+    """
+    s = table(p_arm(p, "a", 1, 30, 2.0), p_arm(p, "a", 0, 20), p_arm(p, "b", 0, 25, 0.5),
+              p_arm(p, "c", 1, 15, 2.5))
+    fit = meta_fit([0.5, 1.5, -0.8, 0.3][:2 + p], design_columns(p))
+    rng = default_rng(3)
+    head = Dataset(head_ids, [0, 0, 1, 0, 1], [1, 0, 1, 0, 0], rng.normal(size=5),
+                   rng.normal(size=(5, p)), rng.uniform(0.5, 2.0, 5),
+                   [True, True, False, True, True])
+    return s, fit, head
+
+
+@pytest.mark.parametrize("p", (0, 1, 2))
+@pytest.mark.parametrize("mode", ("both_arms", "control_only"))
+def test_head_rows_come_first_and_borrowed_rows_are_drawn_as_alone(p, mode):
+    s, fit, head = pooled_case(p)
+    cfg = ReconstructionConfig(rng_seed=11, borrow=mode)
+    pooled = reconstruct_all(s, fit, cfg, head=head)
+    alone = reconstruct_all(s, fit, cfg)
+    m = len(head)
+    assert len(pooled) == m + len(alone) and pooled.p == p
+    assert_same_rows(rows_of(pooled, slice(None, m)), head)
+    assert_same_rows(rows_of(pooled, slice(m, None)), alone)
+    # the head's "b" and the table's "b" name one trial
+    assert pooled.trial_ids == ("t", "b", "a", "c")
+    assert [pooled.trial_ids[i] for i in pooled.trial[:m]] == ["t", "t", "b", "t", "b"]
+
+
+@pytest.mark.parametrize("p", (0, 1, 2))
+@pytest.mark.parametrize("mode", ("both_arms", "control_only"))
+def test_head_of_another_dimension_is_refused(p, mode):
+    s, fit, _ = pooled_case(p)
+    head = pooled_case(p + 1)[2]
+    cfg = ReconstructionConfig(rng_seed=11, borrow=mode)
+    message = f"target covariate dimension {p + 1} differs from summaries {p}"
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        reconstruct_all(s, fit, cfg, head=head)
+    with pytest.raises(ConfigError, match=f"^stage reconstruct: {message}$"):
+        borrow(s, fit, head, cfg)
+
+
+@pytest.mark.parametrize("p", (0, 1, 2))
+@pytest.mark.parametrize("mode", ("both_arms", "control_only"))
+def test_table_with_no_borrowed_arm_returns_the_head_rows(p, mode):
+    _, fit, head = pooled_case(p)
+    # an empty arm is never borrowed, and a treated one not under control_only
+    nothing = table(p_arm(p, "b", 0, 0), p_arm(p, "c", 1, 15 if mode == "control_only" else 0))
+    pooled = reconstruct_all(nothing, fit, ReconstructionConfig(rng_seed=11, borrow=mode),
+                             head=head)
+    assert_same_rows(pooled, head)
