@@ -21,8 +21,8 @@ from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        EstimatorSummary, ReplicationResult, ScenarioConfig,
                        aggregate, generate_meta_trials, generate_target_trial,
                        run_cell, run_replication, write_cell_csv)
-from .weights import (FeatureMap, LogisticFit, compute_weights, default_feature_map,
-                      fit_membership, parse_feature_spec)
+from .weights import (FeatureMap, LogisticFit, default_feature_map, fit_membership,
+                      parse_feature_spec)
 
 __version__ = "0.1.0"
 
@@ -39,7 +39,6 @@ __all__ = [
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",
     "generate_meta_trials", "generate_target_trial", "run_cell",
     "run_replication", "write_cell_csv",
-    "FeatureMap", "LogisticFit", "compute_weights", "default_feature_map",
-    "fit_membership", "parse_feature_spec",
+    "FeatureMap", "LogisticFit", "default_feature_map", "fit_membership", "parse_feature_spec",
     "__version__",
 ]

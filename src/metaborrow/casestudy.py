@@ -198,14 +198,16 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
     reconstruction from per-arm substreams keyed by ``seed``.  Borrowing
     scenarios run :func:`metaborrow.pipeline.borrow` with the quadratic
     weight feature map and, by default, the conservative ``w4``
-    sandwich.  A negative ``seed`` is a ConfigError.
+    sandwich.  A ``seed`` other than a nonnegative int is a ConfigError.
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
     n1, n0, borrow_mode = SCENARIOS[scenario]
-    target = simulate_target(n1, n0, default_rng(SeedSequence((int(seed), 99))))
+    target = simulate_target(n1, n0, default_rng(SeedSequence((seed, 99))))
 
     if borrow_mode is None:
         if n0 == 0:
@@ -216,7 +218,7 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
 
     meta, _ = fit_meta()
     done = borrow(_derive(COMPLETED_TRIALS, subject_scale=False), meta, target,
-                  ReconstructionConfig(rng_seed=int(seed), borrow=borrow_mode), meat=meat)
+                  ReconstructionConfig(rng_seed=seed, borrow=borrow_mode), meat=meat)
     clamped = tuple(f"{c.trial_id}/arm{c.arm}" for c in done.clamps)
     return CaseStudyResult(scenario, n1, n0, estimable=True, df=done.fit.df,
                            tau2=meta.tau2, clamped_arms=clamped, **done.fit.z_contrast())

@@ -28,7 +28,7 @@ from .meta import build_design, fit_dl
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, _write_mode,
                        run_cell, write_cell_csv)
-from .weights import compute_weights, fit_membership, parse_feature_spec
+from .weights import fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
 
@@ -118,7 +118,7 @@ def weights(subjects, target_id, features, out_path):
     """Estimate importance weights from the target-membership model."""
     d = read_subjects(subjects, target_id=target_id)
     fit = fit_membership(d, parse_feature_spec(features, d.p) if features else None)
-    weighted = compute_weights(fit)
+    weighted = fit.weighted
     w = weighted.w
     click.echo(f"membership fit: converged={fit.converged} iterations={fit.iterations} "
                f"ridge={fit.ridge_lambda:g}")

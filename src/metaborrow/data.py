@@ -212,7 +212,7 @@ class Dataset:
     X : ndarray of float, shape (N, p)
         Covariates, one row per subject.
     w : ndarray of float, shape (N,)
-        Weights: 1 until :func:`metaborrow.weights.compute_weights` sets them.
+        Weights: 1 until :func:`metaborrow.weights.fit_membership` sets them.
     is_target : ndarray of bool, shape (N,)
         True for rows observed in the target trial, False for
         reconstructed rows (source tags ``target`` / ``reconstructed``).

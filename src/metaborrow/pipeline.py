@@ -37,7 +37,7 @@ from .errors import ConfigError, MetaborrowError
 from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
 from .meta import MetaFit, build_design, fit_dl, meta_se
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
-from .weights import LogisticFit, compute_weights, fit_membership, parse_feature_spec
+from .weights import LogisticFit, fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
 
@@ -219,12 +219,12 @@ class Borrowed:
     """What :func:`borrow` made, a stage not yet run leaving its fields None; ``clamps``
     holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor.
     ``reconstructed`` is a view of the pooled rows' tail, not a second copy (its ``w`` the
-    unit weights, its ``trial`` indexing the pooled ``trial_ids``)."""
+    unit weights, its ``trial`` indexing the pooled ``trial_ids``); ``membership.weighted``
+    holds the pooled rows with their importance weights."""
 
     reconstructed: Dataset
     clamps: tuple
     membership: LogisticFit = None
-    weighted: Dataset = None
     fit: WeightedFit = None
 
 
@@ -248,11 +248,10 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
         done = Borrowed(Dataset(pooled.trial_ids, *tail), clamped_arms(summaries, meta, rcfg))
         report("reconstruct", done)
     with _stage("weights"):
-        mfit = fit_membership(pooled, features)
-        done = replace(done, membership=mfit, weighted=compute_weights(mfit))
+        done = replace(done, membership=fit_membership(pooled, features))
         report("weights", done)
     with _stage("estimate"):
-        done = replace(done, fit=fit_weighted_regression(done.weighted, **outcome))
+        done = replace(done, fit=fit_weighted_regression(done.membership.weighted, **outcome))
         report("estimate", done)
     return done
 
@@ -302,7 +301,8 @@ def run_pipeline(cfg):
             recon_text = write_subjects(done.reconstructed, outdir / "reconstructed.csv",
                                         include_weight=False, stamp=stamp)
         elif stage == "weights":
-            write_subjects(done.weighted, outdir / "weighted.csv", stamp=stamp, known=recon_text)
+            write_subjects(done.membership.weighted, outdir / "weighted.csv", stamp=stamp,
+                           known=recon_text)
         else:
             m = done.membership
             payload = {**weighted_fit_to_dict(done.fit, cfg.level), "tau2": float(meta.tau2),
@@ -314,7 +314,7 @@ def run_pipeline(cfg):
     done = borrow(summaries, meta, target, rcfg, features=features,
                   on_stage=write_artifact, include_covariates=cfg.outcome_covariates,
                   include_interaction=cfg.outcome_interaction, meat=cfg.meat)
-    summary = _render_summary(cfg, stamp, summaries, meta, done.weighted, payload)
+    summary = _render_summary(cfg, stamp, summaries, meta, done.membership.weighted, payload)
     (outdir / "summary.txt").write_text(summary, encoding="utf-8")
     log.info("pipeline complete: %s", outdir)
     return {"stamp": stamp, "meta": meta_payload, "estimate": payload,

@@ -76,6 +76,10 @@ class ScenarioConfig:
     meat: str = "w3"
 
     def __post_init__(self):
+        for name in ("K", "n", "replications", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.K < 1:
             raise ConfigError(f"K must be >= 1, got {self.K}")
         if self.n < 4:
@@ -273,7 +277,7 @@ def run_replication(cfg, r):
         rcfg = ReconstructionConfig(rng_seed=recon_seed, borrow=cfg.borrow)
         done = borrow(trials, meta, target, rcfg, meat=cfg.meat, **model)
         pooled = _record(done.fit)
-        uni = estimate_univariate(done.weighted)
+        uni = estimate_univariate(done.membership.weighted)
     except (MetaborrowError, np.linalg.LinAlgError) as exc:
         return ReplicationResult(rep=r, ok=False, error=f"{type(exc).__name__}: {exc}")
     target_rec = None
@@ -395,6 +399,13 @@ def _write_mode(path, append):
     return "a"
 
 
+def _ends_line(path):
+    """Whether the nonempty file ``path`` ends in a newline."""
+    with open(path, "rb") as fh:
+        fh.seek(-1, 2)
+        return fh.read(1) == b"\n"
+
+
 def write_cell_csv(cell, path, append=False):
     """Write a cell as long-format rows: scenario,estimator,metric,delta0,value.
 
@@ -409,6 +420,8 @@ def write_cell_csv(cell, path, append=False):
         wr = csv.writer(fh)
         if mode == "w":
             wr.writerow(CSV_HEADER)
+        elif not _ends_line(path):
+            fh.write(wr.dialect.lineterminator)
         label = cell.config.label
         wr.writerow([label, "", "failures", "", cell.failures])
         wr.writerow([label, "", "replications", "", cell.config.replications])

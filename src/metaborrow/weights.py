@@ -15,14 +15,13 @@ equation forces sum(pi) = n_T, so the weights average to exactly one.
 A feature map is an implicit intercept plus terms, each a tuple of
 factors: a covariate index or the arm indicator :data:`ARM`, whose
 column is the product of the factors' columns.  The weights are a
-product of the fit itself: :func:`fit_membership` keeps the rows it was
-fitted on and their weights from its final probabilities, and
-:func:`compute_weights` attaches them; the map is never evaluated on
-other rows.
+product of the fit itself: :func:`fit_membership` returns the rows it was
+fitted on with their weights from its final probabilities attached; the
+map is never evaluated on other rows.
 
-Fitting is Newton/IRLS from a zero start.  If the Hessian goes singular
-or the fit fails to converge with a separation signature (huge linear
-predictors), the fit is retried with an escalating ridge penalty.
+Fitting is Newton/IRLS from a zero start.  If that fit fails, through a
+singular Hessian or no convergence within the step limit, it is retried
+with an escalating ridge penalty.
 """
 
 from __future__ import annotations
@@ -115,9 +114,8 @@ class LogisticFit:
 
     ``ridge_lambda`` is zero for a plain maximum-likelihood fit and
     records the penalty actually used when the ridge path was engaged.
-    ``fitted_on`` is the Dataset the model was fitted on and ``weights``
-    (read-only) its importance weights from the fit's final
-    probabilities, which :func:`compute_weights` attaches to that dataset.
+    ``weighted`` is the Dataset the model was fitted on, with its read-only
+    importance weights from the fit's final probabilities attached.
     """
 
     alpha: np.ndarray
@@ -125,8 +123,7 @@ class LogisticFit:
     iterations: int
     deviance: float
     ridge_lambda: float
-    fitted_on: object = field(default=None, repr=False, compare=False)
-    weights: np.ndarray = field(default=None, repr=False, compare=False)
+    weighted: object = field(default=None, repr=False, compare=False)
 
 
 def _irls(F, t, lam):
@@ -154,22 +151,23 @@ def _irls(F, t, lam):
 def fit_membership(d, fmap=None):
     """Fit the target-membership logistic model over all N subjects.
 
-    ``fmap`` defaults to :func:`default_feature_map`.  The returned fit
-    keeps ``d`` and its importance weights w = (N / n_T) * pi(x), with
-    pi the probabilities of the fit's last IRLS step.
+    ``fmap`` defaults to :func:`default_feature_map`.  The returned fit's
+    ``weighted`` is ``d`` with its importance weights w = (N / n_T) * pi(x)
+    attached, pi the probabilities of the fit's last IRLS step.
 
     Convergence is declared when the largest absolute score-equation
     entry falls below ``IRLS_TOL`` within ``IRLS_MAX_ITER`` steps.  A
-    singular Hessian, or non-convergence with any |linear predictor| > 30
-    (separation signature), triggers a ridge retry with lambda = 1e-6
-    escalating tenfold up to 1e-2.
+    failed plain fit (a singular Hessian, or no convergence) is retried with
+    ridge lambda = 1e-6, escalating tenfold up to 1e-2; if all fail, the
+    error names separation when the plain fit ended with any |eta| > 30.
 
     Raises
     ------
     DataError
         If the dataset is all-target or all-source.
     NumericalError
-        If no fit converges even after ridge escalation.
+        If no fit converges even after ridge escalation, or if a weight is
+        non-finite (target and pooled covariates too far apart).
     """
     if fmap is None:
         fmap = default_feature_map(d.p)
@@ -195,10 +193,14 @@ def fit_membership(d, fmap=None):
     ll = np.where(d.is_target, pi, 1 - pi) + np.finfo(float).tiny
     deviance = float(-2.0 * np.sum(np.log(ll, out=ll)))
     weights = np.multiply(pi, len(d) / d.n_target(), out=pi)
+    if not np.all(np.isfinite(weights)):
+        raise NumericalError(
+            "non-finite importance weight: target and pooled covariate "
+            "distributions are too far apart; analyze the target rows alone"
+        )
     weights.flags.writeable = False
-    return LogisticFit(alpha=alpha, converged=ok, iterations=iters,
-                       deviance=deviance, ridge_lambda=float(lam), fitted_on=d,
-                       weights=weights)
+    return LogisticFit(alpha=alpha, converged=ok, iterations=iters, deviance=deviance,
+                       ridge_lambda=float(lam), weighted=d.with_weights(weights))
 
 
 def _sigmoid(eta):
@@ -208,21 +210,3 @@ def _sigmoid(eta):
     np.exp(pi, out=pi)
     pi += 1.0
     return np.divide(1.0, pi, out=pi)
-
-
-def compute_weights(fit):
-    """The rows ``fit`` was fitted on, with its importance weights attached.
-
-    Raises
-    ------
-    NumericalError
-        If any weight is non-finite.  Extremely disjoint covariate
-        distributions make the ratio unstable; in that regime the
-        analysis should fall back to the target rows alone.
-    """
-    if not np.all(np.isfinite(fit.weights)):
-        raise NumericalError(
-            "non-finite importance weight: target and pooled covariate "
-            "distributions are too far apart; analyze the target rows alone"
-        )
-    return fit.fitted_on.with_weights(fit.weights)

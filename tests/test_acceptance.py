@@ -21,7 +21,7 @@ from metaborrow.reconstruct import ReconstructionConfig, clamped_arms, reconstru
 from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, EST_POOLED,
                                  EST_POOLED_UNI, EST_TARGET, MODEL_SPECS, ScenarioConfig,
                                  read_cell_csv, run_cell, write_cell_csv)
-from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
+from metaborrow.weights import fit_membership, parse_feature_spec
 
 BORROW_MODES = ("both_arms", "control_only")
 
@@ -153,7 +153,7 @@ def test_criterion_04_mean_weight_identity(report):
                   trial_rows("t", np.arange(150) % 2, ty, tx, is_target=True)))
         fit = fit_membership(d)
         assert fit.converged and fit.ridge_lambda == 0.0
-        w = compute_weights(fit).w
+        w = fit.weighted.w
         worst = max(worst, abs(float(w.mean()) - 1.0))
     ok = worst <= 1e-6
     line = report(4, ok, f"three converged unpenalized fits: "

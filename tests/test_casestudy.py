@@ -149,6 +149,10 @@ def test_scenarios_are_deterministic_in_seed():
     assert a == b
     c = run_case_study("target_borrow", seed=41)
     assert c.estimate != a.estimate
+    # a seed that is not an integer is refused, not truncated or read as 1
+    for bad in (40.7, 41.0, True):
+        with pytest.raises(ConfigError, match=f"seed must be an integer, got {bad!r}"):
+            run_case_study("target", seed=bad)
 
 
 def test_run_all_scenarios_order_and_rows():

@@ -296,7 +296,7 @@ def test_nan_standard_error_exits_4(tmp_path, capsys, monkeypatch):
     spath, tpath, wpath = (str(tmp_path / f) for f in ("s.csv", "t.csv", "w.csv"))
     write_summaries(summaries, spath)
     write_subjects(target, tpath, include_weight=False)
-    write_subjects(done.weighted, wpath)
+    write_subjects(done.membership.weighted, wpath)
 
     code, err = run_fail(capsys, ["estimate", "--subjects", wpath, "--interaction",
                                   "--meat", "w3", "--out", str(tmp_path / "est.json")])

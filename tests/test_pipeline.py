@@ -280,7 +280,7 @@ def test_borrowed_rows_are_held_once(mode, p):
     got = done.reconstructed
     for name in ("trial", "z", "y", "X", "is_target"):
         a = getattr(got, name)
-        assert a.size == 0 or np.shares_memory(a, getattr(done.weighted, name)), name
+        assert a.size == 0 or np.shares_memory(a, getattr(done.membership.weighted, name)), name
         assert not a.flags.writeable
     for name in ("z", "y", "X", "w", "is_target"):
         a, b = getattr(got, name), getattr(alone, name)

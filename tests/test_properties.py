@@ -25,7 +25,7 @@ from metaborrow.meta import MetaFit, build_design, fit_dl
 from metaborrow.reconstruct import (BORROW_MODES, ReconstructionConfig, clamped_arms,
                                     reconstruct_all)
 from metaborrow.simulate import generate_meta_trials, generate_target_trial
-from metaborrow.weights import compute_weights, fit_membership, parse_feature_spec
+from metaborrow.weights import fit_membership, parse_feature_spec
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -178,4 +178,4 @@ def test_mean_weight_is_one_for_any_feature_map(seed, atoms, shift, scale):
     d = pool((target, source))
     fit = fit_membership(d, parse_feature_spec(",".join(atoms), d.p))
     assume(fit.converged and fit.ridge_lambda == 0.0)
-    assert compute_weights(fit).w.mean() == pytest.approx(1.0, abs=1e-6)
+    assert fit.weighted.w.mean() == pytest.approx(1.0, abs=1e-6)

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from metaborrow import pipeline, simulate
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.estimate import fit_weighted_regression
-from metaborrow.simulate import (COVARIATE_DISTS, EST_POOLED, EST_POOLED_UNI, EST_TARGET,
-                                 CellResult, EstimateRecord, ReplicationResult,
+from metaborrow.simulate import (COVARIATE_DISTS, CSV_HEADER, EST_POOLED, EST_POOLED_UNI,
+                                 EST_TARGET, CellResult, EstimateRecord, ReplicationResult,
                                  ScenarioConfig, aggregate, covariate_location,
                                  generate_meta_trials, generate_target_trial,
                                  read_cell_csv, run_cell,
@@ -26,6 +26,12 @@ def test_config_validation():
                 dict(covariate_dist="cauchy"), dict(allocation="two_to_one"),
                 dict(model_spec="wrong"), dict(borrow="never"), dict(meat="w9")):
         with pytest.raises(ConfigError):
+            ScenarioConfig(**bad)
+    # a bool or a float would write a label from_label refuses, or fail as a TypeError
+    for bad in (dict(K=True), dict(K=2.5), dict(n=20.0), dict(replications=2.0),
+                dict(replications=False), dict(base_seed=1.5), dict(base_seed=True)):
+        (name, value), = bad.items()
+        with pytest.raises(ConfigError, match=f"{name} must be an integer, got {value!r}"):
             ScenarioConfig(**bad)
 
 
@@ -302,6 +308,24 @@ def test_csv_roundtrip(tmp_path):
     assert rows[(EST_POOLED, "power", 4.0)] == reg.power_curve[-1]
     # the label is enough to regenerate the cell
     assert run_cell(ScenarioConfig.from_label(TINY.label)) == cell
+
+
+@pytest.mark.parametrize("first", ["header", "cell"])
+def test_csv_append_ends_an_unfinished_last_line(tmp_path, first):
+    # a results file whose last line lacks its line end: the appended rows start a new line
+    other = ScenarioConfig(K=5, n=20, replications=2, base_seed=9)
+    path, whole = tmp_path / "cut.csv", tmp_path / "whole.csv"
+    cells = [run_cell(TINY), run_cell(other)] if first == "cell" else [run_cell(other)]
+    for i, cell in enumerate(cells):
+        write_cell_csv(cell, whole, append=i > 0)
+    if first == "cell":
+        write_cell_csv(cells[0], path)
+        path.write_bytes(path.read_bytes().removesuffix(b"\r\n"))
+    else:
+        path.write_text(",".join(CSV_HEADER))
+    write_cell_csv(cells[-1], path, append=True)
+    assert path.read_bytes() == whole.read_bytes()
+    assert set(read_cell_csv(path)) == {c.config.label for c in cells}
 
 
 def test_csv_append_collects_cells(tmp_path):

@@ -1,7 +1,6 @@
 """Membership model and importance weights: calibration identity, feature maps."""
 
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ from hypothesis import strategies as st
 from metaborrow import weights
 from metaborrow.data import Dataset
 from metaborrow.errors import ConfigError, DataError, NumericalError
-from metaborrow.weights import (ARM, FeatureMap, compute_weights, default_feature_map,
-                                fit_membership, parse_feature_spec)
+from metaborrow.weights import (ARM, FeatureMap, default_feature_map, fit_membership,
+                                parse_feature_spec)
 
 
 def pool(x_target, x_source, z_source=None):
@@ -39,14 +38,14 @@ def test_mean_weight_is_one_for_unpenalized_fit():
         d = pooled(seed=seed, p=p, shift=shift)
         fit = fit_membership(d)
         assert fit.converged and fit.ridge_lambda == 0.0
-        w = compute_weights(fit).w
+        w = fit.weighted.w
         assert w.mean() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_no_shift_gives_flat_weights():
     d = pooled(n_target=400, n_source=400, shift=0.0, seed=4)
     fit = fit_membership(d)
-    w = compute_weights(fit).w
+    w = fit.weighted.w
     assert w.mean() == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.abs(w - 1.0) < 0.35)  # only sampling noise separates groups
 
@@ -57,7 +56,7 @@ def test_shift_direction_downweights_source_region():
     fit = fit_membership(d, parse_feature_spec("x1", 1))
     assert fit.alpha[1] < 0
     x = d.X[:, 0]
-    w = compute_weights(fit).w
+    w = fit.weighted.w
     order = np.argsort(x)
     assert np.all(np.diff(w[order]) <= 1e-12)  # monotone in x under linear map
 
@@ -67,7 +66,7 @@ def test_weights_scale_by_pool_ratio():
     # (N / n_T) = 4 at the far left tail
     d = pooled(n_target=250, n_source=750, shift=3.0, seed=6)
     fit = fit_membership(d)
-    w = compute_weights(fit).w
+    w = fit.weighted.w
     x = d.X[:, 0]
     assert w[np.argmin(x)] == pytest.approx(4.0, abs=0.2)
     assert w[np.argmax(x)] < 0.1
@@ -77,30 +76,36 @@ def test_probabilities_match_weights():
     d = pooled(seed=7)
     fit = fit_membership(d)
     pi = 1.0 / (1.0 + np.exp(-(default_feature_map(d.p).matrix(d) @ fit.alpha)))
-    w = compute_weights(fit).w
+    w = fit.weighted.w
     assert w == pytest.approx(len(d) / d.n_target() * pi)
 
 
 def test_weights_of_the_fitted_rows_reuse_the_fit(monkeypatch):
     d = pooled(seed=7)
-    fit = fit_membership(d)
     evaluated = []
     matrix = FeatureMap.matrix
     monkeypatch.setattr(FeatureMap, "matrix",
                         lambda fmap, data: evaluated.append(data) or matrix(fmap, data))
-    weighted = compute_weights(fit)
-    # the fitted rows, with the fit's read-only weights: the map is not evaluated again
-    assert evaluated == []
-    assert weighted.w is fit.weights and not weighted.w.flags.writeable
+    fit = fit_membership(d)
+    weighted = fit.weighted
+    # the fitted rows, with the fit's read-only weights: the map is evaluated once, for
+    # the fit, and not again for the weights
+    assert evaluated == [d] and fit.weighted is weighted
+    assert not weighted.w.flags.writeable
     assert weighted.X is d.X and weighted.y is d.y and weighted.is_target is d.is_target
 
 
-def test_non_finite_weights_are_a_numerical_error():
-    fit = fit_membership(pooled(seed=8))
-    broken = replace(fit, weights=np.where(np.arange(len(fit.weights)) == 3, np.inf,
-                                           fit.weights))
+def test_non_finite_weights_are_a_numerical_error(monkeypatch):
+    irls = weights._irls
+
+    def nan_at_row_3(F, t, lam):
+        alpha, ok, steps, pi = irls(F, t, lam)
+        pi[3] = np.nan
+        return alpha, ok, steps, pi
+
+    monkeypatch.setattr(weights, "_irls", nan_at_row_3)
     with pytest.raises(NumericalError, match="non-finite importance weight"):
-        compute_weights(broken)
+        fit_membership(pooled(seed=8))
 
 
 def test_separated_groups_saturate_but_stay_calibrated():
@@ -108,11 +113,26 @@ def test_separated_groups_saturate_but_stay_calibrated():
     d = pool(rng.uniform(1.0, 2.0, (20, 1)), rng.uniform(-2.0, -1.0, (20, 1)))
     fit = fit_membership(d)
     assert fit.converged
-    w = compute_weights(fit).w
+    w = fit.weighted.w
     assert w.mean() == pytest.approx(1.0, abs=1e-6)
     # fully separated: target rows absorb the whole pool, source rows vanish
     assert w[:20] == pytest.approx(2.0, abs=1e-6)
     assert w[20:] == pytest.approx(0.0, abs=1e-6)
+
+
+def test_failed_plain_fit_is_retried_with_ridge_without_separation(monkeypatch):
+    # the plain fit fails with every linear predictor 0, far from separation, and the
+    # first ridge fit converges
+    irls, lams = weights._irls, []
+
+    def plain_fails(F, t, lam):
+        lams.append(lam)
+        return (np.zeros(F.shape[1]), False, 1, None) if lam == 0 else irls(F, t, lam)
+
+    monkeypatch.setattr(weights, "_irls", plain_fails)
+    fit = fit_membership(pooled(seed=10))
+    assert lams == [0.0, 1e-6]
+    assert fit.converged and fit.ridge_lambda == 1e-6
 
 
 def test_nonconvergence_raises_after_ridge_escalation(monkeypatch):
@@ -221,6 +241,6 @@ def test_arm_feature_separates_allocation_shift():
              z_source=np.repeat([0, 1], [300, 100]))
     fmap = parse_feature_spec("x1,z", p=1)
     fit = fit_membership(d, fmap)
-    w = compute_weights(fit).w
+    w = fit.weighted.w
     z = d.z
     assert w[z == 1].sum() == pytest.approx(w[z == 0].sum(), rel=0.02)
