@@ -13,7 +13,7 @@ from .data import (Dataset, Summaries, dataset_from_arms, read_subjects, read_su
 from .errors import ConfigError, DataError, MetaborrowError, NumericalError
 from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit, build_outcome_design,
                        estimate_univariate, fit_ols, fit_weighted_regression)
-from .meta import MetaDesign, MetaFit, build_design, fit_dl, meta_se
+from .meta import MetaFit, fit_dl, meta_se
 from .pipeline import Borrowed, PipelineConfig, borrow, run_pipeline
 from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
                           clamped_arms, reconstruct_all)
@@ -32,7 +32,7 @@ __all__ = [
     "ConfigError", "DataError", "MetaborrowError", "NumericalError",
     "MEAT_KINDS", "UnivariateEstimate", "WeightedFit", "build_outcome_design",
     "estimate_univariate", "fit_ols", "fit_weighted_regression",
-    "MetaDesign", "MetaFit", "build_design", "fit_dl", "meta_se",
+    "MetaFit", "fit_dl", "meta_se",
     "Borrowed", "PipelineConfig", "borrow", "run_pipeline",
     "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "clamped_arms", "reconstruct_all",
     "ALLOCATIONS", "COVARIATE_DISTS", "MODEL_SPECS", "CellResult",

@@ -40,7 +40,7 @@ from numpy.random import SeedSequence, default_rng
 from .data import Summaries, dataset_from_arms
 from .errors import ConfigError, DataError
 from .estimate import fit_ols
-from .meta import build_design, fit_dl
+from .meta import fit_dl
 from .pipeline import borrow
 from .reconstruct import ReconstructionConfig
 
@@ -116,16 +116,6 @@ def derive_reconstruction_summaries(row):
 def completed_summaries():
     """The four completed trials' arm summaries at the subject-level scale, as one table."""
     return _derive(COMPLETED_TRIALS, subject_scale=True)
-
-
-def fit_meta():
-    """Deterministic meta-regression over the four completed trials.
-
-    Returns (MetaFit, MetaDesign); the design has 8 arm rows and columns
-    (intercept, arm, x1_mean).
-    """
-    design = build_design(completed_summaries(), include_interaction=False)
-    return fit_dl(design), design
 
 
 def simulate_target(n1, n0, rng):
@@ -216,7 +206,7 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
         return CaseStudyResult(scenario, n1, n0, estimable=True, df=fit.df,
                                **fit.z_contrast())
 
-    meta, _ = fit_meta()
+    meta = fit_dl(completed_summaries())
     done = borrow(_derive(COMPLETED_TRIALS, subject_scale=False), meta, target,
                   ReconstructionConfig(rng_seed=seed, borrow=borrow_mode), meat=meat)
     clamped = tuple(f"{c.trial_id}/arm{c.arm}" for c in done.clamps)

@@ -24,7 +24,7 @@ from . import casestudy, pipeline as pl
 from .data import read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
 from .estimate import MEAT_KINDS, check_level, estimate_univariate, fit_weighted_regression
-from .meta import build_design, fit_dl
+from .meta import fit_dl
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, _write_mode,
                        run_cell, write_cell_csv)
@@ -61,14 +61,14 @@ def _need_seed(seed):
 def meta(summaries, interaction, level, out_path):
     """Fit the random-effects meta-regression on arm-level rows."""
     check_level(level)
-    design = build_design(read_summaries(summaries), include_interaction=interaction)
-    fit = fit_dl(design)
+    s = read_summaries(summaries)
+    fit = fit_dl(s, include_interaction=interaction)
     payload = pl.meta_to_dict(fit, level)
-    click.echo(f"rows: {len(design.y)}   tau2: {fit.tau2:.4f}   Q: {fit.q_stat:.4f} "
+    click.echo(f"rows: {len(s)}   tau2: {fit.tau2:.4f}   Q: {fit.q_stat:.4f} "
                f"on {fit.df} df")
-    for name, b, s, lo, hi in zip(payload["columns"], payload["beta"], payload["se"],
-                                  payload["ci_low"], payload["ci_high"]):
-        click.echo(f"  {name:<16s} {b:+10.4f}  se {s:8.4f}  "
+    for name, b, se, lo, hi in zip(payload["columns"], payload["beta"], payload["se"],
+                                   payload["ci_low"], payload["ci_high"]):
+        click.echo(f"  {name:<16s} {b:+10.4f}  se {se:8.4f}  "
                    f"[{lo:+.4f}, {hi:+.4f}]")
     if out_path:
         pl.write_json(payload, out_path)
@@ -95,7 +95,7 @@ def reconstruct(summaries, meta_path, interaction, borrow, seed, out_path):
     if meta_path:
         fit = pl.read_meta(meta_path)
     else:
-        fit = fit_dl(build_design(s, include_interaction=interaction))
+        fit = fit_dl(s, include_interaction=interaction)
     rcfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
     recon = reconstruct_all(s, fit, rcfg)
     for clamp in clamped_arms(s, fit, rcfg):
@@ -231,12 +231,13 @@ def case_study(scenario, seed, meat, out_path):
     """Run the bundled renal-trial example (meta stage and six scenarios)."""
     payload = {}
     if scenario in ("all", "meta"):
-        fit, design = casestudy.fit_meta()
+        s = casestudy.completed_summaries()
+        fit = fit_dl(s)
         payload["meta"] = pl.meta_to_dict(fit)
-        click.echo(f"meta stage: {len(design.y)} arm rows, tau2 {fit.tau2:.4f}")
-        for name, b, s in zip(payload["meta"]["columns"], payload["meta"]["beta"],
-                              payload["meta"]["se"]):
-            click.echo(f"  {name:<16s} {b:+10.4f}  se {s:8.4f}")
+        click.echo(f"meta stage: {len(s)} arm rows, tau2 {fit.tau2:.4f}")
+        for name, b, se in zip(payload["meta"]["columns"], payload["meta"]["beta"],
+                               payload["meta"]["se"]):
+            click.echo(f"  {name:<16s} {b:+10.4f}  se {se:8.4f}")
     if scenario != "meta":
         names = list(casestudy.SCENARIOS) if scenario == "all" else [scenario]
         rows = []

@@ -5,8 +5,9 @@ The regression is defined at the arm level: each row of a
 response equal to the arm's outcome mean, variance equal to the
 variance of that mean (``y_var / n``), and design vector
 ``(1, arm, covariate means...)``, optionally extended with arm-by-mean
-interaction columns; the design is stacked from the table's columns.
-So for p covariates there are exactly two layouts, and
+interaction columns.  :func:`fit_dl` takes the table itself and
+stacks the design from its columns, so the design never leaves the
+fit.  For p covariates there are exactly two layouts, and
 :func:`design_columns` names them; reconstruction checks a fit
 against them.  Between-trial heterogeneity is estimated with the
 moment (DerSimonian-Laird) estimator generalized to regression via the
@@ -23,16 +24,6 @@ import numpy as np
 from ._dist import _norm_ppf
 from .errors import DataError, NumericalError
 from .estimate import _check_rank, _wls, check_level, weighted_transpose
-
-
-@dataclass(frozen=True)
-class MetaDesign:
-    """Arm-level design: responses y, mean-variances v, design matrix X."""
-
-    y: np.ndarray
-    v: np.ndarray
-    X: np.ndarray
-    columns: tuple
 
 
 @dataclass(frozen=True)
@@ -68,7 +59,7 @@ def design_columns(p, include_interaction=False):
 
     ``(intercept, arm, x1_mean, ..., xp_mean)``, followed by
     ``(arm:x1_mean, ..., arm:xp_mean)`` when ``include_interaction``.
-    :func:`build_design` names its columns with it, and reconstruction
+    :func:`fit_dl` names its columns with it, and reconstruction
     accepts a fit only when its columns are one of these two layouts.
     """
     means = tuple(f"x{j}_mean" for j in range(1, p + 1))
@@ -76,11 +67,17 @@ def design_columns(p, include_interaction=False):
         tuple(f"arm:{m}" for m in means) if include_interaction else ())
 
 
-def build_design(s, include_interaction=False):
-    """Assemble the arm-level MetaDesign from a Summaries table, one row per arm.
+def fit_dl(s, include_interaction=False):
+    """Fit the meta-regression on Summaries table ``s``, one design row per arm.
 
-    Every covariate mean enters; ``include_interaction`` also adds the
-    ``arm * x_mean`` columns.  The columns are :func:`design_columns`.
+    Each row enters with response ``y_mean`` and variance ``v = y_var / n``;
+    the design is ``(1, arm, x_mean...)``, plus the ``arm * x_mean``
+    columns when ``include_interaction``, named by :func:`design_columns`.
+    Stage 1 is fixed-effect weighted least squares with weights ``1/v``.
+    Its residuals give ``Q = sum(e**2 / v)`` and the moment denominator
+    ``c = tr(W) - tr((X'WX)^-1 X'W^2X)``, hence
+    ``tau2 = max(0, (Q - (R - q)) / c)``.  Stage 2 refits with weights
+    ``1/(v + tau2)``; the returned covariance is ``(X'W*X)^-1``.
 
     Raises
     ------
@@ -88,6 +85,9 @@ def build_design(s, include_interaction=False):
         If an arm is empty or has zero outcome variance, fewer rows than
         ``q + 1`` remain, or all rows share one arm value (treatment
         coefficient unidentifiable).
+    NumericalError
+        If the weighted design is rank deficient in either stage (names
+        the dependent columns), or Q or tau2 is not finite.
     """
     empty = s.n < 1
     v = s.y_var / np.maximum(s.n, 1)  # an empty arm is rejected, whatever its v
@@ -99,34 +99,15 @@ def build_design(s, include_interaction=False):
     arm = s.arm.astype(float)
     X = np.column_stack([np.ones(len(s)), arm, s.x_mean]
                         + ([arm[:, None] * s.x_mean] if include_interaction else []))
-    q = X.shape[1]
-    if len(s) < q + 1:
-        raise DataError(f"meta design needs at least {q + 1} arm rows, got {len(s)}")
+    R, q = X.shape
+    if R < q + 1:
+        raise DataError(f"meta design needs at least {q + 1} arm rows, got {R}")
     if s.arm.all() or not s.arm.any():
         raise DataError("all arm rows share one arm value: treatment coefficient unidentifiable")
-    return MetaDesign(s.y_mean, v, X, design_columns(s.p, include_interaction))
-
-
-def fit_dl(design):
-    """Fit the meta-regression with a moment estimate of heterogeneity.
-
-    Stage 1 is fixed-effect weighted least squares with weights ``1/v``.
-    Its residuals give ``Q = sum(e**2 / v)`` and the moment denominator
-    ``c = tr(W) - tr((X'WX)^-1 X'W^2X)``, hence
-    ``tau2 = max(0, (Q - (R - q)) / c)``.  Stage 2 refits with weights
-    ``1/(v + tau2)``; the returned covariance is ``(X'W*X)^-1``.
-
-    Raises
-    ------
-    NumericalError
-        If the weighted design is rank deficient in either stage (names
-        the dependent columns), or Q or tau2 is not finite.
-    """
-    y, v, X = design.y, design.v, design.X
-    R, q = X.shape
+    y, columns = s.y_mean, design_columns(s.p, include_interaction)
     w1 = 1.0 / v
-    _check_rank(weighted_transpose(X, np.sqrt(w1)).T, design.columns)
-    beta_fe, Ainv = _wls(X, w1, y, design.columns)
+    _check_rank(weighted_transpose(X, np.sqrt(w1)).T, columns)
+    beta_fe, Ainv = _wls(X, w1, y, columns)
     resid = y - X @ beta_fe
     q_stat = float(np.sum(resid**2 * w1))
     c = float(np.sum(w1) - np.trace(Ainv @ ((X.T * w1**2) @ X)))
@@ -137,10 +118,10 @@ def fit_dl(design):
         raise NumericalError(f"heterogeneity estimate not finite: Q = {q_stat}, tau2 = {tau2}")
     tau2 = max(0.0, tau2)
     w2 = 1.0 / (v + tau2)
-    _check_rank(weighted_transpose(X, np.sqrt(w2)).T, design.columns)
-    beta, cov = _wls(X, w2, y, design.columns)
+    _check_rank(weighted_transpose(X, np.sqrt(w2)).T, columns)
+    beta, cov = _wls(X, w2, y, columns)
     return MetaFit(beta=beta, cov_beta=cov, tau2=float(tau2), q_stat=q_stat,
-                   df=R - q, columns=design.columns)
+                   df=R - q, columns=columns)
 
 
 def meta_se(fit, level=0.95):

@@ -32,10 +32,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, read_subjects, read_summaries, write_subjects
+from .data import Dataset, _number, read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
 from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
-from .meta import MetaFit, build_design, fit_dl, meta_se
+from .meta import MetaFit, fit_dl, meta_se
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
 from .weights import LogisticFit, fit_membership, parse_feature_spec
 
@@ -158,15 +158,25 @@ def meta_to_dict(fit, level=0.95):
     }
 
 
+def _numbers(value, name):
+    """``value``, a number or nested lists of numbers, each number read by ``data._number``."""
+    return [_numbers(v, name) for v in value] if isinstance(value, list) else _number(value, name)
+
+
 def meta_from_dict(d):
-    """Rebuild a MetaFit from its JSON form (for composing CLI stages)."""
+    """Rebuild a MetaFit from its JSON form (for composing CLI stages).
+
+    Every number is read as the data readers read one: a JSON ``true`` or
+    ``false``, or a fractional ``df``, is a ConfigError like any other
+    malformed field.
+    """
     try:
         fit = MetaFit(
-            beta=np.array(d["beta"], dtype=float),
-            cov_beta=np.array(d["cov_beta"], dtype=float),
-            tau2=float(d["tau2"]),
-            q_stat=float(d["q_stat"]),
-            df=int(d["df"]),
+            beta=np.array(_numbers(d["beta"], "beta"), dtype=float),
+            cov_beta=np.array(_numbers(d["cov_beta"], "cov_beta"), dtype=float),
+            tau2=_number(d["tau2"], "tau2"),
+            q_stat=_number(d["q_stat"], "q_stat"),
+            df=_number(d["df"], "df", int),
             columns=tuple(d["columns"]),
         )
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -282,7 +292,7 @@ def run_pipeline(cfg):
     # the spec is a setting, not a stage's product: a bad one names no stage
     features = parse_feature_spec(cfg.features, summaries.p) if cfg.features else None
     with _stage("meta"):
-        meta = fit_dl(build_design(summaries, include_interaction=cfg.meta_interaction))
+        meta = fit_dl(summaries, include_interaction=cfg.meta_interaction)
         meta_payload = meta_to_dict(meta, cfg.level)
         write_json({"stamp": stamp, **meta_payload}, outdir / "meta_fit.json")
     log.info("stage meta: done")

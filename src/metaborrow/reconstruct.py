@@ -75,7 +75,8 @@ class ReconstructionConfig:
     Attributes
     ----------
     rng_seed : int
-        Nonnegative; keys the per-arm substreams (ConfigError when negative).
+        Nonnegative; keys the per-arm substreams (ConfigError when it is
+        negative, a bool or not an int).
     borrow : str
         ``both_arms`` reconstructs every arm; ``control_only`` skips
         treatment arms.
@@ -85,15 +86,16 @@ class ReconstructionConfig:
     borrow: str = "both_arms"
 
     def __post_init__(self):
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
+            raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
         if self.borrow not in BORROW_MODES:
             raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
 
 
 def _seed_words(seed):
     """``seed`` as the uint32 words, least significant first, that SeedSequence hashes."""
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError(f"rng_seed must be nonnegative, got {seed}")
     words = [seed & 0xFFFFFFFF]
     while seed >> 32:
         seed >>= 32

@@ -33,7 +33,7 @@ from numpy.random import SeedSequence, default_rng
 from .data import Summaries, dataset_from_arms
 from .errors import ConfigError, DataError, MetaborrowError
 from .estimate import MEAT_KINDS, estimate_univariate, fit_weighted_regression
-from .meta import build_design, fit_dl
+from .meta import fit_dl
 from .pipeline import borrow
 from .reconstruct import BORROW_MODES, ReconstructionConfig
 
@@ -272,7 +272,7 @@ def run_replication(cfg, r):
     model = OUTCOME_MODELS[cfg.model_spec]
 
     try:
-        meta = fit_dl(build_design(trials, include_interaction=True))
+        meta = fit_dl(trials, include_interaction=True)
         recon_seed = int(SeedSequence((cfg.base_seed, r, 1)).generate_state(1)[0])
         rcfg = ReconstructionConfig(rng_seed=recon_seed, borrow=cfg.borrow)
         done = borrow(trials, meta, target, rcfg, meat=cfg.meat, **model)
@@ -365,10 +365,13 @@ def run_cell(cfg, jobs=1, progress=None):
     ``min(jobs, replications)`` workers (the pool starts all its workers
     at once, and more than one per replication would sit idle); because
     each replication is seeded independently by its index, the aggregate
-    is identical at any ``jobs``.  ``jobs < 1`` is a ConfigError.
+    is identical at any ``jobs``.  A ``jobs`` that is not an int, is a
+    bool or is below 1 is a ConfigError.
     ``progress`` (callable taking the count of completed replications)
     is invoked occasionally when given.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     reps = range(cfg.replications)
@@ -435,14 +438,22 @@ def write_cell_csv(cell, path, append=False):
 
 
 def read_cell_csv(path):
-    """Parse a long-format results file back into {label: {(est, metric, delta0): value}}."""
+    """Parse a long-format results file back into {label: {(est, metric, delta0): value}}.
+
+    A row whose ``delta0`` or ``value`` is not a number, or that is cut
+    short, is a DataError naming the file and its line.
+    """
     out = {}
     with open(path, newline="") as fh:
         rd = csv.DictReader(fh)
         if rd.fieldnames is None or tuple(rd.fieldnames) != CSV_HEADER:
             raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}")
         for row in rd:
-            key = (row["estimator"], row["metric"],
-                   float(row["delta0"]) if row["delta0"] else None)
-            out.setdefault(row["scenario"], {})[key] = float(row["value"])
+            try:
+                key = (row["estimator"], row["metric"],
+                       float(row["delta0"]) if row["delta0"] else None)
+                out.setdefault(row["scenario"], {})[key] = float(row["value"])
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: line {rd.line_num}: cannot parse results row "
+                                f"({exc})") from exc
     return out

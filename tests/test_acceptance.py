@@ -16,6 +16,7 @@ from summary_tables import pool
 from metaborrow import casestudy
 from metaborrow.data import Dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
+from metaborrow.meta import fit_dl
 from metaborrow.data import Summaries
 from metaborrow.reconstruct import ReconstructionConfig, clamped_arms, reconstruct_all
 from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, EST_POOLED,
@@ -63,7 +64,8 @@ def k30_cell():
 
 def test_criterion_01_case_study_meta_fit(report):
     t0 = time.perf_counter()
-    fit, design = casestudy.fit_meta()
+    s = casestudy.completed_summaries()
+    fit = fit_dl(s)
     elapsed = time.perf_counter() - t0
     se = np.sqrt(np.diag(fit.cov_beta))
     beta_ref = np.array([-3.62, 1.42, 0.01])
@@ -72,19 +74,18 @@ def test_criterion_01_case_study_meta_fit(report):
           and bool(np.all(np.abs(fit.beta - beta_ref) <= 0.10))
           and bool(np.all(np.abs(se / se_ref - 1.0) <= 0.10))
           and abs(fit.tau2 - 10.92) <= 1.0
-          and len(design.y) == 8)
+          and len(s) == 8)
     detail = (f"beta {np.round(fit.beta, 3).tolist()} se {np.round(se, 3).tolist()} "
               f"tau2 {fit.tau2:.3f} in {elapsed * 1e3:.1f} ms")
     line = report(1, ok, detail)
     rows = "\n".join(
-        f"  y={y:+8.3f}  v={v:8.4f}  " +
-        "  ".join(f"{c}={x:+.3f}" for c, x in zip(design.columns, row))
-        for y, v, row in zip(design.y, design.v, design.X))
-    assert ok, f"{line}\ndesign rows:\n{rows}"
+        f"  {s.trial_ids[t]:<13s} arm={a}  y={y:+8.3f}  v={v:8.4f}  x1_mean={x:+.3f}"
+        for t, a, y, v, x in zip(s.trial, s.arm, s.y_mean, s.y_var / s.n, s.x_mean[:, 0]))
+    assert ok, f"{line}\narm rows:\n{rows}"
 
 
 def test_criterion_02_reconstruction_moments(report):
-    fit, _ = casestudy.fit_meta()
+    fit = fit_dl(casestudy.completed_summaries())
     trials = [casestudy.derive_reconstruction_summaries(r)
               for r in casestudy.COMPLETED_TRIALS]
     cfg = ReconstructionConfig(rng_seed=casestudy.DEFAULT_SEED)

@@ -10,10 +10,11 @@ from metaborrow.casestudy import (COMPLETED_TRIALS, DEFAULT_SEED, SCENARIOS,
                                   TARGET_TRIAL, EgfrTrialRow,
                                   bundled_data_path, completed_summaries,
                                   derive_arm_summaries,
-                                  derive_reconstruction_summaries, fit_meta,
+                                  derive_reconstruction_summaries,
                                   run_case_study, simulate_target)
 from metaborrow.data import read_summaries, write_summaries
 from metaborrow.errors import ConfigError, DataError
+from metaborrow.meta import fit_dl
 from metaborrow.weights import IRLS_MAX_ITER
 
 TREATED, CONTROL = 0, 1  # a derived trial's arm rows, treated first
@@ -66,14 +67,16 @@ def test_long_follow_up_scaling():
 
 
 def test_meta_stage_rows_and_determinism():
-    fit, design = fit_meta()
-    assert design.columns == ("intercept", "arm", "x1_mean")
-    assert design.X.shape == (8, 3)
-    # row variance equals the derived arm-mean variance
+    s = completed_summaries()
+    fit = fit_dl(s)
+    assert fit.columns == ("intercept", "arm", "x1_mean")
+    assert len(s) == 8 and s.p == 1 and fit.df == 8 - 3
+    # the row variance the fit weighs, y_var / n, equals the derived arm-mean variance
     v_yasuda_treat = 39 * 0.6**2 / 80
-    i = [i for i, v in enumerate(design.X[:, 1]) if v == 1.0][0]
-    assert design.v[i] == pytest.approx(v_yasuda_treat, rel=1e-12)
-    fit2, _ = fit_meta()
+    i = [i for i, a in enumerate(s.arm) if a == 1][0]
+    assert s.trial_ids[s.trial[i]] == "Yasuda 2004"
+    assert s.y_var[i] / s.n[i] == pytest.approx(v_yasuda_treat, rel=1e-12)
+    fit2 = fit_dl(completed_summaries())
     assert np.array_equal(fit.beta, fit2.beta)
     assert fit.tau2 == fit2.tau2
 

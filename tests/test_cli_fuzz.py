@@ -27,6 +27,7 @@ from numpy.random import SeedSequence, default_rng
 
 from metaborrow import casestudy, pipeline
 from metaborrow.cli import main
+from metaborrow.meta import fit_dl
 
 
 def _table(text):
@@ -206,7 +207,7 @@ def broken_object(draw, valid, required, typed=()):
 # the input files and the output directory come from flags, which override the config
 CONFIG = {"seed": 1, "borrow": "control_only", "meat": "w3", "level": 0.95,
           "outcome_interaction": False}
-META_FIT = pipeline.meta_to_dict(casestudy.fit_meta()[0])
+META_FIT = pipeline.meta_to_dict(fit_dl(casestudy.completed_summaries()))
 META_KEYS = ("beta", "cov_beta", "tau2", "q_stat", "df", "columns")
 
 

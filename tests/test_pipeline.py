@@ -16,7 +16,7 @@ from metaborrow.data import (Dataset, read_subjects, read_summaries, write_subje
                              write_summaries)
 from metaborrow import pipeline
 from metaborrow.errors import ConfigError, NumericalError
-from metaborrow.meta import MetaFit, build_design, fit_dl
+from metaborrow.meta import MetaFit, fit_dl
 from metaborrow.pipeline import (PipelineConfig, meta_from_dict, meta_to_dict,
                                  read_config, run_pipeline)
 from metaborrow.reconstruct import ClampWarning, ReconstructionConfig, reconstruct_all
@@ -271,7 +271,7 @@ def test_borrowed_rows_are_held_once(mode, p):
     s = table(*(arm_row(f"trial{i}", arm, 30 + i, y_mean=1.0 + arm + 0.1 * i, y_var=2.0,
                         x_mean=rng.normal(size=p), x_var=(1.0,) * p)
                 for i in range(4) for arm in (1, 0)))
-    meta = fit_dl(build_design(s))
+    meta = fit_dl(s)
     target = Dataset(("tgt",), np.zeros(30, int), np.arange(30) % 2, rng.normal(size=30),
                      rng.normal(size=(30, p)), np.ones(30), np.ones(30, bool))
     rcfg = ReconstructionConfig(rng_seed=5, borrow=mode)
@@ -299,3 +299,14 @@ def test_meta_fit_json_roundtrip():
         (fit.tau2, fit.q_stat, fit.df, fit.columns)
     with pytest.raises(ConfigError, match="malformed meta-fit"):
         meta_from_dict({"beta": [1.0]})
+    # a JSON bool would read as 1.0, a fractional df would be truncated
+    good = meta_to_dict(fit)
+    for key, value, message in (("tau2", True, "tau2 must be a number, got True"),
+                                ("q_stat", False, "q_stat must be a number, got False"),
+                                ("df", 2.7, "df must be an integer, got 2.7"),
+                                ("df", True, "df must be an integer, got True"),
+                                ("beta", [True, -0.5], "beta must be a number, got True"),
+                                ("cov_beta", [[0.25, 0.0], [0.0, True]],
+                                 "cov_beta must be a number, got True")):
+        with pytest.raises(ConfigError, match=f"^malformed meta-fit JSON: {message}$"):
+            meta_from_dict({**good, key: value})

@@ -21,7 +21,7 @@ from summary_tables import arm_row, pool, table, take
 from metaborrow import reconstruct
 from metaborrow.data import dataset_from_arms
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
-from metaborrow.meta import MetaFit, build_design, fit_dl
+from metaborrow.meta import MetaFit, fit_dl
 from metaborrow.reconstruct import (BORROW_MODES, ReconstructionConfig, clamped_arms,
                                     reconstruct_all)
 from metaborrow.simulate import generate_meta_trials, generate_target_trial
@@ -51,8 +51,8 @@ def arm_rows(d):
 @given(shuffled_trials(), st.booleans())
 def test_trial_order_does_not_change_the_meta_fit(trials, interaction):
     given_order, shuffled = trials
-    a = fit_dl(build_design(given_order, include_interaction=interaction))
-    b = fit_dl(build_design(shuffled, include_interaction=interaction))
+    a = fit_dl(given_order, include_interaction=interaction)
+    b = fit_dl(shuffled, include_interaction=interaction)
     assert b.columns == a.columns and b.df == a.df
     assert b.beta == pytest.approx(a.beta, rel=1e-9, abs=1e-12)
     assert b.cov_beta == pytest.approx(a.cov_beta, rel=1e-9, abs=1e-12)
@@ -64,7 +64,7 @@ def test_trial_order_does_not_change_the_meta_fit(trials, interaction):
 @given(shuffled_trials(), seeds, st.sampled_from(BORROW_MODES))
 def test_trial_order_does_not_change_any_arms_rows(trials, seed, borrow):
     given_order, shuffled = trials
-    meta = fit_dl(build_design(given_order, include_interaction=True))
+    meta = fit_dl(given_order, include_interaction=True)
     cfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
     a = arm_rows(reconstruct_all(given_order, meta, cfg))
     b = arm_rows(reconstruct_all(shuffled, meta, cfg))

@@ -1,5 +1,6 @@
 """Reconstruction: moment restoration, substream determinism, clamping."""
 
+import re
 import zlib
 
 import numpy as np
@@ -211,6 +212,13 @@ def test_config_validation():
     with pytest.raises(ConfigError, match="borrow") as exc_info:
         ReconstructionConfig(rng_seed=1, borrow="sometimes")
     assert exc_info.value.exit_code == 2
+    # a fractional or bool seed would be cast to another seed's draws
+    for seed, message in ((7.9, "rng_seed must be an integer, got 7.9"),
+                          (True, "rng_seed must be an integer, got True"),
+                          ("7", "rng_seed must be an integer, got '7'"),
+                          (-1, "rng_seed must be nonnegative, got -1")):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ReconstructionConfig(rng_seed=seed)
 
 
 # ------------------------------------------------------------- pooled draws

@@ -1,5 +1,6 @@
 """Monte-Carlo engine: seeding, parallel equality, aggregation arithmetic."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -254,6 +255,9 @@ def test_pool_width_is_capped_and_jobs_checked(monkeypatch):
     for jobs in (0, -4):
         with pytest.raises(ConfigError, match=f"jobs must be >= 1, got {jobs}"):
             run_cell(cfg, jobs=jobs)
+    for jobs in (1.5, True):
+        with pytest.raises(ConfigError, match=f"^jobs must be an integer, got {jobs}$"):
+            run_cell(cfg, jobs=jobs)
     assert RecordingPool.widths == [3, 2]
 
 
@@ -339,3 +343,9 @@ def test_csv_append_collects_cells(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(DataError, match="expected header"):
         read_cell_csv(bad)
+    # a value that is not a number, and a row cut after its metric, name the file line
+    for row in ("s,pooled,mse,,abc", "s,pooled,mse"):
+        bad.write_text(f"{','.join(CSV_HEADER)}\ns,pooled,bias,,0.5\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: line 3: cannot parse "
+                                            "results row"):
+            read_cell_csv(bad)
