@@ -11,7 +11,7 @@ and a bundled renal-trial example exercise the whole chain.
 from .data import (Dataset, Summaries, dataset_from_arms, read_subjects, read_summaries,
                    write_subjects, write_summaries)
 from .errors import ConfigError, DataError, MetaborrowError, NumericalError
-from .estimate import (MEAT_KINDS, UnivariateEstimate, WeightedFit, build_outcome_design,
+from .estimate import (MEAT_KINDS, Contrast, WeightedFit, build_outcome_design,
                        estimate_univariate, fit_ols, fit_weighted_regression)
 from .meta import MetaFit, fit_dl, meta_se
 from .pipeline import Borrowed, PipelineConfig, borrow, run_pipeline
@@ -30,7 +30,7 @@ __all__ = [
     "Dataset", "Summaries", "dataset_from_arms", "read_subjects", "read_summaries",
     "write_subjects", "write_summaries",
     "ConfigError", "DataError", "MetaborrowError", "NumericalError",
-    "MEAT_KINDS", "UnivariateEstimate", "WeightedFit", "build_outcome_design",
+    "MEAT_KINDS", "Contrast", "WeightedFit", "build_outcome_design",
     "estimate_univariate", "fit_ols", "fit_weighted_regression",
     "MetaFit", "fit_dl", "meta_se",
     "Borrowed", "PipelineConfig", "borrow", "run_pipeline",

@@ -38,8 +38,8 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .data import Summaries, dataset_from_arms
-from .errors import ConfigError, DataError
-from .estimate import fit_ols
+from .errors import ConfigError, DataError, check_int
+from .estimate import Contrast, fit_ols
 from .meta import fit_dl
 from .pipeline import borrow
 from .reconstruct import ReconstructionConfig
@@ -150,34 +150,35 @@ SCENARIOS = {
 class CaseStudyResult:
     """One scenario's analysis row.
 
-    ``estimable`` is False only for the single-arm scenario without
-    borrowing, where no within-trial contrast exists.
+    ``contrast`` is the treatment Contrast, t-based on its fit's ``df``.
+    It is None, and ``estimable`` False, only for the single-arm scenario
+    without borrowing, where no within-trial contrast exists.  ``tau2``
+    and ``clamped_arms`` describe the borrowing scenarios' meta fit and
+    reconstruction.
     """
 
     scenario: str
     n1: int
     n0: int
-    estimable: bool
-    estimate: float = None
-    se: float = None
-    ci_low: float = None
-    ci_high: float = None
-    t_stat: float = None
-    p_value: float = None
-    df: int = None
+    contrast: Contrast = None
     tau2: float = None
     clamped_arms: tuple = ()
+
+    @property
+    def estimable(self):
+        return self.contrast is not None
 
     def to_row(self):
         """JSON-ready dict; unestimable cells carry "NC"."""
         if not self.estimable:
             return {"scenario": self.scenario, "n1": self.n1, "n0": self.n0,
                     "estimate": "NC", "se": "NC", "ci": "NC", "t": "NC", "p": "NC"}
+        ct = self.contrast
         return {
             "scenario": self.scenario, "n1": self.n1, "n0": self.n0,
-            "estimate": round(self.estimate, 4), "se": round(self.se, 4),
-            "ci": [round(self.ci_low, 4), round(self.ci_high, 4)],
-            "t": round(self.t_stat, 4), "p": round(self.p_value, 6),
+            "estimate": round(ct.estimate, 4), "se": round(ct.se, 4),
+            "ci": [round(ct.ci_low, 4), round(ct.ci_high, 4)],
+            "t": round(ct.stat, 4), "p": round(ct.p_value, 6),
         }
 
 
@@ -192,26 +193,21 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
     """
     if scenario not in SCENARIOS:
         raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    check_int("seed", seed, 0)
     n1, n0, borrow_mode = SCENARIOS[scenario]
     target = simulate_target(n1, n0, default_rng(SeedSequence((seed, 99))))
 
     if borrow_mode is None:
         if n0 == 0:
-            return CaseStudyResult(scenario, n1, n0, estimable=False)
-        fit = fit_ols(target)
-        return CaseStudyResult(scenario, n1, n0, estimable=True, df=fit.df,
-                               **fit.z_contrast())
+            return CaseStudyResult(scenario, n1, n0)
+        return CaseStudyResult(scenario, n1, n0, fit_ols(target).z_contrast())
 
     meta = fit_dl(completed_summaries())
     done = borrow(_derive(COMPLETED_TRIALS, subject_scale=False), meta, target,
                   ReconstructionConfig(rng_seed=seed, borrow=borrow_mode), meat=meat)
     clamped = tuple(f"{c.trial_id}/arm{c.arm}" for c in done.clamps)
-    return CaseStudyResult(scenario, n1, n0, estimable=True, df=done.fit.df,
-                           tau2=meta.tau2, clamped_arms=clamped, **done.fit.z_contrast())
+    return CaseStudyResult(scenario, n1, n0, done.fit.z_contrast(), tau2=meta.tau2,
+                           clamped_arms=clamped)
 
 
 def bundled_data_path():

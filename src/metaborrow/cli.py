@@ -23,7 +23,8 @@ import click
 from . import casestudy, pipeline as pl
 from .data import read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError
-from .estimate import MEAT_KINDS, check_level, estimate_univariate, fit_weighted_regression
+from .estimate import (MEAT_KINDS, _arm_weights, check_level, estimate_univariate,
+                       fit_weighted_regression)
 from .meta import fit_dl
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, _write_mode,
@@ -155,12 +156,10 @@ def estimate(subjects, estimator, covariates, interaction, meat, level, out_path
                    f"t {ct['t_stat']:.3f}  p {ct['p_value']:.4g}")
     if estimator in ("univariate", "both"):
         uni = estimate_univariate(d, level)
-        payload["univariate"] = {
-            "estimate": uni.delta, "se": uni.se, "ci_low": uni.ci_low,
-            "ci_high": uni.ci_high, "z_stat": uni.z_stat, "p_value": uni.p_value,
-            "n_eff_treated": uni.n_eff_treated, "n_eff_control": uni.n_eff_control,
-        }
-        click.echo(f"univariate: delta = {uni.delta:+.4f}  se {uni.se:.4f}  "
+        n_eff_control, n_eff_treated = _arm_weights(d.z, d.w)
+        payload["univariate"] = {**uni.to_dict(), "n_eff_treated": n_eff_treated,
+                                 "n_eff_control": n_eff_control}
+        click.echo(f"univariate: delta = {uni.estimate:+.4f}  se {uni.se:.4f}  "
                    f"CI [{uni.ci_low:+.4f}, {uni.ci_high:+.4f}]  p {uni.p_value:.4g}")
     if out_path:
         pl.write_json(payload, out_path)
@@ -246,9 +245,10 @@ def case_study(scenario, seed, meat, out_path):
             row = res.to_row()
             rows.append(row)
             if res.estimable:
+                ct = res.contrast
                 click.echo(f"  {name:<28s} n={res.n1}/{res.n0:<4d} "
-                           f"{res.estimate:+.2f} ({res.se:.2f})  "
-                           f"CI [{res.ci_low:+.2f}, {res.ci_high:+.2f}]  t {res.t_stat:.2f}")
+                           f"{ct.estimate:+.2f} ({ct.se:.2f})  "
+                           f"CI [{ct.ci_low:+.2f}, {ct.ci_high:+.2f}]  t {ct.stat:.2f}")
                 if res.clamped_arms:
                     log.info("%s: clamped residual variance in %s", name,
                              ", ".join(res.clamped_arms))

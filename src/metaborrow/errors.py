@@ -29,3 +29,13 @@ class NumericalError(MetaborrowError):
     """Numerical failure: singular design, non-convergence, unestimable arm."""
 
     exit_code = 4
+
+
+def check_int(name, value, least):
+    """ConfigError (exit 2) unless the setting ``name``'s ``value`` is an int, not a bool,
+    and at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f">= {least}"
+        raise ConfigError(f"{name} must be {bound}, got {value}")

@@ -1,9 +1,13 @@
 """Treatment-effect estimators on a weighted pooled dataset.
 
-Two estimators share the importance weights:
+Two estimators share the importance weights, and each gives its
+treatment effect as one :class:`Contrast` (estimate, SE, interval,
+statistic, p-value), built by one constructor that refuses a standard
+error that is not finite:
 
 * :func:`estimate_univariate` — weighted difference of arm means with a
-  plug-in variance built from weighted effective sample sizes.
+  plug-in variance built from weighted effective sample sizes, on the
+  normal reference.
 * :func:`fit_weighted_regression` — weighted least squares with a
   heteroskedasticity-consistent sandwich covariance.  Three meat
   conventions are offered because the weight power in the middle matrix
@@ -15,6 +19,9 @@ Two estimators share the importance weights:
              the simulation settings shipped here)
   ``"hc0"``  meat sum w^2 e^2 x x'  (classical HC0 on the weighted
              score; anti-conservative when weights are informative)
+
+  Its contrast, :meth:`WeightedFit.z_contrast`, is t-based on the fit's
+  residual degrees of freedom.
 
 Intervals and p-values use ``math.erfc`` and :mod:`metaborrow._dist` (standard library only),
 within 1e-12 relative of scipy.special and of mpmath over df 1 to 48,000 (tests/test_dist.py).
@@ -42,35 +49,65 @@ def check_level(level):
     return level
 
 
-def _statistic(est, se):
-    """est / se; with se == 0, +-inf for a nonzero estimate and 0 for a zero one.
-
-    A NaN estimate or SE gives NaN.  The survival functions map an
-    infinite statistic to p = 0 and a NaN one to p = NaN, so an
-    undefined contrast never reports a significant p-value.
-    """
-    if se == 0:
-        return np.inf * np.sign(est) if est else 0.0
-    return est / se
-
-
 @dataclass(frozen=True)
-class UnivariateEstimate:
-    """Weighted difference in arm means with a normal-approximation CI."""
+class Contrast:
+    """One treatment contrast: estimate, SE, interval, statistic and two-sided p-value.
 
-    delta: float
-    variance: float
+    ``df`` is the Student-t reference's degrees of freedom; None means the
+    normal reference.
+    """
+
+    estimate: float
     se: float
-    n_eff_treated: float
-    n_eff_control: float
     ci_low: float
     ci_high: float
-    z_stat: float
+    stat: float
     p_value: float
+    df: int = None
+
+    def to_dict(self):
+        """JSON-ready dict: the statistic is ``t_stat`` on a t reference and ``z_stat`` on
+        the normal; ``df`` is not written."""
+        return {"estimate": self.estimate, "se": self.se, "ci_low": self.ci_low,
+                "ci_high": self.ci_high, "z_stat" if self.df is None else "t_stat": self.stat,
+                "p_value": self.p_value}
+
+
+def _contrast(est, se, level, df=None):
+    """The Contrast of ``est`` with standard error ``se`` at ``level``, on ``df`` (t) or None
+    (normal).
+
+    NumericalError when the SE is not finite, since a NaN interval would
+    be reported, or averaged, as a result.  With se == 0 the statistic is
+    +-inf for a nonzero estimate, 0 for a zero one and NaN for a NaN one;
+    p is 0 for an infinite statistic and NaN for a NaN one, so an
+    undefined contrast never reports a significant p-value.
+    """
+    if not math.isfinite(se):
+        raise NumericalError(f"standard error of the z contrast is {se}")
+    tail = (1 - check_level(level)) / 2
+    q = -(_norm_ppf(tail) if df is None else _t_ppf(df, tail))
+    if se:
+        stat = est / se
+    else:
+        stat = float(np.inf * np.sign(est)) if est else 0.0
+    # 2 Phi(-|stat|) through erfc, without cancellation
+    p = math.erfc(abs(stat) * math.sqrt(0.5)) if df is None else 2 * _t_cdf(df, -abs(stat))
+    return Contrast(est, se, est - q * se, est + q * se, stat, p, df)
+
+
+def _arm_weights(z, w):
+    """[control, treated] sums of the weights ``w`` over the arms ``z``; DataError for an arm
+    whose sum is not positive, since its contrast has no rows to stand on."""
+    n_eff = [float(w[z == arm].sum()) for arm in (0, 1)]
+    for arm in (0, 1):
+        if n_eff[arm] <= 0:
+            raise DataError(f"arm {arm} has zero total weight; contrast unestimable")
+    return n_eff
 
 
 def estimate_univariate(d, level=0.95):
-    """Weighted arm-mean contrast delta = Ybar_w(1) - Ybar_w(0).
+    """The Contrast of weighted arm means, delta = Ybar_w(1) - Ybar_w(0), on the normal.
 
     Each arm mean is Ybar_w(z) = sum(w y) / n_eff(z) with effective size
     n_eff(z) = sum of weights in arm z.  The variance is
@@ -82,29 +119,13 @@ def estimate_univariate(d, level=0.95):
     weighted mean of independent observations.
     """
     w, y, z = d.w, d.y, d.z
-    out = {}
-    for arm in (0, 1):
+    arms = []
+    for arm, n in enumerate(_arm_weights(z, w)):
         m = z == arm
-        n_eff = float(w[m].sum())
-        if n_eff <= 0:
-            raise DataError(f"arm {arm} has zero total weight; contrast unestimable")
-        mean = float(w[m] @ y[m] / n_eff)
-        s2 = float((w[m] ** 2) @ (y[m] - mean) ** 2 / n_eff)
-        out[arm] = (n_eff, mean, s2)
-    n1, m1, s1 = out[1]
-    n0, m0, s0 = out[0]
-    delta = m1 - m0
-    var = s1 / n1 + s0 / n0
-    se = float(np.sqrt(var))
-    zq = -_norm_ppf((1 - check_level(level)) / 2)
-    zs = _statistic(delta, se)
-    p = math.erfc(abs(zs) * math.sqrt(0.5))  # 2 Phi(-|zs|), without cancellation
-    return UnivariateEstimate(
-        delta=float(delta), variance=float(var), se=se,
-        n_eff_treated=n1, n_eff_control=n0,
-        ci_low=float(delta - zq * se), ci_high=float(delta + zq * se),
-        z_stat=float(zs), p_value=p,
-    )
+        mean = float(w[m] @ y[m] / n)
+        arms.append((mean, float((w[m] ** 2) @ (y[m] - mean) ** 2 / n) / n))
+    (m0, v0), (m1, v1) = arms
+    return _contrast(m1 - m0, float(np.sqrt(v1 + v0)), level)
 
 
 @dataclass(frozen=True)
@@ -134,22 +155,9 @@ class WeightedFit:
         return float(self.beta[i]), float(np.sqrt(var)) if var >= 0 else float("nan")
 
     def z_contrast(self, level=0.95):
-        """Estimate, SE, CI, t and p of the ``z`` coefficient, on ``df`` degrees of freedom.
-
-        NumericalError when the SE is not finite, since a NaN interval
-        would be reported, or averaged, as a result.
-        """
-        est, se = self.coef("z")
-        if not np.isfinite(se):
-            raise NumericalError(f"standard error of the z contrast is {se}")
-        tq = -_t_ppf(self.df, (1 - check_level(level)) / 2)
-        t = _statistic(est, se)
-        p = 2 * _t_cdf(self.df, -abs(t))
-        return {
-            "estimate": est, "se": se,
-            "ci_low": est - tq * se, "ci_high": est + tq * se,
-            "t_stat": float(t), "p_value": p,
-        }
+        """The Contrast of the ``z`` coefficient, t-based on ``df`` degrees of freedom;
+        NumericalError when its SE is not finite."""
+        return _contrast(*self.coef("z"), level, self.df)
 
 
 def build_outcome_design(d, include_covariates=True, include_interaction=False):
@@ -226,10 +234,7 @@ def _fit(d, w, meat, include_covariates=True, include_interaction=False):
     n, q = Xw.shape
     if n <= q:
         raise DataError(f"need more than {q} subjects to fit {q} coefficients, got {n}")
-    n_eff = [float(w[z == arm].sum()) for arm in (0, 1)]
-    for arm in (0, 1):
-        if n_eff[arm] <= 0:
-            raise DataError(f"arm {arm} has zero total weight; arm unestimable")
+    n_eff = _arm_weights(z, w)
     Xw *= np.sqrt(w)[:, None]
     _check_rank(Xw, names)
     del Xw

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, _number, read_subjects, read_summaries, write_subjects
-from .errors import ConfigError, MetaborrowError
+from .errors import ConfigError, MetaborrowError, check_int
 from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
 from .meta import MetaFit, fit_dl, meta_se
 from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
@@ -84,10 +84,7 @@ class PipelineConfig:
             raise ConfigError("outcome_interaction needs outcome_covariates")
         if self.seed is None:
             raise ConfigError("seed is required (reconstruction is stochastic)")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_int("seed", self.seed, 0)
         if self.borrow not in BORROW_MODES:
             raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
         if not (self.features is None or isinstance(self.features, str)):
@@ -193,7 +190,6 @@ def meta_from_dict(d):
 
 
 def weighted_fit_to_dict(fit, level=0.95):
-    ct = fit.z_contrast(level)
     return {
         "columns": list(fit.columns),
         "beta": [float(b) for b in fit.beta],
@@ -204,7 +200,7 @@ def weighted_fit_to_dict(fit, level=0.95):
         "n_eff_treated": fit.n_eff_treated,
         "n_eff_control": fit.n_eff_control,
         "level": level,
-        "contrast_z": ct,
+        "contrast_z": fit.z_contrast(level).to_dict(),
     }
 
 

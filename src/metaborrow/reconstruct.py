@@ -48,7 +48,7 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence
 
 from .data import Dataset, _owned
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_int
 from .meta import design_columns
 
 BORROW_MODES = ("both_arms", "control_only")
@@ -86,10 +86,7 @@ class ReconstructionConfig:
     borrow: str = "both_arms"
 
     def __post_init__(self):
-        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, int):
-            raise ConfigError(f"rng_seed must be an integer, got {self.rng_seed!r}")
-        if self.rng_seed < 0:
-            raise ConfigError(f"rng_seed must be nonnegative, got {self.rng_seed}")
+        check_int("rng_seed", self.rng_seed, 0)
         if self.borrow not in BORROW_MODES:
             raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
 

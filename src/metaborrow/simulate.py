@@ -31,8 +31,8 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .data import Summaries, dataset_from_arms
-from .errors import ConfigError, DataError, MetaborrowError
-from .estimate import MEAT_KINDS, estimate_univariate, fit_weighted_regression
+from .errors import ConfigError, DataError, MetaborrowError, check_int
+from .estimate import MEAT_KINDS, Contrast, estimate_univariate, fit_weighted_regression
 from .meta import fit_dl
 from .pipeline import borrow
 from .reconstruct import BORROW_MODES, ReconstructionConfig
@@ -76,18 +76,8 @@ class ScenarioConfig:
     meat: str = "w3"
 
     def __post_init__(self):
-        for name in ("K", "n", "replications", "base_seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.K < 1:
-            raise ConfigError(f"K must be >= 1, got {self.K}")
-        if self.n < 4:
-            raise ConfigError(f"n must be >= 4, got {self.n}")
-        if self.replications < 1:
-            raise ConfigError(f"replications must be >= 1, got {self.replications}")
-        if self.base_seed < 0:
-            raise ConfigError(f"base_seed must be nonnegative, got {self.base_seed}")
+        for name, least in (("K", 1), ("n", 4), ("replications", 1), ("base_seed", 0)):
+            check_int(name, getattr(self, name), least)
         if self.covariate_dist not in COVARIATE_DISTS:
             raise ConfigError(f"covariate_dist must be one of {COVARIATE_DISTS}")
         if self.allocation not in ALLOCATIONS:
@@ -225,35 +215,20 @@ def generate_target_trial(n, allocation, dist, rng):
 
 
 @dataclass(frozen=True)
-class EstimateRecord:
-    """One estimator's output in one replication."""
-
-    estimate: float
-    se: float
-    ci_low: float
-    ci_high: float
-
-
-@dataclass(frozen=True)
 class ReplicationResult:
+    """One replication: each estimator's Contrast, or the error that failed it."""
+
     rep: int
     ok: bool
     error: str = ""
-    pooled: EstimateRecord = None
-    pooled_univariate: EstimateRecord = None
-    target: EstimateRecord = None  # None when the comparator is unestimable
+    pooled: Contrast = None
+    pooled_univariate: Contrast = None
+    target: Contrast = None  # None when the comparator is unestimable
     clamped_arms: int = 0
 
     def record(self, estimator):
         return {EST_POOLED: self.pooled, EST_POOLED_UNI: self.pooled_univariate,
                 EST_TARGET: self.target}[estimator]
-
-
-def _record(fit):
-    """The EstimateRecord of ``fit``'s z contrast; NumericalError when its standard
-    error is not finite (:meth:`WeightedFit.z_contrast`)."""
-    ct = fit.z_contrast()
-    return EstimateRecord(ct["estimate"], ct["se"], ct["ci_low"], ct["ci_high"])
 
 
 def run_replication(cfg, r):
@@ -262,9 +237,10 @@ def run_replication(cfg, r):
     The data stream is seeded by (base_seed, r, 0) and the
     reconstruction substreams by a child of (base_seed, r, 1), so a
     replication depends only on (cfg, r).  A failure of the borrowing
-    chain, or a pooled standard error that is not finite, fails the
-    replication; a target-only comparator that cannot be fitted, or whose
-    standard error is not finite, only leaves ``target`` None.
+    chain, or a pooled or univariate standard error that is not finite,
+    fails the replication; a target-only comparator that cannot be
+    fitted, or whose standard error is not finite, only leaves ``target``
+    None.
     """
     rng = default_rng(SeedSequence((cfg.base_seed, r, 0)))
     trials = generate_meta_trials(cfg.K, cfg.n, cfg.covariate_dist, rng)[-1]
@@ -276,21 +252,18 @@ def run_replication(cfg, r):
         recon_seed = int(SeedSequence((cfg.base_seed, r, 1)).generate_state(1)[0])
         rcfg = ReconstructionConfig(rng_seed=recon_seed, borrow=cfg.borrow)
         done = borrow(trials, meta, target, rcfg, meat=cfg.meat, **model)
-        pooled = _record(done.fit)
+        pooled = done.fit.z_contrast()
         uni = estimate_univariate(done.membership.weighted)
     except (MetaborrowError, np.linalg.LinAlgError) as exc:
         return ReplicationResult(rep=r, ok=False, error=f"{type(exc).__name__}: {exc}")
     target_rec = None
     if cfg.allocation != "single_arm":
         try:
-            target_rec = _record(fit_weighted_regression(target, meat="hc0", **model))
+            target_rec = fit_weighted_regression(target, meat="hc0", **model).z_contrast()
         except (MetaborrowError, np.linalg.LinAlgError):
             pass
-    return ReplicationResult(
-        rep=r, ok=True, pooled=pooled,
-        pooled_univariate=EstimateRecord(uni.delta, uni.se, uni.ci_low, uni.ci_high),
-        target=target_rec, clamped_arms=len(done.clamps),
-    )
+    return ReplicationResult(rep=r, ok=True, pooled=pooled, pooled_univariate=uni,
+                             target=target_rec, clamped_arms=len(done.clamps))
 
 
 @dataclass(frozen=True)
@@ -370,10 +343,7 @@ def run_cell(cfg, jobs=1, progress=None):
     ``progress`` (callable taking the count of completed replications)
     is invoked occasionally when given.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int):
-        raise ConfigError(f"jobs must be an integer, got {jobs!r}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_int("jobs", jobs, 1)
     reps = range(cfg.replications)
     workers = min(jobs, cfg.replications)
     parallel = workers > 1
@@ -419,7 +389,7 @@ def write_cell_csv(cell, path, append=False):
     """
     path = Path(path)
     mode = _write_mode(path, append)
-    with open(path, mode, newline="") as fh:
+    with open(path, mode, newline="", encoding="utf-8") as fh:
         wr = csv.writer(fh)
         if mode == "w":
             wr.writerow(CSV_HEADER)
@@ -441,19 +411,24 @@ def read_cell_csv(path):
     """Parse a long-format results file back into {label: {(est, metric, delta0): value}}.
 
     A row whose ``delta0`` or ``value`` is not a number, or that is cut
-    short, is a DataError naming the file and its line.
+    short, is a DataError naming the file and its line; bytes that are
+    not UTF-8, or text the csv module cannot split, a DataError naming
+    the file.
     """
     out = {}
-    with open(path, newline="") as fh:
-        rd = csv.DictReader(fh)
-        if rd.fieldnames is None or tuple(rd.fieldnames) != CSV_HEADER:
-            raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}")
-        for row in rd:
-            try:
-                key = (row["estimator"], row["metric"],
-                       float(row["delta0"]) if row["delta0"] else None)
-                out.setdefault(row["scenario"], {})[key] = float(row["value"])
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}: line {rd.line_num}: cannot parse results row "
-                                f"({exc})") from exc
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rd = csv.DictReader(fh)
+            if rd.fieldnames is None or tuple(rd.fieldnames) != CSV_HEADER:
+                raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}")
+            for row in rd:
+                try:
+                    key = (row["estimator"], row["metric"],
+                           float(row["delta0"]) if row["delta0"] else None)
+                    out.setdefault(row["scenario"], {})[key] = float(row["value"])
+                except (TypeError, ValueError) as exc:
+                    raise DataError(f"{path}: line {rd.line_num}: cannot parse results row "
+                                    f"({exc})") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: cannot read results file ({exc})") from exc
     return out

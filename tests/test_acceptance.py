@@ -133,8 +133,8 @@ def test_criterion_03_zero_weight_sources_erase_exactly(report):
     up, ut = estimate_univariate(pooled), estimate_univariate(tonly)
     rp = fit_weighted_regression(pooled, meat="w4")
     rt = fit_weighted_regression(tonly, meat="w4")
-    devs = (abs(up.delta - ut.delta) / abs(ut.delta),
-            abs(up.variance - ut.variance) / ut.variance,
+    devs = (abs(up.estimate - ut.estimate) / abs(ut.estimate),
+            abs(up.se ** 2 - ut.se ** 2) / ut.se ** 2,
             float(np.max(np.abs(rp.beta - rt.beta) / np.abs(rt.beta))),
             float(np.max(np.abs(rp.cov_beta - rt.cov_beta) /
                          (np.abs(rt.cov_beta) + 1e-300))))

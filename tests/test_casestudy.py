@@ -122,7 +122,7 @@ def test_single_arm_without_borrowing_is_nc():
 def test_borrowing_restores_single_arm_scenario():
     res = run_case_study("single_arm_borrow_control")
     assert res.estimable
-    assert np.isfinite(res.estimate) and res.se > 0
+    assert np.isfinite(res.contrast.estimate) and res.contrast.se > 0
     assert res.tau2 is not None and res.tau2 > 0
 
 
@@ -130,11 +130,11 @@ def test_borrowing_shrinks_standard_error():
     plain = run_case_study("target")
     borrowed = run_case_study("target_borrow")
     assert plain.estimable and borrowed.estimable
-    assert borrowed.se < plain.se
+    assert borrowed.contrast.se < plain.contrast.se
     # the small 22/16 trial alone cannot separate the effect from zero
-    assert plain.ci_low < 0 < plain.ci_high
-    assert borrowed.ci_low > 0
-    assert plain.df == 38 - 3
+    assert plain.contrast.ci_low < 0 < plain.contrast.ci_high
+    assert borrowed.contrast.ci_low > 0
+    assert plain.contrast.df == 38 - 3
     assert plain.tau2 is None and borrowed.tau2 is not None
 
 
@@ -151,7 +151,7 @@ def test_scenarios_are_deterministic_in_seed():
     b = run_case_study("target_borrow", seed=DEFAULT_SEED)
     assert a == b
     c = run_case_study("target_borrow", seed=41)
-    assert c.estimate != a.estimate
+    assert c.contrast.estimate != a.contrast.estimate
     # a seed that is not an integer is refused, not truncated or read as 1
     for bad in (40.7, 41.0, True):
         with pytest.raises(ConfigError, match=f"seed must be an integer, got {bad!r}"):
@@ -167,7 +167,7 @@ def test_run_all_scenarios_order_and_rows():
         row = r.to_row()
         assert row["scenario"] == r.scenario
         if r.estimable:
-            assert row["ci"][0] == pytest.approx(r.ci_low, abs=5e-5)
+            assert row["ci"][0] == pytest.approx(r.contrast.ci_low, abs=5e-5)
 
 
 def test_seed_41_membership_fit_converges_unpenalized(monkeypatch):

@@ -315,6 +315,19 @@ def test_nan_standard_error_exits_4(tmp_path, capsys, monkeypatch):
     assert not (out / "estimate.json").exists() and not (out / "summary.txt").exists()
 
 
+def test_univariate_infinite_standard_error_exits_4(tmp_path, capsys):
+    # outcomes of +-1e308 overflow every arm moment, so the SE is infinite: no contrast,
+    # not an exit-0 interval of NaN and Infinity
+    path = tmp_path / "huge.csv"
+    path.write_text("trial_id,z,y,x1\nt,1,1e308,0.5\nt,1,1e308,-0.5\n"
+                    "t,0,-1e308,0.5\nt,0,-1e308,-0.5\n")
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, err = run_fail(capsys, ["estimate", "--subjects", str(path), "--estimator",
+                                      "univariate", "--out", str(tmp_path / "est.json")])
+    assert code == 4 and "standard error of the z contrast is inf" in err
+    assert not (tmp_path / "est.json").exists()
+
+
 def test_stage_composition(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     tpath = target_csv(tmp_path)
@@ -350,6 +363,13 @@ def test_stage_composition(tmp_path, capsys):
     assert "univariate: delta =" in out
     payload = json.loads((tmp_path / "est.json").read_text())
     assert set(payload) == {"regression", "univariate"}
+    contrast = {"estimate", "se", "ci_low", "ci_high", "p_value"}
+    assert set(payload["regression"]["contrast_z"]) == contrast | {"t_stat"}
+    uni = payload["univariate"]
+    assert set(uni) == contrast | {"z_stat", "n_eff_treated", "n_eff_control"}
+    weighted = read_subjects(weighted_csv)
+    assert [uni["n_eff_control"], uni["n_eff_treated"]] == [
+        float(weighted.w[weighted.z == arm].sum()) for arm in (0, 1)]
     # borrowing 270 reconstructed subjects should land near the true effect 2
     assert abs(payload["regression"]["contrast_z"]["estimate"] - 2.0) < 1.0
 

@@ -7,7 +7,7 @@ from summary_tables import pool
 
 from metaborrow.data import Dataset
 from metaborrow.errors import ConfigError, DataError, NumericalError
-from metaborrow.estimate import (UnivariateEstimate, WeightedFit, build_outcome_design,
+from metaborrow.estimate import (WeightedFit, _arm_weights, build_outcome_design,
                                  estimate_univariate, fit_ols, fit_weighted_regression,
                                  weighted_transpose)
 from metaborrow.meta import MetaFit, meta_se
@@ -34,12 +34,13 @@ def random_dataset(rng, n=60, p=2):
 
 def test_univariate_unit_weight_oracle():
     # arms (4, 2 | 3, 1): means 3 and 2, s2 = 1 each, var = 1/2 + 1/2 = 1
-    est = estimate_univariate(dataset([1, 1, 0, 0], [4.0, 2.0, 3.0, 1.0]))
-    assert est.delta == pytest.approx(1.0)
-    assert est.variance == pytest.approx(1.0)
+    d = dataset([1, 1, 0, 0], [4.0, 2.0, 3.0, 1.0])
+    est = estimate_univariate(d)
+    assert est.estimate == pytest.approx(1.0)
+    assert est.se ** 2 == pytest.approx(1.0)
     assert est.se == pytest.approx(1.0)
-    assert est.n_eff_treated == 2.0 and est.n_eff_control == 2.0
-    assert est.z_stat == pytest.approx(1.0)
+    assert _arm_weights(d.z, d.w) == [2.0, 2.0]
+    assert est.stat == pytest.approx(1.0) and est.df is None
     assert est.p_value == pytest.approx(2 * stats.norm.sf(1.0))
     assert est.ci_low == pytest.approx(1.0 - stats.norm.ppf(0.975))
     assert est.ci_high == pytest.approx(1.0 + stats.norm.ppf(0.975))
@@ -49,18 +50,19 @@ def test_univariate_p_value_and_interval_match_scipy():
     # arms (m + 1, m - 1 | 1, -1): delta = m and se = 1, so z = m
     for m in [0.1, 1.0, 1.96, 5.0, 10.0, 37.0]:
         est = estimate_univariate(dataset([1, 1, 0, 0], [m + 1, m - 1, 1.0, -1.0]))
-        assert est.p_value == pytest.approx(2 * stats.norm.sf(est.z_stat), rel=1e-12, abs=0)
-        assert est.ci_high - est.delta == pytest.approx(stats.norm.ppf(0.975) * est.se,
+        assert est.p_value == pytest.approx(2 * stats.norm.sf(est.stat), rel=1e-12, abs=0)
+        assert est.ci_high - est.estimate == pytest.approx(stats.norm.ppf(0.975) * est.se,
                                                         rel=1e-12)
 
 
 def test_univariate_weighted_oracle():
     # treated: w = (2, 1), y = (3, 0): n_eff 3, mean 2,
     # s2 = (4*1 + 1*4)/3 = 8/3; control: single w = 2, y = 1: mean 1, s2 = 0
-    est = estimate_univariate(dataset([1, 1, 0], [3.0, 0.0, 1.0], w=[2.0, 1.0, 2.0]))
-    assert est.delta == pytest.approx(1.0)
-    assert est.n_eff_treated == pytest.approx(3.0)
-    assert est.variance == pytest.approx((8 / 3) / 3 + 0.0)
+    d = dataset([1, 1, 0], [3.0, 0.0, 1.0], w=[2.0, 1.0, 2.0])
+    est = estimate_univariate(d)
+    assert est.estimate == pytest.approx(1.0)
+    assert _arm_weights(d.z, d.w)[1] == pytest.approx(3.0)
+    assert est.se ** 2 == pytest.approx((8 / 3) / 3 + 0.0)
 
 
 def test_univariate_invariant_to_weight_scale():
@@ -68,23 +70,23 @@ def test_univariate_invariant_to_weight_scale():
     d = random_dataset(rng)
     base = estimate_univariate(d)
     scaled = estimate_univariate(d.with_weights(10.0 * d.w))
-    assert scaled.delta == pytest.approx(base.delta, rel=1e-12)
-    assert scaled.variance == pytest.approx(base.variance, rel=1e-12)
+    assert scaled.estimate == pytest.approx(base.estimate, rel=1e-12)
+    assert scaled.se ** 2 == pytest.approx(base.se ** 2, rel=1e-12)
 
 
 def test_univariate_degenerate_outcomes():
     const = estimate_univariate(dataset([1, 1, 0, 0], [5.0, 5.0, 3.0, 3.0]))
-    assert const.delta == 2.0 and const.se == 0.0
-    assert const.z_stat == np.inf and const.p_value == 0.0
+    assert const.estimate == 2.0 and const.se == 0.0
+    assert const.stat == np.inf and const.p_value == 0.0
     null = estimate_univariate(dataset([1, 1, 0, 0], [3.0, 3.0, 3.0, 3.0]))
-    assert null.z_stat == 0.0 and null.p_value == pytest.approx(1.0)
+    assert null.stat == 0.0 and null.p_value == pytest.approx(1.0)
 
 
 def test_undefined_statistic_has_no_p_value():
-    # sums of +-1e308 overflow: every moment is infinite and z = inf / inf
-    with np.errstate(over="ignore", invalid="ignore"):
-        huge = estimate_univariate(dataset([1, 1, 0, 0], [1e308, 1e308, -1e308, -1e308]))
-    assert np.isnan(huge.z_stat) and np.isnan(huge.p_value)
+    # sums of +-1e308 overflow: every moment is infinite, so the SE is too: no contrast
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NumericalError, match="standard error of the z contrast is inf"):
+        estimate_univariate(dataset([1, 1, 0, 0], [1e308, 1e308, -1e308, -1e308]))
     # a NaN standard error leaves t undefined even for a finite estimate: no contrast
     fit = WeightedFit(beta=np.array([0.0, 2.0]), cov_beta=np.diag([1.0, np.nan]),
                       columns=("intercept", "z"), n=10, df=8, meat="w4",
@@ -181,9 +183,10 @@ def test_contrast_uses_t_reference():
     ct = fit.z_contrast(level=0.90)
     est, se = fit.coef("z")
     tq = stats.t.ppf(0.95, fit.df)
-    assert ct["ci_low"] == pytest.approx(est - tq * se)
-    assert ct["ci_high"] == pytest.approx(est + tq * se)
-    assert ct["p_value"] == pytest.approx(2 * stats.t.sf(abs(est / se), fit.df))
+    assert (ct.estimate, ct.se, ct.df) == (est, se, fit.df)
+    assert ct.ci_low == pytest.approx(est - tq * se)
+    assert ct.ci_high == pytest.approx(est + tq * se)
+    assert ct.p_value == pytest.approx(2 * stats.t.sf(abs(est / se), fit.df))
     with pytest.raises(DataError, match="no column"):
         fit.coef("x9")
 
@@ -279,7 +282,7 @@ def test_estimators_agree_on_saturated_two_group_problem():
     d = dataset(z, y)
     uni = estimate_univariate(d)
     reg = fit_weighted_regression(d, include_covariates=False, meat="hc0")
-    assert reg.coef("z")[0] == pytest.approx(uni.delta, rel=1e-12)
+    assert reg.coef("z")[0] == pytest.approx(uni.estimate, rel=1e-12)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "strided"])

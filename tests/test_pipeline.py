@@ -67,6 +67,8 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     assert est["stamp"] == {"config_hash": cfg.config_hash(), "seed": 7}
     assert est["columns"] == ["intercept", "z", "x1"]
     assert np.isfinite(est["contrast_z"]["estimate"])
+    assert set(est["contrast_z"]) == {"estimate", "se", "ci_low", "ci_high", "t_stat",
+                                      "p_value"}
     assert est["membership"]["converged"] is True
     assert est["tau2"] >= 0.0
     summary = (outdir / "summary.txt").read_text()

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metaborrow import pipeline, simulate
+from metaborrow import estimate, pipeline, simulate
 from metaborrow.errors import ConfigError, DataError
-from metaborrow.estimate import fit_weighted_regression
+from metaborrow.estimate import Contrast, fit_weighted_regression
 from metaborrow.simulate import (COVARIATE_DISTS, CSV_HEADER, EST_POOLED, EST_POOLED_UNI,
-                                 EST_TARGET, CellResult, EstimateRecord, ReplicationResult,
+                                 EST_TARGET, CellResult, ReplicationResult,
                                  ScenarioConfig, aggregate, covariate_location,
                                  generate_meta_trials, generate_target_trial,
                                  read_cell_csv, run_cell,
@@ -171,7 +171,7 @@ def test_model_spec_selects_outcome_columns(monkeypatch):
         assert res.ok and res.target is not None
         assert {name: fit.columns for name, fit in fitted.items()} == {
             "metaborrow.pipeline": columns, "metaborrow.simulate": columns}
-        assert res.target.estimate == fitted["metaborrow.simulate"].z_contrast()["estimate"]
+        assert res.target == fitted["metaborrow.simulate"].z_contrast()
 
 
 def test_non_finite_standard_error_is_unestimable(monkeypatch):
@@ -194,6 +194,19 @@ def test_non_finite_standard_error_is_unestimable(monkeypatch):
                                                 covariate_dist="chisq2", base_seed=1), 35)
     assert not pooled.ok
     assert pooled.error == "NumericalError: standard error of the z contrast is nan"
+
+
+def test_non_finite_univariate_standard_error_fails_the_replication(monkeypatch):
+    # arm outcomes of +-1e308 overflow the weighted moments: the univariate SE is infinite,
+    # and the replication fails rather than averaging a NaN interval into its cell
+    def overflowing(d):
+        return estimate.estimate_univariate(replace(d, y=np.where(d.z == 1, 1e308, -1e308)))
+
+    monkeypatch.setattr(simulate, "estimate_univariate", overflowing)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = run_replication(TINY, 0)
+    assert not res.ok and res.pooled_univariate is None
+    assert res.error == "NumericalError: standard error of the z contrast is inf"
 
 
 def test_replications_differ_across_base_seeds():
@@ -261,13 +274,17 @@ def test_pool_width_is_capped_and_jobs_checked(monkeypatch):
     assert RecordingPool.widths == [3, 2]
 
 
+def contrast(est, se, ci_low, ci_high):
+    """A normal-reference Contrast with this interval (aggregate reads no statistic or p)."""
+    return Contrast(est, se, ci_low, ci_high, est / se, 0.0)
+
+
 def test_aggregate_arithmetic_oracles():
     cfg = ScenarioConfig(K=5, n=20, replications=2, base_seed=1)
-    on_target = EstimateRecord(2.0, 0.05, 1.95, 2.05)
+    on_target = contrast(2.0, 0.05, 1.95, 2.05)
     res = [ReplicationResult(rep=r, ok=True, pooled=on_target,
-                             pooled_univariate=EstimateRecord(1.0 + 2.0 * r, 0.1,
-                                                              0.5 + 2.0 * r,
-                                                              1.5 + 2.0 * r),
+                             pooled_univariate=contrast(1.0 + 2.0 * r, 0.1, 0.5 + 2.0 * r,
+                                                        1.5 + 2.0 * r),
                              target=None) for r in (0, 1)]
     cell = aggregate(cfg, res)
     reg = cell.summary(EST_POOLED)
@@ -283,8 +300,8 @@ def test_aggregate_arithmetic_oracles():
 def test_aggregate_counts_failures_and_keeps_order():
     cfg = ScenarioConfig(K=5, n=20, replications=3, base_seed=1)
     good = ReplicationResult(rep=2, ok=True,
-                             pooled=EstimateRecord(2.0, 0.1, 1.8, 2.2),
-                             pooled_univariate=EstimateRecord(2.0, 0.1, 1.8, 2.2),
+                             pooled=contrast(2.0, 0.1, 1.8, 2.2),
+                             pooled_univariate=contrast(2.0, 0.1, 1.8, 2.2),
                              target=None)
     bad = ReplicationResult(rep=0, ok=False, error="NumericalError: singular")
     cell = aggregate(cfg, [good, bad])
@@ -348,4 +365,10 @@ def test_csv_append_collects_cells(tmp_path):
         bad.write_text(f"{','.join(CSV_HEADER)}\ns,pooled,bias,,0.5\n{row}\n")
         with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: line 3: cannot parse "
                                             "results row"):
+            read_cell_csv(bad)
+    # bytes that are not UTF-8, and a field over the csv module's size limit, name the file
+    for row in (b"\xff\xfe,pooled,mse,,1", b"s,pooled,mse,," + b"1" * 200_000):
+        bad.write_bytes(",".join(CSV_HEADER).encode() + b"\n" + row + b"\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(bad))}: cannot read results "
+                                            "file"):
             read_cell_csv(bad)
