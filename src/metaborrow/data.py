@@ -341,12 +341,28 @@ def _number(value, name, kind=float):
     return number
 
 
+def _trial_id(row, label):
+    """``row``'s trial id; DataError unless it is text that UTF-8 encodes.
+
+    A JSON string can escape a lone surrogate (``"\\udcff"``), which no
+    file can write and reconstruction cannot hash; a CSV file is decoded
+    as strict UTF-8, so its ids never hold one.
+    """
+    trial_id = row["trial_id"]
+    if not isinstance(trial_id, str):
+        raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
+    try:
+        trial_id.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise DataError(f"{label}: trial_id {trial_id!r} is not UTF-8 text "
+                        f"({exc.reason})") from None
+    return trial_id
+
+
 def _row_to_arm(row, label):
     """A summary row's trial id, arm, n, y_mean, y_var, x means, x variances and binary flags."""
     try:
-        trial_id = row["trial_id"]
-        if not isinstance(trial_id, str):
-            raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
+        trial_id = _trial_id(row, label)
         arm = _number(row["arm"], "arm", int)
         n = _number(row["n"], "n", int)
         if max(abs(arm), abs(n)) >= 2**63:  # the table holds them as int64
@@ -475,9 +491,7 @@ def read_subjects(path, target_id=None):
     rows, bad = [], []
     for label, row in raw:
         try:
-            trial_id = row["trial_id"]
-            if not isinstance(trial_id, str):
-                raise DataError(f"{label}: trial_id must be text, got {trial_id!r}")
+            trial_id = _trial_id(row, label)
             cells = []
             j = 1
             while f"x{j}" in row and row[f"x{j}"] not in (None, ""):

@@ -106,6 +106,7 @@ def _arm_weights(z, w):
     return n_eff
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def estimate_univariate(d, level=0.95):
     """The Contrast of weighted arm means, delta = Ybar_w(1) - Ybar_w(0), on the normal.
 
@@ -223,6 +224,7 @@ def _wls(X, w, y, names):
     return bread @ (XtW @ y), bread
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fit(d, w, meat, include_covariates=True, include_interaction=False):
     """WLS of y on the outcome design under weights ``w``, with ``meat``'s covariance.
 

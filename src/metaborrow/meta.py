@@ -67,6 +67,7 @@ def design_columns(p, include_interaction=False):
         tuple(f"arm:{m}" for m in means) if include_interaction else ())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit_dl(s, include_interaction=False):
     """Fit the meta-regression on Summaries table ``s``, one design row per arm.
 
@@ -87,7 +88,8 @@ def fit_dl(s, include_interaction=False):
         coefficient unidentifiable).
     NumericalError
         If the weighted design is rank deficient in either stage (names
-        the dependent columns), or Q or tau2 is not finite.
+        the dependent columns), Q or tau2 is not finite, or the refit's
+        coefficients or covariance are not.
     """
     empty = s.n < 1
     v = s.y_var / np.maximum(s.n, 1)  # an empty arm is rejected, whatever its v
@@ -120,6 +122,8 @@ def fit_dl(s, include_interaction=False):
     w2 = 1.0 / (v + tau2)
     _check_rank(weighted_transpose(X, np.sqrt(w2)).T, columns)
     beta, cov = _wls(X, w2, y, columns)
+    if not (np.isfinite(beta).all() and np.isfinite(cov).all()):
+        raise NumericalError(f"meta-regression fit not finite at tau2 = {tau2}")
     return MetaFit(beta=beta, cov_beta=cov, tau2=float(tau2), q_stat=q_stat,
                    df=R - q, columns=columns)
 

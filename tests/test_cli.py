@@ -9,7 +9,8 @@ from summary_tables import arm_row, pool, table
 
 from metaborrow import cli, simulate
 from metaborrow.cli import main
-from metaborrow.data import Dataset, read_subjects, write_subjects, write_summaries
+from metaborrow.data import (Dataset, read_subjects, read_summaries, write_subjects,
+                             write_summaries)
 from metaborrow.pipeline import borrow
 from metaborrow.reconstruct import ClampWarning
 from metaborrow.simulate import ScenarioConfig, run_replication
@@ -229,6 +230,25 @@ def test_meta_fit_on_other_covariates_exits_3(tmp_path, capsys):
     assert not (tmp_path / "r.csv").exists()
 
 
+def test_surrogate_trial_id_exits_3_before_any_artifact(tmp_path, capsys):
+    # a JSON id escaping a lone surrogate is refused where it is read, not when
+    # reconstruction hashes it or a writer encodes it
+    bad = tmp_path / "bad.json"
+    write_summaries(read_summaries(summaries_csv(tmp_path)), bad)
+    rows = json.loads(bad.read_text())
+    rows[2]["trial_id"] = "\udcff" + rows[2]["trial_id"]  # file object 3
+    bad.write_text(json.dumps(rows))
+    needle = "object 3: trial_id '\\udcfftrial2' is not UTF-8 text"
+    for argv in (["meta", "--summaries", str(bad)],
+                 ["reconstruct", "--summaries", str(bad), "--seed", "1",
+                  "--out", str(tmp_path / "r.csv")],
+                 ["pipeline", "--summaries", str(bad), "--target", target_csv(tmp_path),
+                  "--seed", "1", "--out", str(tmp_path / "out")]):
+        code, err = run_fail(capsys, argv)
+        assert code == 3 and needle in err and "Traceback" not in err, argv[0]
+    assert not (tmp_path / "r.csv").exists() and list((tmp_path / "out").iterdir()) == []
+
+
 @pytest.mark.parametrize("column, value, needle", [
     ("z", "2", "arm indicator must be 0 or 1, got 2"),
     ("y", "nan", "outcome not finite"),
@@ -315,17 +335,20 @@ def test_nan_standard_error_exits_4(tmp_path, capsys, monkeypatch):
     assert not (out / "estimate.json").exists() and not (out / "summary.txt").exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_univariate_infinite_standard_error_exits_4(tmp_path, capsys):
-    # outcomes of +-1e308 overflow every arm moment, so the SE is infinite: no contrast,
-    # not an exit-0 interval of NaN and Infinity
+    # outcomes of +-1e308 overflow every arm moment, so the univariate SE is infinite and
+    # the regression's NaN: no contrast, not an exit-0 interval of NaN and Infinity, and
+    # no numpy overflow warning ahead of the one error line (here raised as an error)
     path = tmp_path / "huge.csv"
     path.write_text("trial_id,z,y,x1\nt,1,1e308,0.5\nt,1,1e308,-0.5\n"
                     "t,0,-1e308,0.5\nt,0,-1e308,-0.5\n")
-    with np.errstate(over="ignore", invalid="ignore"):
+    for estimator, se in (("univariate", "inf"), ("regression", "nan"), ("both", "nan")):
         code, err = run_fail(capsys, ["estimate", "--subjects", str(path), "--estimator",
-                                      "univariate", "--out", str(tmp_path / "est.json")])
-    assert code == 4 and "standard error of the z contrast is inf" in err
-    assert not (tmp_path / "est.json").exists()
+                                      estimator, "--out", str(tmp_path / "est.json")])
+        assert code == 4, estimator
+        assert err == f"error: standard error of the z contrast is {se}\n", estimator
+        assert not (tmp_path / "est.json").exists()
 
 
 def test_stage_composition(tmp_path, capsys):

@@ -345,6 +345,21 @@ def test_json_subjects_reject_a_fractional_arm_indicator(tmp_path):
         read_subjects(path)
 
 
+@pytest.mark.parametrize("read", [read_summaries, read_subjects])
+def test_json_trial_id_with_a_lone_surrogate_is_refused(tmp_path, read):
+    # json reads the escape "\udcff" as a lone surrogate, which UTF-8 cannot encode:
+    # reconstruction could not hash such an id, nor a writer write it
+    rows = [{"trial_id": "A", "arm": arm, "n": 40, "y_mean": 1.0 + arm, "y_sd": 1.0,
+             "z": arm, "y": 1.0} for arm in (1, 0)]
+    rows[1]["trial_id"] = "\udcffbad"
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(rows))
+    assert "\\udcffbad" in path.read_text()
+    with pytest.raises(DataError, match=r"^object 2: trial_id '\\udcffbad' is not UTF-8 text "
+                                        r"\(surrogates not allowed\)$"):
+        read(path)
+
+
 @pytest.mark.parametrize("kind, field, value", [("summaries", "arm", False),
                                                 ("summaries", "n", True),
                                                 ("subjects", "z", True),

@@ -133,9 +133,23 @@ def test_non_finite_heterogeneity_is_an_error():
     # be truncated to tau2 = 0
     trials = [trial("a", 1e200, -1e200, p=0), trial("b", -1e200, 1e200, p=0),
               trial("c", 0.0, 0.0, p=0)]
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NumericalError, match="^heterogeneity estimate not finite: Q = inf"):
+    with pytest.raises(NumericalError, match="^heterogeneity estimate not finite: Q = inf"):
         fit_dl(stack(trials))
+
+
+def test_non_finite_refit_is_an_error():
+    # means of +-1e154 leave Q and tau2 finite (tau2 about 5e307), but the refit weights
+    # 1 / (v + tau2) are so small that (X'W*X)^-1 overflows: no fit of inf and NaN
+    s = table(arm_row("t0", 0, 81, 0.39170993168076196, 5.0351167462032244e-05,
+                      (0.5800141961966268,), (1.0,)),
+              arm_row("t0", 1, 10, 2.5977719364928278e+100, 17031.149449346387,
+                      (-0.5099792040504177,), (1.0,)),
+              arm_row("t1", 0, 28, -1.8054038762394023e+154, 0.00018588033105679038,
+                      (-2.1227205569401995,), (1.0,)),
+              arm_row("t1", 1, 59, -1.0665324803942034e+153, 9578.664378978758,
+                      (1.0421487424238252,), (1.0,)))
+    with pytest.raises(NumericalError, match="^meta-regression fit not finite at tau2 = "):
+        fit_dl(s)
 
 
 def test_meta_se_matches_covariance_diagonal():

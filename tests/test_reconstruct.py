@@ -5,7 +5,9 @@ import zlib
 
 import numpy as np
 import pytest
-from numpy.random import SeedSequence, default_rng
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from summary_tables import arm_row, table
 
@@ -13,8 +15,8 @@ from metaborrow.data import Dataset
 from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit, design_columns
 from metaborrow.pipeline import borrow
-from metaborrow.reconstruct import (ClampWarning, ReconstructionConfig, clamped_arms,
-                                    reconstruct_all)
+from metaborrow.reconstruct import (ClampWarning, ReconstructionConfig, _pcg64_words, _SeedWords,
+                                    clamped_arms, reconstruct_all)
 
 
 def meta_fit(beta, columns):
@@ -124,6 +126,36 @@ def test_substream_is_the_one_the_key_tuple_seeds(seed):
     assert got.z.tolist() == [armv for _, armv, n in keys for _ in range(n)]
     assert got.X.tobytes() == np.concatenate(xs)[:, None].tobytes()
     assert got.y.tobytes() == np.concatenate(ys).tobytes()
+
+
+KEY_ROWS = st.integers(1, 12).flatmap(
+    lambda width: st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=width, max_size=width),
+                           max_size=70).map(
+        lambda rows: np.array(rows, dtype=np.uint32).reshape(len(rows), width)))
+
+
+@settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
+@given(KEY_ROWS)
+def test_batched_seed_words_are_numpys(keys):
+    # row k is what SeedSequence(keys[k]) gives PCG64, and a generator seeded with it
+    # is in default_rng(SeedSequence(keys[k]))'s state and draws what it draws
+    words = _pcg64_words(keys)
+    assert words.shape == (len(keys), 4) and words.dtype == np.uint64
+    for key, row in zip(keys, words):
+        reference = default_rng(SeedSequence(key))
+        assert row.tobytes() == SeedSequence(key).generate_state(4, np.uint64).tobytes()
+        rng = Generator(PCG64(_SeedWords(row)))
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.standard_normal(3).tobytes() == reference.standard_normal(3).tobytes()
+
+
+@pytest.mark.parametrize("n_words, dtype", [(4, np.uint32), (8, np.uint32), (2, np.uint64),
+                                            (8, np.uint64), (4, np.int64), (4, np.float64)])
+def test_seed_words_refuse_any_other_request(n_words, dtype):
+    seed = _SeedWords(_pcg64_words(np.array([[1, 2, 3]], dtype=np.uint32))[0])
+    assert seed.generate_state(4, np.uint64) is seed.words
+    with pytest.raises(ValueError, match="^seed words are 4 uint64, not "):
+        seed.generate_state(n_words, dtype)
 
 
 def test_arms_use_distinct_substreams():
