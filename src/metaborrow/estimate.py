@@ -2,8 +2,9 @@
 
 Two estimators share the importance weights, and each gives its
 treatment effect as one :class:`Contrast` (estimate, SE, interval,
-statistic, p-value), built by one constructor that refuses a standard
-error that is not finite:
+statistic, p-value), built by one constructor that refuses a contrast
+that is not estimable (a standard error that is not finite and positive,
+or an estimate, statistic or interval that is not finite):
 
 * :func:`estimate_univariate` — weighted difference of arm means with a
   plug-in variance built from weighted effective sample sizes, on the
@@ -39,6 +40,7 @@ from ._dist import _norm_ppf, _t_cdf, _t_ppf
 from .errors import ConfigError, DataError, NumericalError
 
 MEAT_KINDS = ("w4", "w3", "hc0")
+_EPS = np.finfo(float).eps
 _RANK_DEFICIENT = "weighted design is rank deficient; dependent columns: "
 
 
@@ -77,23 +79,23 @@ def _contrast(est, se, level, df=None):
     """The Contrast of ``est`` with standard error ``se`` at ``level``, on ``df`` (t) or None
     (normal).
 
-    NumericalError when the SE is not finite, since a NaN interval would
-    be reported, or averaged, as a result.  With se == 0 the statistic is
-    +-inf for a nonzero estimate, 0 for a zero one and NaN for a NaN one;
-    p is 0 for an infinite statistic and NaN for a NaN one, so an
-    undefined contrast never reports a significant p-value.
+    NumericalError unless the SE is finite and positive and the estimate,
+    the statistic and the interval are finite: a NaN interval would be
+    reported, or averaged, as a result, and an SE of 0 would give an
+    infinite statistic and p = 0, a significant p-value for a contrast
+    that is not estimable.
     """
-    if not math.isfinite(se):
+    if not 0 < se < math.inf:
         raise NumericalError(f"standard error of the z contrast is {se}")
     tail = (1 - check_level(level)) / 2
     q = -(_norm_ppf(tail) if df is None else _t_ppf(df, tail))
-    if se:
-        stat = est / se
-    else:
-        stat = float(np.inf * np.sign(est)) if est else 0.0
+    stat, lo, hi = est / se, est - q * se, est + q * se
+    if not (math.isfinite(stat) and math.isfinite(lo) and math.isfinite(hi)):
+        raise NumericalError(f"z contrast not finite: estimate {est}, standard error {se}, "
+                             f"statistic {stat}, interval [{lo}, {hi}]")
     # 2 Phi(-|stat|) through erfc, without cancellation
     p = math.erfc(abs(stat) * math.sqrt(0.5)) if df is None else 2 * _t_cdf(df, -abs(stat))
-    return Contrast(est, se, est - q * se, est + q * se, stat, p, df)
+    return Contrast(est, se, lo, hi, stat, p, df)
 
 
 def _arm_weights(z, w):
@@ -117,14 +119,20 @@ def estimate_univariate(d, level=0.95):
         s2_w(z) = sum(w^2 (y - Ybar_w(z))^2) / n_eff(z),
 
     i.e. squared weights in the numerator, matching the influence of a
-    weighted mean of independent observations.
+    weighted mean of independent observations.  An arm whose Kish
+    effective size n_eff(z)^2 / sum(w^2) is at most 1 (one row, say) is a
+    NumericalError: its variance has no degrees of freedom.
     """
     w, y, z = d.w, d.y, d.z
     arms = []
     for arm, n in enumerate(_arm_weights(z, w)):
         m = z == arm
+        w2 = w[m] ** 2
+        if n * n <= w2.sum() < np.inf:  # an overflowing sum w^2 gives an infinite SE instead
+            raise NumericalError(f"arm {arm} has Kish effective size (sum w)^2 / sum w^2 <= 1;"
+                                 " its variance is not estimable")
         mean = float(w[m] @ y[m] / n)
-        arms.append((mean, float((w[m] ** 2) @ (y[m] - mean) ** 2 / n) / n))
+        arms.append((mean, float(w2 @ (y[m] - mean) ** 2 / n) / n))
     (m0, v0), (m1, v1) = arms
     return _contrast(m1 - m0, float(np.sqrt(v1 + v0)), level)
 
@@ -224,6 +232,20 @@ def _wls(X, w, y, names):
     return bread @ (XtW @ y), bread
 
 
+def _check_residuals(e, y, w):
+    """NumericalError when every positive-weight residual ``e`` is within 64 ulps of the
+    largest outcome: max|e| <= 64 eps max|y|.  The fit is then exact to rounding, and a
+    sandwich SE built from those residuals measures only rounding, not the data.  Non-finite
+    residuals or outcomes pass on to the contrast's own checks."""
+    if not w.all():  # rows of weight 0 are not fitted
+        live = w > 0
+        e, y = e[live], y[live]
+    e_max, y_max = np.abs(e).max(), np.abs(y).max()
+    if e_max <= 64 * _EPS * y_max < np.inf:
+        raise NumericalError(f"outcome fit is exact to rounding (max |residual| {e_max:.3g},"
+                             f" max |y| {y_max:.3g}); its standard errors are not estimable")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _fit(d, w, meat, include_covariates=True, include_interaction=False):
     """WLS of y on the outcome design under weights ``w``, with ``meat``'s covariance.
@@ -243,6 +265,7 @@ def _fit(d, w, meat, include_covariates=True, include_interaction=False):
     X = build_outcome_design(d, include_covariates, include_interaction)[0]
     beta, bread = _wls(X, w, y, names)
     e = y - X @ beta
+    _check_residuals(e, y, w)
     if meat == "homoskedastic":
         cov = float(e @ e) / (n - q) * bread
     else:

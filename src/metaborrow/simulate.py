@@ -21,7 +21,6 @@ on it.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
@@ -339,7 +338,11 @@ def run_cell(cfg, jobs=1, progress=None):
     at once, and more than one per replication would sit idle); because
     each replication is seeded independently by its index, the aggregate
     is identical at any ``jobs``.  A ``jobs`` that is not an int, is a
-    bool or is below 1 is a ConfigError.
+    bool or is below 1 is a ConfigError.  The pool class is imported
+    only when a pool is built: ``concurrent.futures.process`` loads
+    ``multiprocessing``, ``socket`` and ``queue`` (about 1.2 MB of
+    resident memory), which a serial run and every CLI stage process
+    would otherwise load for nothing.
     ``progress`` (callable taking the count of completed replications)
     is invoked occasionally when given.
     """
@@ -347,6 +350,8 @@ def run_cell(cfg, jobs=1, progress=None):
     reps = range(cfg.replications)
     workers = min(jobs, cfg.replications)
     parallel = workers > 1
+    if parallel:
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
         outs = (pool.map(run_replication, repeat(cfg), reps,
                          chunksize=max(1, cfg.replications // (workers * 8)))

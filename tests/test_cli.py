@@ -351,6 +351,39 @@ def test_univariate_infinite_standard_error_exits_4(tmp_path, capsys):
         assert not (tmp_path / "est.json").exists()
 
 
+# Subject rows whose contrast is not estimable: one row per arm (outcomes +-1e308, or
+# finite), and two rows per arm with one outcome each, on two covariate layouts
+NON_ESTIMABLE = {
+    "one_row_huge": "T,0,1e308,0.1\nT,1,-1e308,0.2\n",
+    "one_row": "T,0,1.0,0.1\nT,1,2.0,0.2\n",
+    "constant": "T,0,1.0,0.1\nT,0,1.0,0.3\nT,1,2.0,0.2\nT,1,2.0,0.5\n",
+    "constant_x": "T,0,1.0,0.1\nT,0,1.0,0.3\nT,1,2.0,0.2\nT,1,2.0,0.4\n",
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("rows, estimator, error", [
+    pytest.param(rows, estimator, error, id=f"{rows}-{estimator}")
+    for rows, estimator, error in (
+        ("one_row_huge", "univariate", "arm 0 has Kish effective size "),
+        ("one_row", "univariate", "arm 0 has Kish effective size "),
+        ("constant", "both", "outcome fit is exact to rounding ("),
+        ("constant", "univariate", "standard error of the z contrast is 0.0\n"),
+        ("constant_x", "both", "outcome fit is exact to rounding ("),
+        ("constant_x", "univariate", "standard error of the z contrast is 0.0\n"))])
+def test_non_estimable_contrast_exits_4(tmp_path, capsys, rows, estimator, error):
+    # each printed p 0 (or a regression t near 1e15) and exited 0; an SE of 0, or of
+    # rounding only, is no evidence, so nothing is printed or written but one error line
+    path = tmp_path / "rows.csv"
+    path.write_text("trial_id,z,y,x1\n" + NON_ESTIMABLE[rows])
+    out = tmp_path / "est.json"
+    code, err = run_fail(capsys, ["estimate", "--subjects", str(path), "--estimator",
+                                  estimator, "--out", str(out)])
+    assert code == 4
+    assert err.startswith("error: " + error) and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_stage_composition(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     tpath = target_csv(tmp_path)

@@ -1,5 +1,7 @@
 """Estimators: univariate oracle, sandwich conventions, degenerate cases."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -7,9 +9,9 @@ from summary_tables import pool
 
 from metaborrow.data import Dataset
 from metaborrow.errors import ConfigError, DataError, NumericalError
-from metaborrow.estimate import (WeightedFit, _arm_weights, build_outcome_design,
-                                 estimate_univariate, fit_ols, fit_weighted_regression,
-                                 weighted_transpose)
+from metaborrow.estimate import (MEAT_KINDS, WeightedFit, _arm_weights, _contrast,
+                                 build_outcome_design, estimate_univariate, fit_ols,
+                                 fit_weighted_regression, weighted_transpose)
 from metaborrow.meta import MetaFit, meta_se
 
 
@@ -57,8 +59,8 @@ def test_univariate_p_value_and_interval_match_scipy():
 
 def test_univariate_weighted_oracle():
     # treated: w = (2, 1), y = (3, 0): n_eff 3, mean 2,
-    # s2 = (4*1 + 1*4)/3 = 8/3; control: single w = 2, y = 1: mean 1, s2 = 0
-    d = dataset([1, 1, 0], [3.0, 0.0, 1.0], w=[2.0, 1.0, 2.0])
+    # s2 = (4*1 + 1*4)/3 = 8/3; control: w = (1, 1), y = (1, 1): mean 1, s2 = 0
+    d = dataset([1, 1, 0, 0], [3.0, 0.0, 1.0, 1.0], w=[2.0, 1.0, 1.0, 1.0])
     est = estimate_univariate(d)
     assert est.estimate == pytest.approx(1.0)
     assert _arm_weights(d.z, d.w)[1] == pytest.approx(3.0)
@@ -75,11 +77,10 @@ def test_univariate_invariant_to_weight_scale():
 
 
 def test_univariate_degenerate_outcomes():
-    const = estimate_univariate(dataset([1, 1, 0, 0], [5.0, 5.0, 3.0, 3.0]))
-    assert const.estimate == 2.0 and const.se == 0.0
-    assert const.stat == np.inf and const.p_value == 0.0
-    null = estimate_univariate(dataset([1, 1, 0, 0], [3.0, 3.0, 3.0, 3.0]))
-    assert null.stat == 0.0 and null.p_value == pytest.approx(1.0)
+    # constant outcomes in each arm: SE 0, so no contrast, not an infinite statistic and p 0
+    for y in ([5.0, 5.0, 3.0, 3.0], [3.0, 3.0, 3.0, 3.0]):
+        with pytest.raises(NumericalError, match=r"^standard error of the z contrast is 0\.0$"):
+            estimate_univariate(dataset([1, 1, 0, 0], y))
 
 
 def test_undefined_statistic_has_no_p_value():
@@ -113,6 +114,45 @@ def test_negative_variance_has_a_nan_standard_error():
 def test_univariate_zero_weight_arm_rejected():
     with pytest.raises(DataError, match="zero total weight"):
         estimate_univariate(dataset([1, 1, 0], [1.0, 2.0, 3.0], w=[1.0, 1.0, 0.0]))
+
+
+def test_univariate_refuses_an_arm_of_kish_size_one():
+    # one row in an arm, or all of an arm's weight on one row: its variance has no degrees
+    # of freedom, so no contrast, not an SE of 0 and p = 0; a weight whose square
+    # underflows is no way round it, and one whose square overflows gives an infinite SE
+    for z, y, w in (([1, 1, 0], [3.0, 1.0, 2.0], None),
+                    ([1, 1, 0, 0], [3.0, 1.0, 2.0, 4.0], [1.0, 1.0, 2.0, 0.0]),
+                    ([1, 1, 0], [3.0, 1.0, 2.0], [1.0, 1.0, 1e-300])):
+        with pytest.raises(NumericalError, match=r"^arm 0 has Kish effective size \(sum w\)\^2 "
+                                                 r"/ sum w\^2 <= 1; its variance is not "):
+            estimate_univariate(dataset(z, y, w=w))
+    with pytest.raises(NumericalError, match="^standard error of the z contrast is inf$"):
+        estimate_univariate(dataset([1, 1, 0, 0, 0], [3.0, 1.0, 2.0, 4.0, 4.0],
+                                    w=[1.0, 1.0, 1e300, 1e300, 1e300]))
+    # just above one: estimable
+    est = estimate_univariate(dataset([1, 1, 0, 0], [3.0, 1.0, 2.0, 4.0],
+                                      w=[1.0, 1.0, 1.0, 1e-6]))
+    assert est.se > 0 and np.isfinite([est.estimate, est.stat, est.ci_low, est.ci_high]).all()
+
+
+@pytest.mark.parametrize("df", [None, 8])
+def test_contrast_refuses_what_is_not_estimable(df):
+    # an SE that is not positive, or an estimate, statistic or interval that is not finite:
+    # no contrast, not an infinite statistic with p = 0 or an interval of infinities
+    for est, se, message in ((1.0, 0.0, "standard error of the z contrast is 0.0"),
+                             (0.0, 0.0, "standard error of the z contrast is 0.0"),
+                             (1.0, -1.0, "standard error of the z contrast is -1.0"),
+                             (1.0, np.nan, "standard error of the z contrast is nan"),
+                             (np.inf, 1.0, "z contrast not finite: estimate inf, "),
+                             (-np.inf, 1.0, "z contrast not finite: estimate -inf, "),
+                             (np.nan, 1.0, "z contrast not finite: estimate nan, "),
+                             (1e10, 1e-300, "standard error 1e-300, statistic inf, "),
+                             (1e308, 1e308, "statistic 1.0, interval [")):
+        with pytest.raises(NumericalError, match=re.escape(message)):
+            _contrast(est, se, 0.95, df)
+    tiny = _contrast(1.0, 2.0 ** -900, 0.95, df)
+    assert tiny.stat == 2.0 ** 900 and tiny.p_value == 0.0
+    assert tiny.ci_low == tiny.ci_high == 1.0
 
 
 # ---------------------------------------------------------------- regression
@@ -253,6 +293,38 @@ def test_unestimable_configurations_rejected():
         fit_weighted_regression(tiny)
     with pytest.raises(ConfigError, match="unknown meat"):
         fit_weighted_regression(random_dataset(rng), meat="w5")
+
+
+@pytest.mark.parametrize("meat", [*MEAT_KINDS, "ols"])
+def test_fit_exact_to_rounding_is_refused(meat):
+    # arm means 1 and 2 with residuals +-a: the sandwich SE is built from rounding alone
+    # when max|e| <= 64 eps max|y| = 128 eps here, and the fit is refused; at 256 eps it
+    # stands.  The rows of weight 0 are not fitted, so their residuals do not count.
+    eps = np.finfo(float).eps
+
+    def fit(a):
+        z, y = [0, 0, 1, 1], [1 + a, 1 - a, 2 + a, 2 - a]
+        if meat == "ols":  # all rows count: a third row per arm on x1 = 1, residual 0
+            return fit_ols(dataset(z + [0, 1], y + [1.0, 2.0], [0, 0, 0, 0, 1, 1]))
+        d = dataset(z + [0, 1], y + [40.0, -9.0], w=[1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+        return fit_weighted_regression(d, include_covariates=False, meat=meat)
+
+    for a in (0.0, 32 * eps):
+        with pytest.raises(NumericalError, match=r"^outcome fit is exact to rounding "):
+            fit(a)
+    ct = fit(256 * eps).z_contrast()
+    assert ct.estimate == pytest.approx(1.0) and 1e12 < ct.stat < 1e14
+
+
+def test_precise_fit_with_a_large_t_stands():
+    # outcome noise of 1e-6: a t near 1e7 and p = 0, but residuals far above rounding
+    rng = np.random.default_rng(4)
+    z = np.arange(60) % 2
+    x = rng.normal(size=60)
+    y = 1.0 + 2.0 * z - x + 1e-6 * rng.normal(size=60)
+    ct = fit_weighted_regression(dataset(z, y, x)).z_contrast()
+    assert ct.estimate == pytest.approx(2.0) and abs(ct.stat) > 1e6
+    assert np.isfinite([ct.se, ct.ci_low, ct.ci_high]).all() and ct.se > 0
 
 
 def test_ols_matches_closed_form():

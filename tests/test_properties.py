@@ -6,9 +6,17 @@
   rows and clamped arms of reconstructing them one arm at a time;
 * zero-weight reconstructed rows drop out of both estimators exactly;
 * a converged unpenalized membership fit gives a mean weight of one,
-  whatever the feature map.
+  whatever the feature map;
+* on any subject table, small or extreme, each estimator either refuses
+  the contrast with a documented error (CLI exit 2, 3 or 4) or reports a
+  finite estimate, statistic and interval with a positive standard error.
 """
 
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,8 +27,10 @@ from hypothesis import strategies as st
 from summary_tables import arm_row, pool, table, take
 
 from metaborrow import reconstruct
-from metaborrow.data import dataset_from_arms
-from metaborrow.estimate import estimate_univariate, fit_weighted_regression
+from metaborrow.cli import main
+from metaborrow.data import dataset_from_arms, read_subjects
+from metaborrow.errors import MetaborrowError
+from metaborrow.estimate import MEAT_KINDS, estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, fit_dl
 from metaborrow.reconstruct import (BORROW_MODES, ReconstructionConfig, clamped_arms,
                                     reconstruct_all)
@@ -179,3 +189,67 @@ def test_mean_weight_is_one_for_any_feature_map(seed, atoms, shift, scale):
     fit = fit_membership(d, parse_feature_spec(",".join(atoms), d.p))
     assume(fit.converged and fit.ridge_lambda == 0.0)
     assert fit.weighted.w.mean() == pytest.approx(1.0, abs=1e-6)
+
+
+# outcome, covariate and weight values, ordinary and extreme: the tables below draw each
+# column from a pool of a few of them, so ties, one-row arms and overflow are common
+EXTREMES = (0.0, 1.0, -1.0, 5e-324, 1e-300, 1e154, -1e154, 1e300, 1e308, -1e308)
+WEIGHTS = (0.0, 5e-324, 1e-300, 1e-6, 0.5, 1.0, 3.0, 1e154, 1e300)
+
+
+@st.composite
+def subject_tables(draw):
+    """The CSV text of 0-5 subject rows per arm, weights included."""
+    values = st.one_of(st.sampled_from(EXTREMES), st.floats(-1e3, 1e3),
+                       st.floats(allow_nan=False, allow_infinity=False))
+    weights = st.one_of(st.sampled_from(WEIGHTS), st.floats(0, 1e3))
+    pools = [draw(st.lists(s, min_size=1, max_size=k))
+             for s, k in ((values, 4), (values, 4), (weights, 3))]
+    rows = [(arm, *(draw(st.sampled_from(p)) for p in pools))
+            for arm in (0, 1) for _ in range(draw(st.integers(0, 5)))]
+    return "trial_id,z,y,x1,weight\n" + "".join(
+        f"T,{z},{y!r},{x!r},{w!r}\n" for z, y, x, w in draw(st.permutations(rows)))
+
+
+def assert_estimable(ct):
+    """A contrast that was not refused: finite estimate, statistic and interval, SE > 0."""
+    ct = ct if isinstance(ct, dict) else ct.to_dict()
+    stat = ct.get("t_stat", ct.get("z_stat"))
+    assert np.isfinite([ct["estimate"], ct["se"], stat, ct["ci_low"], ct["ci_high"]]).all(), ct
+    assert ct["se"] > 0 and ct["ci_low"] <= ct["estimate"] <= ct["ci_high"], ct
+    assert 0 <= ct["p_value"] <= 1, ct
+
+
+@settings(deadline=None, max_examples=200)
+@given(subject_tables(), st.sampled_from(MEAT_KINDS), st.booleans())
+def test_every_contrast_is_refused_or_finite(text, meat, covariates):
+    # the library estimators and CLI `estimate` either refuse a table with a documented
+    # error (exit 2, 3 or 4) or report a finite contrast with a positive SE
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "rows.csv", Path(tmp) / "est.json"
+        path.write_text(text)
+        try:
+            d = read_subjects(path)
+        except MetaborrowError:
+            d = None
+        if d is not None:
+            for estimate in (lambda: estimate_univariate(d),
+                             lambda: fit_weighted_regression(d, include_covariates=covariates,
+                                                             meat=meat).z_contrast()):
+                with contextlib.suppress(MetaborrowError):
+                    assert_estimable(estimate())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(["estimate", "--subjects", str(path), "--estimator", "both",
+                             "--meat", meat, "--covariates" if covariates else "--no-covariates",
+                             "--out", str(out)])
+            except SystemExit as exc:
+                code = exc.code
+        if code == 0:
+            payload = json.loads(out.read_text())
+            assert_estimable(payload["regression"]["contrast_z"])
+            assert_estimable(payload["univariate"])
+        else:
+            assert code in (2, 3, 4) and err.getvalue().startswith("error: "), err.getvalue()
+            assert not out.exists()

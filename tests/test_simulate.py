@@ -1,8 +1,13 @@
 """Monte-Carlo engine: seeding, parallel equality, aggregation arithmetic."""
 
+import concurrent.futures
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,8 +242,27 @@ def test_parallel_equals_serial():
     assert serial == parallel
 
 
+def test_serial_cell_loads_no_process_pool():
+    # run_cell imports the pool only to build one, so a serial run (and every CLI stage
+    # process) never loads multiprocessing; this session may have, so a fresh interpreter
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys, metaborrow, metaborrow.cli\n"
+            "from metaborrow.simulate import ScenarioConfig, run_cell\n"
+            f"cfg = {TINY!r}\n"
+            "serial = run_cell(cfg)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'\n"
+            "             or m == 'concurrent.futures.process'))\n"
+            "print(run_cell(cfg, jobs=2) == serial, 'concurrent.futures.process' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["[]", "True True"]
+
+
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its width, runs the map in-process."""
+    """Stands in for concurrent.futures.ProcessPoolExecutor, the name run_cell imports when
+    it pools: records its width, runs the map in-process."""
 
     widths = []
 
@@ -257,7 +281,7 @@ class RecordingPool:
 
 def test_pool_width_is_capped_and_jobs_checked(monkeypatch):
     # the pool starts all its workers at once: never more than one per replication
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "widths", [])
     cfg = ScenarioConfig(K=5, n=20, replications=3, base_seed=123)
     serial = run_cell(cfg, jobs=1)
