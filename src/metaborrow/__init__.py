@@ -15,8 +15,7 @@ from .estimate import (MEAT_KINDS, Contrast, WeightedFit, build_outcome_design,
                        estimate_univariate, fit_ols, fit_weighted_regression)
 from .meta import MetaFit, fit_dl, meta_se
 from .pipeline import Borrowed, PipelineConfig, borrow, run_pipeline
-from .reconstruct import (BORROW_MODES, ClampWarning, ReconstructionConfig,
-                          clamped_arms, reconstruct_all)
+from .reconstruct import BORROW_MODES, ClampWarning, ReconstructionConfig, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, CellResult,
                        EstimatorSummary, ReplicationResult, ScenarioConfig,
                        aggregate, generate_meta_trials, generate_target_trial,
@@ -34,7 +33,7 @@ __all__ = [
     "estimate_univariate", "fit_ols", "fit_weighted_regression",
     "MetaFit", "fit_dl", "meta_se",
     "Borrowed", "PipelineConfig", "borrow", "run_pipeline",
-    "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "clamped_arms", "reconstruct_all",
+    "BORROW_MODES", "ClampWarning", "ReconstructionConfig", "reconstruct_all",
     "ALLOCATIONS", "COVARIATE_DISTS", "MODEL_SPECS", "CellResult",
     "EstimatorSummary", "ReplicationResult", "ScenarioConfig", "aggregate",
     "generate_meta_trials", "generate_target_trial", "run_cell",

@@ -26,7 +26,7 @@ from .errors import ConfigError, MetaborrowError
 from .estimate import (MEAT_KINDS, _arm_weights, check_level, estimate_univariate,
                        fit_weighted_regression)
 from .meta import fit_dl
-from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
+from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
 from .simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig, _write_mode,
                        run_cell, write_cell_csv)
 from .weights import fit_membership, parse_feature_spec
@@ -98,8 +98,8 @@ def reconstruct(summaries, meta_path, interaction, borrow, seed, out_path):
     else:
         fit = fit_dl(s, include_interaction=interaction)
     rcfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
-    recon = reconstruct_all(s, fit, rcfg)
-    for clamp in clamped_arms(s, fit, rcfg):
+    recon, clamps = reconstruct_all(s, fit, rcfg)
+    for clamp in clamps:
         warnings.warn(clamp)
     write_subjects(recon, out_path, include_weight=False)
     click.echo(f"reconstructed {len(recon)} subjects from "
@@ -145,22 +145,25 @@ def estimate(subjects, estimator, covariates, interaction, meat, level, out_path
     """Estimate the treatment contrast on weighted subject rows."""
     check_level(level)
     d = read_subjects(subjects)
-    payload = {}
+    # every requested contrast is computed before any is printed: a refused one prints none
+    payload, lines = {}, []
     if estimator in ("regression", "both"):
         fit = fit_weighted_regression(d, include_covariates=covariates,
                                       include_interaction=interaction, meat=meat)
         payload["regression"] = pl.weighted_fit_to_dict(fit, level)
         ct = payload["regression"]["contrast_z"]
-        click.echo(f"regression ({meat}): z = {ct['estimate']:+.4f}  se {ct['se']:.4f}  "
-                   f"CI [{ct['ci_low']:+.4f}, {ct['ci_high']:+.4f}]  "
-                   f"t {ct['t_stat']:.3f}  p {ct['p_value']:.4g}")
+        lines.append(f"regression ({meat}): z = {ct['estimate']:+.4f}  se {ct['se']:.4f}  "
+                     f"CI [{ct['ci_low']:+.4f}, {ct['ci_high']:+.4f}]  "
+                     f"t {ct['t_stat']:.3f}  p {ct['p_value']:.4g}")
     if estimator in ("univariate", "both"):
         uni = estimate_univariate(d, level)
         n_eff_control, n_eff_treated = _arm_weights(d.z, d.w)
         payload["univariate"] = {**uni.to_dict(), "n_eff_treated": n_eff_treated,
                                  "n_eff_control": n_eff_control}
-        click.echo(f"univariate: delta = {uni.estimate:+.4f}  se {uni.se:.4f}  "
-                   f"CI [{uni.ci_low:+.4f}, {uni.ci_high:+.4f}]  p {uni.p_value:.4g}")
+        lines.append(f"univariate: delta = {uni.estimate:+.4f}  se {uni.se:.4f}  "
+                     f"CI [{uni.ci_low:+.4f}, {uni.ci_high:+.4f}]  p {uni.p_value:.4g}")
+    for line in lines:
+        click.echo(line)
     if out_path:
         pl.write_json(payload, out_path)
         click.echo(f"wrote {out_path}")

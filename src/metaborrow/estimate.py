@@ -122,17 +122,25 @@ def estimate_univariate(d, level=0.95):
     weighted mean of independent observations.  An arm whose Kish
     effective size n_eff(z)^2 / sum(w^2) is at most 1 (one row, say) is a
     NumericalError: its variance has no degrees of freedom.
+
+    The squares are taken of each arm's weights divided by the power of
+    two that puts n_eff(z) in [0.5, 1), and s2_w(z) / n_eff(z) and the
+    Kish size are computed on that scale.  Dividing by a power of two is
+    exact and both terms are invariant to it, so ordinary weights give
+    the same bits, and an arm whose weights are all tiny or all huge has
+    no square that underflows to 0 or overflows.
     """
     w, y, z = d.w, d.y, d.z
     arms = []
     for arm, n in enumerate(_arm_weights(z, w)):
         m = z == arm
-        w2 = w[m] ** 2
-        if n * n <= w2.sum() < np.inf:  # an overflowing sum w^2 gives an infinite SE instead
+        n_scaled, e = math.frexp(n)
+        w2 = np.ldexp(w[m], -e) ** 2
+        if n_scaled * n_scaled <= w2.sum() < np.inf:  # weights summing to inf: SE not finite
             raise NumericalError(f"arm {arm} has Kish effective size (sum w)^2 / sum w^2 <= 1;"
                                  " its variance is not estimable")
         mean = float(w[m] @ y[m] / n)
-        arms.append((mean, float(w2 @ (y[m] - mean) ** 2 / n) / n))
+        arms.append((mean, float(w2 @ (y[m] - mean) ** 2 / n_scaled) / n_scaled))
     (m0, v0), (m1, v1) = arms
     return _contrast(m1 - m0, float(np.sqrt(v1 + v0)), level)
 

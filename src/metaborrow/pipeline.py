@@ -36,7 +36,7 @@ from .data import Dataset, _number, read_subjects, read_summaries, write_subject
 from .errors import ConfigError, MetaborrowError, check_int
 from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
 from .meta import MetaFit, fit_dl, meta_se
-from .reconstruct import BORROW_MODES, ReconstructionConfig, clamped_arms, reconstruct_all
+from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
 from .weights import LogisticFit, fit_membership, parse_feature_spec
 
 log = logging.getLogger("metaborrow")
@@ -223,7 +223,8 @@ def _stage(name):
 @dataclass(frozen=True)
 class Borrowed:
     """What :func:`borrow` made, a stage not yet run leaving its fields None; ``clamps``
-    holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor.
+    holds an unraised :class:`metaborrow.ClampWarning` per arm drawn at its floor, as
+    :func:`metaborrow.reconstruct.reconstruct_all` returned them with the rows.
     ``reconstructed`` is a view of the pooled rows' tail, not a second copy (its ``w`` the
     unit weights, its ``trial`` indexing the pooled ``trial_ids``); ``membership.weighted``
     holds the pooled rows with their importance weights."""
@@ -248,10 +249,10 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
     """
     report = on_stage or (lambda stage, done: None)
     with _stage("reconstruct"):
-        pooled = reconstruct_all(summaries, meta, rcfg, head=target)
+        pooled, clamps = reconstruct_all(summaries, meta, rcfg, head=target)
         n = len(target)
         tail = [getattr(pooled, c)[n:] for c in ("trial", "z", "y", "X", "w", "is_target")]
-        done = Borrowed(Dataset(pooled.trial_ids, *tail), clamped_arms(summaries, meta, rcfg))
+        done = Borrowed(Dataset(pooled.trial_ids, *tail), clamps)
         report("reconstruct", done)
     with _stage("weights"):
         done = replace(done, membership=fit_membership(pooled, features))

@@ -12,10 +12,10 @@ where ``load_j`` is the total slope on covariate j for this arm
 (main-effect coefficient plus, for treated arms, the arm-interaction
 coefficient when the meta design carries one).  A negative ``s2`` is
 clamped to ``ERROR_FLOOR * y_var``, never silently:
-:func:`clamped_arms` returns one unraised :class:`ClampWarning` per
-clamped arm, from the same residual-variance rule, and the library's
-edges (``run_pipeline``, the CLI ``reconstruct`` command) warn with
-them.
+:func:`reconstruct_all` returns its rows with one unraised
+:class:`ClampWarning` per clamped arm, from the same test that sets
+the arm's SD, and the library's edges (``run_pipeline``, the CLI
+``reconstruct`` command) warn with them.
 
 The meta fit must have one of the two column layouts that
 :func:`metaborrow.meta.design_columns` gives for the trials' covariate
@@ -84,6 +84,10 @@ class ClampWarning(UserWarning):
         super().__init__(message)
         self.trial_id = trial_id
         self.arm = arm
+
+    def __reduce__(self):
+        # an exception pickles as cls(*self.args), and args holds the message alone
+        return type(self), (*self.args, self.trial_id, self.arm)
 
 
 @dataclass(frozen=True)
@@ -192,39 +196,21 @@ def _covariates(raw, s, rows, sizes):
     return x
 
 
-def _arms(s, meta, cfg):
-    """The arms ``cfg`` borrows from ``s``: (rows, loads, residual variances, floors).
-
-    Nonempty arms are borrowed, treated ones only under ``both_arms``.
-    An arm's load is its total slope per covariate, the arm-interaction
-    slopes added for a treated arm; an arm whose residual variance is
-    below its floor is clamped to it.  Raises DataError unless the fit's
-    columns are one of the two layouts
-    :func:`metaborrow.meta.design_columns` gives for the table's p.
-    """
-    p = s.p
-    layouts = dict.fromkeys((design_columns(p), design_columns(p, True)))
-    if tuple(meta.columns) not in layouts:
-        raise DataError(f"meta fit columns ({', '.join(meta.columns)}) do not match the meta "
-                        f"design for p = {p}: "
-                        + " or ".join(f"({', '.join(cols)})" for cols in layouts))
-    control = meta.beta[2:2 + p]
-    treated = control + meta.beta[2 + p:] if len(meta.columns) > 2 + p else control
-    rows = np.flatnonzero((s.n > 0) & ((s.arm == 0) | (cfg.borrow != "control_only")))
-    loads = np.where(s.arm[rows][:, None] == 1, treated, control)
-    y_var = s.y_var[rows]
-    return rows, loads, y_var - (loads**2 * s.x_var[rows]).sum(axis=1), ERROR_FLOOR * y_var
-
-
 def reconstruct_all(s, meta, cfg, head=None):
-    """Reconstruct every borrowed arm of Summaries ``s``; returns a Dataset.
+    """Reconstruct every borrowed arm of Summaries ``s``; returns ``(rows, clamps)``.
 
-    The rows are tagged reconstructed and carry unit weights.  Treatment
-    arms are skipped when ``cfg.borrow == "control_only"``, and empty
-    arms always.  Rows follow the table's row order.  Each arm draws
-    from its own substream keyed by (seed, trial_id, arm), so its values
-    do not depend on trial order.  A clamped arm is drawn at its floor
-    without a warning; :func:`clamped_arms` names it.
+    ``rows`` is a Dataset whose borrowed rows are tagged reconstructed
+    and carry unit weights.  Treatment arms are skipped when
+    ``cfg.borrow == "control_only"``, and empty arms always.  Rows
+    follow the table's row order.  Each arm draws from its own substream
+    keyed by (seed, trial_id, arm), so its values do not depend on trial
+    order.  An arm's load is its total slope per covariate, the
+    arm-interaction slopes added for a treated arm.
+
+    ``clamps`` holds one unraised :class:`ClampWarning` per arm whose
+    residual variance fell below its floor and was drawn at the floor,
+    in table row order, for the caller to count, report or
+    ``warnings.warn``.
 
     A Dataset ``head`` comes first, its rows unchanged, and the borrowed
     rows are drawn straight behind them; trial ids are the head's, then
@@ -238,9 +224,20 @@ def reconstruct_all(s, meta, cfg, head=None):
     head = Dataset((), [], [], [], np.empty((0, p)), [], []) if head is None else head
     if head.p != p:
         raise ConfigError(f"target covariate dimension {head.p} differs from summaries {p}")
-    rows, loads, s2, floor = _arms(s, meta, cfg)
-    arm_of, sizes = s.arm[rows], s.n[rows]
-    sd = np.sqrt(np.where(s2 < floor, floor, s2))
+    layouts = dict.fromkeys((design_columns(p), design_columns(p, True)))
+    if tuple(meta.columns) not in layouts:
+        raise DataError(f"meta fit columns ({', '.join(meta.columns)}) do not match the meta "
+                        f"design for p = {p}: "
+                        + " or ".join(f"({', '.join(cols)})" for cols in layouts))
+    control = meta.beta[2:2 + p]
+    treated = control + meta.beta[2 + p:] if len(meta.columns) > 2 + p else control
+    rows = np.flatnonzero((s.n > 0) & ((s.arm == 0) | (cfg.borrow != "control_only")))
+    arm_of, sizes, y_var = s.arm[rows], s.n[rows], s.y_var[rows]
+    loads = np.where(arm_of[:, None] == 1, treated, control)
+    s2 = y_var - (loads**2 * s.x_var[rows]).sum(axis=1)
+    floor = ERROR_FLOOR * y_var
+    clamped = s2 < floor
+    sd = np.sqrt(np.where(clamped, floor, s2))
 
     bounds = list(accumulate(sizes.tolist(), initial=0))
     raw = np.empty((p + 1, bounds[-1]))
@@ -264,28 +261,18 @@ def reconstruct_all(s, meta, cfg, head=None):
     index = {}
     head_trial, tail_trial = (np.array([index.setdefault(t, len(index)) for t in ids], dtype=int)
                               for ids in (head.trial_ids, s.trial_ids))
-    return _owned(tuple(index), np.concatenate((head_trial[head.trial],
-                                                np.repeat(tail_trial[s.trial[rows]], sizes))),
-                  np.concatenate((head.z, np.repeat(arm_of, sizes))), y, X,
-                  np.concatenate((head.w, np.ones(N - m))),
-                  np.concatenate((head.is_target, np.zeros(N - m, dtype=bool))))
-
-
-def clamped_arms(s, meta, cfg):
-    """The arms :func:`reconstruct_all` draws at the residual-variance floor.
-
-    One unraised :class:`ClampWarning` per clamped arm, in table row
-    order, for the caller to count, report or ``warnings.warn``.  Raises
-    DataError as :func:`reconstruct_all` does.
-    """
-    rows, _, s2, floor = _arms(s, meta, cfg)
+    pooled = _owned(tuple(index), np.concatenate((head_trial[head.trial],
+                                                  np.repeat(tail_trial[s.trial[rows]], sizes))),
+                    np.concatenate((head.z, np.repeat(arm_of, sizes))), y, X,
+                    np.concatenate((head.w, np.ones(N - m))),
+                    np.concatenate((head.is_target, np.zeros(N - m, dtype=bool))))
     clamps = []
-    for k in np.flatnonzero(s2 < floor).tolist():
-        trial_id, arm = s.trial_ids[s.trial[rows[k]]], int(s.arm[rows[k]])
+    for k in np.flatnonzero(clamped).tolist():
+        trial_id, arm = s.trial_ids[s.trial[rows[k]]], int(arm_of[k])
         clamps.append(ClampWarning(
             f"trial {trial_id!r} arm {arm}: residual variance "
             f"{s2[k]:.6g} below floor; clamped to {floor[k]:.6g} "
             "(covariate slopes explain more variance than the arm reports)",
             trial_id, arm,
         ))
-    return tuple(clamps)
+    return pooled, tuple(clamps)

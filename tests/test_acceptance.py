@@ -18,7 +18,7 @@ from metaborrow.data import Dataset
 from metaborrow.estimate import estimate_univariate, fit_weighted_regression
 from metaborrow.meta import fit_dl
 from metaborrow.data import Summaries
-from metaborrow.reconstruct import ReconstructionConfig, clamped_arms, reconstruct_all
+from metaborrow.reconstruct import ReconstructionConfig, reconstruct_all
 from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, EST_POOLED,
                                  EST_POOLED_UNI, EST_TARGET, MODEL_SPECS, ScenarioConfig,
                                  read_cell_csv, run_cell, write_cell_csv)
@@ -100,11 +100,12 @@ def test_criterion_02_reconstruction_moments(report):
             arm = Summaries(t.trial_ids, t.trial[i:i + 1], t.arm[i:i + 1], [n],
                             t.y_mean[i:i + 1], t.y_var[i:i + 1], t.x_mean[i:i + 1],
                             t.x_var[i:i + 1], t.binary[i:i + 1])
-            y = reconstruct_all(arm, fit, cfg).y
+            rows, clamps = reconstruct_all(arm, fit, cfg)
+            y = rows.y
             fitted_mean = np.array([1.0, t.arm[i], *t.x_mean[i]]) @ fit.beta
             worst_mean = max(worst_mean,
                              abs(y.mean() - fitted_mean) / np.sqrt(t.y_var[i] / n))
-            if clamped_arms(arm, fit, cfg):
+            if clamps:
                 clamped.add(f"{t.trial_ids[0]}/arm{t.arm[i]}")
             else:
                 worst_var = max(worst_var, abs(y.var(ddof=1) / t.y_var[i] - 1.0))

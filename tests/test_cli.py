@@ -384,6 +384,22 @@ def test_non_estimable_contrast_exits_4(tmp_path, capsys, rows, estimator, error
     assert not out.exists()
 
 
+def test_both_estimators_print_nothing_when_one_refuses(tmp_path, capsys):
+    # the regression is estimable on these rows and the univariate estimator is not (one
+    # control row): its result line was printed ahead of the refusal and exit 4
+    path = tmp_path / "rows.csv"
+    path.write_text("trial_id,z,y,x1\nT,1,1.0,0.1\nT,1,2.0,0.5\nT,1,4.0,0.2\nT,0,1.5,0.3\n")
+    out = tmp_path / "est.json"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["estimate", "--subjects", str(path), "--estimator", "both", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert exc_info.value.code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("error: arm 0 has Kish effective size ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_stage_composition(tmp_path, capsys):
     spath = summaries_csv(tmp_path)
     tpath = target_csv(tmp_path)

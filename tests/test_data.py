@@ -154,8 +154,8 @@ def test_dataset_columns_are_read_only(tmp_path):
     d = subjects()
     write_subjects(d, tmp_path / "subj.csv")
     fit = MetaFit(np.zeros(4), np.eye(4), 0.0, 0.0, 1, design_columns(2))
-    pooled = reconstruct_all(arm("s", 0, 3, x_mean=(0.0, 1.0), x_var=(1.0, 1.0)), fit,
-                             ReconstructionConfig(rng_seed=1), head=d)
+    pooled, _ = reconstruct_all(arm("s", 0, 3, x_mean=(0.0, 1.0), x_var=(1.0, 1.0)), fit,
+                                ReconstructionConfig(rng_seed=1), head=d)
     built = (d, d.with_weights([2.0] * 4), pooled,
              read_subjects(tmp_path / "subj.csv", target_id="tgt"),
              dataset_from_arms(("a",), [0], [1], [3], np.zeros((3, 2)), np.ones(3),

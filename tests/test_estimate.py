@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from summary_tables import pool
 
@@ -76,6 +78,36 @@ def test_univariate_invariant_to_weight_scale():
     assert scaled.se ** 2 == pytest.approx(base.se ** 2, rel=1e-12)
 
 
+def test_univariate_keeps_an_arm_whose_squared_weights_underflow():
+    # each squared control weight of 1.5e-162 underflows to 0: that arm's variance read as
+    # 0, and the SE as the treated arm's alone, 0.354 against 0.5 at unit weights
+    d = dataset([1, 1, 0, 0], [2.0, 3.0, 1.0, 2.0], w=[1.0, 1.0, 1.5e-162, 1.5e-162])
+    assert estimate_univariate(d).se == 0.5 == estimate_univariate(dataset(d.z, d.y)).se
+
+
+def outcome_or_error(d):
+    """``estimate_univariate(d)``'s Contrast, or the message of the error it raises."""
+    try:
+        return estimate_univariate(d)
+    except NumericalError as exc:
+        return str(exc)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-10**6, 10**6).map(lambda v: v / 1e3),
+                          st.floats(2**-10, 2**4)),
+                min_size=2, max_size=12).filter(lambda rows: {z for z, _, _ in rows} == {0, 1}),
+       st.integers(0, 1), st.integers(-1000, 1000))
+def test_univariate_is_exactly_invariant_to_a_power_of_two_arm_scale(rows, arm, k):
+    # 2^k times one arm's weights is exact and leaves every bit of the contrast unchanged,
+    # or the same refusal; weights and outcomes are ranged so that no w y of the arm mean
+    # leaves the normal float range at any k, and only the squares could
+    z, y, w = (np.array(col) for col in zip(*rows))
+    base = dataset(z, y, w=w)
+    scaled = base.with_weights(np.where(z == arm, np.ldexp(w, k), w))
+    assert repr(outcome_or_error(scaled)) == repr(outcome_or_error(base))
+
+
 def test_univariate_degenerate_outcomes():
     # constant outcomes in each arm: SE 0, so no contrast, not an infinite statistic and p 0
     for y in ([5.0, 5.0, 3.0, 3.0], [3.0, 3.0, 3.0, 3.0]):
@@ -119,16 +151,20 @@ def test_univariate_zero_weight_arm_rejected():
 def test_univariate_refuses_an_arm_of_kish_size_one():
     # one row in an arm, or all of an arm's weight on one row: its variance has no degrees
     # of freedom, so no contrast, not an SE of 0 and p = 0; a weight whose square
-    # underflows is no way round it, and one whose square overflows gives an infinite SE
+    # underflows is no way round it
     for z, y, w in (([1, 1, 0], [3.0, 1.0, 2.0], None),
                     ([1, 1, 0, 0], [3.0, 1.0, 2.0, 4.0], [1.0, 1.0, 2.0, 0.0]),
                     ([1, 1, 0], [3.0, 1.0, 2.0], [1.0, 1.0, 1e-300])):
         with pytest.raises(NumericalError, match=r"^arm 0 has Kish effective size \(sum w\)\^2 "
                                                  r"/ sum w\^2 <= 1; its variance is not "):
             estimate_univariate(dataset(z, y, w=w))
-    with pytest.raises(NumericalError, match="^standard error of the z contrast is inf$"):
-        estimate_univariate(dataset([1, 1, 0, 0, 0], [3.0, 1.0, 2.0, 4.0, 4.0],
-                                    w=[1.0, 1.0, 1e300, 1e300, 1e300]))
+    # weights whose squares overflow are scaled first: the unit-weight contrast, not an
+    # infinite SE
+    z, y = [1, 1, 0, 0, 0], [3.0, 1.0, 2.0, 4.0, 4.0]
+    huge = estimate_univariate(dataset(z, y, w=[1.0, 1.0, 1e300, 1e300, 1e300]))
+    unit = estimate_univariate(dataset(z, y))
+    assert huge.estimate == pytest.approx(unit.estimate, rel=1e-15)
+    assert huge.se == pytest.approx(unit.se, rel=1e-15)
     # just above one: estimable
     est = estimate_univariate(dataset([1, 1, 0, 0], [3.0, 1.0, 2.0, 4.0],
                                       w=[1.0, 1.0, 1.0, 1e-6]))

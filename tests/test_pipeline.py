@@ -278,7 +278,7 @@ def test_borrowed_rows_are_held_once(mode, p):
                      rng.normal(size=(30, p)), np.ones(30), np.ones(30, bool))
     rcfg = ReconstructionConfig(rng_seed=5, borrow=mode)
     done = pipeline.borrow(s, meta, target, rcfg)
-    alone = reconstruct_all(s, meta, rcfg)
+    alone, _ = reconstruct_all(s, meta, rcfg)
     got = done.reconstructed
     for name in ("trial", "z", "y", "X", "is_target"):
         a = getattr(got, name)

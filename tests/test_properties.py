@@ -32,8 +32,7 @@ from metaborrow.data import dataset_from_arms, read_subjects
 from metaborrow.errors import MetaborrowError
 from metaborrow.estimate import MEAT_KINDS, estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, fit_dl
-from metaborrow.reconstruct import (BORROW_MODES, ReconstructionConfig, clamped_arms,
-                                    reconstruct_all)
+from metaborrow.reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
 from metaborrow.simulate import generate_meta_trials, generate_target_trial
 from metaborrow.weights import fit_membership, parse_feature_spec
 
@@ -76,8 +75,8 @@ def test_trial_order_does_not_change_any_arms_rows(trials, seed, borrow):
     given_order, shuffled = trials
     meta = fit_dl(given_order, include_interaction=True)
     cfg = ReconstructionConfig(rng_seed=seed, borrow=borrow)
-    a = arm_rows(reconstruct_all(given_order, meta, cfg))
-    b = arm_rows(reconstruct_all(shuffled, meta, cfg))
+    a = arm_rows(reconstruct_all(given_order, meta, cfg)[0])
+    b = arm_rows(reconstruct_all(shuffled, meta, cfg)[0])
     assert a.keys() == b.keys()
     for key, (y, X) in a.items():
         assert np.array_equal(b[key][0], y) and np.array_equal(b[key][1], X), key
@@ -133,18 +132,14 @@ def test_one_pass_reconstruction_matches_arm_by_arm(case, seed, borrow):
                 if trials.n[i] and not (borrow == "control_only" and trials.arm[i] == 1)]
 
     def arms(clamps):
-        return [(c.trial_id, c.arm) for c in clamps]
+        return [(c.trial_id, c.arm, str(c)) for c in clamps]
 
     with mock.patch.object(reconstruct, "ERROR_FLOOR", floor):
-        rows = row_bits(reconstruct_all(trials, meta, cfg))
-        arm_rows = row_bits(pool([
-            reconstruct_all(take(trials, [i]), meta, cfg) for i in borrowed]))
-        clamps = arms(clamped_arms(trials, meta, cfg))
-        arm_clamps = arms(c for i in borrowed
-                          for c in clamped_arms(take(trials, [i]), meta, cfg))
-    assert rows == arm_rows
-    assert ("tight", 0) in clamps
-    assert clamps == arm_clamps
+        whole, clamps = reconstruct_all(trials, meta, cfg)
+        per_arm = [reconstruct_all(take(trials, [i]), meta, cfg) for i in borrowed]
+    assert row_bits(whole) == row_bits(pool([d for d, _ in per_arm]))
+    assert ("tight", 0) in [(c.trial_id, c.arm) for c in clamps]
+    assert arms(clamps) == arms(c for _, arm_clamps in per_arm for c in arm_clamps)
 
 
 @settings(deadline=None, max_examples=25)

@@ -1,5 +1,6 @@
 """Reconstruction: moment restoration, substream determinism, clamping."""
 
+import pickle
 import re
 import zlib
 
@@ -16,7 +17,7 @@ from metaborrow.errors import ConfigError, DataError
 from metaborrow.meta import MetaFit, design_columns
 from metaborrow.pipeline import borrow
 from metaborrow.reconstruct import (ClampWarning, ReconstructionConfig, _pcg64_words, _SeedWords,
-                                    clamped_arms, reconstruct_all)
+                                    reconstruct_all)
 
 
 def meta_fit(beta, columns):
@@ -50,7 +51,7 @@ def assert_same_rows(a, b):
 def test_moments_restored_at_large_n():
     # treated arm: mean surface 0.5 + 1.5 + (-0.8) x, residual var
     # y_var - load^2 x_var = 5 - 0.64 * 2 = 3.72
-    d = reconstruct_all(arm(n=200_000), FIT, CFG)
+    d, _ = reconstruct_all(arm(n=200_000), FIT, CFG)
     y, x = d.y, d.X[:, 0]
     assert abs(x.mean() - 1.0) < 0.02
     assert abs(x.var(ddof=1) - 2.0) < 0.05
@@ -64,8 +65,8 @@ def test_interaction_column_loads_only_on_treated_arm():
     fit = meta_fit([0.5, 1.5, -0.8, 0.3],
                    ("intercept", "arm", "x1_mean", "arm:x1_mean"))
     n = 200_000
-    treated = reconstruct_all(arm(armv=1, n=n), fit, CFG)
-    control = reconstruct_all(arm(armv=0, n=n, y_mean=0.5 - 0.8), fit, CFG)
+    treated, _ = reconstruct_all(arm(armv=1, n=n), fit, CFG)
+    control, _ = reconstruct_all(arm(armv=0, n=n, y_mean=0.5 - 0.8), fit, CFG)
     yt, yc = treated.y, control.y
     # treated slope -0.8 + 0.3 = -0.5, control slope -0.8
     assert abs(yt.mean() - (0.5 + 1.5 - 0.5 * 1.0)) < 4 * np.sqrt(5.0 / n)
@@ -82,7 +83,7 @@ def test_records_carry_covariate_rows(p):
     a = arm(n=25, x_mean=(1.0, 0.4)[:p], x_var=(2.0, 0.24)[:p], binary=(False, True)[:p])
     fit = meta_fit([0.5, 1.5, -0.8, 0.2][:2 + p],
                    ("intercept", "arm", "x1_mean", "x2_mean")[:2 + p])
-    d = reconstruct_all(a, fit, CFG)
+    d, _ = reconstruct_all(a, fit, CFG)
     rng = substream(11, "t1", 1)
     xs = np.column_stack([np.empty((25, 0)), rng.normal(1.0, 2.0**0.5, 25),
                           rng.random(25) < 0.4][:1 + p])
@@ -95,17 +96,17 @@ def test_substreams_are_deterministic_and_order_free():
     rows = [arm_row("t1", 1), arm_row("t1", 0, y_mean=0.0), arm_row("t2", 1, n=30),
             arm_row("t2", 0, n=20)]
     trials = table(*rows)
-    d1 = reconstruct_all(trials, FIT, CFG)
-    d2 = reconstruct_all(table(*rows[2:], *rows[:2]), FIT, CFG)
+    d1, _ = reconstruct_all(trials, FIT, CFG)
+    d2, _ = reconstruct_all(table(*rows[2:], *rows[:2]), FIT, CFG)
     for tid in ("t1", "t2"):
         for z in (1, 0):
             rows1 = (d1.trial == d1.trial_ids.index(tid)) & (d1.z == z)
             rows2 = (d2.trial == d2.trial_ids.index(tid)) & (d2.z == z)
             assert d1.y[rows1].tobytes() == d2.y[rows2].tobytes()
             assert d1.X[rows1].tobytes() == d2.X[rows2].tobytes()
-    assert_same_rows(reconstruct_all(trials, FIT, CFG), d1)  # same seed, same draws
+    assert_same_rows(reconstruct_all(trials, FIT, CFG)[0], d1)  # same seed, same draws
     other = ReconstructionConfig(rng_seed=12)
-    assert not np.array_equal(reconstruct_all(trials, FIT, other).y, d1.y)
+    assert not np.array_equal(reconstruct_all(trials, FIT, other)[0].y, d1.y)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 7, 3**50])
@@ -113,8 +114,8 @@ def test_substream_is_the_one_the_key_tuple_seeds(seed):
     # each arm draws what default_rng(SeedSequence((seed, crc32(id), arm))) draws:
     # its covariate, then its outcome noise around the arm's regression line
     keys = [(tid, armv, n) for tid in ("", "t1", "Prüfung-試験") for armv, n in ((1, 7), (0, 5))]
-    got = reconstruct_all(table(*(arm_row(tid, armv, n) for tid, armv, n in keys)), FIT,
-                          ReconstructionConfig(rng_seed=seed))
+    got, _ = reconstruct_all(table(*(arm_row(tid, armv, n) for tid, armv, n in keys)), FIT,
+                             ReconstructionConfig(rng_seed=seed))
     sd = (5.0 - 0.8**2 * 2.0) ** 0.5  # residual SD of every arm
     xs, ys = [], []
     for tid, armv, n in keys:
@@ -159,9 +160,9 @@ def test_seed_words_refuse_any_other_request(n_words, dtype):
 
 
 def test_arms_use_distinct_substreams():
-    a1 = reconstruct_all(arm("t1", 1), FIT, CFG)
-    a0 = reconstruct_all(arm("t1", 0), FIT, CFG)
-    b1 = reconstruct_all(arm("t2", 1), FIT, CFG)
+    a1, _ = reconstruct_all(arm("t1", 1), FIT, CFG)
+    a0, _ = reconstruct_all(arm("t1", 0), FIT, CFG)
+    b1, _ = reconstruct_all(arm("t2", 1), FIT, CFG)
     assert not np.array_equal(a1.X, a0.X)
     assert not np.array_equal(a1.X, b1.X)
 
@@ -169,28 +170,27 @@ def test_arms_use_distinct_substreams():
 def test_control_only_borrow_skips_treated_arms():
     trials = table(arm_row("t1", 1), arm_row("t1", 0))
     cfg = ReconstructionConfig(rng_seed=11, borrow="control_only")
-    d = reconstruct_all(trials, FIT, cfg)
+    d, _ = reconstruct_all(trials, FIT, cfg)
     assert set(d.z.tolist()) == {0}
     assert len(d) == 50
 
 
 def test_empty_arm_skipped_by_reconstruct_all():
     trials = table(arm_row("t1", 1), arm_row("t1", 0, n=0, y_mean=0.0, y_var=1.0))
-    d = reconstruct_all(trials, FIT, CFG)
+    d, _ = reconstruct_all(trials, FIT, CFG)
     assert set(d.z.tolist()) == {1} and len(d) == 50
-    assert len(reconstruct_all(arm(n=0), FIT, CFG)) == 0
+    assert len(reconstruct_all(arm(n=0), FIT, CFG)[0]) == 0
 
 
 def test_overexplained_variance_clamps_with_warning():
     # slope explains 0.64 * 2 = 1.28 > y_var = 1.0
     tight = arm(y_var=1.0, n=50_000)
-    (clamp,) = clamped_arms(tight, FIT, CFG)
+    d, (clamp,) = reconstruct_all(tight, FIT, CFG)
     assert isinstance(clamp, ClampWarning) and isinstance(clamp, UserWarning)
     assert (clamp.trial_id, clamp.arm) == ("t1", 1)
     assert str(clamp) == ("trial 't1' arm 1: residual variance -0.28 below floor; clamped to "
                           "1e-08 (covariate slopes explain more variance than the arm reports)")
-    assert clamped_arms(arm(), FIT, CFG) == ()
-    d = reconstruct_all(tight, FIT, CFG)
+    assert reconstruct_all(arm(), FIT, CFG)[1] == ()
     y, x = d.y, d.X[:, 0]
     # outcomes are nearly deterministic in x at the floor variance
     resid = y - (0.5 + 1.5 - 0.8 * x)
@@ -198,8 +198,16 @@ def test_overexplained_variance_clamps_with_warning():
     assert np.var(y) == pytest.approx(0.64 * 2.0, rel=0.05)
 
 
+def test_clamp_warning_survives_pickling():
+    # a process pool returning reconstruct_all's clamps from its workers pickles them
+    clamp = ClampWarning("trial 't1' arm 1: clamped", "t1", 1)
+    back = pickle.loads(pickle.dumps(clamp))
+    assert type(back) is ClampWarning and str(back) == str(clamp)
+    assert (back.args, back.trial_id, back.arm) == (clamp.args, "t1", 1)
+
+
 def test_degenerate_zero_covariate_variance():
-    d = reconstruct_all(arm(x_var=(0.0,), n=10_000), FIT, CFG)
+    d, _ = reconstruct_all(arm(x_var=(0.0,), n=10_000), FIT, CFG)
     x, y = d.X[:, 0], d.y
     assert np.all(x == 1.0)
     assert y.var(ddof=1) == pytest.approx(5.0, rel=0.05)  # all variance residual
@@ -207,7 +215,7 @@ def test_degenerate_zero_covariate_variance():
 
 def test_binary_covariate_sampling():
     a = arm(n=100_000, x_mean=(0.3,), x_var=(0.21,), binary=(True,))
-    xs = reconstruct_all(a, FIT, CFG).X
+    xs = reconstruct_all(a, FIT, CFG)[0].X
     assert set(np.unique(xs)) == {0.0, 1.0}
     assert xs.mean() == pytest.approx(0.3, abs=0.01)
 
@@ -290,8 +298,8 @@ def pooled_case(p, head_ids=("t", "b")):
 def test_head_rows_come_first_and_borrowed_rows_are_drawn_as_alone(p, mode):
     s, fit, head = pooled_case(p)
     cfg = ReconstructionConfig(rng_seed=11, borrow=mode)
-    pooled = reconstruct_all(s, fit, cfg, head=head)
-    alone = reconstruct_all(s, fit, cfg)
+    pooled, _ = reconstruct_all(s, fit, cfg, head=head)
+    alone, _ = reconstruct_all(s, fit, cfg)
     m = len(head)
     assert len(pooled) == m + len(alone) and pooled.p == p
     assert_same_rows(rows_of(pooled, slice(None, m)), head)
@@ -320,6 +328,6 @@ def test_table_with_no_borrowed_arm_returns_the_head_rows(p, mode):
     _, fit, head = pooled_case(p)
     # an empty arm is never borrowed, and a treated one not under control_only
     nothing = table(p_arm(p, "b", 0, 0), p_arm(p, "c", 1, 15 if mode == "control_only" else 0))
-    pooled = reconstruct_all(nothing, fit, ReconstructionConfig(rng_seed=11, borrow=mode),
-                             head=head)
+    pooled, _ = reconstruct_all(nothing, fit, ReconstructionConfig(rng_seed=11, borrow=mode),
+                                head=head)
     assert_same_rows(pooled, head)
