@@ -38,7 +38,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .data import Summaries, dataset_from_arms
-from .errors import ConfigError, DataError, check_int
+from .errors import DataError, _check_choice, check_int
 from .estimate import Contrast, fit_ols
 from .meta import fit_dl
 from .pipeline import borrow
@@ -191,8 +191,7 @@ def run_case_study(scenario, seed=DEFAULT_SEED, meat="w4"):
     weight feature map and, by default, the conservative ``w4``
     sandwich.  A ``seed`` other than a nonnegative int is a ConfigError.
     """
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}")
+    _check_choice("scenario", scenario, tuple(SCENARIOS))
     check_int("seed", seed, 0)
     n1, n0, borrow_mode = SCENARIOS[scenario]
     target = simulate_target(n1, n0, default_rng(SeedSequence((seed, 99))))

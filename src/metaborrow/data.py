@@ -294,15 +294,14 @@ def _read_rows(path, kind):
     multi-line id.  A JSON file holds a list of objects, the Nth
     labelled ``object N``.  ``kind`` names the file in errors.
 
-    Raises DataError for a missing file, a CSV file without a header,
-    invalid JSON or JSON that is not a list, and bytes that are not
-    UTF-8.
+    A leading byte-order mark is skipped.  Raises DataError for a missing file, a CSV file
+    without a header, invalid JSON or JSON that is not a list, and bytes that are not UTF-8.
     """
     if not path.exists():
         raise DataError(f"{kind} file not found: {path}")
     fmt = _detect_format(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             if fmt == "json":
                 payload = json.load(fh)
                 if not isinstance(payload, list):
@@ -361,6 +360,13 @@ def _trial_id(row, label):
 
 def _row_to_arm(row, label):
     """A summary row's trial id, arm, n, y_mean, y_var, x means, x variances and binary flags."""
+    def squared(name):  # an SD or SE, refused while a negative sign still shows
+        sd = _number(row[name], name)
+        if sd < 0:
+            raise DataError(f"{label}: trial {trial_id!r} arm {arm}: {name} must be nonnegative, "
+                            f"got {sd}")
+        return sd ** 2
+
     try:
         trial_id = _trial_id(row, label)
         arm = _number(row["arm"], "arm", int)
@@ -369,9 +375,9 @@ def _row_to_arm(row, label):
             raise OverflowError(f"arm {arm} or n {n} out of range")
         y_mean = _number(row["y_mean"], "y_mean")
         if "y_sd" in row and row.get("y_sd") not in (None, ""):
-            y_var = _number(row["y_sd"], "y_sd") ** 2
+            y_var = squared("y_sd")
         elif "y_se_mean" in row and row.get("y_se_mean") not in (None, ""):
-            y_var = n * _number(row["y_se_mean"], "y_se_mean") ** 2
+            y_var = n * squared("y_se_mean")
         else:
             raise DataError(f"{label}: need one of y_sd or y_se_mean")
         x_mean, x_var, binary = [], [], []
@@ -381,7 +387,7 @@ def _row_to_arm(row, label):
             if cell in (None, ""):
                 break
             x_mean.append(_number(cell, f"x{j}_mean"))
-            x_var.append(_number(row[f"x{j}_sd"], f"x{j}_sd") ** 2)
+            x_var.append(squared(f"x{j}_sd"))
             family = row[f"x{j}_family"].strip() or "continuous"
             if family not in FAMILIES:
                 raise DataError(f"{label}: trial {trial_id!r} arm {arm}: unknown family {family!r}")

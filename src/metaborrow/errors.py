@@ -4,6 +4,7 @@ Every failure surfaced by the library maps onto one of three classes so
 that the command line can translate it into a stable exit status:
 configuration problems (2), malformed or inconsistent input data (3),
 and numerical failures such as singular designs or non-convergence (4).
+The setting checks live here too, so every module words a refusal alike.
 """
 
 
@@ -39,3 +40,9 @@ def check_int(name, value, least):
     if value < least:
         bound = "nonnegative" if least == 0 else f">= {least}"
         raise ConfigError(f"{name} must be {bound}, got {value}")
+
+
+def _check_choice(name, value, choices):
+    """ConfigError (exit 2) unless the setting ``name``'s ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}")

@@ -37,7 +37,7 @@ from numbers import Real
 import numpy as np
 
 from ._dist import _norm_ppf, _t_cdf, _t_ppf
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, _check_choice
 
 MEAT_KINDS = ("w4", "w3", "hc0")
 _EPS = np.finfo(float).eps
@@ -123,23 +123,24 @@ def estimate_univariate(d, level=0.95):
     effective size n_eff(z)^2 / sum(w^2) is at most 1 (one row, say) is a
     NumericalError: its variance has no degrees of freedom.
 
-    The squares are taken of each arm's weights divided by the power of
-    two that puts n_eff(z) in [0.5, 1), and s2_w(z) / n_eff(z) and the
-    Kish size are computed on that scale.  Dividing by a power of two is
-    exact and both terms are invariant to it, so ordinary weights give
-    the same bits, and an arm whose weights are all tiny or all huge has
-    no square that underflows to 0 or overflows.
+    Each arm's weights are divided by the power of two that puts n_eff(z)
+    in [0.5, 1), and the arm mean, s2_w(z) / n_eff(z) and the Kish size
+    are computed on that scale.  Dividing by a power of two is exact and
+    all three are invariant to it, so ordinary weights give the same
+    bits, and an arm whose weights are all tiny or all huge has no
+    product or square that underflows to 0 or overflows.
     """
     w, y, z = d.w, d.y, d.z
     arms = []
     for arm, n in enumerate(_arm_weights(z, w)):
         m = z == arm
         n_scaled, e = math.frexp(n)
-        w2 = np.ldexp(w[m], -e) ** 2
+        ws = np.ldexp(w[m], -e)
+        w2 = ws ** 2
         if n_scaled * n_scaled <= w2.sum() < np.inf:  # weights summing to inf: SE not finite
             raise NumericalError(f"arm {arm} has Kish effective size (sum w)^2 / sum w^2 <= 1;"
                                  " its variance is not estimable")
-        mean = float(w[m] @ y[m] / n)
+        mean = float(ws @ y[m] / n_scaled)
         arms.append((mean, float(w2 @ (y[m] - mean) ** 2 / n_scaled) / n_scaled))
     (m0, v0), (m1, v1) = arms
     return _contrast(m1 - m0, float(np.sqrt(v1 + v0)), level)
@@ -295,8 +296,7 @@ def fit_weighted_regression(d, include_covariates=True, include_interaction=Fals
 
     with k_i = w_i^4 ("w4"), w_i^3 ("w3"), or w_i^2 ("hc0").
     """
-    if meat not in MEAT_KINDS:
-        raise ConfigError(f"unknown meat {meat!r}; choose from {MEAT_KINDS}")
+    _check_choice("meat", meat, MEAT_KINDS)
     return _fit(d, d.w, meat, include_covariates, include_interaction)
 
 

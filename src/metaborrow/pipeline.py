@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import Dataset, _number, read_subjects, read_summaries, write_subjects
-from .errors import ConfigError, MetaborrowError, check_int
+from .errors import ConfigError, MetaborrowError, _check_choice, check_int
 from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
 from .meta import MetaFit, fit_dl, meta_se
 from .reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
@@ -85,12 +85,10 @@ class PipelineConfig:
         if self.seed is None:
             raise ConfigError("seed is required (reconstruction is stochastic)")
         check_int("seed", self.seed, 0)
-        if self.borrow not in BORROW_MODES:
-            raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
+        _check_choice("borrow", self.borrow, BORROW_MODES)
         if not (self.features is None or isinstance(self.features, str)):
             raise ConfigError(f"features must be a feature spec string, got {self.features!r}")
-        if self.meat not in MEAT_KINDS:
-            raise ConfigError(f"meat must be one of {MEAT_KINDS}, got {self.meat!r}")
+        _check_choice("meat", self.meat, MEAT_KINDS)
         check_level(self.level)
 
     @classmethod
@@ -121,7 +119,7 @@ def _read_json(path, kind):
     if not path.exists():
         raise ConfigError(f"{kind} file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return json.load(fh)
     except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc

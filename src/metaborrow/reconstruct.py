@@ -62,7 +62,7 @@ from numpy.random import PCG64, Generator, SeedSequence
 from numpy.random.bit_generator import ISeedSequence
 
 from .data import Dataset, _owned
-from .errors import ConfigError, DataError, check_int
+from .errors import ConfigError, DataError, _check_choice, check_int
 from .meta import design_columns
 
 BORROW_MODES = ("both_arms", "control_only")
@@ -109,8 +109,7 @@ class ReconstructionConfig:
 
     def __post_init__(self):
         check_int("rng_seed", self.rng_seed, 0)
-        if self.borrow not in BORROW_MODES:
-            raise ConfigError(f"borrow must be one of {BORROW_MODES}, got {self.borrow!r}")
+        _check_choice("borrow", self.borrow, BORROW_MODES)
 
 
 def _seed_words(seed):

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from .data import Summaries, dataset_from_arms
-from .errors import ConfigError, DataError, MetaborrowError, check_int
+from .errors import ConfigError, DataError, MetaborrowError, _check_choice, check_int
 from .estimate import MEAT_KINDS, Contrast, estimate_univariate, fit_weighted_regression
 from .meta import fit_dl
 from .pipeline import borrow
@@ -77,16 +77,10 @@ class ScenarioConfig:
     def __post_init__(self):
         for name, least in (("K", 1), ("n", 4), ("replications", 1), ("base_seed", 0)):
             check_int(name, getattr(self, name), least)
-        if self.covariate_dist not in COVARIATE_DISTS:
-            raise ConfigError(f"covariate_dist must be one of {COVARIATE_DISTS}")
-        if self.allocation not in ALLOCATIONS:
-            raise ConfigError(f"allocation must be one of {ALLOCATIONS}")
-        if self.model_spec not in MODEL_SPECS:
-            raise ConfigError(f"model_spec must be one of {MODEL_SPECS}")
-        if self.borrow not in BORROW_MODES:
-            raise ConfigError(f"borrow must be one of {BORROW_MODES}")
-        if self.meat not in MEAT_KINDS:
-            raise ConfigError(f"meat must be one of {MEAT_KINDS}")
+        for name, choices in (("covariate_dist", COVARIATE_DISTS), ("allocation", ALLOCATIONS),
+                              ("model_spec", MODEL_SPECS), ("borrow", BORROW_MODES),
+                              ("meat", MEAT_KINDS)):
+            _check_choice(name, getattr(self, name), choices)
 
     @property
     def delta0_grid(self):
@@ -129,16 +123,15 @@ def _draw_rows(rng, mu, dist, x, e):
     every value is the one those calls draw.  A ``dist`` outside
     COVARIATE_DISTS is a ConfigError.
     """
+    _check_choice("dist", dist, COVARIATE_DISTS)
     if dist == "normal":
         rng.standard_normal(out=x)
         x += mu
-    elif dist == "chisq2":
+    else:
         # chi-square(2)/2 = E has mean 1 and variance 1; shift to mean mu
         rng.standard_exponential(out=x)
         x += mu
         x -= 1.0
-    else:
-        raise ConfigError(f"dist must be one of {COVARIATE_DISTS}, got {dist!r}")
     rng.standard_normal(out=e)
 
 
@@ -199,14 +192,9 @@ def generate_target_trial(n, allocation, dist, rng):
     Covariate mean 0; arm split per allocation: (n/2, n/2), (3n/4, n/4),
     or (n, 0) treated/control.
     """
-    if allocation == "one_to_one":
-        n1, n0 = n // 2, n - n // 2
-    elif allocation == "three_to_one":
-        n1, n0 = 3 * n // 4, n - 3 * n // 4
-    elif allocation == "single_arm":
-        n1, n0 = n, 0
-    else:
-        raise ConfigError(f"allocation must be one of {ALLOCATIONS}, got {allocation!r}")
+    _check_choice("allocation", allocation, ALLOCATIONS)
+    n1 = {"one_to_one": n // 2, "three_to_one": 3 * n // 4, "single_arm": n}[allocation]
+    n0 = n - n1
     x, e = np.empty((n, 1)), np.empty(n)
     _draw_rows(rng, 0.0, dist, x[:, 0], e)
     y = _outcome(np.repeat([1.0, 0.0], (n1, n0)), x[:, 0], e)  # treated rows first
@@ -371,7 +359,7 @@ def _write_mode(path, append):
     """``"a"`` to append to the results file ``path``, else ``"w"``; DataError for another file."""
     if not (append and Path(path).exists() and Path(path).stat().st_size):
         return "w"
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         if tuple(next(csv.reader(fh), ())) != CSV_HEADER:
             raise DataError(f"{path}: cannot append, expected header {','.join(CSV_HEADER)}")
     return "a"
@@ -422,7 +410,7 @@ def read_cell_csv(path):
     """
     out = {}
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rd = csv.DictReader(fh)
             if rd.fieldnames is None or tuple(rd.fieldnames) != CSV_HEADER:
                 raise DataError(f"{path}: expected header {','.join(CSV_HEADER)}")

@@ -107,8 +107,9 @@ def test_simulated_target_moments():
 
 
 def test_unknown_scenario_rejected():
-    with pytest.raises(ConfigError, match="unknown scenario"):
+    with pytest.raises(ConfigError) as info:
         run_case_study("target_3to1")
+    assert str(info.value) == f"scenario must be one of {tuple(SCENARIOS)}, got 'target_3to1'"
 
 
 def test_single_arm_without_borrowing_is_nc():

@@ -337,13 +337,14 @@ def test_nan_standard_error_exits_4(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_univariate_infinite_standard_error_exits_4(tmp_path, capsys):
-    # outcomes of +-1e308 overflow every arm moment, so the univariate SE is infinite and
-    # the regression's NaN: no contrast, not an exit-0 interval of NaN and Infinity, and
-    # no numpy overflow warning ahead of the one error line (here raised as an error)
+    # outcomes of +-1e308: the univariate arm means are finite on scaled weights and their
+    # spread is 0, so its SE is 0, and the regression's moments overflow, so its SE is NaN:
+    # no contrast, not an exit-0 interval of NaN and Infinity, and no numpy overflow
+    # warning ahead of the one error line (here raised as an error)
     path = tmp_path / "huge.csv"
     path.write_text("trial_id,z,y,x1\nt,1,1e308,0.5\nt,1,1e308,-0.5\n"
                     "t,0,-1e308,0.5\nt,0,-1e308,-0.5\n")
-    for estimator, se in (("univariate", "inf"), ("regression", "nan"), ("both", "nan")):
+    for estimator, se in (("univariate", "0.0"), ("regression", "nan"), ("both", "nan")):
         code, err = run_fail(capsys, ["estimate", "--subjects", str(path), "--estimator",
                                       estimator, "--out", str(tmp_path / "est.json")])
         assert code == 4, estimator

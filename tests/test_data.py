@@ -245,6 +245,46 @@ def test_summaries_accept_se_of_mean_column(tmp_path):
     assert s.arm[0] == 1 and s.y_var[0] == pytest.approx(25 * 0.4**2)
 
 
+@pytest.mark.parametrize("name", ["s.csv", "s.json"])
+@pytest.mark.parametrize("field", ["y_sd", "y_se_mean", "x1_sd"])
+def test_summaries_refuse_a_negative_sd_or_se(tmp_path, name, field):
+    # an SD or SE is squared into a variance, which would hide its sign
+    spread = "y_se_mean" if field == "y_se_mean" else "y_sd"
+    rows = [{"trial_id": "A", "arm": arm, "n": 40, "y_mean": 2.0, spread: 1.0, "x1_mean": 0.3,
+             "x1_sd": 1.1, "x1_family": "continuous"} for arm in (1, 0)]
+    rows[1][field] = -2.6
+    path = tmp_path / name
+    if name.endswith(".json"):
+        path.write_text(json.dumps(rows))
+    else:
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+    label = "object 2" if name.endswith(".json") else "line 3"
+    with pytest.raises(DataError) as info:
+        read_summaries(path)
+    assert str(info.value) == f"{label}: trial 'A' arm 0: {field} must be nonnegative, got -2.6"
+
+
+def test_a_leading_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheets write EF BB BF ahead of a UTF-8 file: it is not part of the first name
+    def with_bom(path):
+        bom = path.with_name("bom-" + path.name)
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        return bom
+
+    s = table(*two_arm_trial("t1"), *two_arm_trial("t2"))
+    for name in ("s.csv", "s.json"):
+        path = tmp_path / name
+        write_summaries(s, path)
+        assert_same(read_summaries(with_bom(path)), read_summaries(path))
+    path = tmp_path / "subj.csv"
+    write_subjects(subjects(), path)
+    assert_same_rows(read_subjects(with_bom(path), target_id="tgt"),
+                     read_subjects(path, target_id="tgt"))
+
+
 def test_summaries_reject_duplicate_trial_arm_pair(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text(

@@ -85,6 +85,14 @@ def test_univariate_keeps_an_arm_whose_squared_weights_underflow():
     assert estimate_univariate(d).se == 0.5 == estimate_univariate(dataset(d.z, d.y)).se
 
 
+def test_univariate_keeps_an_arm_whose_weighted_outcomes_overflow():
+    # each control weight of 1e306 times its outcome passes the float range: that arm's
+    # mean read as inf, and the contrast was refused with an infinite SE
+    d = dataset([1, 1, 0, 0], [2e3, 3e3, 1e3, 2e3], w=[1.0, 1.0, 1e306, 1e306])
+    assert repr(estimate_univariate(d)) == repr(estimate_univariate(dataset(d.z, d.y)))
+    assert estimate_univariate(d).se == 500.0
+
+
 def outcome_or_error(d):
     """``estimate_univariate(d)``'s Contrast, or the message of the error it raises."""
     try:
@@ -116,8 +124,9 @@ def test_univariate_degenerate_outcomes():
 
 
 def test_undefined_statistic_has_no_p_value():
-    # sums of +-1e308 overflow: every moment is infinite, so the SE is too: no contrast
-    with pytest.raises(NumericalError, match="standard error of the z contrast is inf"):
+    # outcomes of +-1e308: each arm mean, taken on weights scaled to sum below 1, is finite
+    # and each arm's spread is 0, so the SE is 0 (the difference overflows): no contrast
+    with pytest.raises(NumericalError, match=r"^standard error of the z contrast is 0\.0$"):
         estimate_univariate(dataset([1, 1, 0, 0], [1e308, 1e308, -1e308, -1e308]))
     # a NaN standard error leaves t undefined even for a finite estimate: no contrast
     fit = WeightedFit(beta=np.array([0.0, 2.0]), cov_beta=np.diag([1.0, np.nan]),
@@ -327,8 +336,9 @@ def test_unestimable_configurations_rejected():
     tiny = dataset([1, 0], [1.0, 2.0])
     with pytest.raises(DataError, match="need more than"):
         fit_weighted_regression(tiny)
-    with pytest.raises(ConfigError, match="unknown meat"):
+    with pytest.raises(ConfigError) as info:
         fit_weighted_regression(random_dataset(rng), meat="w5")
+    assert str(info.value) == "meat must be one of ('w4', 'w3', 'hc0'), got 'w5'"
 
 
 @pytest.mark.parametrize("meat", [*MEAT_KINDS, "ols"])

@@ -216,6 +216,20 @@ def test_config_mapping_and_file(tmp_path):
         read_config(broken)
 
 
+def test_config_and_meta_fit_files_may_start_with_a_byte_order_mark(tmp_path):
+    # spreadsheets and some editors write EF BB BF ahead of UTF-8 text, which JSON refuses
+    def with_bom(name, payload):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(payload).encode())
+        return path
+
+    spath, tpath = write_inputs(tmp_path)
+    config = {"summaries": spath, "target": tpath, "seed": 3}
+    assert read_config(with_bom("cfg.json", config)) == config
+    fit = meta_to_dict(fit_dl(read_summaries(spath)))
+    assert meta_to_dict(pipeline.read_meta(with_bom("fit.json", fit))) == fit
+
+
 def test_config_validation(tmp_path):
     spath, tpath = write_inputs(tmp_path)
     base = dict(summaries=spath, target=tpath, out=str(tmp_path / "o"), seed=1)

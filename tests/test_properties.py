@@ -9,7 +9,9 @@
   whatever the feature map;
 * on any subject table, small or extreme, each estimator either refuses
   the contrast with a documented error (CLI exit 2, 3 or 4) or reports a
-  finite estimate, statistic and interval with a positive standard error.
+  finite estimate, statistic and interval with a positive standard error;
+* every enumerated setting refuses any value outside its choices with
+  one ConfigError text (CLI exit 2).
 """
 
 import contextlib
@@ -27,13 +29,16 @@ from hypothesis import strategies as st
 from summary_tables import arm_row, pool, table, take
 
 from metaborrow import reconstruct
+from metaborrow.casestudy import SCENARIOS, run_case_study
 from metaborrow.cli import main
 from metaborrow.data import dataset_from_arms, read_subjects
-from metaborrow.errors import MetaborrowError
+from metaborrow.errors import ConfigError, MetaborrowError
 from metaborrow.estimate import MEAT_KINDS, estimate_univariate, fit_weighted_regression
 from metaborrow.meta import MetaFit, fit_dl
+from metaborrow.pipeline import PipelineConfig
 from metaborrow.reconstruct import BORROW_MODES, ReconstructionConfig, reconstruct_all
-from metaborrow.simulate import generate_meta_trials, generate_target_trial
+from metaborrow.simulate import (ALLOCATIONS, COVARIATE_DISTS, MODEL_SPECS, ScenarioConfig,
+                                 generate_meta_trials, generate_target_trial)
 from metaborrow.weights import fit_membership, parse_feature_spec
 
 seeds = st.integers(0, 2**32 - 1)
@@ -248,3 +253,49 @@ def test_every_contrast_is_refused_or_finite(text, meat, covariates):
         else:
             assert code in (2, 3, 4) and err.getvalue().startswith("error: "), err.getvalue()
             assert not out.exists()
+
+
+def _pipeline_config(**setting):
+    return PipelineConfig(summaries="s.csv", target="t.csv", out="out", seed=1, **setting)
+
+
+# every setting that takes one of a tuple of values: its name, that tuple, and a call that
+# passes it a value
+CHOICE_SETTINGS = {
+    "ScenarioConfig.covariate_dist": ("covariate_dist", COVARIATE_DISTS,
+                                      lambda v: ScenarioConfig(covariate_dist=v)),
+    "ScenarioConfig.allocation": ("allocation", ALLOCATIONS,
+                                  lambda v: ScenarioConfig(allocation=v)),
+    "ScenarioConfig.model_spec": ("model_spec", MODEL_SPECS,
+                                  lambda v: ScenarioConfig(model_spec=v)),
+    "ScenarioConfig.borrow": ("borrow", BORROW_MODES, lambda v: ScenarioConfig(borrow=v)),
+    "ScenarioConfig.meat": ("meat", MEAT_KINDS, lambda v: ScenarioConfig(meat=v)),
+    "PipelineConfig.borrow": ("borrow", BORROW_MODES, lambda v: _pipeline_config(borrow=v)),
+    "PipelineConfig.meat": ("meat", MEAT_KINDS, lambda v: _pipeline_config(meat=v)),
+    "ReconstructionConfig.borrow": ("borrow", BORROW_MODES,
+                                    lambda v: ReconstructionConfig(rng_seed=1, borrow=v)),
+    "fit_weighted_regression.meat": ("meat", MEAT_KINDS, lambda v: fit_weighted_regression(
+        generate_target_trial(8, "one_to_one", "normal", np.random.default_rng(0)), meat=v)),
+    "generate_meta_trials.dist": (
+        "dist", COVARIATE_DISTS, lambda v: generate_meta_trials(2, 4, v, np.random.default_rng(0))),
+    "generate_target_trial.allocation": (
+        "allocation", ALLOCATIONS,
+        lambda v: generate_target_trial(4, v, "normal", np.random.default_rng(0))),
+    "run_case_study.scenario": ("scenario", tuple(SCENARIOS), run_case_study),
+}
+# a choice in the wrong case, beside values of every other kind
+NEAR_MISSES = st.sampled_from([c.upper() for _, choices, _ in CHOICE_SETTINGS.values()
+                               for c in choices])
+
+
+@pytest.mark.parametrize("site", CHOICE_SETTINGS)
+@settings(deadline=None, max_examples=25)
+@given(st.one_of(NEAR_MISSES, st.text(), st.none(), st.booleans(), st.integers(), st.floats(),
+                 st.lists(st.text())))
+def test_every_enumerated_setting_refuses_values_outside_its_choices(site, value):
+    name, choices, call = CHOICE_SETTINGS[site]
+    assume(value not in choices)
+    with pytest.raises(ConfigError) as info:
+        call(value)
+    assert info.value.exit_code == 2
+    assert str(info.value) == f"{name} must be one of {choices}, got {value!r}"

@@ -372,6 +372,16 @@ def test_csv_append_ends_an_unfinished_last_line(tmp_path, first):
     assert set(read_cell_csv(path)) == {c.config.label for c in cells}
 
 
+def test_csv_append_and_read_skip_a_byte_order_mark(tmp_path):
+    # a results file saved by a spreadsheet starts with EF BB BF, ahead of its header
+    other = ScenarioConfig(K=5, n=20, replications=2, base_seed=9)
+    path = tmp_path / "cells.csv"
+    write_cell_csv(run_cell(TINY), path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    write_cell_csv(run_cell(other), path, append=True)
+    assert set(read_cell_csv(path)) == {TINY.label, other.label}
+
+
 def test_csv_append_collects_cells(tmp_path):
     path = tmp_path / "cells.csv"
     other = ScenarioConfig(K=5, n=20, replications=2, base_seed=9)
