@@ -48,7 +48,6 @@ def cli(log_level):
 def _need_seed(seed):
     if seed is None:
         raise ConfigError("a seed is required: pass --seed")
-    return seed
 
 
 @cli.command()
@@ -172,16 +171,16 @@ def estimate(subjects, estimator, covariates, interaction, meat, level, out_path
 @cli.command()
 @click.option("--K", "K", type=int, default=10, show_default=True)
 @click.option("--n", type=int, default=100, show_default=True)
-@click.option("--dist", type=click.Choice(COVARIATE_DISTS), default="normal",
+@click.option("--dist", "covariate_dist", type=click.Choice(COVARIATE_DISTS), default="normal",
               show_default=True)
-@click.option("--alloc", type=click.Choice(ALLOCATIONS), default="one_to_one",
+@click.option("--alloc", "allocation", type=click.Choice(ALLOCATIONS), default="one_to_one",
               show_default=True)
-@click.option("--model", type=click.Choice(MODEL_SPECS), default="identified",
+@click.option("--model", "model_spec", type=click.Choice(MODEL_SPECS), default="identified",
               show_default=True)
 @click.option("--borrow", type=click.Choice(BORROW_MODES), default="both_arms",
               show_default=True)
-@click.option("--reps", type=int, default=500, show_default=True)
-@click.option("--seed", type=int, default=None)
+@click.option("--reps", "replications", type=int, default=500, show_default=True)
+@click.option("--seed", "base_seed", type=int, default=None)
 @click.option("--meat", type=click.Choice(MEAT_KINDS), default="w3", show_default=True)
 @click.option("--jobs", type=int, default=1, show_default=True,
               help="Process-pool width; results are identical at any value.")
@@ -192,15 +191,13 @@ def estimate(subjects, estimator, covariates, interaction, meat, level, out_path
               help="Append to an existing results CSV instead of overwriting.")
 @click.option("--out", "out_path", type=click.Path(), default=None,
               help="Long-format results CSV.")
-def simulate(K, n, dist, alloc, model, borrow, reps, seed, meat, jobs,
-             from_label, append, out_path):
+def simulate(jobs, from_label, append, out_path, **cell):
     """Run one Monte-Carlo cell and summarize every estimator."""
     if from_label:
         cfg = ScenarioConfig.from_label(from_label)
     else:
-        cfg = ScenarioConfig(K=K, n=n, covariate_dist=dist, allocation=alloc,
-                             model_spec=model, borrow=borrow, replications=reps,
-                             base_seed=_need_seed(seed), meat=meat)
+        _need_seed(cell["base_seed"])
+        cfg = ScenarioConfig(**cell)
     if out_path and not os.path.isdir(os.path.dirname(out_path) or os.curdir):  # fail first
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
     if out_path:
@@ -277,19 +274,11 @@ def case_study(scenario, seed, meat, out_path):
 @click.option("--outcome-interaction/--no-outcome-interaction", default=None)
 @click.option("--level", type=float, default=None)
 @click.option("--seed", type=int, default=None)
-@click.option("--out", "out_path", type=click.Path(), default=None,
-              help="Artifact directory.")
-def pipeline(config_path, summaries, target, borrow, features, meat,
-             meta_interaction, outcome_interaction, level, seed, out_path):
+@click.option("--out", type=click.Path(), default=None, help="Artifact directory.")
+def pipeline(config_path, **flags):
     """Run meta -> reconstruct -> weights -> estimate, writing artifacts."""
     base = pl.read_config(config_path) if config_path else {}
-    overrides = {
-        "summaries": summaries, "target": target, "borrow": borrow,
-        "features": features, "meat": meat, "meta_interaction": meta_interaction,
-        "outcome_interaction": outcome_interaction, "level": level,
-        "seed": seed, "out": out_path,
-    }
-    base.update({k: v for k, v in overrides.items() if v is not None})
+    base.update({k: v for k, v in flags.items() if v is not None})
     cfg = pl.PipelineConfig.from_mapping(base)
     result = pl.run_pipeline(cfg)
     ct = result["estimate"]["contrast_z"]

@@ -257,9 +257,8 @@ class Dataset:
         return int(np.count_nonzero(self.is_target))
 
 
-def _owned(trial_ids, trial, z, y, X, w, is_target):
-    """A Dataset over freshly built arrays: made read-only in place, not copied."""
-    arrays = (trial, z, y, X, w, is_target)
+def _owned(trial_ids, *arrays):
+    """A Dataset over freshly built column arrays: made read-only in place, not copied."""
     for a in arrays:
         a.flags.writeable = False
     return Dataset(trial_ids, *arrays)
@@ -409,28 +408,36 @@ def read_summaries(path):
     rows sharing a ``trial_id`` form one trial, wherever they stand in
     the file: the table groups them, trials in order of first
     appearance.  Every row is checked as :class:`Summaries` checks it,
-    in file order, and errors name the row by file line (CSV) or object
-    number (JSON).
+    and errors name the first bad row in file order, whatever its fault,
+    by file line (CSV) or object number (JSON).
     """
     path = Path(path)
     raw = _read_rows(path, "summary")
     if not raw:
         raise DataError(f"{path}: no trials")
     labels = [label for label, _ in raw]
-    tids, *fields = zip(*(_row_to_arm(row, label) for label, row in raw))
-    dims = list(map(len, fields[4]))
-    ragged = next((i for i, d in enumerate(dims) if d != dims[0]), None)
-    if ragged is not None:
-        raise DataError(f"{labels[ragged]}: trial {tids[ragged]!r} arm {fields[0][ragged]}: "
-                        f"covariate dimension differs across arms: {dims[ragged]}, but "
-                        f"{dims[0]} at {labels[0]}")
-    trial_ids = tuple(dict.fromkeys(tids))
-    index = {t: k for k, t in enumerate(trial_ids)}
-    columns = [_summary_column(values, name, dtype) for (name, dtype), values in
-               zip(_SUMMARY_COLUMNS, [list(map(index.__getitem__, tids)), *fields])]
-    bad = _first_bad_arm(trial_ids, *columns)
-    if bad:
-        raise DataError(f"{labels[bad[0]]}: {bad[1]}")
+    arms, failure = [], None
+    try:  # parse rows until one fails to parse or has another covariate count than the first
+        for label, row in raw:
+            arm = _row_to_arm(row, label)
+            if arms and len(arm[5]) != len(arms[0][5]):
+                raise DataError(f"{label}: trial {arm[0]!r} arm {arm[1]}: covariate dimension "
+                                f"differs across arms: {len(arm[5])}, but {len(arms[0][5])} "
+                                f"at {labels[0]}")
+            arms.append(arm)
+    except DataError as exc:
+        failure = exc
+    if arms:  # the rows above a failure pass the table's checks before it is reported
+        tids, *fields = zip(*arms)
+        trial_ids = tuple(dict.fromkeys(tids))
+        index = {t: k for k, t in enumerate(trial_ids)}
+        columns = [_summary_column(values, name, dtype) for (name, dtype), values in
+                   zip(_SUMMARY_COLUMNS, [list(map(index.__getitem__, tids)), *fields])]
+        bad = _first_bad_arm(trial_ids, *columns)
+        if bad:
+            raise DataError(f"{labels[bad[0]]}: {bad[1]}")
+    if failure:
+        raise failure
     order = np.argsort(columns[0], kind="stable")
     return Summaries(trial_ids, *(c[order] for c in columns))
 

@@ -27,12 +27,12 @@ import json
 import logging
 import warnings
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, _number, read_subjects, read_summaries, write_subjects
+from .data import _COLUMNS, Dataset, _number, read_subjects, read_summaries, write_subjects
 from .errors import ConfigError, MetaborrowError, _check_choice, check_int
 from .estimate import MEAT_KINDS, WeightedFit, check_level, fit_weighted_regression
 from .meta import MetaFit, fit_dl, meta_se
@@ -97,7 +97,7 @@ class PipelineConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown pipeline config keys: {sorted(unknown)}")
-        missing = {"summaries", "target", "out", "seed"} - set(d)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"pipeline config missing required keys: {sorted(missing)}")
         return cls(**d)
@@ -249,8 +249,8 @@ def borrow(summaries, meta, target, rcfg, features=None, on_stage=None, **outcom
     with _stage("reconstruct"):
         pooled, clamps = reconstruct_all(summaries, meta, rcfg, head=target)
         n = len(target)
-        tail = [getattr(pooled, c)[n:] for c in ("trial", "z", "y", "X", "w", "is_target")]
-        done = Borrowed(Dataset(pooled.trial_ids, *tail), clamps)
+        tail = {name: getattr(pooled, name)[n:] for name, _ in _COLUMNS}
+        done = Borrowed(replace(pooled, **tail), clamps)
         report("reconstruct", done)
     with _stage("weights"):
         done = replace(done, membership=fit_membership(pooled, features))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import accumulate, repeat
 from pathlib import Path
 
@@ -54,6 +54,13 @@ EST_POOLED_UNI = "pooled_univariate"  # weighted difference of arm means
 EST_TARGET = "target_regression"      # unweighted regression on the target alone
 
 
+# A label's parts, in order: (field, prefix); a prefixed part is an int.  Listed, not read
+# from fields(), so that a field added later leaves every existing label as it was.
+_LABEL = (("K", "K"), ("n", "n"), ("covariate_dist", ""), ("allocation", ""),
+          ("model_spec", ""), ("borrow", ""), ("replications", "reps"), ("base_seed", "seed"),
+          ("meat", ""))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """One simulation cell.
@@ -61,7 +68,9 @@ class ScenarioConfig:
     ``model_spec`` governs only the final outcome regressions (both the
     pooled and the target-only fit): ``identified`` fits
     (1, z, x, z*x), ``misidentified`` fits (1, z).  The meta-regression
-    and reconstruction always use the full covariate model.
+    and reconstruction always use the full covariate model.  ``K`` is at
+    least 3: that meta design, (1, arm, x1, arm:x1), needs at least 5 arm
+    rows, and two trials have 4.
     """
 
     K: int = 10
@@ -75,7 +84,7 @@ class ScenarioConfig:
     meat: str = "w3"
 
     def __post_init__(self):
-        for name, least in (("K", 1), ("n", 4), ("replications", 1), ("base_seed", 0)):
+        for name, least in (("K", 3), ("n", 4), ("replications", 1), ("base_seed", 0)):
             check_int(name, getattr(self, name), least)
         for name, choices in (("covariate_dist", COVARIATE_DISTS), ("allocation", ALLOCATIONS),
                               ("model_spec", MODEL_SPECS), ("borrow", BORROW_MODES),
@@ -89,28 +98,17 @@ class ScenarioConfig:
 
     @property
     def label(self):
-        return (f"K{self.K}-n{self.n}-{self.covariate_dist}-{self.allocation}-"
-                f"{self.model_spec}-{self.borrow}-reps{self.replications}-"
-                f"seed{self.base_seed}-{self.meat}")
+        return "-".join(f"{prefix}{getattr(self, name)}" for name, prefix in _LABEL)
 
     @classmethod
     def from_label(cls, label):
         """Invert :attr:`label`; lets a CSV row identify its cell exactly."""
         parts = label.split("-")
-        if len(parts) != 9:
+        if len(parts) != len(_LABEL):
             raise ConfigError(f"cannot parse scenario label {label!r}")
         try:
-            return cls(
-                K=int(parts[0].removeprefix("K")),
-                n=int(parts[1].removeprefix("n")),
-                covariate_dist=parts[2],
-                allocation=parts[3],
-                model_spec=parts[4],
-                borrow=parts[5],
-                replications=int(parts[6].removeprefix("reps")),
-                base_seed=int(parts[7].removeprefix("seed")),
-                meat=parts[8],
-            )
+            return cls(**{name: int(part.removeprefix(prefix)) if prefix else part
+                          for (name, prefix), part in zip(_LABEL, parts)})
         except ValueError as exc:
             raise ConfigError(f"cannot parse scenario label {label!r}: {exc}") from exc
 
@@ -393,7 +391,7 @@ def write_cell_csv(cell, path, append=False):
         wr.writerow([label, "", "replications", "", cell.config.replications])
         wr.writerow([label, "", "clamped_arms", "", cell.clamped_arms])
         for name, s in cell.summaries.items():
-            for metric in ("n_used", "mean", "bias", "variance", "mse", "coverage"):
+            for metric in (f.name for f in fields(s) if f.name != "power_curve"):
                 wr.writerow([label, name, metric, "", repr(float(getattr(s, metric)))])
             for d0, p in zip(cell.config.delta0_grid, s.power_curve):
                 wr.writerow([label, name, "power", repr(d0), repr(p)])

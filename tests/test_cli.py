@@ -1,13 +1,14 @@
 """CLI behavior: exit codes, help screens, and stage composition via files."""
 
 import json
+import logging
 import warnings
 
 import numpy as np
 import pytest
 from summary_tables import arm_row, pool, table
 
-from metaborrow import cli, simulate
+from metaborrow import casestudy, cli, simulate
 from metaborrow.cli import main
 from metaborrow.data import (Dataset, read_subjects, read_summaries, write_subjects,
                              write_summaries)
@@ -514,6 +515,38 @@ def test_case_study_meta_and_nc_rows(tmp_path, capsys):
     assert payload["seed"] == 40
     assert payload["scenarios"][0]["estimate"] == "NC"
 
+
+
+def test_case_study_prints_and_writes_every_scenario(tmp_path, capsys):
+    out_json = tmp_path / "cs.json"
+    out = run_ok(capsys, ["case-study", "--out", str(out_json)]).splitlines()
+    rows = [line.split()[0] for line in out if line.startswith("  ") and " n=" in line]
+    assert rows == list(casestudy.SCENARIOS)
+    payload = json.loads(out_json.read_text())
+    assert payload["scenarios"] == [casestudy.run_case_study(s).to_row()
+                                    for s in casestudy.SCENARIOS]
+
+
+def test_case_study_logs_clamped_arms(capsys, caplog):
+    caplog.set_level(logging.INFO, logger="metaborrow")
+    run_ok(capsys, ["--log-level", "info", "case-study", "--scenario", "target_borrow"])
+    assert caplog.messages == ["target_borrow: clamped residual variance in Yasuda 2004/arm0, "
+                               "Bianchi 2003/arm1, Bianchi 2003/arm0"]
+
+
+def test_simulate_prints_its_failures(capsys):
+    out = run_ok(capsys, ["simulate", "--K", "3", "--n", "4", "--alloc", "three_to_one",
+                          "--reps", "100", "--seed", "1"])
+    assert out.splitlines()[-1] == "  failures: 2"
+
+
+def test_simulate_refuses_fewer_than_three_trials_before_running(capsys, monkeypatch):
+    def run_cell(*args, **kwargs):
+        raise AssertionError("run_cell called for a cell no replication can pass")
+
+    monkeypatch.setattr(cli, "run_cell", run_cell)
+    code, err = run_fail(capsys, ["simulate", "--K", "2", "--reps", "500", "--seed", "1"])
+    assert (code, err) == (2, "error: K must be >= 3, got 2\n")
 
 def test_pipeline_command_with_config_file(tmp_path, capsys):
     spath = summaries_csv(tmp_path)

@@ -125,6 +125,20 @@ def test_trial_summary_rejects_empty_and_mixed_dimensions(tmp_path):
         read_summaries(path)
 
 
+
+def test_directly_built_tables_refuse_bad_columns():
+    ok = dict(trial_ids=("t1",), trial=[0, 0], arm=[1, 0], n=[5, 5], y_mean=[1.0, 0.0],
+              y_var=[1.0, 1.0], x_mean=np.zeros((2, 1)), x_var=np.ones((2, 1)),
+              binary=np.zeros((2, 1), bool))
+    Summaries(**ok)
+    for change, message in ((dict(n=["five", 5]), "^summary column n: invalid literal"),
+                            (dict(y_var=[1.0]), "^summary columns differ in length$"),
+                            (dict(trial=[0, 1]), r"^trial index outside 0\.\.0$")):
+        with pytest.raises(DataError, match=message):
+            Summaries(**{**ok, **change})
+    with pytest.raises(DataError, match="^dataset columns differ in length$"):
+        Dataset(("t",), [0, 0], [1, 0], [1.0, 2.0], [(0.1,), (0.2,)], [1.0], [True, True])
+
 def test_trial_arm_accessor():
     s = table(*two_arm_trial("t1"), *two_arm_trial("t2"))
     # one row per arm; the trial and arm columns locate each one
@@ -296,6 +310,19 @@ def test_summaries_reject_duplicate_trial_arm_pair(tmp_path):
                                         r"\('t1', 1\)$"):
         read_summaries(path)
 
+
+
+@pytest.mark.parametrize("x2, line3", [
+    ("", "A,0,5,1.0,-1.0,0.0,1.0,continuous"),  # a negative SD
+    ("", "A,0,5,1.0,abc,0.0,1.0,continuous"),  # a cell that does not parse
+    (",x2_mean,x2_sd,x2_family", "A,0,5,1.0,1.0,0.0,1.0,continuous,0.5,1.0,continuous"),
+], ids=["negative-sd", "unparsed", "covariate-count"])
+def test_summaries_name_the_first_bad_row_in_file_order(tmp_path, x2, line3):
+    # line 3 fails as it is parsed, but line 2 fails the table's checks and comes first
+    path = summary_csv(tmp_path, "A,1,-5,1.0,1.0,0.0,1.0,continuous", line3,
+                       header="trial_id,arm,n,y_mean,y_sd,x1_mean,x1_sd,x1_family" + x2)
+    with pytest.raises(DataError, match="^line 2: trial 'A': n must be nonnegative, got -5$"):
+        read_summaries(path)
 
 def test_summaries_skip_comment_lines(tmp_path):
     path = tmp_path / "s.csv"

@@ -28,7 +28,8 @@ TINY = ScenarioConfig(K=5, n=20, replications=6, base_seed=123)
 
 
 def test_config_validation():
-    for bad in (dict(K=0), dict(n=3), dict(replications=0),
+    # K = 1 or 2 gives 2 or 4 arm rows, and the meta design (1, arm, x1, arm:x1) needs 5
+    for bad in (dict(K=0), dict(K=1), dict(K=2), dict(n=3), dict(replications=0),
                 dict(covariate_dist="cauchy"), dict(allocation="two_to_one"),
                 dict(model_spec="wrong"), dict(borrow="never"), dict(meat="w9")):
         with pytest.raises(ConfigError):
@@ -55,6 +56,8 @@ def test_label_roundtrip():
     assert ScenarioConfig.from_label(cfg.label) == cfg
     with pytest.raises(ConfigError, match="cannot parse"):
         ScenarioConfig.from_label("K10-n100")
+    with pytest.raises(ConfigError, match="^K must be >= 3, got 2$"):
+        ScenarioConfig.from_label(cfg.label.replace("K30-", "K2-"))
     with pytest.raises(ConfigError, match="cannot parse"):
         ScenarioConfig.from_label("Kten-n100-normal-one_to_one-identified-"
                                   "both_arms-reps5-seed1-w3")

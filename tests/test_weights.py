@@ -135,6 +135,17 @@ def test_failed_plain_fit_is_retried_with_ridge_without_separation(monkeypatch):
     assert fit.converged and fit.ridge_lambda == 1e-6
 
 
+
+def test_singular_hessian_is_retried_with_ridge():
+    # every row has x1 = 2, so the features 1, x1 and x1^2 are collinear and the plain
+    # Newton step meets a singular Hessian at once
+    d = pool(np.full((10, 1), 2.0), np.full((30, 1), 2.0))
+    F = default_feature_map(1).matrix(d)
+    assert weights._irls(F, d.is_target.astype(float), 0.0)[1:] == (False, 1, None)
+    fit = fit_membership(d)
+    assert fit.converged and fit.ridge_lambda == 1e-6 and fit.iterations == 5
+    assert fit.weighted.w.mean() == pytest.approx(1.0, abs=1e-7)
+
 def test_nonconvergence_raises_after_ridge_escalation(monkeypatch):
     d = pooled(seed=10)
     monkeypatch.setattr(weights, "IRLS_MAX_ITER", 1)
