@@ -22,7 +22,7 @@ import click
 
 from . import casestudy, pipeline as pl
 from .data import read_subjects, read_summaries, write_subjects
-from .errors import ConfigError, MetaborrowError
+from .errors import ConfigError, MetaborrowError, check_int
 from .estimate import (MEAT_KINDS, _arm_weights, check_level, estimate_univariate,
                        fit_weighted_regression)
 from .meta import fit_dl
@@ -198,6 +198,7 @@ def simulate(jobs, from_label, append, out_path, **cell):
     else:
         _need_seed(cell["base_seed"])
         cfg = ScenarioConfig(**cell)
+    check_int("jobs", jobs, 1)  # before the cell line, so a refused run prints nothing
     if out_path and not os.path.isdir(os.path.dirname(out_path) or os.curdir):  # fail first
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_path)
     if out_path:

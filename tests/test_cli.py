@@ -153,9 +153,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert code == 2 and "output path is required" in err
     code, err = run_fail(capsys, ["case-study", "--scenario", "bogus"])
     assert code == 2  # click Choice rejects it before the command runs
-    for jobs in ("0", "-4"):
-        code, err = run_fail(capsys, ["simulate", "--reps", "2", "--seed", "1", "--jobs", jobs])
-        assert code == 2 and f"error: jobs must be >= 1, got {jobs}" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_simulate_refuses_bad_jobs_before_printing(capsys, jobs):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["simulate", "--reps", "2", "--seed", "1", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert (exc_info.value.code, captured.out, captured.err) == (
+        2, "", f"error: jobs must be >= 1, got {jobs}\n")
 
 
 @pytest.mark.parametrize("level", ["0", "1", "1.5", "-0.1", "nan"])

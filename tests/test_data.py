@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 from summary_tables import arm_row, assert_same, pool, table, take
 
-from metaborrow.data import (_BLOCK_ROWS, Dataset, Summaries, dataset_from_arms, read_subjects,
-                             read_summaries, write_subjects, write_summaries)
+from metaborrow.data import (_BLOCK_ROWS, Dataset, Summaries, _reprs, dataset_from_arms,
+                             read_subjects, read_summaries, write_subjects, write_summaries)
 from metaborrow.errors import DataError
 from metaborrow.meta import MetaFit, design_columns
 from metaborrow.reconstruct import ReconstructionConfig, reconstruct_all
@@ -734,6 +735,34 @@ def test_csv_writer_bytes_across_block_seams(tmp_path, p, include_weight):
     assert len(known) == 2 and len(texts) == 3
     assert (tmp_path / "reuse.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
     assert "\n".join(texts) == "\n".join(fresh)
+
+
+# where repr turns to an exponent and orjson does not: 1e-4 and 1e16, each with its float
+# neighbours, of both signs
+EXPONENT_EDGES = [float(v) for edge in (1e-4, -1e-4, 1e16, -1e16)
+                  for v in (np.nextafter(edge, 0), edge, np.nextafter(edge, 2 * edge))]
+SUBNORMALS_AND_EXTREMES = (5e-324, -5e-324, 2.5e-310, -1e-310, sys.float_info.max,
+                           -sys.float_info.max, sys.float_info.min)
+
+
+# the writer's text must be repr's; this is what catches an orjson release that formats
+# floats another way
+@settings(deadline=None)
+@given(st.lists(st.floats() | st.sampled_from(
+    EDGE_FLOATS + SUBNORMALS_AND_EXTREMES + tuple(EXPONENT_EDGES))))
+def test_reprs_of_floats_are_repr(values):
+    assert _reprs(np.array(values, dtype=float)) == list(map(repr, values))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(-2**63, 2**63 - 1)))
+def test_reprs_of_ints_are_repr(values):
+    assert _reprs(np.array(values, dtype=np.int64)) == list(map(repr, values))
+
+
+def test_reprs_at_the_exponent_edges_are_repr():
+    assert len(set(EXPONENT_EDGES)) == 12
+    assert _reprs(np.array(EXPONENT_EDGES)) == list(map(repr, EXPONENT_EDGES))
 
 
 @pytest.mark.parametrize("p", [0, 3])
