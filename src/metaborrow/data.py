@@ -387,7 +387,8 @@ def _row_to_arm(row, label):
                 break
             x_mean.append(_number(cell, f"x{j}_mean"))
             x_var.append(squared(f"x{j}_sd"))
-            family = row[f"x{j}_family"].strip() or "continuous"
+            # a blank cell, or no family column at all, is continuous
+            family = row.get(f"x{j}_family", "").strip() or "continuous"
             if family not in FAMILIES:
                 raise DataError(f"{label}: trial {trial_id!r} arm {arm}: unknown family {family!r}")
             binary.append(family == "binary")
@@ -564,8 +565,8 @@ def _csv_fields(values):
 
 
 def _reprs(values):
-    """``list(map(repr, values.tolist()))`` for a 1-D int or float array, from one compiled
-    ``orjson.dumps`` call.
+    """``list(map(repr, values.tolist()))`` for any 1-D int or float array, strided views
+    included, from one compiled ``orjson.dumps`` call that reads the array itself.
 
     orjson writes an int as ``repr`` does and a float with the same shortest round-trip
     digits; only the layout differs where ``repr`` turns to an exponent or a name: nan and
@@ -576,7 +577,9 @@ def _reprs(values):
     # replication never writes a subject CSV
     import orjson
 
-    out = orjson.dumps(values.tolist())[1:-1].decode().split(",") if len(values) else []
+    # orjson refuses an array that is not C-contiguous, such as a column of a 2-D block
+    text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
+    out = text[1:-1].decode().split(",") if len(values) else []
     if values.dtype.kind == "f":
         a = np.abs(values)
         for k in np.flatnonzero(~(a < 1e16) | ((a < 1e-4) & (a != 0))).tolist():
@@ -584,7 +587,10 @@ def _reprs(values):
     return out
 
 
-_BLOCK_ROWS = 256  # rows write_subjects formats and writes at a time
+# rows write_subjects formats and writes at a time: a block's per-value strings are live
+# together, and the weighted.csv write is the memory peak of a run_pipeline call (0.29 MB
+# traced on the bundled case study)
+_BLOCK_ROWS = 256
 
 
 def _lines(columns, end):
@@ -598,9 +604,8 @@ def _lines(columns, end):
     return "".join(pieces)
 
 
-def write_subjects(d, path, include_weight=True, stamp=None, known=None):
-    """Write a Dataset, with a source column and optionally weights, to CSV or JSON; return its
-    row text.
+def write_subjects(d, path, include_weight=True, stamp=None):
+    """Write a Dataset, with a source column and optionally weights, to CSV or JSON.
 
     A path ending in ``.json`` gets JSON, any other CSV.
     ``stamp`` (a mapping) is written as leading ``# key=value`` comment
@@ -612,37 +617,14 @@ def write_subjects(d, path, include_weight=True, stamp=None, known=None):
     ``repr`` of a Python int or float holds no delimiter, quote or line
     break.  So each distinct id and tag is quoted once, by the csv
     module's own rules, and rows index into those fields; the bytes are
-    the ones ``writerows`` writes.  Rows go in blocks of 256: each column
-    of a block becomes its values' ``repr`` text (floats round-trip
-    exactly) through :func:`_reprs`, one compiled ``orjson.dumps`` call
-    with ``repr`` run again only on the few values orjson lays out
-    otherwise; :func:`_lines` interleaves the columns, and the block is
-    joined once and written with one ``write``, so no Python call runs
-    per row.  That formats a float in about a fifth of ``repr``'s time:
-    on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4, orjson 3.8), the two
-    writes of a ``run_pipeline`` call on the bundled case study take
-    2.9-3.0 ms against 6.4-6.7 ms with ``map(repr, ...)`` (timeit, min
-    of 7 x 50 calls).  Blocks stay at 256 rows since a block's per-value
-    strings are live together and the ``weighted.csv`` write is the
-    memory peak of a ``run_pipeline`` call.  The CSV branch returns each block's
-    ``"\\n"``-joined ``z,y,x1,...,xp`` rows in a list, about half of the
-    file's bytes; what that text costs in memory is held by whoever keeps
-    the list.
-
-    ``known``, such a list from an earlier write, stands for the text of
-    ``d``'s last rows, as when ``d`` pools a dataset written before
-    behind other rows: those rows are written from it without formatting
-    their floats again, and the returned list ends with it.  The caller
-    vouches that it is the text of those rows; a ``known`` covering more
-    rows than ``d`` holds raises ValueError before the file is opened,
-    and None formats every row.  JSON output formats every row whatever
-    ``known`` holds, and returns None.
+    the ones ``writerows`` writes.  Rows go in blocks of 256: each
+    numeric column of a block becomes its values' ``repr`` text (floats
+    round-trip exactly) through :func:`_reprs`, one compiled
+    ``orjson.dumps`` call on the column array; :func:`_lines` interleaves
+    the columns, and the block is joined once and written with one
+    ``write``, so no Python call runs per row.
     """
     path = Path(path)
-    known = list(known or ())
-    head = len(d) - sum(text.count("\n") + 1 for text in known)
-    if head < 0:
-        raise ValueError(f"known text covers {len(d) - head} rows; the dataset has {len(d)}")
     names = (["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
              + ["weight"] * include_weight + ["source"])
     if _detect_format(path) == "json":
@@ -653,27 +635,15 @@ def write_subjects(d, path, include_weight=True, stamp=None, known=None):
             columns.append(d.w.tolist())
         columns.append(list(map(_SOURCES.__getitem__, d.is_target.tolist())))
         _write_json([dict(zip(names, row)) for row in zip(*columns)], path)
-        return None
-
-    def fresh():
-        """The numeric text of the rows ahead of ``known``, a block at a time."""
-        for i in range(0, head, _BLOCK_ROWS):
-            j = min(i + _BLOCK_ROWS, head)
-            yield _lines([_reprs(c) for c in (d.z[i:j], d.y[i:j], *d.X[i:j].T)], "\n")[:-1]
-
+        return
     ids, tags = (np.array(_csv_fields(v), dtype=object) for v in (d.trial_ids, _SOURCES))
-    texts, i = [], 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {k}={v}\n" for k, v in (stamp or {}).items())
         csv.writer(fh).writerow(names)
-        for text in chain(fresh(), known):
-            rows = text.split("\n")
-            j = i + len(rows)
-            columns = [ids[d.trial[i:j]].tolist(), rows]
+        for i in range(0, len(d), _BLOCK_ROWS):
+            j = i + _BLOCK_ROWS
+            columns = [ids[d.trial[i:j]].tolist(), *map(_reprs, (d.z[i:j], d.y[i:j], *d.X[i:j].T))]
             if include_weight:
                 columns.append(_reprs(d.w[i:j]))
             columns.append(tags[d.is_target[i:j].view(np.int8)].tolist())
             fh.write(_lines(columns, "\r\n"))
-            texts.append(text)
-            i = j
-    return texts

@@ -295,19 +295,17 @@ def run_pipeline(cfg):
         target = read_subjects(cfg.target)
         rcfg = ReconstructionConfig(rng_seed=cfg.seed, borrow=cfg.borrow)
 
-    recon_text = payload = None
+    payload = None
 
     def write_artifact(stage, done):
-        nonlocal recon_text, payload
+        nonlocal payload
         if stage == "reconstruct":
             for clamp in done.clamps:
                 warnings.warn(clamp)
-            # the numeric text of the reconstructed rows, which end the pooled dataset
-            recon_text = write_subjects(done.reconstructed, outdir / "reconstructed.csv",
-                                        include_weight=False, stamp=stamp)
+            write_subjects(done.reconstructed, outdir / "reconstructed.csv",
+                           include_weight=False, stamp=stamp)
         elif stage == "weights":
-            write_subjects(done.membership.weighted, outdir / "weighted.csv", stamp=stamp,
-                           known=recon_text)
+            write_subjects(done.membership.weighted, outdir / "weighted.csv", stamp=stamp)
         else:
             m = done.membership
             payload = {**weighted_fit_to_dict(done.fit, cfg.level), "tau2": float(meta.tau2),

@@ -79,19 +79,28 @@ def parse_feature_spec(spec, p):
 
     The intercept is implicit.  Accepted atoms: ``xJ``, ``xJ^2``,
     ``xJ*xK``, ``z``, ``z*xJ``.  The spec is a setting, so a malformed
-    one is a ConfigError.
+    one is a ConfigError, as is one that repeats a term in any spelling
+    (``x1*x2`` and ``x2*x1``, ``x1^2`` and ``x1*x1``): the repeated
+    column would leave the membership fit singular.
     """
-    terms = []
+    terms, seen = [], {}
     for atom in spec.split(","):
         atom = atom.strip().lower()
         if atom == "z":
-            terms.append((ARM,))
+            term = (ARM,)
         elif atom.startswith("z*"):
-            terms.append((ARM, _covariate_index(atom[2:], p)))
+            term = (ARM, _covariate_index(atom[2:], p))
         elif atom.endswith("^2"):
-            terms.append((_covariate_index(atom[:-2], p),) * 2)
+            term = (_covariate_index(atom[:-2], p),) * 2
         elif atom:
-            terms.append(tuple(_covariate_index(f, p) for f in atom.split("*", 1)))
+            term = tuple(_covariate_index(f, p) for f in atom.split("*", 1))
+        else:
+            continue
+        key = tuple(sorted(term, key=str))  # the factors in one order
+        if key in seen:
+            raise ConfigError(f"feature atom {atom!r} repeats {seen[key]!r}")
+        seen[key] = atom
+        terms.append(term)
     return FeatureMap(tuple(terms))
 
 

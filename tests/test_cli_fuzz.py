@@ -3,10 +3,10 @@
 Each example starts from a valid pair of files (the bundled eGFR
 summaries and a simulated target trial, as CSV or JSON) and breaks one
 of them in a way that no reading of the schema accepts: a truncated row,
-a non-numeric or non-finite cell, a missing column, an empty file, a
-stray text row, invalid JSON, a JSON value of the wrong type, a
-fractional JSON number for an arm, size or indicator, or bytes that are
-not UTF-8.  The JSON inputs of ``pipeline --config`` and
+a non-numeric or non-finite cell, a missing column (but not a family
+column, whose absence reads as continuous), an empty file, a stray text
+row, invalid JSON, a JSON value of the wrong type, a fractional JSON
+number for an arm, size or indicator, or bytes that are not UTF-8.  The JSON inputs of ``pipeline --config`` and
 ``reconstruct --meta-fit`` are broken too: cut short, a top level of
 another type, a required key dropped, a config or meta-fit value of the
 wrong type, or bytes that are not UTF-8.
@@ -54,6 +54,11 @@ stray_text = st.text(st.characters(exclude_characters=',"\r\n', exclude_categori
                      min_size=1, max_size=20).filter(lambda s: s.strip())
 
 
+def _optional(column):
+    """A family column may be left out: a summary file without one is all continuous."""
+    return column.endswith("_family")
+
+
 def _bad_cell(column):
     if column in ("arm", "z"):
         return st.sampled_from(BAD_CELLS + BAD_CATEGORIES)
@@ -76,7 +81,7 @@ def broken_table(draw, table):
         j = draw(st.integers(1, len(header) - 1))
         rows[i][j] = draw(_bad_cell(header[j]))
     elif defect == "drop_column":
-        j = draw(st.integers(0, len(header) - 1))
+        j = draw(st.sampled_from([j for j, c in enumerate(header) if not _optional(c)]))
         header.pop(j)
         for r in rows:
             r.pop(j)
@@ -107,7 +112,7 @@ def broken_json(draw, table):
     if defect == "top_level":
         return draw(st.sampled_from(("5", '"rows"', "{}", "null", "true")))
     obj = draw(st.sampled_from(objects))
-    key = draw(st.sampled_from(header))
+    key = draw(st.sampled_from([c for c in header if not (defect == "drop_key" and _optional(c))]))
     if defect == "drop_key":
         del obj[key]
     else:

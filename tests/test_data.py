@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from summary_tables import arm_row, assert_same, pool, table, take
+from summary_tables import arm_row, assert_same, table, take
 
 from metaborrow.data import (_BLOCK_ROWS, Dataset, Summaries, _reprs, dataset_from_arms,
                              read_subjects, read_summaries, write_subjects, write_summaries)
@@ -83,6 +83,12 @@ def test_arm_summary_rejects_unknown_family_and_bad_binary_mean(tmp_path):
                        "t1,0,25,1.0,1.0,0.0,1.0,poisson")
     with pytest.raises(DataError, match="^line 3: trial 't1' arm 0: unknown family 'poisson'$"):
         read_summaries(path)
+    # a blank family cell, or no family column at all, reads as continuous
+    for header, end in (("trial_id,arm,n,y_mean,y_sd,x1_mean,x1_sd,x1_family", ","),
+                        ("trial_id,arm,n,y_mean,y_sd,x1_mean,x1_sd", "")):
+        path = summary_csv(tmp_path, "t1,1,25,2.0,1.0,0.0,1.0" + end,
+                           "t1,0,25,1.0,1.0,0.0,1.0" + end, header=header)
+        assert read_summaries(path).binary.tolist() == [[False], [False]]
     with pytest.raises(DataError, match="binary x1 mean 1.4 outside \\[0, 1\\]"):
         arm(x_mean=(1.4,), binary=(True,))
     # the first bad row is named, and within it the first failing check
@@ -671,26 +677,6 @@ def test_csv_writer_matches_writerows_bytes(tmp_path_factory, d, include_weight,
     assert (out / "fast.csv").read_bytes() == (out / "ref.csv").read_bytes()
 
 
-@settings(deadline=None)  # a wall-clock limit per example would flake on a busy machine
-@given(awkward_datasets(edge_floats).flatmap(
-           lambda a: st.tuples(st.just(a), awkward_datasets(edge_floats, p=a.p))),
-       st.booleans())
-def test_known_text_writes_the_bytes_of_a_fresh_write(tmp_path_factory, parts, include_weight):
-    a, b = parts
-    d = pool(parts)
-    out = tmp_path_factory.mktemp("known")
-    kw = dict(include_weight=include_weight, stamp={"seed": 7})
-    known = write_subjects(b, out / "tail.csv", include_weight=False)
-    texts = write_subjects(d, out / "reuse.csv", known=known, **kw)
-    fresh = write_subjects(d, out / "fresh.csv", **kw)
-    assert (out / "reuse.csv").read_bytes() == (out / "fresh.csv").read_bytes()
-    assert "\n".join(texts) == "\n".join(fresh)  # the same rows' text, blocked differently
-    # known text for one row more than the dataset holds is refused before the file is opened
-    with pytest.raises(ValueError, match=f"covers {len(d) + 1} rows; the dataset has {len(d)}"):
-        write_subjects(d, out / "refused.csv", known=fresh + ["0,1.0"], **kw)
-    assert not (out / "refused.csv").exists()
-
-
 @settings(deadline=None)
 @given(awkward_datasets(finite).filter(len))
 def test_csv_round_trips_finite_rows(tmp_path_factory, d):
@@ -713,28 +699,13 @@ def seam_dataset(p, finite=False):
                    np.arange(n) % 3 == 0)
 
 
-def rows_from(d, start):
-    """``d``'s rows from ``start`` on."""
-    return Dataset(d.trial_ids, d.trial[start:], d.z[start:], d.y[start:], d.X[start:],
-                   d.w[start:], d.is_target[start:])
-
-
 @pytest.mark.parametrize("include_weight", [True, False])
 @pytest.mark.parametrize("p", [0, 3])
 def test_csv_writer_bytes_across_block_seams(tmp_path, p, include_weight):
     d = seam_dataset(p)
-    kw = dict(include_weight=include_weight, stamp={"seed": 7})
-    fresh = write_subjects(d, tmp_path / "fresh.csv", **kw)
+    write_subjects(d, tmp_path / "fresh.csv", include_weight=include_weight, stamp={"seed": 7})
     writerows_csv(d, tmp_path / "ref.csv", include_weight, include_source=True, stamp={"seed": 7})
     assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
-    # known text whose rows begin 5 rows before the first seam: one short fresh block, then
-    # two known blocks, each crossing a seam of the fresh write
-    head = _BLOCK_ROWS - 5
-    known = write_subjects(rows_from(d, head), tmp_path / "tail.csv", include_weight=False)
-    texts = write_subjects(d, tmp_path / "reuse.csv", known=known, **kw)
-    assert len(known) == 2 and len(texts) == 3
-    assert (tmp_path / "reuse.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
-    assert "\n".join(texts) == "\n".join(fresh)
 
 
 # where repr turns to an exponent and orjson does not: 1e-4 and 1e16, each with its float
@@ -752,6 +723,8 @@ SUBNORMALS_AND_EXTREMES = (5e-324, -5e-324, 2.5e-310, -1e-310, sys.float_info.ma
     EDGE_FLOATS + SUBNORMALS_AND_EXTREMES + tuple(EXPONENT_EDGES))))
 def test_reprs_of_floats_are_repr(values):
     assert _reprs(np.array(values, dtype=float)) == list(map(repr, values))
+    # column 0 of a two-column array is a strided view, as a block's xJ column is for p > 1
+    assert _reprs(np.column_stack((values, values)).astype(float)[:, 0]) == list(map(repr, values))
 
 
 @settings(deadline=None)

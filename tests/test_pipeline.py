@@ -76,8 +76,8 @@ def test_pipeline_writes_all_artifacts(tmp_path):
     # the CSV artifacts are stamped with the same hash
     head = (outdir / "weighted.csv").read_text().splitlines()[0]
     assert head == f"# config_hash={cfg.config_hash()}"
-    # weighted.csv reuses reconstructed.csv's text for its last rows: they are
-    # those rows, and a fresh write of the rows read back gives the same bytes
+    # weighted.csv ends with reconstructed.csv's rows, and writing the rows it reads back
+    # gives its bytes again
     weighted = read_subjects(outdir / "weighted.csv")
     recon = read_subjects(outdir / "reconstructed.csv")
     k = weighted.n_target()
@@ -149,10 +149,12 @@ def test_stage_errors_carry_stage_name_and_keep_partials(tmp_path, monkeypatch):
     assert not (outdir / "summary.txt").exists()
 
 
-@pytest.mark.parametrize("spec", ["x1,x2", "x1,bogus"])  # p = 1: x2 does not exist
+# p = 1: x2 does not exist; x1*x1 is x1^2 again
+@pytest.mark.parametrize("spec", ["x1,x2", "x1,bogus", "x1,x1^2,x1*x1"])
 def test_bad_feature_spec_fails_before_any_artifact(tmp_path, spec):
     run_pipeline(config(tmp_path))  # a complete earlier run into the same directory
-    with pytest.raises(ConfigError, match="^feature atom 'x2' outside|^cannot parse feature"):
+    with pytest.raises(ConfigError, match="^feature atom 'x2' outside|^cannot parse feature"
+                                          r"|^feature atom 'x1\*x1' repeats 'x1\^2'$"):
         run_pipeline(config(tmp_path, features=spec))
     assert list((tmp_path / "run").iterdir()) == []
 
