@@ -27,12 +27,14 @@ Covariate dispersion is diagonal: one variance per covariate, no
 covariances.
 
 Files are CSV, or JSON (a list of objects keyed like the CSV columns)
-when the path ends in ``.json``: the suffix alone picks the format.
+when the path ends in ``.json``: the suffix alone picks the format.  One
+writer, :func:`_write_table`, writes both tables from named columns,
+numbers as ``repr`` spells them, so means, outcomes, and weights
+round-trip bit-for-bit; variances pass through their SD column (sqrt on
+write, square on read) and may move by an ulp.  Both readers parse every
+cell one way, for CSV and JSON alike, and refuse a row that lacks a cell.
 
 All types are immutable values; their arrays are read-only.
-Floats are written with ``repr``, so means, outcomes, and weights
-round-trip bit-for-bit; variances pass through their SD column (sqrt on
-write, square on read) and may move by an ulp.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import chain
+from itertools import chain, count, takewhile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -357,10 +359,30 @@ def _trial_id(row, label):
     return trial_id
 
 
+def _cell(row, name, kind=None, default=None):
+    """Cell ``name`` of a file row, read by :func:`_number` as ``kind`` unless that is None.
+
+    A blank cell or an absent column gives ``default`` if one is given; else an absent column
+    raises KeyError.  ValueError names a cell the row lacks: a CSV row shorter than its header
+    lacks its last cells, which ``csv.DictReader`` reads as None, as ``json`` reads null.
+    """
+    value = row[name] if default is None else row.get(name, "")
+    if value is None:
+        raise ValueError(f"{name}: no cell")
+    if default is not None and value == "":
+        return default
+    return value if kind is None else _number(value, name, kind)
+
+
+def _covariates(row, suffix):
+    """1, 2, ... up to the first J whose cell ``xJ<suffix>`` is blank or whose column is absent."""
+    return takewhile(lambda j: _cell(row, f"x{j}{suffix}", default="") != "", count(1))
+
+
 def _row_to_arm(row, label):
     """A summary row's trial id, arm, n, y_mean, y_var, x means, x variances and binary flags."""
     def squared(name):  # an SD or SE, refused while a negative sign still shows
-        sd = _number(row[name], name)
+        sd = _cell(row, name, float)
         if sd < 0:
             raise DataError(f"{label}: trial {trial_id!r} arm {arm}: {name} must be nonnegative, "
                             f"got {sd}")
@@ -368,31 +390,25 @@ def _row_to_arm(row, label):
 
     try:
         trial_id = _trial_id(row, label)
-        arm = _number(row["arm"], "arm", int)
-        n = _number(row["n"], "n", int)
+        arm, n = _cell(row, "arm", int), _cell(row, "n", int)
         if max(abs(arm), abs(n)) >= 2**63:  # the table holds them as int64
             raise OverflowError(f"arm {arm} or n {n} out of range")
-        y_mean = _number(row["y_mean"], "y_mean")
-        if "y_sd" in row and row.get("y_sd") not in (None, ""):
+        y_mean = _cell(row, "y_mean", float)
+        if _cell(row, "y_sd", default="") != "":
             y_var = squared("y_sd")
-        elif "y_se_mean" in row and row.get("y_se_mean") not in (None, ""):
+        elif _cell(row, "y_se_mean", default="") != "":
             y_var = n * squared("y_se_mean")
         else:
             raise DataError(f"{label}: need one of y_sd or y_se_mean")
         x_mean, x_var, binary = [], [], []
-        j = 1
-        while f"x{j}_mean" in row:
-            cell = row[f"x{j}_mean"]
-            if cell in (None, ""):
-                break
-            x_mean.append(_number(cell, f"x{j}_mean"))
+        for j in _covariates(row, "_mean"):
+            x_mean.append(_cell(row, f"x{j}_mean", float))
             x_var.append(squared(f"x{j}_sd"))
             # a blank cell, or no family column at all, is continuous
-            family = row.get(f"x{j}_family", "").strip() or "continuous"
+            family = _cell(row, f"x{j}_family", default="").strip() or "continuous"
             if family not in FAMILIES:
                 raise DataError(f"{label}: trial {trial_id!r} arm {arm}: unknown family {family!r}")
             binary.append(family == "binary")
-            j += 1
     except DataError:
         raise
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
@@ -444,34 +460,14 @@ def read_summaries(path):
 
 
 def write_summaries(s, path):
-    """Write a Summaries table to CSV or JSON (y_sd convention), one row per arm.
-
-    The columns, in the summary schema's order, feed both formats; a
-    path ending in ``.json`` gets JSON, any other CSV.  The csv module
-    writes a float with ``repr``, as JSON does, so both round-trip every
-    mean exactly.
-    """
-    path = Path(path)
-    names = ["trial_id", "arm", "n", "y_mean", "y_sd"]
-    columns = [list(map(s.trial_ids.__getitem__, s.trial.tolist())), s.arm.tolist(),
-               s.n.tolist(), s.y_mean.tolist(), np.sqrt(s.y_var).tolist()]
+    """Write a Summaries table to CSV or JSON by :func:`_write_table`, one row per arm, in the
+    summary schema with SD columns; both formats round-trip every mean exactly."""
+    columns = {"trial_id": (s.trial_ids, s.trial), "arm": s.arm, "n": s.n, "y_mean": s.y_mean,
+               "y_sd": np.sqrt(s.y_var)}
     for j in range(s.p):
-        names += [f"x{j + 1}_mean", f"x{j + 1}_sd", f"x{j + 1}_family"]
-        columns += [s.x_mean[:, j].tolist(), np.sqrt(s.x_var[:, j]).tolist(),
-                    list(map(FAMILIES.__getitem__, s.binary[:, j].tolist()))]
-    if _detect_format(path) == "json":
-        _write_json([dict(zip(names, row)) for row in zip(*columns)], path)
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(zip(*columns))
-
-
-def _write_json(rows, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
-        fh.write("\n")
+        columns.update({f"x{j + 1}_mean": s.x_mean[:, j], f"x{j + 1}_sd": np.sqrt(s.x_var[:, j]),
+                        f"x{j + 1}_family": (FAMILIES, s.binary[:, j])})
+    _write_table(columns, path)
 
 
 # ---------------------------------------------------------------------------
@@ -500,31 +496,16 @@ def read_subjects(path, target_id=None):
     if not raw:
         raise DataError(f"{path}: no subjects")
 
-    json_rows = _detect_format(path) == "json"
     p = None  # the first row's covariate count
     rows, bad = [], []
     for label, row in raw:
         try:
             trial_id = _trial_id(row, label)
-            cells = []
-            j = 1
-            while f"x{j}" in row and row[f"x{j}"] not in (None, ""):
-                cells.append(row[f"x{j}"])
-                j += 1
-            if "source" in row and row.get("source") not in (None, ""):
-                source = row["source"]
-            elif target_id is not None:
-                source = "target" if trial_id == target_id else "reconstructed"
-            else:
-                source = "target"
-            weight = row.get("weight")
-            cells.append(1.0 if weight in (None, "") else weight)
-            *x, weight = map(float, cells)  # a CSV cell is text: float() and int() check it
-            z, y = int(row["z"]), float(row["y"])
-            if json_rows:  # a JSON value may also be a bool, or a fractional z int() truncates
-                names = [f"x{k}" for k in range(1, j)] + ["weight", "z", "y"]
-                for name, value in zip(names, cells + [row["z"], row["y"]]):
-                    _number(value, name, int if name == "z" else float)
+            z, y = _cell(row, "z", int), _cell(row, "y", float)
+            x = [_cell(row, f"x{j}", float) for j in _covariates(row, "")]
+            weight = _cell(row, "weight", float, default=1.0)
+            source = _cell(row, "source", default="target" if target_id in (None, trial_id)
+                           else "reconstructed")
         except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as exc:
             raise DataError(f"{label}: cannot parse subject row ({exc})") from exc
         p = len(x) if p is None else p
@@ -552,18 +533,6 @@ def read_subjects(path, target_id=None):
                   np.array(flags, dtype=bool))
 
 
-def _csv_fields(values):
-    """Each value as the default csv writer writes it inside a row of several fields.
-
-    The csv module applies its own quoting rule; a single-field row would
-    quote an empty string, so each value is written with an empty second
-    field whose ``,`` and line terminator are then cut off.
-    """
-    lines = []
-    csv.writer(SimpleNamespace(write=lines.append)).writerows((value, "") for value in values)
-    return [line[:-len(",\r\n")] for line in lines]
-
-
 def _reprs(values):
     """``list(map(repr, values.tolist()))`` for any 1-D int or float array, strided views
     included, from one compiled ``orjson.dumps`` call that reads the array itself.
@@ -587,7 +556,7 @@ def _reprs(values):
     return out
 
 
-# rows write_subjects formats and writes at a time: a block's per-value strings are live
+# rows _write_table formats and writes at a time: a block's per-value strings are live
 # together, and the weighted.csv write is the memory peak of a run_pipeline call (0.29 MB
 # traced on the bundled case study)
 _BLOCK_ROWS = 256
@@ -604,46 +573,56 @@ def _lines(columns, end):
     return "".join(pieces)
 
 
-def write_subjects(d, path, include_weight=True, stamp=None):
-    """Write a Dataset, with a source column and optionally weights, to CSV or JSON.
+def _write_table(columns, path, stamp=None):
+    """Write named columns as a table: JSON for a path ending in ``.json``, any other CSV.
 
-    A path ending in ``.json`` gets JSON, any other CSV.
-    ``stamp`` (a mapping) is written as leading ``# key=value`` comment
-    lines in CSV output; the readers skip such lines.
-
-    CSV text is built a column at a time, not by ``csv.writer.writerows``,
-    which scans every field of every row for characters that need
-    quoting.  Only trial ids can need it: the source tags are fixed, and
-    ``repr`` of a Python int or float holds no delimiter, quote or line
-    break.  So each distinct id and tag is quoted once, by the csv
-    module's own rules, and rows index into those fields; the bytes are
-    the ones ``writerows`` writes.  Rows go in blocks of 256: each
-    numeric column of a block becomes its values' ``repr`` text (floats
-    round-trip exactly) through :func:`_reprs`, one compiled
-    ``orjson.dumps`` call on the column array; :func:`_lines` interleaves
-    the columns, and the block is joined once and written with one
-    ``write``, so no Python call runs per row.
+    ``columns`` maps each name, in order, to a 1-D int or float array or to a categorical
+    pair ``(labels, codes)``, whose row k holds ``labels[codes[k]]``.  JSON is a list of
+    one object per row, by ``json.dump`` with ``indent=2``.  CSV is ``stamp``'s items as
+    ``# key=value`` lines, which the readers skip, then the bytes ``csv.writer.writerows``
+    writes, built without its scan of every field for characters to quote: only a label can
+    need quoting, since ``repr`` of an int or float holds no delimiter, quote or line break,
+    so each distinct label is quoted once by the csv module and rows index into those
+    fields.  Each block of 256 rows makes every numeric column ``repr`` text by one
+    :func:`_reprs` call (floats round-trip exactly), interleaves the columns by
+    :func:`_lines` and is written with one ``write``: no Python call runs per row.
     """
     path = Path(path)
-    names = (["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
-             + ["weight"] * include_weight + ["source"])
-    if _detect_format(path) == "json":
-        # tolist() gives Python ints and floats: z is written as 1, not 1.0
-        columns = [list(map(d.trial_ids.__getitem__, d.trial.tolist())), d.z.tolist(),
-                   d.y.tolist(), *d.X.T.tolist()]
-        if include_weight:
-            columns.append(d.w.tolist())
-        columns.append(list(map(_SOURCES.__getitem__, d.is_target.tolist())))
-        _write_json([dict(zip(names, row)) for row in zip(*columns)], path)
+    csv_out = _detect_format(path) == "csv"
+
+    def written(labels):  # as a CSV field beside an empty one, since a lone "" is quoted
+        # writerow returns what it writes; the writer's 128 KB row buffer is freed on return
+        row_text = csv.writer(SimpleNamespace(write=str)).writerow
+        return np.array([row_text((v, ""))[:-len(",\r\n")] for v in labels] if csv_out
+                        else labels, dtype=object)
+
+    # per column: its values or codes, and None or its labels as written
+    pairs = [(c[1], written(c[0])) if isinstance(c, tuple) else (c, None) for c in columns.values()]
+
+    def cells(rows, numbers):  # each column's cells in ``rows``; ``numbers`` formats values
+        return [numbers(a[rows]) if texts is None else texts.take(a[rows]).tolist()
+                for a, texts in pairs]
+
+    if not csv_out:  # tolist() gives Python ints and floats: an int is written as 1, not 1.0
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([dict(zip(columns, row))
+                       for row in zip(*cells(slice(None), np.ndarray.tolist))], fh, indent=2)
+            fh.write("\n")
         return
-    ids, tags = (np.array(_csv_fields(v), dtype=object) for v in (d.trial_ids, _SOURCES))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {k}={v}\n" for k, v in (stamp or {}).items())
-        csv.writer(fh).writerow(names)
-        for i in range(0, len(d), _BLOCK_ROWS):
-            j = i + _BLOCK_ROWS
-            columns = [ids[d.trial[i:j]].tolist(), *map(_reprs, (d.z[i:j], d.y[i:j], *d.X[i:j].T))]
-            if include_weight:
-                columns.append(_reprs(d.w[i:j]))
-            columns.append(tags[d.is_target[i:j].view(np.int8)].tolist())
-            fh.write(_lines(columns, "\r\n"))
+        csv.writer(fh).writerow(columns)
+        for i in range(0, len(pairs[0][0]), _BLOCK_ROWS):
+            fh.write(_lines(cells(slice(i, i + _BLOCK_ROWS), _reprs), "\r\n"))
+
+
+def write_subjects(d, path, include_weight=True, stamp=None):
+    """Write a Dataset to CSV or JSON by :func:`_write_table`: columns ``trial_id, z, y,
+    x1..xp``, ``weight`` unless ``include_weight`` is false, and ``source``; a CSV file
+    starts with the mapping ``stamp``'s items as ``# key=value`` lines."""
+    columns = {"trial_id": (d.trial_ids, d.trial), "z": d.z, "y": d.y,
+               **{f"x{j + 1}": d.X[:, j] for j in range(d.p)}}
+    if include_weight:
+        columns["weight"] = d.w
+    columns["source"] = (_SOURCES, d.is_target)
+    _write_table(columns, path, stamp)

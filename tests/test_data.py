@@ -325,8 +325,9 @@ def test_summaries_reject_duplicate_trial_arm_pair(tmp_path):
     (",x2_mean,x2_sd,x2_family", "A,0,5,1.0,1.0,0.0,1.0,continuous,0.5,1.0,continuous"),
 ], ids=["negative-sd", "unparsed", "covariate-count"])
 def test_summaries_name_the_first_bad_row_in_file_order(tmp_path, x2, line3):
-    # line 3 fails as it is parsed, but line 2 fails the table's checks and comes first
-    path = summary_csv(tmp_path, "A,1,-5,1.0,1.0,0.0,1.0,continuous", line3,
+    # line 3 fails as it is parsed, but line 2 fails the table's checks and comes first;
+    # line 2's x2 cells are blank, so it has one covariate
+    path = summary_csv(tmp_path, "A,1,-5,1.0,1.0,0.0,1.0,continuous" + "," * x2.count(","), line3,
                        header="trial_id,arm,n,y_mean,y_sd,x1_mean,x1_sd,x1_family" + x2)
     with pytest.raises(DataError, match="^line 2: trial 'A': n must be nonnegative, got -5$"):
         read_summaries(path)
@@ -362,6 +363,21 @@ def test_summaries_errors_on_missing_empty_or_malformed(tmp_path):
                    "t1,0,99999999999999999999,1.0,1.0\n")
     with pytest.raises(DataError, match="^line 3: cannot parse summary row .*out of range"):
         read_summaries(bad)
+
+
+def test_summaries_refuse_a_row_missing_a_cell(tmp_path):
+    # csv.DictReader reads the cells a short row lacks as None, and JSON's null reads so too:
+    # refused naming the cell, not read as a blank one
+    path = summary_csv(tmp_path, "A,1,40,1.0,1.0,0.0,1.0", "A,0,40,1.0,1.0,0.0,1.0,continuous")
+    with pytest.raises(DataError, match=r"^line 2: cannot parse summary row "
+                                        r"\(x1_family: no cell\)$"):
+        read_summaries(path)
+    objects = tmp_path / "s.json"
+    objects.write_text(json.dumps([{"trial_id": "A", "arm": 1, "n": 40, "y_mean": 1.0,
+                                    "y_sd": None, "y_se_mean": 0.5}]))
+    with pytest.raises(DataError, match=r"^object 1: cannot parse summary row "
+                                        r"\(y_sd: no cell\)$"):
+        read_summaries(objects)
 
 
 def test_csv_errors_name_the_file_line(tmp_path):
@@ -557,6 +573,22 @@ def test_subjects_errors(tmp_path):
         read_subjects(ragged)
 
 
+def test_subjects_refuse_a_row_missing_a_cell(tmp_path):
+    # a short row is refused naming its first missing cell, not read with weight 1 and an
+    # inferred source; a JSON null likewise, where a blank cell means the default
+    short = tmp_path / "short.csv"
+    short.write_text("trial_id,z,y,x1,weight,source\nt,1,1.0,0.1,2.0,target\nt,0,1.0,0.2\n")
+    with pytest.raises(DataError, match=r"^line 3: cannot parse subject row "
+                                        r"\(weight: no cell\)$"):
+        read_subjects(short)
+    objects = tmp_path / "rows.json"
+    objects.write_text(json.dumps([{"trial_id": "t", "z": 1, "y": 1.0, "weight": ""},
+                                   {"trial_id": "t", "z": 0, "y": 1.0, "weight": None}]))
+    with pytest.raises(DataError, match=r"^object 2: cannot parse subject row "
+                                        r"\(weight: no cell\)$"):
+        read_subjects(objects)
+
+
 def test_read_subjects_reports_every_invalid_row(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("trial_id,z,y,x1,weight,source\n"
@@ -623,8 +655,25 @@ def test_read_subjects_names_rows_by_file_label(tmp_path):
 
 # ---------------------------------------------------------------- CSV writer bytes
 
+def reference_table(names, columns, path, stamp=None):
+    """The reference writers: ``json.dump`` of one dict per row for a ``.json`` path, else
+    one ``csv.writer.writerows`` call over the rows."""
+    rows = zip(*columns)
+    if path.suffix == ".json":
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump([dict(zip(names, row)) for row in rows], fh, indent=2)
+            fh.write("\n")
+        return
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for k, v in (stamp or {}).items():
+            fh.write(f"# {k}={v}\n")
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        writer.writerows(rows)
+
+
 def writerows_csv(d, path, include_weight, include_source, stamp):
-    """The reference writer: one ``csv.writer.writerows`` call over the columns."""
+    """The reference subject file: Python ints and floats handed to :func:`reference_table`."""
     names = ["trial_id", "z", "y"] + [f"x{j}" for j in range(1, d.p + 1)]
     columns = [[d.trial_ids[i] for i in d.trial.tolist()], d.z.tolist(), d.y.tolist(),
                *d.X.T.tolist()]
@@ -634,12 +683,7 @@ def writerows_csv(d, path, include_weight, include_source, stamp):
     if include_source:
         names.append("source")
         columns.append(["target" if t else "reconstructed" for t in d.is_target.tolist()])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        for k, v in (stamp or {}).items():
-            fh.write(f"# {k}={v}\n")
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        writer.writerows(zip(*columns))
+    reference_table(names, columns, path, stamp)
 
 
 # ids the csv module must quote or keep as they are: delimiter, quote, line
@@ -699,6 +743,21 @@ def seam_dataset(p, finite=False):
                    np.arange(n) % 3 == 0)
 
 
+def seam_summaries(p):
+    """Two blocks and three arms in 258 trials: ids are AWKWARD_IDS and then each of them
+    numbered, means and variances cycle through the finite EDGE_FLOATS (variances through
+    their magnitudes), and a covariate mean within [0, 1] is binary on every other arm."""
+    R = 2 * _BLOCK_ROWS + 3
+    ids = tuple(t + str(k) * (k >= len(AWKWARD_IDS))
+                for k, t in enumerate(AWKWARD_IDS * (R // len(AWKWARD_IDS) + 1)))
+    cycle = np.resize([v for v in EDGE_FLOATS if math.isfinite(v)], R + 2 * p + 2)
+    y_mean, y_var, *x = (cycle[k:k + R] for k in range(2 * p + 2))
+    x_mean, x_var = np.transpose(x[:p]).reshape(R, p), np.abs(np.transpose(x[p:])).reshape(R, p)
+    binary = (x_mean >= 0) & (x_mean <= 1) & (np.arange(R) % 2 == 0)[:, None]
+    return Summaries(ids[:(R + 1) // 2], np.arange(R) // 2, np.arange(R) % 2,
+                     np.arange(R) ** 3, y_mean, np.abs(y_var), x_mean, x_var, binary)
+
+
 @pytest.mark.parametrize("include_weight", [True, False])
 @pytest.mark.parametrize("p", [0, 3])
 def test_csv_writer_bytes_across_block_seams(tmp_path, p, include_weight):
@@ -706,6 +765,20 @@ def test_csv_writer_bytes_across_block_seams(tmp_path, p, include_weight):
     write_subjects(d, tmp_path / "fresh.csv", include_weight=include_weight, stamp={"seed": 7})
     writerows_csv(d, tmp_path / "ref.csv", include_weight, include_source=True, stamp={"seed": 7})
     assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    # summaries go through the same writer: every column as Python values, in both formats
+    s = seam_summaries(p)
+    assert set(s.binary.ravel().tolist()) == ({False, True} if p else set())
+    names = ["trial_id", "arm", "n", "y_mean", "y_sd"]
+    columns = [[s.trial_ids[i] for i in s.trial.tolist()], s.arm.tolist(), s.n.tolist(),
+               s.y_mean.tolist(), np.sqrt(s.y_var).tolist()]
+    for j in range(p):
+        names += [f"x{j + 1}_mean", f"x{j + 1}_sd", f"x{j + 1}_family"]
+        columns += [s.x_mean[:, j].tolist(), np.sqrt(s.x_var[:, j]).tolist(),
+                    ["binary" if b else "continuous" for b in s.binary[:, j].tolist()]]
+    for name in ("s.csv", "s.json"):
+        write_summaries(s, tmp_path / f"fresh-{name}")
+        reference_table(names, columns, tmp_path / f"ref-{name}")
+        assert (tmp_path / f"fresh-{name}").read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
 
 
 # where repr turns to an exponent and orjson does not: 1e-4 and 1e16, each with its float

@@ -1,9 +1,10 @@
 """Run the canonical command list and hash what it writes; compare two such runs.
 
 ``python tools/golden.py run <dir>`` makes the new directory ``<dir>``,
-writes the inputs there (the bundled eGFR summaries and a simulated
-22/16 target CSV), then runs each command of ``RUNS`` in it as ``python
--m metaborrow.cli`` with this interpreter.  The environment is
+writes the inputs there (the bundled eGFR summaries, their
+``write_summaries`` copies as CSV and JSON, and a simulated 22/16 target
+CSV), then runs each command of ``RUNS`` in it, in order, as ``python -m
+metaborrow.cli`` with this interpreter.  The environment is
 inherited, ``PYTHONPATH`` included (its entries made absolute), so one
 copy of this tool runs whichever tree ``PYTHONPATH`` names.  Each
 command's stdout and stderr are saved beside its outputs as
@@ -34,6 +35,8 @@ from pathlib import Path
 SETUP = ("import shutil; from numpy.random import default_rng; "
          "from metaborrow import casestudy, data; "
          "shutil.copyfile(casestudy.bundled_data_path(), 'summaries.csv'); "
+         "[data.write_summaries(data.read_summaries('summaries.csv'), f'written-summaries.{x}') "
+         "for x in ('csv', 'json')]; "
          "data.write_subjects(casestudy.simulate_target(22, 16, default_rng(1)), 'target.csv')")
 
 _PIPELINE = ["pipeline", "--summaries", "summaries.csv", "--target", "target.csv",
@@ -51,6 +54,14 @@ RUNS = {
     "simulate-k3-n4": ["simulate", "--K", "3", "--n", "4", "--alloc", "three_to_one",
                        "--reps", "40", "--seed", "1", "--out", "simulate-k3-n4.csv"],
     "case-study": ["case-study", "--out", "case-study.json"],
+    "meta": ["meta", "--summaries", "summaries.csv", "--out", "meta.json"],
+    # every writer of a subject file, in both formats; weights reads the pipeline's output
+    "reconstruct-csv": ["reconstruct", "--summaries", "summaries.csv", "--seed", "7",
+                        "--out", "reconstruct.csv"],
+    "reconstruct-json": ["reconstruct", "--summaries", "summaries.csv", "--seed", "7",
+                         "--out", "reconstruct.json"],
+    "weights-csv": ["weights", "--subjects", "pipeline/weighted.csv", "--out", "weights.csv"],
+    "weights-json": ["weights", "--subjects", "pipeline/weighted.csv", "--out", "weights.json"],
 }
 
 # "<file>:<line>: <Category>: <message>" and the indented source line under it
