@@ -540,7 +540,9 @@ def _reprs(values):
     orjson writes an int as ``repr`` does and a float with the same shortest round-trip
     digits; only the layout differs where ``repr`` turns to an exponent or a name: nan and
     the infinities (``null``), and nonzero floats below 1e-4 (``0.00001`` for ``1e-05``) or
-    from 1e16 on (``1e16`` for ``1e+16``).  Those entries are formatted again with ``repr``.
+    from 1e16 on (``1e16`` for ``1e+16``).  Those entries are formatted again with ``repr``,
+    found by a mask over the values only when orjson's text holds an ``e``, an ``n`` or a
+    ``0.0000``, which every such entry writes and no int does.
     """
     # imported on first use: the import costs 6-8 ms and 0.5-0.7 MB, and a simulation
     # replication never writes a subject CSV
@@ -549,7 +551,7 @@ def _reprs(values):
     # orjson refuses an array that is not C-contiguous, such as a column of a 2-D block
     text = orjson.dumps(np.ascontiguousarray(values), option=orjson.OPT_SERIALIZE_NUMPY)
     out = text[1:-1].decode().split(",") if len(values) else []
-    if values.dtype.kind == "f":
+    if b"e" in text or b"n" in text or b"0.0000" in text:  # a false hit costs only the mask
         a = np.abs(values)
         for k in np.flatnonzero(~(a < 1e16) | ((a < 1e-4) & (a != 0))).tolist():
             out[k] = repr(float(values[k]))
@@ -578,14 +580,15 @@ def _write_table(columns, path, stamp=None):
 
     ``columns`` maps each name, in order, to a 1-D int or float array or to a categorical
     pair ``(labels, codes)``, whose row k holds ``labels[codes[k]]``.  JSON is a list of
-    one object per row, by ``json.dump`` with ``indent=2``.  CSV is ``stamp``'s items as
-    ``# key=value`` lines, which the readers skip, then the bytes ``csv.writer.writerows``
-    writes, built without its scan of every field for characters to quote: only a label can
-    need quoting, since ``repr`` of an int or float holds no delimiter, quote or line break,
-    so each distinct label is quoted once by the csv module and rows index into those
-    fields.  Each block of 256 rows makes every numeric column ``repr`` text by one
-    :func:`_reprs` call (floats round-trip exactly), interleaves the columns by
-    :func:`_lines` and is written with one ``write``: no Python call runs per row.
+    one object per row, the bytes ``json.dump`` writes with ``indent=2``, built and written
+    a block of rows at a time.  CSV is ``stamp``'s items as ``# key=value`` lines, which the
+    readers skip, then the bytes ``csv.writer.writerows`` writes, built without its scan of
+    every field for characters to quote: only a label can need quoting, since ``repr`` of
+    an int or float holds no delimiter, quote or line break, so each distinct label is
+    quoted once by the csv module and rows index into those fields.  Each block of 256 rows
+    makes every numeric column ``repr`` text by one :func:`_reprs` call (floats round-trip
+    exactly), interleaves the columns by :func:`_lines` and is written with one ``write``:
+    no Python call runs per row.
     """
     path = Path(path)
     csv_out = _detect_format(path) == "csv"
@@ -603,16 +606,19 @@ def _write_table(columns, path, stamp=None):
         return [numbers(a[rows]) if texts is None else texts.take(a[rows]).tolist()
                 for a, texts in pairs]
 
+    n = len(pairs[0][0])
     if not csv_out:  # tolist() gives Python ints and floats: an int is written as 1, not 1.0
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump([dict(zip(columns, row))
-                       for row in zip(*cells(slice(None), np.ndarray.tolist))], fh, indent=2)
-            fh.write("\n")
+            for i in range(0, n, _BLOCK_ROWS):  # each block's objects without "[\n" and "\n]"
+                rows = zip(*cells(slice(i, i + _BLOCK_ROWS), np.ndarray.tolist))
+                text = json.dumps([dict(zip(columns, row)) for row in rows], indent=2)
+                fh.write(("[\n" if i == 0 else ",\n") + text[2:-2])
+            fh.write("\n]\n" if n else "[]\n")
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.writelines(f"# {k}={v}\n" for k, v in (stamp or {}).items())
         csv.writer(fh).writerow(columns)
-        for i in range(0, len(pairs[0][0]), _BLOCK_ROWS):
+        for i in range(0, n, _BLOCK_ROWS):
             fh.write(_lines(cells(slice(i, i + _BLOCK_ROWS), _reprs), "\r\n"))
 
 

@@ -151,11 +151,13 @@ def generate_meta_trials(K, n, dist, rng):
     the subject-level draws exist for diagnostics.  Each trial draws, in
     order, its size as ``n + 3n u``, its covariates and its noise, into
     shared buffers; ``y`` is then computed over all rows at once, and the
-    2K arms' means and variances of ``y`` and ``x`` are two segmented
-    sums over the stacked ``(y, x)`` rows, which become the table's
-    columns.  Those sums add in sequence where ``ndarray.mean`` adds
-    pairwise, so a summary can differ from ``np.mean``/``np.var(ddof=1)``
-    in the last bits.
+    2K arms' means and variances of ``y`` and ``x`` are segmented sums
+    over the stacked ``(y, x)`` rows, which become the table's columns.
+    The noise is dropped once ``y`` holds it, and the deviations from the
+    arm means are formed for one of ``y`` and ``x`` at a time, so the
+    generator holds one row-sized temporary beside its draws.  Those sums
+    add in sequence where ``ndarray.mean`` adds pairwise, so a summary can
+    differ from ``np.mean``/``np.var(ddof=1)`` in the last bits.
     """
     ks = range(1, K + 1)
     yx = np.empty((2, 4 * n * K))  # a trial has at most 4n subjects
@@ -171,12 +173,15 @@ def generate_meta_trials(K, n, dist, rng):
     z = np.repeat(np.tile([1.0, 0.0], K), sizes)
     y, x = yx
     _outcome(z, x, e[:lo], out=y)
+    del e
 
     starts = list(accumulate(sizes[:-1], initial=0))
     counts = np.array(sizes)
     mean = np.add.reduceat(yx, starts, axis=1) / counts
-    d = yx - np.repeat(mean, sizes, axis=1)
-    var = np.add.reduceat(np.multiply(d, d, out=d), starts, axis=1) / (counts - 1)
+    var = np.empty_like(mean)
+    for j in range(2):  # one row-sized deviation at a time
+        d = yx[j] - np.repeat(mean[j], sizes)
+        var[j] = np.add.reduceat(np.multiply(d, d, out=d), starts) / (counts - 1)
     row = np.arange(len(sizes))  # arm rows: trial i's treated arm is row 2i, its control 2i + 1
     summaries = Summaries(tuple(f"sim{k:02d}" for k in ks), row // 2, 1 - row % 2, counts,
                           mean[0], var[0], mean[1:].T, var[1:].T,

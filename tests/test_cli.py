@@ -2,6 +2,7 @@
 
 import json
 import logging
+import math
 import warnings
 
 import numpy as np
@@ -235,6 +236,36 @@ def test_meta_fit_on_other_covariates_exits_3(tmp_path, capsys):
             "p = 2: (intercept, arm, x1_mean, x2_mean) or "
             "(intercept, arm, x1_mean, x2_mean, arm:x1_mean, arm:x2_mean)") in err
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("key, edit, message", [
+    ("beta", lambda beta: beta[:1],
+     "beta of shape (1,) and cov_beta of shape (3, 3) for columns ('intercept', 'arm', "
+     "'x1_mean')"),
+    ("tau2", lambda tau2: math.inf, "beta, cov_beta, tau2 and q_stat must be finite")])
+def test_malformed_meta_fit_exits_2_before_any_artifact(tmp_path, capsys, key, edit, message):
+    spath = summaries_csv(tmp_path)
+    fit_path = tmp_path / "fit.json"
+    run_ok(capsys, ["meta", "--summaries", spath, "--out", str(fit_path)])
+    fit = json.loads(fit_path.read_text())
+    fit[key] = edit(fit[key])
+    fit_path.write_text(json.dumps(fit))  # an infinite tau2 is written as Infinity
+    code, err = run_fail(capsys, ["reconstruct", "--summaries", spath, "--meta-fit",
+                                  str(fit_path), "--seed", "1", "--out", str(tmp_path / "r.csv")])
+    assert (code, err) == (2, f"error: malformed meta-fit JSON: {message}\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+def test_simulate_exits_2_when_every_replication_fails(tmp_path, capsys, monkeypatch):
+    def run_replication(cfg, r):
+        return simulate.ReplicationResult(rep=r, ok=False, error="DataError: refused")
+
+    monkeypatch.setattr(simulate, "run_replication", run_replication)
+    out = tmp_path / "cell.csv"
+    code, err = run_fail(capsys, ["simulate", "--K", "5", "--n", "20", "--reps", "3",
+                                  "--seed", "1", "--out", str(out)])
+    assert (code, err) == (2, "error: all 3 replications failed (3 failures); cell invalid\n")
+    assert not out.exists()
 
 
 def test_surrogate_trial_id_exits_3_before_any_artifact(tmp_path, capsys):

@@ -762,9 +762,13 @@ def seam_summaries(p):
 @pytest.mark.parametrize("p", [0, 3])
 def test_csv_writer_bytes_across_block_seams(tmp_path, p, include_weight):
     d = seam_dataset(p)
-    write_subjects(d, tmp_path / "fresh.csv", include_weight=include_weight, stamp={"seed": 7})
-    writerows_csv(d, tmp_path / "ref.csv", include_weight, include_source=True, stamp={"seed": 7})
-    assert (tmp_path / "fresh.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    empty = Dataset(AWKWARD_IDS, [], [], [], np.empty((0, p)), [], [])
+    # JSON is written in the same blocks; a table with no rows is still "[]"
+    for name, rows in (("s.csv", d), ("s.json", d), ("empty.json", empty)):
+        write_subjects(rows, tmp_path / f"fresh-{name}", include_weight, stamp={"seed": 7})
+        writerows_csv(rows, tmp_path / f"ref-{name}", include_weight, include_source=True,
+                      stamp={"seed": 7})
+        assert (tmp_path / f"fresh-{name}").read_bytes() == (tmp_path / f"ref-{name}").read_bytes()
     # summaries go through the same writer: every column as Python values, in both formats
     s = seam_summaries(p)
     assert set(s.binary.ravel().tolist()) == ({False, True} if p else set())
@@ -790,10 +794,11 @@ SUBNORMALS_AND_EXTREMES = (5e-324, -5e-324, 2.5e-310, -1e-310, sys.float_info.ma
 
 
 # the writer's text must be repr's; this is what catches an orjson release that formats
-# floats another way
+# floats another way.  10.00001 holds "0.0000" in its text, so it runs the fix-up mask,
+# which must change nothing
 @settings(deadline=None)
 @given(st.lists(st.floats() | st.sampled_from(
-    EDGE_FLOATS + SUBNORMALS_AND_EXTREMES + tuple(EXPONENT_EDGES))))
+    EDGE_FLOATS + SUBNORMALS_AND_EXTREMES + tuple(EXPONENT_EDGES) + (10.00001, -10.00001))))
 def test_reprs_of_floats_are_repr(values):
     assert _reprs(np.array(values, dtype=float)) == list(map(repr, values))
     # column 0 of a two-column array is a strided view, as a block's xJ column is for p > 1
@@ -809,6 +814,9 @@ def test_reprs_of_ints_are_repr(values):
 def test_reprs_at_the_exponent_edges_are_repr():
     assert len(set(EXPONENT_EDGES)) == 12
     assert _reprs(np.array(EXPONENT_EDGES)) == list(map(repr, EXPONENT_EDGES))
+    # alone, each value must start the fix-up by its own text: e, n or 0.0000
+    for v in (*EXPONENT_EDGES, *EDGE_FLOATS, *SUBNORMALS_AND_EXTREMES):
+        assert _reprs(np.array([v])) == [repr(v)]
 
 
 @pytest.mark.parametrize("p", [0, 3])
